@@ -49,14 +49,21 @@ impl Ctx {
     }
 }
 
-/// Per-op wall times of a timed phase, and each op's peak resident set.
+/// Per-op wall times of a timed phase, each op's peak resident set, and the
+/// set-up times sampled between ops.
 pub struct Timed {
     pub wall_s: f64,
     pub lat_s: Vec<f64>,
     pub rss_mb: Vec<f64>,
+    pub setup_s: Vec<f64>,
 }
 
 impl Timed {
+    /// The median set-up time.
+    pub fn setup_s(&self) -> f64 {
+        stats::median(&self.setup_s)
+    }
+
     /// The median op's peak resident set, in MB. The process-wide peak
     /// would be the maximum over ops, which one unusual op sets; where the
     /// kernel cannot reset the peak per op, that is what is reported.
@@ -70,11 +77,22 @@ impl Timed {
 }
 
 /// Runs `n` operations back to back and times each one and the whole phase.
-pub fn run_timed(n: usize, mut op: impl FnMut(usize)) -> Timed {
+/// Before each op, `setup` builds the workload's inputs once more; those
+/// builds are timed on their own and left out of the phase's wall time.
+/// Spread over the whole phase, they see the host load the ops see, where
+/// a burst of them at start-up sees one moment's.
+pub fn run_timed<T>(n: usize, mut setup: impl FnMut() -> T, mut op: impl FnMut(usize)) -> Timed {
     let mut lat_s = Vec::with_capacity(n);
     let mut rss_mb = Vec::with_capacity(n);
+    let mut setup_s = Vec::with_capacity(n);
+    let mut aside_s = 0.0;
     let t0 = Instant::now();
     for i in 0..n {
+        let t = Instant::now();
+        let inputs = setup();
+        setup_s.push(t.elapsed().as_secs_f64());
+        drop(std::hint::black_box(inputs));
+        aside_s += t.elapsed().as_secs_f64();
         // Writing 5 to clear_refs resets VmHWM to the current RSS.
         let reset = std::fs::write("/proc/self/clear_refs", "5").is_ok();
         let t = Instant::now();
@@ -85,29 +103,15 @@ pub fn run_timed(n: usize, mut op: impl FnMut(usize)) -> Timed {
         }
     }
     Timed {
-        wall_s: t0.elapsed().as_secs_f64(),
+        wall_s: t0.elapsed().as_secs_f64() - aside_s,
         lat_s,
         rss_mb,
+        setup_s,
     }
 }
 
-/// Set-ups per run; `setup_s` is their median.
-pub const SETUPS: usize = 3;
-
-/// Runs a set-up [`SETUPS`] times and returns the last result with the
-/// median time. Each set-up builds the workload's inputs and ends with one
-/// warm-up operation, so lazy first-use costs count as set-up, not as the
-/// timed phase.
-pub fn setup_repeated<T>(mut setup: impl FnMut() -> T) -> (T, f64) {
-    let mut times = Vec::with_capacity(SETUPS);
-    let mut last = None;
-    for _ in 0..SETUPS {
-        let t = Instant::now();
-        last = Some(setup());
-        times.push(t.elapsed().as_secs_f64());
-    }
-    (last.expect("at least one set-up"), stats::median(&times))
-}
+/// Daemon start-ups per `serve-c432` run; `setup_s` is their median.
+pub const SETUPS: usize = 9;
 
 /// Design generation is followed by a round trip through the `.bench`
 /// text format, so set-up includes parsing exactly as a file-based run

@@ -40,7 +40,7 @@ fn contention_ratio(traces: usize) -> f64 {
 }
 
 /// The host block as one JSON object.
-pub fn block(tiny: bool) -> String {
+pub fn block() -> String {
     let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
     let cores = cpuinfo
         .lines()
@@ -53,7 +53,7 @@ pub fn block(tiny: bool) -> String {
         .unwrap_or("unknown")
         .replace(['"', '\\'], "");
     let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
-    let ratio = contention_ratio(if tiny { 256 } else { 4096 });
+    let ratio = contention_ratio(4096);
     format!(
         "{{\"host\": {{\"cores\": {cores}, \"available_parallelism\": {parallelism}, \
          \"cpu_model\": \"{model}\", \"contention_two_runs_throughput_ratio\": {ratio}}}}}"

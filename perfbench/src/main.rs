@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! perfbench --workload NAME --seed N --seconds S --trace 0|1
-//!           [--cli PATH] [--work DIR] [--tiny]
+//!           [--cli PATH] [--work DIR]
 //! ```
 //!
 //! Runs one workload (see `README.md` beside this package) and prints, as
@@ -15,8 +15,8 @@
 
 mod common;
 mod host;
+mod pipeline;
 mod probes;
-mod protect_des3;
 mod serve_c432;
 mod stats;
 mod trace;
@@ -29,7 +29,7 @@ use std::process::ExitCode;
 use common::{Ctx, Metric, Outcome};
 
 /// Workload names, in the order `BENCHMARK.json` lists them.
-pub const WORKLOADS: [&str; 3] = ["tvla-c1908", "protect-des3", "serve-c432"];
+pub const WORKLOADS: [&str; 2] = ["tvla-c1908", "serve-c432"];
 
 /// End-to-end metrics every untraced run reports, with units.
 pub const END_TO_END: [(&str, &str); 6] = [
@@ -94,7 +94,6 @@ struct Args {
     trace: bool,
     cli: Option<PathBuf>,
     work: PathBuf,
-    tiny: bool,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -104,13 +103,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut trace = None;
     let mut cli = None;
     let mut work = PathBuf::from("perfbench/work");
-    let mut tiny = false;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
-        if flag == "--tiny" {
-            tiny = true;
-            continue;
-        }
         let value = it
             .next()
             .ok_or_else(|| format!("missing value after {flag}"))?;
@@ -149,7 +143,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         trace: trace.ok_or("missing --trace")?,
         cli,
         work,
-        tiny,
     })
 }
 
@@ -158,7 +151,6 @@ pub fn run_workload(ctx: &Ctx, name: &str) -> Outcome {
     let mut out = Outcome::default();
     match name {
         "tvla-c1908" => tvla_c1908::run(ctx, &mut out),
-        "protect-des3" => protect_des3::run(ctx, &mut out),
         "serve-c432" => serve_c432::run(ctx, &mut out),
         other => unreachable!("workload `{other}` was validated"),
     }
@@ -233,7 +225,7 @@ fn main() -> ExitCode {
         seed: args.seed,
         seconds: args.seconds,
         trace: args.trace,
-        tiny: args.tiny,
+        tiny: false,
         cli: args.cli,
         work: args.work,
     };
@@ -241,7 +233,7 @@ fn main() -> ExitCode {
     let error_rate = out.failed as f64 / out.attempted.max(1) as f64;
     out.detail("error_rate", error_rate, "frac");
 
-    println!("{}", host::block(ctx.tiny));
+    println!("{}", host::block());
     let details: Vec<String> = out.details.iter().map(metric_json).collect();
     println!(
         "{{\"workload\": \"{}\", \"seed\": {}, \"details\": {{{}}}}}",

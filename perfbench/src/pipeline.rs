@@ -1,36 +1,41 @@
-//! `protect-des3`: the paper pipeline shaped like `quickstart`. Train on the
-//! six-design suite (msize 25, itr 6, 300 traces/class, one thread), then
-//! protect des3 with every leaky gate masked. Most time goes to ML fitting,
-//! rule mining and cognition's many short campaigns; the engine sees short
-//! campaigns on a wide netlist, the opposite shape to `tvla-c1908`.
+//! The paper pipeline's layer split, measured in the traced run of
+//! `tvla-c1908`. Each operation trains on the six-design suite the way
+//! `quickstart` does (msize 25, itr 3, 300 traces/class, one thread) and
+//! protects des3 with every leaky gate masked, twice: through the pipeline's
+//! own calls, then through the public stage calls, each stage in its span.
+//! The stage rebuild must reproduce the pipeline's outputs exactly.
+//!
+//! `protect-des3` was a workload of its own and was dropped: on a shared
+//! host its timings swung about twice as far from run to run as those of
+//! `tvla-c1908` (see `README.md`).
 
 use polaris::cognition::generate_for_design;
 use polaris::explain::Explainer;
 use polaris::masking_flow::{assess_grouped, baseline_outcome, rank_gates, reporting_campaign};
+use polaris::pipeline::ValidationMetrics;
 use polaris::{MaskBudget, MitigationReport, PolarisConfig, PolarisModel, PolarisPipeline};
 use polaris::{StructuralFeatureExtractor, TrainedPolaris};
 use polaris_masking::apply_masking;
+use polaris_ml::metrics::{roc_auc, Confusion};
 use polaris_ml::{Classifier, Dataset};
 use polaris_netlist::transform::decompose;
 use polaris_netlist::{generators, Netlist};
 use polaris_sim::{CampaignConfig, Simulator};
-use polaris_xai::RuleMiner;
+use polaris_xai::{RuleMiner, RuleSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{run_timed, setup_repeated, via_bench, Ctx, Outcome};
-use crate::probes;
+use crate::common::{via_bench, Ctx, Outcome};
 use crate::stats::median;
 use crate::trace::Tracer;
 
-/// One train + protect operation on the reference host.
-const NOMINAL_OP_S: f64 = 1.5;
+/// `--seconds` divided by this gives the operation count, at least five.
+/// One operation takes about 2 s on the reference host.
+const NOMINAL_OP_S: f64 = 10.0;
 /// Random input vectors of the masked-equivalence check.
 const EQUIVALENCE_VECTORS: usize = 64;
 
-const PHASE: u64 = 21;
-const WARMUP: u64 = 22;
-const TRACED: u64 = 23;
+const OPS: u64 = 23;
 
 fn config(ctx: &Ctx, seed: u64) -> PolarisConfig {
     if ctx.tiny {
@@ -46,7 +51,7 @@ fn config(ctx: &Ctx, seed: u64) -> PolarisConfig {
     } else {
         PolarisConfig {
             msize: 25,
-            iterations: 6,
+            iterations: 3,
             max_traces: 300,
             threads: 1,
             seed,
@@ -75,17 +80,6 @@ fn designs() -> Designs {
     }
 }
 
-/// Traces one train + protect op simulated: cognition campaigns, then the
-/// baseline and after reporting campaigns.
-fn traces_of(trained: &TrainedPolaris, report: &MitigationReport) -> usize {
-    let cognition: usize = trained
-        .cognition_stats()
-        .iter()
-        .map(|(_, s)| s.traces_used)
-        .sum();
-    cognition + 2 * (report.campaign_fixed_traces + report.campaign_random_traces)
-}
-
 /// The masked design computes the same outputs as the normalized original
 /// for random data and mask bits.
 fn equivalent(original: &Netlist, report: &MitigationReport, seed: u64) -> bool {
@@ -108,14 +102,62 @@ fn equivalent(original: &Netlist, report: &MitigationReport, seed: u64) -> bool 
     })
 }
 
+/// What the stage calls of [`train_stages`] produced; each part must equal
+/// the pipeline's own.
+struct Stages {
+    dataset: Dataset,
+    validation: ValidationMetrics,
+    rules: RuleSet,
+    campaigns: usize,
+    traces: usize,
+}
+
+impl Stages {
+    /// Names of the parts that differ from what `trained` holds. Rules and
+    /// validation figures are compared by their `Debug` text, which prints
+    /// every float exactly.
+    fn mismatches(&self, trained: &TrainedPolaris) -> Vec<&'static str> {
+        let mut bad = Vec::new();
+        if self.dataset != *trained.dataset() {
+            bad.push("dataset");
+        }
+        if format!("{:?}", self.validation) != format!("{:?}", trained.validation()) {
+            bad.push("hold-out validation");
+        }
+        if format!("{:?}", self.rules.rules()) != format!("{:?}", trained.rules().rules()) {
+            bad.push("mined rules");
+        }
+        bad
+    }
+}
+
+/// The hold-out scores `PolarisPipeline::train` reports for model `m` on
+/// `test`.
+fn holdout(m: &PolarisModel, test: &Dataset) -> ValidationMetrics {
+    let y_true: Vec<u8> = (0..test.len()).map(|i| test.label(i)).collect();
+    let scores: Vec<f64> = (0..test.len())
+        .map(|i| m.predict_proba(test.row(i)))
+        .collect();
+    let y_pred: Vec<u8> = scores.iter().map(|&p| u8::from(p >= 0.5)).collect();
+    let c = Confusion::from_predictions(&y_true, &y_pred);
+    ValidationMetrics {
+        accuracy: c.accuracy(),
+        precision: c.precision(),
+        recall: c.recall(),
+        f1: c.f1(),
+        auc: roc_auc(&y_true, &scores),
+        samples: test.len(),
+    }
+}
+
 /// `PolarisPipeline::train` rebuilt from the public stage calls, each in its
-/// own span. Returns the cognition dataset size, campaigns and traces.
+/// own span.
 fn train_stages(
     suite: &[Netlist],
     config: &PolarisConfig,
     model: &polaris_sim::PowerModel,
     t: &mut Tracer,
-) -> (usize, usize, usize) {
+) -> Stages {
     let extractor = StructuralFeatureExtractor::new(config.locality);
     let mut dataset = Dataset::new(extractor.feature_names());
     let (mut campaigns, mut traces) = (0, 0);
@@ -139,18 +181,17 @@ fn train_stages(
         campaigns += 1 + stats.iterations;
         traces += stats.traces_used;
     }
-    t.span("ml.holdout_fit", |_| {
-        if let Ok((train, test)) = dataset.stratified_split(0.2, config.seed ^ 0x5A11D) {
-            if let Ok(m) = PolarisModel::train(&train, config) {
-                let scores: f64 = (0..test.len()).map(|i| m.predict_proba(test.row(i))).sum();
-                std::hint::black_box(scores);
-            }
+    let validation = t.span("ml.holdout_fit", |_| {
+        match dataset.stratified_split(0.2, config.seed ^ 0x5A11D) {
+            Ok((train, test)) if !test.is_empty() => PolarisModel::train(&train, config)
+                .map_or_else(|_| ValidationMetrics::default(), |m| holdout(&m, &test)),
+            _ => ValidationMetrics::default(),
         }
     });
     let fitted = t
         .span("ml.fit", |_| PolarisModel::train(&dataset, config))
         .expect("model fits");
-    t.span("xai.rules", |_| {
+    let rules = t.span("xai.rules", |_| {
         let explainer = Explainer::new(&dataset, config.shap_background);
         let mut probs: Vec<f64> = (0..dataset.len())
             .map(|i| fitted.predict_proba(dataset.row(i)))
@@ -163,9 +204,24 @@ fn train_stages(
             min_support: 3,
             max_rules: 5,
         };
-        std::hint::black_box(explainer.mine_rules(&fitted, &dataset, &miner));
+        let rules = explainer.mine_rules(&fitted, &dataset, &miner);
+        if !rules.is_empty() {
+            return rules;
+        }
+        let fallback = RuleMiner {
+            conditions_per_rule: 2,
+            min_support: 2,
+            ..miner
+        };
+        explainer.mine_rules(&fitted, &dataset, &fallback)
     });
-    (dataset.len(), campaigns, traces)
+    Stages {
+        dataset,
+        validation,
+        rules,
+        campaigns,
+        traces,
+    }
 }
 
 /// `TrainedPolaris::mask_design` with every leaky gate masked, rebuilt from
@@ -216,61 +272,58 @@ fn protect_stages(
     (selected, growth)
 }
 
-/// One operation: train, then protect des3; returns both stage times.
-fn train_protect(
-    d: &Designs,
-    config: PolarisConfig,
-    model: &polaris_sim::PowerModel,
-) -> Result<(TrainedPolaris, MitigationReport, f64, f64), String> {
-    let t0 = std::time::Instant::now();
-    let trained = PolarisPipeline::new(config)
-        .train(&d.suite, model)
-        .map_err(|e| e.to_string())?;
-    let train_s = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    let report = trained
-        .mask_design(&d.target, model, MaskBudget::LeakyFraction(1.0))
-        .map_err(|e| e.to_string())?;
-    Ok((trained, report, train_s, t1.elapsed().as_secs_f64()))
-}
-
-pub fn run(ctx: &Ctx, out: &mut Outcome) {
+/// Runs the pipeline operations inside `t` and records the pipeline's
+/// per-layer metrics and correctness checks.
+pub fn layers(ctx: &Ctx, out: &mut Outcome, t: &mut Tracer) {
     let model = polaris_sim::PowerModel::default();
-    let ((d, warm), setup_s) = setup_repeated(|| {
-        let d = designs();
-        let warm = train_protect(&d, config(ctx, ctx.sub_seed(WARMUP, 0)), &model).map(|_| ());
-        (d, warm)
-    });
-    out.op(warm, "warm-up train + protect");
-    let n = ctx.ops(NOMINAL_OP_S);
-    let op = |seed: u64| train_protect(&d, config(ctx, seed), &model);
-
-    let (mut train_s, mut protect_s, mut reduction) = (Vec::new(), Vec::new(), Vec::new());
-    let mut traces = 0;
+    let d = designs();
+    // Parts of the stage rebuild that differed from the pipeline's, so a
+    // copy that drifts from the program fails the run instead of skewing
+    // the per-layer split.
+    let mut mismatches: Vec<&'static str> = Vec::new();
+    let mut counts = (0, 0, 0.0);
     let mut first = None;
-    let timed = run_timed(n, |i| {
-        if let Some((trained, report, tr, pr)) =
-            out.op(op(ctx.sub_seed(PHASE, i)), "train + protect")
-        {
-            train_s.push(tr);
-            protect_s.push(pr);
-            reduction.push(report.reduction_pct());
-            traces += traces_of(&trained, &report);
-            first.get_or_insert(report);
-        }
-    });
-    let rss = timed.peak_rss_mb();
-    out.end_to_end(setup_s, &timed, traces as f64, rss);
-    if !train_s.is_empty() {
-        out.detail("train_s", median(&train_s), "s");
-        out.detail("protect_s", median(&protect_s), "s");
-        out.detail("leakage_reduction_pct", median(&reduction), "%");
+    for i in 0..ctx.ops(NOMINAL_OP_S) {
+        let config = config(ctx, ctx.sub_seed(OPS, i));
+        t.span("pipeline.op", |t| {
+            let trained = t.span("pipeline.train", |_| {
+                PolarisPipeline::new(config.clone()).train(&d.suite, &model)
+            });
+            let Ok(trained) = trained else {
+                mismatches.push("pipeline train");
+                return;
+            };
+            let report = t.span("pipeline.protect", |_| {
+                trained.mask_design(&d.target, &model, MaskBudget::LeakyFraction(1.0))
+            });
+            let stages = t.span("stages.train", |t| {
+                train_stages(&d.suite, &config, &model, t)
+            });
+            let (selected, growth) = t.span("stages.protect", |t| {
+                protect_stages(&trained, &d.target, &model, t)
+            });
+            mismatches.extend(stages.mismatches(&trained));
+            match report {
+                Ok(r) if r.masked_gates == selected => {
+                    first.get_or_insert(r);
+                }
+                _ => mismatches.push("masked gate set"),
+            }
+            counts = (stages.campaigns, stages.traces, growth);
+        });
     }
-
-    // Correctness, outside the timed phase.
+    mismatches.sort_unstable();
+    mismatches.dedup();
+    out.check(
+        mismatches.is_empty(),
+        &format!(
+            "the stage calls rebuild the pipeline's outputs (differing: {})",
+            mismatches.join(", ")
+        ),
+    );
     if let Some(report) = &first {
         out.check(
-            equivalent(&d.target, report, ctx.sub_seed(PHASE, 0)),
+            equivalent(&d.target, report, ctx.sub_seed(OPS, 0)),
             "masked des3 is output-equivalent to the normalized original",
         );
         out.check(
@@ -278,54 +331,9 @@ pub fn run(ctx: &Ctx, out: &mut Outcome) {
             "masking does not raise the leaky count",
         );
     }
-
-    if !ctx.trace {
-        return;
-    }
-    let mut t = Tracer::new();
-    let mut stage_ok = true;
-    let mut counts = (0, 0, 0.0);
-    // Each traced op runs the pipeline twice (pipeline calls, then stage
-    // calls), so half as many ops keep the traced run near the untraced one.
-    let traced_n = n.div_ceil(2);
-    let traced = run_timed(traced_n, |i| {
-        let config = config(ctx, ctx.sub_seed(TRACED, i));
-        t.span("pipeline.op", |t| {
-            let trained = t.span("pipeline.train", |_| {
-                PolarisPipeline::new(config.clone()).train(&d.suite, &model)
-            });
-            let Ok(trained) = trained else {
-                stage_ok = false;
-                return;
-            };
-            let report = t.span("pipeline.protect", |_| {
-                trained.mask_design(&d.target, &model, MaskBudget::LeakyFraction(1.0))
-            });
-            let (samples, campaigns, cognition_traces) = t.span("stages.train", |t| {
-                train_stages(&d.suite, &config, &model, t)
-            });
-            let (selected, growth) = t.span("stages.protect", |t| {
-                protect_stages(&trained, &d.target, &model, t)
-            });
-            stage_ok &= samples == trained.dataset().len()
-                && report.is_ok_and(|r| r.masked_gates == selected);
-            counts = (campaigns, cognition_traces, growth);
-        });
-    });
-    out.check(
-        stage_ok,
-        "the stage calls rebuild the pipeline's dataset and mask set",
-    );
     out.layer("core.cognition_campaigns", counts.0 as f64, "count");
     out.layer("core.cognition_traces", counts.1 as f64, "count");
     out.layer("masking.gate_growth", counts.2, "ratio");
-    let per_op_traced = traced.wall_s / traced_n as f64;
-    let per_op_plain = timed.wall_s / n as f64;
-    out.layer(
-        "bench.trace_overhead_frac",
-        per_op_traced / (2.0 * per_op_plain) - 1.0,
-        "frac",
-    );
     let per_op = |root: &str, name: &str| median(&t.within(root, name));
     let train = median(&t.durations("pipeline.train"));
     let stage_sum: f64 = [
@@ -373,23 +381,4 @@ pub fn run(ctx: &Ctx, out: &mut Outcome) {
         per_op("stages.protect", "tvla.report"),
         "s",
     );
-
-    // Layer probes on the normalized target with the reporting campaign.
-    let normalized = decompose(&d.target).expect("target normalizes").0;
-    let probe_config = reporting_campaign(&config(ctx, ctx.sub_seed(PHASE, 0)));
-    let reference = probes::t_bits(
-        &polaris_sim::run_campaign_parallel(
-            &normalized,
-            &model,
-            &probe_config,
-            polaris_sim::Parallelism::new(1),
-        )
-        .expect("des3 levelizes"),
-    );
-    let k = probes::all(&normalized, &model, &probe_config, &reference, &mut t, out);
-    for _ in 0..3 {
-        probes::campaign_split(&normalized, &model, &probe_config, &mut t);
-    }
-    probes::campaign_metrics(&t, &k, &normalized, &probe_config, out);
-    out.tracer = Some(t);
 }

@@ -10,7 +10,7 @@ use polaris_dist::{
     campaign_fingerprint, decode_part, encode_part, execute_part, merge_parts, DesignFormat,
     Message, PartHeader, TaskSpec,
 };
-use polaris_netlist::{write_bench, Netlist};
+use polaris_netlist::{write_bench, GateId, Netlist};
 use polaris_obs::JsonlRecorder;
 use polaris_sim::campaign::{DEFAULT_SHARDS_PER_ROUND, TRACES_PER_SHARD};
 use polaris_sim::power::fill_standard_normal;
@@ -19,7 +19,7 @@ use polaris_sim::{
     CampaignConfig, EnergyBatch, MergeableSink, NeverStop, Parallelism, Population, PowerModel,
     Simulator, TraceSink, DEFAULT_LANE_WORDS, WORD_LANES,
 };
-use polaris_tvla::{PairMoments, TripleMoments, WelchAccumulator};
+use polaris_tvla::{GateLeakage, PairMoments, TripleMoments, WelchAccumulator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -208,10 +208,9 @@ pub fn campaign_split(
 }
 
 /// The t-map as raw IEEE-754 bits, for exact comparisons.
-pub fn t_bits(acc: &WelchAccumulator) -> Vec<u64> {
-    let l = acc.leakage();
+pub fn t_bits(l: &GateLeakage) -> Vec<u64> {
     (0..l.gate_count())
-        .map(|g| l.result(polaris_netlist::GateId::new(g)).t.to_bits())
+        .map(|g| l.result(GateId::new(g)).t.to_bits())
         .collect()
 }
 
@@ -289,7 +288,7 @@ pub fn dist(
             merge_parts::<WelchAccumulator>(blobs.iter().map(Vec::as_slice), Some(fingerprint))
         });
         merge_s.push(t0.elapsed().as_secs_f64());
-        let ok = merged.is_ok_and(|m| t_bits(&m.state) == reference);
+        let ok = merged.is_ok_and(|m| t_bits(&m.state.leakage()) == reference);
         out.check(ok, "merged dist parts reproduce the in-process t-map");
     }
 
@@ -378,7 +377,7 @@ pub fn obs(
         rounds_plain = plain.stats.rounds;
         rounds_traced = traced.stats.rounds;
         out.check(
-            t_bits(&plain.sink) == t_bits(&traced.sink) && !recorder.is_empty(),
+            t_bits(&plain.sink.leakage()) == t_bits(&traced.sink.leakage()) && !recorder.is_empty(),
             "the program's tracer leaves the t-map unchanged",
         );
     }

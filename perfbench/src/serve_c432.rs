@@ -7,7 +7,7 @@
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStderr, Command, Stdio};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -107,9 +107,16 @@ fn first_line_with(reader: &mut impl BufRead, needle: &str) -> Result<String, St
     }
 }
 
-/// Spawns `serve` and one `worker --threads 1`, and returns once the worker
-/// has registered.
-fn start(cli: &Path) -> Result<Daemon, String> {
+/// A daemon and its worker, spawned; the worker may not have registered yet.
+struct Spawned {
+    serve: Child,
+    worker: Child,
+    addr: String,
+    stderr: BufReader<ChildStderr>,
+}
+
+/// Spawns `serve` and, once it listens, one `worker --threads 1`.
+fn spawn(cli: &Path) -> Result<Spawned, String> {
     let mut serve = Command::new(cli)
         .args(["serve", "--listen", "127.0.0.1:0"])
         .stdin(Stdio::null())
@@ -127,7 +134,7 @@ fn start(cli: &Path) -> Result<Daemon, String> {
             return Err(format!("daemon: {e}"));
         }
     };
-    let mut worker = Command::new(cli)
+    let worker = Command::new(cli)
         .args([
             "worker",
             "--connect",
@@ -140,9 +147,32 @@ fn start(cli: &Path) -> Result<Daemon, String> {
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
-        .spawn()
-        .map_err(|e| format!("spawning worker: {e}"))?;
-    let mut stderr = BufReader::new(worker.stderr.take().expect("piped stderr"));
+        .spawn();
+    let mut worker = match worker {
+        Ok(w) => w,
+        Err(e) => {
+            let _ = serve.kill();
+            let _ = serve.wait();
+            return Err(format!("spawning worker: {e}"));
+        }
+    };
+    let stderr = BufReader::new(worker.stderr.take().expect("piped stderr"));
+    Ok(Spawned {
+        serve,
+        worker,
+        addr,
+        stderr,
+    })
+}
+
+/// Waits until the spawned worker has registered with its daemon.
+fn registered(s: Spawned) -> Result<Daemon, String> {
+    let Spawned {
+        mut serve,
+        mut worker,
+        addr,
+        mut stderr,
+    } = s;
     if let Err(e) = first_line_with(&mut stderr, "registered as") {
         for child in [&mut worker, &mut serve] {
             let _ = child.kill();
@@ -336,6 +366,7 @@ fn drive(
         wall_s: started.elapsed().as_secs_f64(),
         lat_s,
         rss_mb: Vec::new(),
+        setup_s: Vec::new(),
     };
     (timed, served)
 }
@@ -345,39 +376,39 @@ pub fn run(ctx: &Ctx, out: &mut Outcome) {
         out.check(false, "serve-c432 needs --cli PATH to polaris-cli");
         return;
     };
-    let designs = match Designs::new(ctx) {
-        Ok(d) => d,
-        Err(e) => return out.check(false, &format!("writing designs: {e}")),
-    };
     let traces = if ctx.tiny { 256 } else { TRACES };
     let n = ctx.ops(NOMINAL_OP_S);
 
-    // Each set-up starts a daemon and its worker and sends one warm-up
-    // request; the last one serves the timed phase.
-    let warm = designs.submission(&plan(ctx, WARMUP, 1)[0], traces);
+    // Each set-up generates and writes the designs, then spawns a daemon and
+    // its worker; the last one serves the timed phase. The worker's
+    // registration is waited for untimed: the daemon's accept loop polls
+    // every 25 ms, and whether the worker's connect lands before or after a
+    // poll swings a start-up between 2 and 27 ms from run to run.
     let mut setups = Vec::new();
-    let mut daemon = None;
-    for i in 0..SETUPS {
+    let mut last = None;
+    for _ in 0..SETUPS {
         let t0 = Instant::now();
-        let started = start(cli).and_then(|d| match submit(&d.addr, &warm) {
-            Ok(_) => Ok(d),
-            Err(e) => {
-                kill(d);
-                Err(format!("warm-up request: {e}"))
-            }
-        });
+        let spawned = Designs::new(ctx).and_then(|designs| Ok((designs, spawn(cli)?)));
         setups.push(t0.elapsed().as_secs_f64());
-        let Some(d) = out.op(started, "daemon + worker start-up") else {
+        let started = spawned.and_then(|(designs, s)| Ok((designs, registered(s)?)));
+        let Some(started) = out.op(started, "designs + daemon + worker start-up") else {
             return;
         };
-        if i + 1 < SETUPS {
+        if let Some((_, d)) = last.replace(started) {
             kill(d);
-        } else {
-            daemon = Some(d);
         }
     }
-    let daemon = daemon.expect("at least one start-up");
+    let (designs, daemon) = last.expect("at least one start-up");
     let setup_s = median(&setups);
+    // The first request a daemon serves pays lazy first-use costs.
+    let warm = designs.submission(&plan(ctx, WARMUP, 1)[0], traces);
+    if out
+        .op(submit(&daemon.addr, &warm), "warm-up request")
+        .is_none()
+    {
+        kill(daemon);
+        return;
+    }
 
     let mix = plan(ctx, PHASE, n);
     let (timed, served) = drive(&daemon.addr, &designs, &mix, traces, None);
@@ -477,13 +508,8 @@ pub fn run(ctx: &Ctx, out: &mut Outcome) {
             "ratio",
         );
         let reference = probes::t_bits(
-            &polaris_sim::run_campaign_parallel(
-                &designs.c432,
-                &model,
-                &config,
-                Parallelism::new(1),
-            )
-            .expect("c432 levelizes"),
+            &polaris_tvla::assess_parallel(&designs.c432, &model, &config, Parallelism::new(1))
+                .expect("c432 levelizes"),
         );
         let k = probes::all(&designs.c432, &model, &config, &reference, &mut t, out);
         for _ in 0..3 {

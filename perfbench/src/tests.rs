@@ -106,11 +106,6 @@ fn smoke_tvla_c1908() {
 }
 
 #[test]
-fn smoke_protect_des3() {
-    smoke("protect-des3");
-}
-
-#[test]
 fn smoke_serve_c432() {
     smoke("serve-c432");
 }
