@@ -59,8 +59,11 @@
 //!   [`FORMAT_VERSION`] with [`DistError::VersionMismatch`] — there is no
 //!   silent forward or backward compatibility.
 //! * Any change to the header layout, the frame layout, a body encoding, or
-//!   the checksum/fingerprint recipe bumps [`FORMAT_VERSION`]. Adding a new
-//!   sink kind does **not** (unknown kinds already fail decoding cleanly).
+//!   the checksum/fingerprint recipe bumps [`FORMAT_VERSION`]. So does a
+//!   change to a sink's accumulation arithmetic: the bytes still decode, but
+//!   a fold of parts from two builds would give bits that match neither
+//!   build. Adding a new sink kind does **not** bump it (unknown kinds
+//!   already fail decoding cleanly).
 //! * Shard-state files are transport artifacts, not archives: a merge is
 //!   expected to run the same build as its workers. The version word exists
 //!   to turn a mixed-build deployment into a clear error instead of a

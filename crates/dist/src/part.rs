@@ -23,7 +23,7 @@ pub const MAGIC: [u8; 8] = *b"PLRSHARD";
 
 /// Current wire-format version. Readers accept an exact match only; see the
 /// crate docs for the version policy.
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Fixed-size header fields of a part file (everything between the version
 /// word and the payload).

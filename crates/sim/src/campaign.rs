@@ -315,6 +315,11 @@ pub trait TraceSink {
     /// carry real samples, and the same trace range may arrive in different
     /// batch sizes at different lane widths while folding to byte-identical
     /// accumulator state.
+    ///
+    /// Every batch starts on a [`WORD_LANES`]-trace word boundary of its
+    /// population. A sink may therefore accumulate word by word (cutting
+    /// each lane row into 64-trace words from its start) and still fold to
+    /// the same bits at every lane width; the engine asserts the alignment.
     fn record_batch(&mut self, pop: Population, batch: EnergyBatch<'_>);
 }
 
@@ -701,7 +706,8 @@ impl<'a> Engine<'a> {
         sink: &mut S,
         timer: &mut PhaseTimer,
     ) {
-        debug_assert_eq!(start % WORD_LANES, 0, "shards must be word-aligned");
+        // Sink bits depend on this: see the `TraceSink::record_batch` contract.
+        assert_eq!(start % WORD_LANES, 0, "shards must be word-aligned");
         let mut scratch = BlockScratch::<W>::new(self);
         let mut done = 0usize;
         while done < count {

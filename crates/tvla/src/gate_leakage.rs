@@ -120,10 +120,11 @@ fn welch_from_summary(a: StreamingMomentsSummary, b: StreamingMomentsSummary) ->
 
 impl TraceSink for WelchAccumulator {
     /// Consumes the batch as one structure-of-arrays pass: each gate's lane
-    /// row feeds a blocked [`StreamingMoments::extend_batch`] update, which
-    /// is bit-for-bit identical to per-sample `push` in trace order — so the
-    /// accumulator state is independent of how the trace stream is cut into
-    /// batches (and therefore of the engine's lane width).
+    /// row feeds a blocked [`StreamingMoments::extend_batch`] update, one
+    /// block per 64-trace word. Batches start on word boundaries (the
+    /// [`TraceSink`] contract), so every width cuts the stream into the same
+    /// words and the accumulator state is independent of the engine's lane
+    /// width.
     fn record_batch(&mut self, pop: Population, batch: EnergyBatch<'_>) {
         let gates = batch.gates();
         if self.fixed.is_empty() {
