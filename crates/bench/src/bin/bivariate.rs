@@ -27,8 +27,9 @@ use std::time::Instant;
 
 use polaris_bench::{json_u64, peak_rss_kb, rss_mb};
 use polaris_netlist::generators;
+use polaris_obs::NullRecorder;
 use polaris_sim::campaign::collect_gate_samples_parallel;
-use polaris_sim::{run_campaign_parallel_with, CampaignConfig, Parallelism, PowerModel};
+use polaris_sim::{CampaignConfig, FleetJob, Parallelism, PowerModel};
 use polaris_tvla::{all_pairs, bivariate_t, PairAccumulator};
 
 struct Args {
@@ -158,8 +159,11 @@ fn main() {
     // O(pairs) arm must set its reading before the O(traces) arm raises it.
     let cfg = CampaignConfig::new(args.traces, args.traces, args.seed);
     let t0 = Instant::now();
-    let full: PairAccumulator =
-        run_campaign_parallel_with(&netlist, &model, &cfg, par, factory).expect("campaign runs");
+    let full = FleetJob::new(&netlist, &model, cfg.clone())
+        .with_sink_factory(factory)
+        .run(par, &NullRecorder)
+        .expect("campaign runs")
+        .sink;
     let streaming_secs = t0.elapsed().as_secs_f64();
     let streaming_rss_kb = peak_rss_kb();
     let total_traces = (args.traces * 2) as f64;
@@ -180,9 +184,11 @@ fn main() {
     // two-pass engine over materialized samples — bits must agree.
     let cap_cfg = CampaignConfig::new(dense_traces, dense_traces, args.seed);
     let t0 = Instant::now();
-    let capped: PairAccumulator =
-        run_campaign_parallel_with(&netlist, &model, &cap_cfg, par, factory)
-            .expect("campaign runs");
+    let capped = FleetJob::new(&netlist, &model, cap_cfg.clone())
+        .with_sink_factory(factory)
+        .run(par, &NullRecorder)
+        .expect("campaign runs")
+        .sink;
     let streaming_cap_secs = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();

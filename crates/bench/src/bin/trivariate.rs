@@ -29,10 +29,11 @@
 use std::time::Instant;
 
 use polaris_bench::{json_u64, peak_rss_kb, rss_mb};
-use polaris_dist::{execute_part_with, merge_parts};
+use polaris_dist::{execute_part_traced_with, merge_parts};
 use polaris_masking::isw::{masked_and_order2, IswMasks};
 use polaris_netlist::{generators, Netlist};
-use polaris_sim::{run_campaign_parallel_with, CampaignConfig, Parallelism, PowerModel};
+use polaris_obs::NullRecorder;
+use polaris_sim::{CampaignConfig, FleetJob, Parallelism, PowerModel};
 use polaris_tvla::{
     all_pairs, all_triples, assess_pairs, assess_triples, TripleAccumulator, TVLA_THRESHOLD,
 };
@@ -138,10 +139,11 @@ fn sweep_bits(
     par: Parallelism,
     triples: &[(u32, u32, u32)],
 ) -> Vec<(u64, u64)> {
-    let acc: TripleAccumulator = run_campaign_parallel_with(netlist, model, cfg, par, || {
-        TripleAccumulator::for_triples(triples.to_vec())
-    })
-    .expect("campaign runs");
+    let acc = FleetJob::new(netlist, model, cfg.clone())
+        .with_sink_factory(|| TripleAccumulator::for_triples(triples.to_vec()))
+        .run(par, &NullRecorder)
+        .expect("campaign runs")
+        .sink;
     acc.results()
         .iter()
         .map(|(_, _, _, r)| (r.t.to_bits(), r.dof.to_bits()))
@@ -178,10 +180,11 @@ fn main() {
     // Throughput arm: the full trace budget through the streaming engine.
     let cfg = CampaignConfig::new(args.traces, args.traces, args.seed);
     let t0 = Instant::now();
-    let full: TripleAccumulator = run_campaign_parallel_with(&netlist, &model, &cfg, par, || {
-        TripleAccumulator::for_triples(triples.clone())
-    })
-    .expect("campaign runs");
+    let full = FleetJob::new(&netlist, &model, cfg.clone())
+        .with_sink_factory(|| TripleAccumulator::for_triples(triples.clone()))
+        .run(par, &NullRecorder)
+        .expect("campaign runs")
+        .sink;
     let streaming_secs = t0.elapsed().as_secs_f64();
     let streaming_rss_kb = peak_rss_kb();
     let total_traces = (args.traces * 2) as f64;
@@ -218,9 +221,16 @@ fn main() {
     );
     let parts: Vec<Vec<u8>> = (0..2)
         .map(|i| {
-            execute_part_with(&netlist, &model, &cap_cfg, par, i, 2, || {
-                TripleAccumulator::for_triples(triples.clone())
-            })
+            execute_part_traced_with(
+                &netlist,
+                &model,
+                &cap_cfg,
+                par,
+                i,
+                2,
+                || TripleAccumulator::for_triples(triples.clone()),
+                &NullRecorder,
+            )
             .expect("part executes")
         })
         .collect();

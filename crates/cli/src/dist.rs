@@ -209,22 +209,24 @@ fn work(args: &[String]) -> Result<(), CliError> {
         parallelism.threads()
     );
     let bytes = match plan.sink {
-        SinkKind::Welch => polaris_dist::execute_part_traced::<WelchAccumulator>(
+        SinkKind::Welch => polaris_dist::execute_part_traced_with(
             &netlist,
             &model,
             &campaign,
             parallelism,
             part,
             plan.parts.len(),
+            WelchAccumulator::default,
             recorder,
         ),
-        SinkKind::GateSamples => polaris_dist::execute_part_traced::<GateSamples>(
+        SinkKind::GateSamples => polaris_dist::execute_part_traced_with(
             &netlist,
             &model,
             &campaign,
             parallelism,
             part,
             plan.parts.len(),
+            GateSamples::default,
             recorder,
         ),
         SinkKind::Pairs => polaris_dist::execute_part_traced_with(

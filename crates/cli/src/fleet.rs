@@ -4,7 +4,7 @@
 //! The manifest is a plain text file with one netlist path per line (blank
 //! lines and `#` comments are skipped; relative paths resolve against the
 //! working directory). Every design's fixed-vs-random campaign becomes one
-//! [`FleetJob`] of a single [`run_fleet`] pool, so shards of all designs
+//! [`FleetJob`] of a single [`run_fleet_traced`] pool, so shards of all designs
 //! interleave on the same worker threads instead of each campaign
 //! serializing on its own fold barrier.
 //!

@@ -3,10 +3,9 @@
 
 use polaris_masking::MaskingStyle;
 use polaris_sim::Parallelism;
-use serde::{Deserialize, Serialize};
 
 /// Which classifier POLARIS trains on the cognition dataset (Table III).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Random forest (paired with SMOTE oversampling).
     RandomForest,
@@ -41,7 +40,7 @@ impl ModelKind {
 /// generated benchmark sizes; [`PolarisConfig::paper_profile`] restores the
 /// published values and [`PolarisConfig::fast_profile`] shrinks everything
 /// for tests.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PolarisConfig {
     /// Gates masked per cognition iteration (paper: `Msize = 200`).
     pub msize: usize,
@@ -77,7 +76,6 @@ pub struct PolarisConfig {
     /// Tree depth for the weak learners.
     pub max_depth: usize,
     /// Masked-gate family inserted by the transform.
-    #[serde(skip, default)]
     pub style: MaskingStyle,
     /// Background samples for SHAP explanations.
     pub shap_background: usize,
@@ -202,18 +200,5 @@ mod tests {
     fn model_kind_names() {
         assert_eq!(ModelKind::Adaboost.name(), "AdaBoost");
         assert_eq!(ModelKind::ALL.len(), 3);
-    }
-
-    #[test]
-    fn config_serializes() {
-        let c = PolarisConfig::fast_profile(3);
-        let json = serde_json_like(&c);
-        assert!(json.contains("msize"));
-    }
-
-    /// Minimal smoke check that serde derives compile and run; the project
-    /// intentionally has no serde_json dependency, so use the debug format.
-    fn serde_json_like(c: &PolarisConfig) -> String {
-        format!("{c:?}")
     }
 }

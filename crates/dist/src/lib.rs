@@ -87,9 +87,8 @@ pub mod wire;
 
 pub use codec::{ShardState, SinkKind};
 pub use part::{
-    decode_part, encode_part, execute_part, execute_part_traced, execute_part_traced_with,
-    execute_part_with, merge_parts, merge_parts_traced, merged_outcome, Merged, PartHeader,
-    FORMAT_VERSION, MAGIC,
+    decode_part, encode_part, execute_part, execute_part_traced_with, merge_parts,
+    merge_parts_traced, merged_outcome, Merged, PartHeader, FORMAT_VERSION, MAGIC,
 };
 pub use plan::{campaign_fingerprint, DistPlan};
 pub use proto::{Message, ProtoError, ResultOrigin, PROTO_VERSION};

@@ -246,38 +246,6 @@ pub fn execute_part<S>(
 where
     S: ShardState + MergeableSink + Default,
 {
-    execute_part_with(
-        netlist,
-        model,
-        config,
-        parallelism,
-        part_index,
-        part_count,
-        S::default,
-    )
-}
-
-/// [`execute_part`] for sinks whose shape is configured at construction
-/// (e.g. [`polaris_tvla::PairAccumulator`], which must know its gate-pair
-/// list): the factory builds each shard's *empty* private sink.
-///
-/// # Errors
-///
-/// Same contract as [`execute_part`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_part_with<S, F>(
-    netlist: &Netlist,
-    model: &PowerModel,
-    config: &CampaignConfig,
-    parallelism: Parallelism,
-    part_index: usize,
-    part_count: usize,
-    factory: F,
-) -> Result<Vec<u8>, DistError>
-where
-    S: ShardState + MergeableSink,
-    F: Fn() -> S + Sync,
-{
     execute_part_traced_with(
         netlist,
         model,
@@ -285,45 +253,20 @@ where
         parallelism,
         part_index,
         part_count,
-        factory,
+        S::default,
         &NullRecorder,
     )
 }
 
-/// [`execute_part`] reporting structured trace events to `recorder`: one
-/// shard span per simulated shard (with the per-phase split) plus a
-/// `plan_exec` frame naming the part's slot in the plan. The encoded file is
-/// byte-identical to the untraced run.
+/// [`execute_part`] with an explicit sink factory and a trace recorder — the
+/// general form the plain call reduces to.
 ///
-/// # Errors
-///
-/// Same contract as [`execute_part`].
-pub fn execute_part_traced<S>(
-    netlist: &Netlist,
-    model: &PowerModel,
-    config: &CampaignConfig,
-    parallelism: Parallelism,
-    part_index: usize,
-    part_count: usize,
-    recorder: &dyn Recorder,
-) -> Result<Vec<u8>, DistError>
-where
-    S: ShardState + MergeableSink + Default,
-{
-    execute_part_traced_with(
-        netlist,
-        model,
-        config,
-        parallelism,
-        part_index,
-        part_count,
-        S::default,
-        recorder,
-    )
-}
-
-/// [`execute_part_with`] with a trace recorder — the sink-factory variant of
-/// [`execute_part_traced`].
+/// The factory builds each shard's *empty* private sink, for sinks whose
+/// shape is configured at construction (e.g.
+/// [`polaris_tvla::PairAccumulator`], which must know its gate-pair list).
+/// `recorder` gets one shard span per simulated shard (with the per-phase
+/// split) plus a `plan_exec` frame naming the part's slot in the plan. The
+/// encoded file is byte-identical to the untraced run.
 ///
 /// # Errors
 ///

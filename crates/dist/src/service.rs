@@ -8,15 +8,15 @@
 //! [`TaskSpec`]s, ingests the `PLRSHARD` part each lease returns, and folds
 //! the per-shard states **strictly in ascending grid order** — the same
 //! canonical left fold as [`polaris_sim::run_campaign_parallel`] and the
-//! offline [`crate::merge_parts`]. Adaptive submissions additionally replay
-//! the round-checkpoint schedule of the in-process engine: after each
-//! `shards_per_round`-shard prefix folds, the cells-scoped
-//! [`SequentialStopping`] rule is consulted exactly as
-//! [`polaris_tvla::campaign_outcome_adaptive`] would, so the stop round, the
-//! consumed trace counts, and every t-statistic are **byte-identical** to a
-//! single-process run — regardless of which worker ran which shards, in what
-//! order the parts arrived, or how often a lease was re-issued after a
-//! worker crash.
+//! offline [`crate::merge_parts`]. Each job folds through the same
+//! [`RoundFolder`] as the in-process engine, so adaptive submissions replay
+//! its round-checkpoint schedule: after each `shards_per_round`-shard
+//! prefix folds, the cells-scoped [`SequentialStopping`] rule is consulted
+//! exactly as [`polaris_tvla::campaign_outcome_adaptive`] would, so the
+//! stop round, the consumed trace counts, and every t-statistic are
+//! **byte-identical** to a single-process run — regardless of which worker
+//! ran which shards, in what order the parts arrived, or how often a lease
+//! was re-issued after a worker crash.
 //!
 //! # Crash safety and replay idempotence
 //!
@@ -49,10 +49,10 @@ use std::time::Instant;
 use polaris_netlist::{parse_bench, parse_netlist, Netlist};
 use polaris_obs::{Payload, SharedRecorder};
 use polaris_sim::campaign::{
-    run_shard_states, shard_grid, splitmix64, CampaignConfig, CampaignStats, Checkpoint,
-    MergeableSink, Parallelism, Population, ShardSpec, StoppingRule,
+    run_shard_states, shard_grid, splitmix64, CampaignConfig, CampaignStats, NeverStop,
+    Parallelism, ShardSpec, StoppingRule,
 };
-use polaris_sim::PowerModel;
+use polaris_sim::{PowerModel, RoundFolder};
 use polaris_tvla::{SequentialConfig, SequentialStopping, WelchAccumulator};
 
 use crate::part::{decode_part, encode_part, PartHeader};
@@ -586,33 +586,16 @@ struct Job {
     format: DesignFormat,
     source: String,
     grid: Vec<ShardSpec>,
-    rule: Option<SequentialStopping>,
-    shards_per_round: usize,
-    planned_rounds: usize,
     /// Next never-leased grid index.
     cursor: usize,
     /// Ranges returned by lost/failed leases, re-issued before `cursor`
     /// advances (they block the fold).
     requeue: VecDeque<Range<usize>>,
-    /// The canonical left fold over `0..next_fold`.
-    acc: Option<WelchAccumulator>,
-    /// Decoded shard states waiting for their turn in the ascending fold.
-    pending: BTreeMap<usize, WelchAccumulator>,
-    next_fold: usize,
-    round_start: usize,
-    stats: CampaignStats,
-    /// One-past-last grid index the job will fold: the grid length, shrunk
-    /// to the stop boundary when the adaptive rule fires.
-    stop_bound: usize,
+    /// The job's canonical fold, round checkpoints and stop bound.
+    folder: RoundFolder<'static, WelchAccumulator>,
     failures: u32,
     leases_done: u64,
     started: Instant,
-}
-
-impl Job {
-    fn finished(&self) -> bool {
-        self.next_fold >= self.stop_bound
-    }
 }
 
 /// The daemon-side job/worker state machine. Deliberately free of any I/O:
@@ -732,16 +715,17 @@ impl Coordinator {
         // cells-scoped sequential rule at its configured checkpoint
         // granularity; fixed submissions are one never-stopping round, like
         // `run_campaign_parallel`.
-        let (rule, shards_per_round) = if sub.adaptive {
-            let seq = SequentialConfig::with_confidence(sub.confidence);
-            (
-                Some(SequentialStopping::scoped(seq, netlist.cell_ids())),
-                seq.shards_per_round.max(1),
-            )
-        } else {
-            (None, usize::MAX)
-        };
-        let planned_rounds = grid.len().div_ceil(shards_per_round).max(1);
+        let (rule, shards_per_round): (Box<dyn StoppingRule<WelchAccumulator>>, usize) =
+            if sub.adaptive {
+                let seq = SequentialConfig::with_confidence(sub.confidence);
+                (
+                    Box::new(SequentialStopping::scoped(seq, netlist.cell_ids())),
+                    seq.shards_per_round,
+                )
+            } else {
+                (Box::new(NeverStop), usize::MAX)
+            };
+        let folder = RoundFolder::new(&config, shards_per_round, rule);
         let job_id = self.next_job;
         self.next_job += 1;
         self.jobs.insert(
@@ -754,21 +738,10 @@ impl Coordinator {
                 fingerprint,
                 format: sub.format,
                 source: sub.source.clone(),
-                stop_bound: grid.len(),
                 grid,
-                rule,
-                shards_per_round,
-                planned_rounds,
                 cursor: 0,
                 requeue: VecDeque::new(),
-                acc: None,
-                pending: BTreeMap::new(),
-                next_fold: 0,
-                round_start: 0,
-                stats: CampaignStats {
-                    planned_rounds,
-                    ..CampaignStats::default()
-                },
+                folder,
                 failures: 0,
                 leases_done: 0,
                 started: Instant::now(),
@@ -796,7 +769,7 @@ impl Coordinator {
         let mut issued: Option<(u64, TaskSpec)> = None;
         for id in job_ids {
             let job = self.jobs.get_mut(&id).expect("job id just listed");
-            if job.finished() {
+            if job.folder.finished() {
                 continue;
             }
             let range = if let Some(r) = job.requeue.pop_front() {
@@ -806,13 +779,9 @@ impl Coordinator {
                 } else {
                     r
                 }
-            } else if job.cursor < job.stop_bound {
-                let available = job.stop_bound - job.cursor;
-                let cap = if job.rule.is_some() {
-                    MAX_LEASE_SHARDS.min(job.shards_per_round)
-                } else {
-                    MAX_LEASE_SHARDS
-                };
+            } else if job.cursor < job.folder.stop_bound() {
+                let available = job.folder.stop_bound() - job.cursor;
+                let cap = MAX_LEASE_SHARDS.min(job.folder.shards_per_round());
                 let len = (available / live_workers).clamp(1, cap).min(available);
                 let r = job.cursor..job.cursor + len;
                 job.cursor = r.end;
@@ -849,7 +818,7 @@ impl Coordinator {
         if self.recorder.enabled() {
             self.recorder.record(Payload::QueueDepth {
                 depth: self.unleased_shards() as u64,
-                jobs_remaining: self.jobs.values().filter(|j| !j.finished()).count() as u64,
+                jobs_remaining: self.jobs.values().filter(|j| !j.folder.finished()).count() as u64,
             });
         }
         issued
@@ -911,20 +880,18 @@ impl Coordinator {
             }
         };
 
-        // Replay-safe ingest: indices already folded or already pending are
-        // dropped — shard states are pure functions of the campaign, so a
-        // second copy is bit-identical and folding it twice would be the
-        // only way to diverge.
-        for (offset, state) in states.into_iter().enumerate() {
-            let index = lease_info.range.start + offset;
-            if index >= job.next_fold {
-                job.pending.entry(index).or_insert(state);
-            }
-        }
+        // Replay-safe ingest: the folder drops indices already folded or
+        // already pending — shard states are pure functions of the
+        // campaign, so a second copy is bit-identical and folding it twice
+        // would be the only way to diverge.
         let fold_start = Instant::now();
-        let folded = advance_fold(job);
+        let before = job.folder.folded();
+        for (offset, state) in states.into_iter().enumerate() {
+            job.folder.ingest(lease_info.range.start + offset, state);
+        }
+        let folded = job.folder.folded() - before;
         job.leases_done += 1;
-        let job_finished = job.finished();
+        let job_finished = job.folder.finished();
         if self.recorder.enabled() {
             self.recorder.record(Payload::PlanExec {
                 part: lease,
@@ -1008,18 +975,19 @@ impl Coordinator {
     fn unleased_shards(&self) -> usize {
         self.jobs
             .values()
-            .filter(|j| !j.finished())
+            .filter(|j| !j.folder.finished())
             .map(|j| {
-                (j.stop_bound - j.cursor.min(j.stop_bound))
+                (j.folder.stop_bound() - j.cursor.min(j.folder.stop_bound()))
                     + j.requeue.iter().map(ExactSizeIterator::len).sum::<usize>()
             })
             .sum()
     }
 
     fn settle_done(&mut self, job_id: u64) {
-        let mut job = self.jobs.remove(&job_id).expect("finished job is active");
-        let shards = job.next_fold as u64;
-        let traces = job.stats.traces_used() as u64;
+        let job = self.jobs.remove(&job_id).expect("finished job is active");
+        let shards = job.folder.folded() as u64;
+        let outcome = job.folder.finish(WelchAccumulator::default);
+        let traces = outcome.stats.traces_used() as u64;
         if let Some(first) = job.tenants.first() {
             let tenant = self.tenants.entry(first.clone()).or_default();
             tenant.shards += shards;
@@ -1028,8 +996,8 @@ impl Coordinator {
         let result = Arc::new(JobResult {
             fingerprint: job.fingerprint,
             netlist: job.netlist,
-            stats: job.stats,
-            sink: job.acc.take().unwrap_or_default(),
+            stats: outcome.stats,
+            sink: outcome.sink,
         });
         self.cache.insert(job.key, Arc::clone(&result));
         self.in_flight.remove(&job.key);
@@ -1071,69 +1039,11 @@ fn mode_digest(sub: &Submission) -> u64 {
 /// the grid that still matters: the already-folded prefix never needs to
 /// re-run, and nothing past the stop boundary will be folded.
 fn requeue_range(job: &mut Job, range: Range<usize>) {
-    let lo = range.start.max(job.next_fold);
-    let hi = range.end.min(job.stop_bound);
+    let lo = range.start.max(job.folder.folded());
+    let hi = range.end.min(job.folder.stop_bound());
     if lo < hi {
         job.requeue.push_back(lo..hi);
     }
-}
-
-/// Advances a job's canonical fold as far as the pending states allow,
-/// firing round checkpoints exactly as the in-process engine does. Returns
-/// the number of shards folded.
-fn advance_fold(job: &mut Job) -> usize {
-    let mut folded = 0usize;
-    while !job.finished() {
-        let Some(state) = job.pending.remove(&job.next_fold) else {
-            break;
-        };
-        match &mut job.acc {
-            None => job.acc = Some(state),
-            Some(acc) => acc.merge(state),
-        }
-        job.next_fold += 1;
-        folded += 1;
-        let boundary = job
-            .round_start
-            .saturating_add(job.shards_per_round)
-            .min(job.grid.len());
-        if job.next_fold != boundary {
-            continue;
-        }
-        // A round just completed: account its traces, then consult the rule
-        // under exactly the engine's guard (never after the last round).
-        for shard in &job.grid[job.round_start..boundary] {
-            match shard.population() {
-                Population::Fixed => job.stats.fixed_traces += shard.count(),
-                Population::Random => job.stats.random_traces += shard.count(),
-            }
-        }
-        job.round_start = boundary;
-        job.stats.rounds += 1;
-        if job.stats.rounds < job.planned_rounds {
-            let checkpoint = Checkpoint {
-                sink: job.acc.as_ref().expect("non-empty round folds a sink"),
-                round: job.stats.rounds,
-                planned_rounds: job.planned_rounds,
-                fixed_traces: job.stats.fixed_traces,
-                random_traces: job.stats.random_traces,
-                planned_fixed: job.config.n_fixed,
-                planned_random: job.config.n_random,
-            };
-            let stop = match &mut job.rule {
-                Some(rule) => rule.should_stop(&checkpoint),
-                None => false,
-            };
-            if stop {
-                job.stats.stopped_early = true;
-                job.stop_bound = job.next_fold;
-                job.cursor = job.cursor.max(job.stop_bound);
-                job.pending.clear();
-                job.requeue.clear();
-            }
-        }
-    }
-    folded
 }
 
 fn is_token(s: &str) -> bool {

@@ -24,15 +24,20 @@
 //!   populations' shards (F₀ R₀ F₁ R₁ …) and executes them
 //!   `shards_per_round` at a time on `std::thread::scope` workers, each of
 //!   which owns a private [`MergeableSink`];
-//! * per-shard sinks are folded **in shard order** at every round
-//!   checkpoint, so the result is bit-identical at any thread count
-//!   (1, 2, 8, …).
+//! * per-shard sinks are folded **in shard order**, as they arrive, by the
+//!   campaign's [`RoundFolder`](crate::round::RoundFolder), so the result is
+//!   bit-identical at any thread count (1, 2, 8, …).
+//!
+//! One value describes a campaign run — [`FleetJob`]: netlist, power model,
+//! configuration, sink factory, stopping rule and round size — and
+//! [`FleetJob::run`] drives it. The `run_campaign_*` functions here are
+//! shorthands for the common shapes of that value.
 //!
 //! # Round checkpoints and early stopping
 //!
 //! After each round the folded accumulator is handed to a [`StoppingRule`]
-//! (see [`run_campaign_adaptive`]); a rule that detects a converged verdict
-//! terminates the trace stream early. Because the interleaved walk consumes
+//! (see [`run_campaign_adaptive`] and [`crate::round`]); a rule that detects
+//! a converged verdict terminates the trace stream early. Because the interleaved walk consumes
 //! each population's shards in ascending trace order, an early-stopped run
 //! is *the exact prefix* of the full run: its sink is byte-identical to a
 //! full campaign re-configured to the stopped trace counts, and — since the
@@ -52,18 +57,17 @@
 //! for any `W`. [`GateSamples`] is the dense collector used for small
 //! designs and figures.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use polaris_netlist::{GateId, Netlist, NetlistError};
 use polaris_obs::{NullRecorder, Payload, Phase, PhaseTimer, PopulationTag, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::fleet::FleetJob;
 use crate::logic::{BlockState, Simulator};
 use crate::power::{fill_standard_normal, sample_standard_normal, PowerModel};
+pub use crate::round::{CampaignOutcome, CampaignStats, Checkpoint, NeverStop, StoppingRule};
 
 /// Trace lanes per simulator word (one `u64` of lane bits).
 pub const WORD_LANES: usize = 64;
@@ -326,8 +330,9 @@ pub trait TraceSink {
 /// A [`TraceSink`] whose partial results can be folded together — the worker
 /// contract of the parallel engine.
 ///
-/// Each worker owns a private sink; [`run_campaign_parallel`] merges the
-/// per-shard sinks **in shard order** at the barrier. `merge` must behave as
+/// Each worker owns a private sink per shard; the campaign's
+/// [`RoundFolder`](crate::round::RoundFolder) merges the per-shard sinks
+/// **in shard order**. `merge` must behave as
 /// if `other`'s samples had been recorded directly after `self`'s (dense
 /// collectors concatenate; statistical accumulators combine pairwise à la
 /// Chan et al.).
@@ -603,6 +608,32 @@ impl<const W: usize> BlockScratch<W> {
     }
 }
 
+/// Wall time and phase split of one simulated shard, in nanoseconds.
+pub(crate) struct ShardTiming {
+    pub(crate) wall_ns: u64,
+    pub(crate) rng_ns: u64,
+    pub(crate) sim_ns: u64,
+    pub(crate) acc_ns: u64,
+}
+
+impl ShardTiming {
+    /// The [`Payload::ShardSpan`] of `shard`, grid entry `grid_index` of
+    /// round `round`.
+    pub(crate) fn span(&self, round: usize, grid_index: usize, shard: ShardSpec) -> Payload {
+        Payload::ShardSpan {
+            round: round as u64,
+            grid_index: grid_index as u64,
+            pop: shard.pop.tag(),
+            start: shard.start as u64,
+            count: shard.count as u64,
+            wall_ns: self.wall_ns,
+            rng_ns: self.rng_ns,
+            sim_ns: self.sim_ns,
+            acc_ns: self.acc_ns,
+        }
+    }
+}
+
 /// Compiled per-campaign context shared (immutably) by all workers.
 ///
 /// Crate-visible so the fleet scheduler (see [`crate::fleet`]) can compile
@@ -676,12 +707,31 @@ impl<'a> Engine<'a> {
         self.run_range_timed(pop, start, count, sink, &mut timer);
     }
 
+    /// Simulates one grid shard into `sink`. With `timed`, also returns the
+    /// shard's wall time and its rng/simulate/accumulate split.
+    pub(crate) fn run_shard<S: TraceSink>(
+        &self,
+        shard: ShardSpec,
+        sink: &mut S,
+        timed: bool,
+    ) -> Option<ShardTiming> {
+        let mut timer = PhaseTimer::new(timed);
+        let t0 = timer.begin();
+        self.run_range_timed(shard.pop, shard.start, shard.count, sink, &mut timer);
+        t0.map(|t0| ShardTiming {
+            wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            rng_ns: timer.nanos(Phase::Rng),
+            sim_ns: timer.nanos(Phase::Simulate),
+            acc_ns: timer.nanos(Phase::Accumulate),
+        })
+    }
+
     /// [`Engine::run_range`] with per-phase timing: RNG/simulate/accumulate
     /// nanoseconds accumulate into `timer` (free when the timer is
     /// disabled). Timing is strictly observational — no RNG draw, batch
     /// boundary, or sink call depends on it, so traced and untraced runs
     /// are byte-identical.
-    pub(crate) fn run_range_timed<S: TraceSink>(
+    fn run_range_timed<S: TraceSink>(
         &self,
         pop: Population,
         start: usize,
@@ -1034,49 +1084,26 @@ pub fn run_shard_states<S>(
 where
     S: MergeableSink + Default,
 {
-    run_shard_states_with(netlist, model, config, parallelism, shards, S::default)
-}
-
-/// [`run_shard_states`] with an explicit sink factory instead of the
-/// `Default` bound — for sinks whose empty state carries configuration
-/// (e.g. a gate-pair list) that `Default` cannot produce. The factory must
-/// return *empty* sinks: it configures shape, it never seeds samples.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::CombinationalCycle`] if the design cannot be
-/// levelized.
-///
-/// # Panics
-///
-/// Panics if `shards` reaches past the end of the grid.
-pub fn run_shard_states_with<S, F>(
-    netlist: &Netlist,
-    model: &PowerModel,
-    config: &CampaignConfig,
-    parallelism: Parallelism,
-    shards: std::ops::Range<usize>,
-    factory: F,
-) -> Result<Vec<S>, NetlistError>
-where
-    S: MergeableSink,
-    F: Fn() -> S + Sync,
-{
     run_shard_states_traced_with(
         netlist,
         model,
         config,
         parallelism,
         shards,
-        factory,
+        S::default,
         &NullRecorder,
     )
 }
 
-/// [`run_shard_states_with`] reporting one [`Payload::ShardSpan`] per shard
-/// to `recorder` (with `round = 0` — a bare shard range has no round
-/// structure; `grid_index` is the shard's absolute position in the full
-/// grid). The per-shard states are unchanged by recording.
+/// [`run_shard_states`] with an explicit sink factory and a recorder — the
+/// general form the other shard-state entry points reduce to.
+///
+/// The factory replaces the `Default` bound for sinks whose empty state
+/// carries configuration (e.g. a gate-pair list). It must return *empty*
+/// sinks: it configures shape, it never seeds samples. `recorder` gets one
+/// [`Payload::ShardSpan`] per shard (with `round = 0` — a bare shard range
+/// has no round structure; `grid_index` is the shard's absolute position
+/// in the full grid). The per-shard states are unchanged by recording.
 ///
 /// # Errors
 ///
@@ -1106,27 +1133,12 @@ where
         "shard range {shards:?} outside the {}-shard grid",
         grid.len()
     );
-    let grid_base = shards.start;
-    let specs = &grid[shards];
     let tracing = recorder.enabled();
-    Ok(run_sharded(specs.len(), parallelism, |i| {
-        let shard = specs[i];
+    Ok(run_sharded(shards.len(), parallelism, |i| {
+        let grid_index = shards.start + i;
         let mut sink = factory();
-        let mut timer = PhaseTimer::new(tracing);
-        let t0 = timer.begin();
-        engine.run_range_timed(shard.pop, shard.start, shard.count, &mut sink, &mut timer);
-        if let Some(t0) = t0 {
-            recorder.record(Payload::ShardSpan {
-                round: 0,
-                grid_index: (grid_base + i) as u64,
-                pop: shard.pop.tag(),
-                start: shard.start as u64,
-                count: shard.count as u64,
-                wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                rng_ns: timer.nanos(Phase::Rng),
-                sim_ns: timer.nanos(Phase::Simulate),
-                acc_ns: timer.nanos(Phase::Accumulate),
-            });
+        if let Some(timing) = engine.run_shard(grid[grid_index], &mut sink, tracing) {
+            recorder.record(timing.span(0, grid_index, grid[grid_index]));
         }
         sink
     }))
@@ -1212,101 +1224,6 @@ where
         .collect()
 }
 
-/// Folds `sink` into the running accumulator: the canonical left fold every
-/// engine shares — first sink seeds the accumulator, later ones merge in.
-fn merge_into<S: MergeableSink>(acc: &mut Option<S>, sink: S) {
-    match acc {
-        None => *acc = Some(sink),
-        Some(a) => a.merge(sink),
-    }
-}
-
-/// In-flight state of a streaming ascending fold: the next index the
-/// accumulator is waiting for, plus the out-of-order sinks that arrived
-/// ahead of it.
-struct FoldState<S> {
-    next_fold: usize,
-    pending: BTreeMap<usize, S>,
-    acc: Option<S>,
-}
-
-/// Runs `n_shards` work items across `parallelism` worker threads and folds
-/// each produced sink into `acc` in **strictly ascending shard order, as
-/// results arrive** — the same merge sequence as collecting every sink and
-/// folding left-to-right (so bit-identical results), but only the
-/// out-of-order window (bounded by the worker count's scheduling skew) is
-/// ever alive at once instead of one sink per shard. That window is what
-/// keeps million-trace streaming campaigns in O(sink) memory: a
-/// collect-then-fold round would hold `traces / TRACES_PER_SHARD` private
-/// accumulators before the first merge.
-///
-/// When `fold_ns` is supplied, the nanoseconds spent merging sinks are
-/// added to it (summed across workers). Timing never changes which merges
-/// run or in what order, so traced runs stay byte-identical.
-///
-/// # Panics
-///
-/// Propagates worker panics.
-fn run_sharded_fold<S, F>(
-    n_shards: usize,
-    parallelism: Parallelism,
-    work: F,
-    acc: &mut Option<S>,
-    fold_ns: Option<&AtomicU64>,
-) where
-    S: MergeableSink,
-    F: Fn(usize) -> S + Sync,
-{
-    let timed_merge = |acc: &mut Option<S>, sink: S| match fold_ns {
-        None => merge_into(acc, sink),
-        Some(total) => {
-            let t0 = Instant::now();
-            merge_into(acc, sink);
-            let spent = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            total.fetch_add(spent, Ordering::Relaxed);
-        }
-    };
-    let threads = parallelism.threads().min(n_shards.max(1));
-    if threads <= 1 || n_shards <= 1 {
-        // Inline path: sequential budgets and single-shard plans never pay
-        // for a scoped worker spawn (pinned by a thread-identity test).
-        for i in 0..n_shards {
-            timed_merge(acc, work(i));
-        }
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    let state = Mutex::new(FoldState {
-        next_fold: 0,
-        pending: BTreeMap::new(),
-        acc: acc.take(),
-    });
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_shards {
-                    break;
-                }
-                let sink = work(i);
-                let mut st = state.lock().expect("fold state poisoned");
-                st.pending.insert(i, sink);
-                loop {
-                    let key = st.next_fold;
-                    let Some(ready) = st.pending.remove(&key) else {
-                        break;
-                    };
-                    timed_merge(&mut st.acc, ready);
-                    st.next_fold += 1;
-                }
-            });
-        }
-    });
-    let st = state.into_inner().expect("fold state poisoned");
-    debug_assert!(st.pending.is_empty(), "every shard folds exactly once");
-    *acc = st.acc;
-}
-
 /// Runs a campaign, streaming batches into `sink` in trace order (fixed
 /// class first). Because every random stream is counter-derived, this
 /// produces the exact same samples as [`run_campaign_parallel`] — the only
@@ -1328,228 +1245,7 @@ pub fn run_campaign<S: TraceSink>(
     Ok(())
 }
 
-// --- Round checkpoints and sequential stopping ------------------------------
-
-/// Trace-consumption statistics of one (possibly early-stopped) campaign.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CampaignStats {
-    /// Fixed-class traces simulated.
-    pub fixed_traces: usize,
-    /// Random-class traces simulated.
-    pub random_traces: usize,
-    /// Rounds executed before the engine returned.
-    pub rounds: usize,
-    /// Rounds the full shard grid would have taken.
-    pub planned_rounds: usize,
-    /// True when a [`StoppingRule`] terminated the stream before the grid
-    /// was exhausted.
-    pub stopped_early: bool,
-}
-
-impl CampaignStats {
-    /// Total traces simulated across both populations.
-    pub fn traces_used(&self) -> usize {
-        self.fixed_traces + self.random_traces
-    }
-}
-
-/// Result of a round-checkpointed campaign: the folded sink plus the
-/// consumption statistics callers report (`traces_used`, `stopped_early`).
-#[derive(Clone, Debug)]
-pub struct CampaignOutcome<S> {
-    /// The checkpoint-folded sink at the stop (or full-grid) boundary.
-    pub sink: S,
-    /// How many traces/rounds the campaign actually consumed.
-    pub stats: CampaignStats,
-}
-
-/// Checkpoint state handed to a [`StoppingRule`] after each round: the
-/// folded accumulator so far plus the engine's position in the shard grid.
-#[derive(Debug)]
-pub struct Checkpoint<'a, S> {
-    /// The running accumulator, folded in shard order over every shard
-    /// executed so far. Bit-identical at any thread count.
-    pub sink: &'a S,
-    /// 1-based index of the round that just completed.
-    pub round: usize,
-    /// Total rounds in the full plan.
-    pub planned_rounds: usize,
-    /// Fixed-class traces consumed so far.
-    pub fixed_traces: usize,
-    /// Random-class traces consumed so far.
-    pub random_traces: usize,
-    /// Fixed-class trace budget of the full campaign.
-    pub planned_fixed: usize,
-    /// Random-class trace budget of the full campaign.
-    pub planned_random: usize,
-}
-
-impl<S> Checkpoint<'_, S> {
-    /// Fraction of the total trace budget consumed (the *information
-    /// fraction* of sequential analysis), in `(0, 1]`.
-    pub fn information_fraction(&self) -> f64 {
-        let planned = self.planned_fixed + self.planned_random;
-        if planned == 0 {
-            1.0
-        } else {
-            (self.fixed_traces + self.random_traces) as f64 / planned as f64
-        }
-    }
-}
-
-/// A sequential-analysis stopping rule evaluated at round checkpoints.
-///
-/// `should_stop` sees only checkpoint-folded state, which is bit-identical
-/// at any worker count — so the stop decision (and therefore the stop round)
-/// never depends on the thread budget. Rules may keep per-look state
-/// (alpha-spending, stability streaks); the engine calls them on one thread,
-/// in round order, and never after returning `true`.
-pub trait StoppingRule<S> {
-    /// Returns `true` to terminate the trace stream at this checkpoint.
-    fn should_stop(&mut self, checkpoint: &Checkpoint<'_, S>) -> bool;
-}
-
-/// The never-stopping rule: runs the full shard grid.
-/// [`run_campaign_parallel`] is `run_campaign_adaptive` with this rule.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NeverStop;
-
-impl<S> StoppingRule<S> for NeverStop {
-    fn should_stop(&mut self, _checkpoint: &Checkpoint<'_, S>) -> bool {
-        false
-    }
-}
-
-/// The shared round-checkpointed driver: executes the interleaved shard
-/// grid `shards_per_round` shards at a time, folds each round's private
-/// sinks **in shard order** into the running accumulator, and consults
-/// `rule` at every round boundary.
-///
-/// When `recorder` is enabled, the driver reports the campaign span, one
-/// [`Payload::ShardSpan`] per shard (with the rng/simulate/accumulate phase
-/// split), and one [`Payload::FoldSpan`] per round. All reporting happens
-/// strictly outside the fold path — no RNG draw, shard order, or merge
-/// sequence ever depends on the recorder — so traced outcomes are
-/// byte-identical to untraced ones at every thread count and lane width.
-#[allow(clippy::too_many_arguments)]
-fn run_campaign_rounds<S, R, F>(
-    netlist: &Netlist,
-    model: &PowerModel,
-    config: &CampaignConfig,
-    parallelism: Parallelism,
-    shards_per_round: usize,
-    rule: &mut R,
-    factory: F,
-    recorder: &dyn Recorder,
-) -> Result<CampaignOutcome<S>, NetlistError>
-where
-    S: MergeableSink,
-    R: StoppingRule<S>,
-    F: Fn() -> S + Sync,
-{
-    let engine = Engine::new(netlist, model, config, parallelism.lane_words())?;
-    let shards = shard_grid(config);
-    let shards_per_round = shards_per_round.max(1);
-    let planned_rounds = shards.len().div_ceil(shards_per_round);
-
-    let tracing = recorder.enabled();
-    let campaign_start = if tracing { Some(Instant::now()) } else { None };
-    if tracing {
-        recorder.record(Payload::CampaignStart {
-            gates: netlist.gate_count() as u64,
-            planned_fixed: config.n_fixed as u64,
-            planned_random: config.n_random as u64,
-            threads: parallelism.threads() as u64,
-            lane_words: parallelism.lane_words() as u64,
-            shards: shards.len() as u64,
-            planned_rounds: planned_rounds as u64,
-        });
-    }
-    let fold_ns = AtomicU64::new(0);
-
-    let mut acc: Option<S> = None;
-    let mut stats = CampaignStats {
-        planned_rounds,
-        ..CampaignStats::default()
-    };
-    let mut grid_base = 0usize;
-    for chunk in shards.chunks(shards_per_round) {
-        let round = stats.rounds + 1;
-        // Deterministic checkpoint fold: strictly ascending shard order,
-        // streamed as shards finish so the round never holds one private
-        // sink per shard (see `run_sharded_fold`).
-        run_sharded_fold(
-            chunk.len(),
-            parallelism,
-            |i| {
-                let shard = chunk[i];
-                let mut sink = factory();
-                let mut timer = PhaseTimer::new(tracing);
-                let t0 = timer.begin();
-                engine.run_range_timed(shard.pop, shard.start, shard.count, &mut sink, &mut timer);
-                if let Some(t0) = t0 {
-                    recorder.record(Payload::ShardSpan {
-                        round: round as u64,
-                        grid_index: (grid_base + i) as u64,
-                        pop: shard.pop.tag(),
-                        start: shard.start as u64,
-                        count: shard.count as u64,
-                        wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        rng_ns: timer.nanos(Phase::Rng),
-                        sim_ns: timer.nanos(Phase::Simulate),
-                        acc_ns: timer.nanos(Phase::Accumulate),
-                    });
-                }
-                sink
-            },
-            &mut acc,
-            tracing.then_some(&fold_ns),
-        );
-        if tracing {
-            recorder.record(Payload::FoldSpan {
-                round: round as u64,
-                shards: chunk.len() as u64,
-                wall_ns: fold_ns.swap(0, Ordering::Relaxed),
-            });
-        }
-        for shard in chunk {
-            match shard.pop {
-                Population::Fixed => stats.fixed_traces += shard.count,
-                Population::Random => stats.random_traces += shard.count,
-            }
-        }
-        grid_base += chunk.len();
-        stats.rounds += 1;
-        if stats.rounds < planned_rounds {
-            let checkpoint = Checkpoint {
-                sink: acc.as_ref().expect("non-empty round folds a sink"),
-                round: stats.rounds,
-                planned_rounds,
-                fixed_traces: stats.fixed_traces,
-                random_traces: stats.random_traces,
-                planned_fixed: config.n_fixed,
-                planned_random: config.n_random,
-            };
-            if rule.should_stop(&checkpoint) {
-                stats.stopped_early = true;
-                break;
-            }
-        }
-    }
-    if let Some(t0) = campaign_start {
-        recorder.record(Payload::CampaignEnd {
-            rounds: stats.rounds as u64,
-            stopped_early: stats.stopped_early,
-            fixed_traces: stats.fixed_traces as u64,
-            random_traces: stats.random_traces as u64,
-            wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        });
-    }
-    Ok(CampaignOutcome {
-        sink: acc.unwrap_or_else(factory),
-        stats,
-    })
-}
+// --- Round-checkpointed campaigns ------------------------------------------
 
 /// Runs a campaign across `parallelism` worker threads, each owning a
 /// private sink, and folds the per-shard sinks in shard order.
@@ -1559,7 +1255,8 @@ where
 /// streams are counter-derived from `(seed, population, trace index)`.
 /// This is the never-stopping case of the round-checkpointed engine (see
 /// [`run_campaign_adaptive`]), executed as one round so no checkpoint work
-/// is paid.
+/// is paid. Sinks whose empty state carries configuration run through
+/// [`FleetJob::with_sink_factory`] and [`FleetJob::run`].
 ///
 /// # Errors
 ///
@@ -1574,42 +1271,8 @@ pub fn run_campaign_parallel<S>(
 where
     S: MergeableSink + Default,
 {
-    run_campaign_parallel_with(netlist, model, config, parallelism, S::default)
-}
-
-/// [`run_campaign_parallel`] with an explicit sink factory instead of the
-/// `Default` bound — the entry point for sinks whose empty state carries
-/// configuration (e.g. the gate-pair list of a bivariate accumulator). The
-/// factory must produce *empty* sinks equivalent to each other; it exists
-/// to configure shape, never to seed samples. Same determinism contract:
-/// results are bit-identical at any thread count and lane width.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::CombinationalCycle`] if the design cannot be
-/// levelized.
-pub fn run_campaign_parallel_with<S, F>(
-    netlist: &Netlist,
-    model: &PowerModel,
-    config: &CampaignConfig,
-    parallelism: Parallelism,
-    factory: F,
-) -> Result<S, NetlistError>
-where
-    S: MergeableSink,
-    F: Fn() -> S + Sync,
-{
-    let outcome = run_campaign_rounds(
-        netlist,
-        model,
-        config,
-        parallelism,
-        usize::MAX,
-        &mut NeverStop,
-        factory,
-        &NullRecorder,
-    )?;
-    Ok(outcome.sink)
+    let job = FleetJob::new(netlist, model, config.clone());
+    Ok(job.run(parallelism, &NullRecorder)?.sink)
 }
 
 /// Runs a campaign with round-checkpointed early stopping: after every
@@ -1686,51 +1349,9 @@ where
     S: MergeableSink + Default,
     R: StoppingRule<S>,
 {
-    run_campaign_traced_with(
-        netlist,
-        model,
-        config,
-        parallelism,
-        shards_per_round,
-        rule,
-        S::default,
-        recorder,
-    )
-}
-
-/// [`run_campaign_traced`] with an explicit sink factory (see
-/// [`run_campaign_parallel_with`] for the factory contract).
-///
-/// # Errors
-///
-/// Returns [`NetlistError::CombinationalCycle`] if the design cannot be
-/// levelized.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_traced_with<S, R, F>(
-    netlist: &Netlist,
-    model: &PowerModel,
-    config: &CampaignConfig,
-    parallelism: Parallelism,
-    shards_per_round: usize,
-    rule: &mut R,
-    factory: F,
-    recorder: &dyn Recorder,
-) -> Result<CampaignOutcome<S>, NetlistError>
-where
-    S: MergeableSink,
-    R: StoppingRule<S>,
-    F: Fn() -> S + Sync,
-{
-    run_campaign_rounds(
-        netlist,
-        model,
-        config,
-        parallelism,
-        shards_per_round,
-        rule,
-        factory,
-        recorder,
-    )
+    FleetJob::new(netlist, model, config.clone())
+        .with_rule(rule, shards_per_round)
+        .run(parallelism, recorder)
 }
 
 /// Convenience wrapper collecting dense [`GateSamples`] (preallocated from

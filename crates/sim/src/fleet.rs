@@ -1,72 +1,68 @@
-//! Multi-design fleet scheduling: whole campaigns as work items on one
-//! shared worker pool.
+//! Campaign jobs: one value describing a campaign, run alone or as one of
+//! many on a shared worker pool.
 //!
-//! The round-checkpointed engine of [`crate::campaign`] parallelizes
-//! *inside* one campaign: its workers drain that campaign's shard grid and
-//! barrier at every round fold. Suites — the cognition loop, the table
-//! harnesses, a manifest of designs — run many campaigns whose small
-//! members then serialize on their own barriers while cores idle.
+//! A [`FleetJob`] carries everything a campaign run needs: netlist, power
+//! model, configuration, sink factory, stopping rule and round size.
+//! [`FleetJob::run`] is the single-campaign driver every `run_campaign_*`
+//! entry point reduces to: its workers drain one round of the job's shard
+//! grid at a time, and the round ends at a barrier.
 //!
-//! A *fleet* inverts the nesting. Each [`FleetJob`] wraps one campaign
-//! (netlist + configuration + optional sink factory + stopping rule);
-//! [`run_fleet`] compiles one simulation engine per job and lets a single
-//! pool of `std::thread::scope` workers pull **shards of any job** from a
-//! shared queue, so shards of different campaigns interleave on the same
-//! threads and suite throughput scales with cores instead of with the
-//! widest single design.
+//! Suites — the cognition loop, the table harnesses, a manifest of designs
+//! — run many campaigns, whose small members would then serialize on their
+//! own barriers while cores idle. [`run_fleet`] inverts the nesting: it
+//! compiles one simulation engine per job and lets a single pool of
+//! `std::thread::scope` workers pull **shards of any job**, so shards of
+//! different campaigns interleave on the same threads and suite throughput
+//! scales with cores instead of with the widest single design.
 //!
 //! # Determinism contract
 //!
-//! Fleet execution changes scheduling only, never results:
+//! Both drivers hand every finished shard to the job's own
+//! [`RoundFolder`], which folds it **in the job's canonical grid order** and
+//! consults the job's [`StoppingRule`] at the job's own round boundaries,
+//! on checkpoint-folded state only. Scheduling therefore changes nothing
+//! but timing:
 //!
-//! * every job keeps its own shard grid and its own accumulator; per-shard
-//!   sinks are folded **in that job's canonical shard order** at each round
-//!   boundary — the exact fold sequence of
-//!   [`run_campaign_parallel`](crate::campaign::run_campaign_parallel) /
-//!   [`run_campaign_adaptive`](crate::campaign::run_campaign_adaptive);
-//! * a job's [`StoppingRule`] is consulted per job at its own round
-//!   checkpoints, on checkpoint-folded state only, so adaptive jobs stop at
-//!   the same round mid-fleet as they do standalone;
-//! * only the current round of a job is ever in flight (the rule must see
+//! * adaptive jobs stop at the same round mid-fleet as they do alone;
+//! * only the current round of a job is ever handed out (the rule must see
 //!   the folded round before more of that job's grid is scheduled), so no
-//!   shard past a stop boundary is simulated.
+//!   shard past a stop boundary is simulated;
+//! * a fleet hands out a job's shards at most one pool's worth ahead of its
+//!   folded prefix, so a job holds at most `threads` private sinks besides
+//!   its accumulator, whatever the length of its rounds.
 //!
 //! Every job's [`CampaignOutcome`] is therefore **byte-identical** to its
 //! standalone run — at any worker count and in any job mix.
 
-use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use polaris_netlist::{Netlist, NetlistError};
-use polaris_obs::{NullRecorder, Payload, Phase, PhaseTimer, Recorder};
+use polaris_obs::{NullRecorder, Payload, Recorder};
 
 use crate::campaign::{
-    shard_grid, CampaignConfig, CampaignOutcome, CampaignStats, Checkpoint, Engine, MergeableSink,
-    NeverStop, Parallelism, Population, ShardSpec, StoppingRule,
+    run_sharded, shard_grid, CampaignConfig, CampaignOutcome, Engine, MergeableSink, NeverStop,
+    Parallelism, ShardSpec, StoppingRule,
 };
 use crate::power::PowerModel;
+use crate::round::{Ingest, RoundFolder};
 
 /// Factory for the private per-shard sinks of one job.
 type SinkFactory<'a, S> = Box<dyn Fn() -> S + Send + Sync + 'a>;
 
-/// A job's (possibly stateful) stopping rule, consulted at its round
-/// checkpoints.
-type BoxedRule<'a, S> = Box<dyn StoppingRule<S> + Send + 'a>;
-
-/// One campaign scheduled as a top-level work item of a fleet: a (netlist,
-/// campaign configuration, sink factory) triple plus an optional stopping
-/// rule for adaptive jobs.
+/// One campaign: a (netlist, power model, configuration, sink factory)
+/// tuple plus the stopping rule and round size of adaptive jobs. Run it
+/// alone with [`FleetJob::run`], or with others through [`run_fleet`].
 pub struct FleetJob<'a, S> {
     netlist: &'a Netlist,
     power: &'a PowerModel,
     config: CampaignConfig,
-    factory: Option<SinkFactory<'a, S>>,
-    rule: BoxedRule<'a, S>,
+    factory: SinkFactory<'a, S>,
+    rule: Box<dyn StoppingRule<S> + 'a>,
     shards_per_round: usize,
 }
 
-impl<'a, S: MergeableSink + Default> FleetJob<'a, S> {
+impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
     /// A non-adaptive job: the whole shard grid runs as one round (no
     /// checkpoint work), exactly like
     /// [`run_campaign_parallel`](crate::campaign::run_campaign_parallel).
@@ -75,7 +71,7 @@ impl<'a, S: MergeableSink + Default> FleetJob<'a, S> {
             netlist,
             power,
             config,
-            factory: None,
+            factory: Box::new(S::default),
             rule: Box::new(NeverStop),
             shards_per_round: usize::MAX,
         }
@@ -87,7 +83,7 @@ impl<'a, S: MergeableSink + Default> FleetJob<'a, S> {
     /// [`run_campaign_adaptive`](crate::campaign::run_campaign_adaptive).
     pub fn with_rule<R>(mut self, rule: R, shards_per_round: usize) -> Self
     where
-        R: StoppingRule<S> + Send + 'a,
+        R: StoppingRule<S> + 'a,
     {
         self.rule = Box::new(rule);
         self.shards_per_round = shards_per_round.max(1);
@@ -95,14 +91,15 @@ impl<'a, S: MergeableSink + Default> FleetJob<'a, S> {
     }
 
     /// Uses `factory` instead of `S::default()` for the job's private
-    /// per-shard sinks. The factory must produce *empty* sinks equivalent to
-    /// `S::default()` — it exists for preallocation, not for seeding state —
-    /// or the standalone-equivalence contract is forfeited.
+    /// per-shard sinks — for sinks whose empty state carries configuration
+    /// (a gate-pair list) or preallocated buffers. The factory must produce
+    /// *empty* sinks, equivalent to each other: it configures shape, it
+    /// never seeds samples. It also builds the outcome of an empty grid.
     pub fn with_sink_factory<F>(mut self, factory: F) -> Self
     where
         F: Fn() -> S + Send + Sync + 'a,
     {
-        self.factory = Some(Box::new(factory));
+        self.factory = Box::new(factory);
         self
     }
 
@@ -110,163 +107,209 @@ impl<'a, S: MergeableSink + Default> FleetJob<'a, S> {
     pub fn config(&self) -> &CampaignConfig {
         &self.config
     }
-}
 
-/// The round decomposition of one job's `n_shards`-entry grid: contiguous
-/// chunks of `shards_per_round` (the last may be short) — a pure function
-/// of the pair and the fleet scheduler's single source of truth for both
-/// the enqueue schedule and `planned_rounds`. Matches the standalone
-/// engine's `chunks(shards_per_round)` walk chunk for chunk.
-pub fn job_rounds(n_shards: usize, shards_per_round: usize) -> Vec<std::ops::Range<usize>> {
-    let spr = shards_per_round.max(1);
-    let mut rounds = Vec::new();
-    let mut lo = 0usize;
-    while lo < n_shards {
-        let hi = lo.saturating_add(spr).min(n_shards);
-        rounds.push(lo..hi);
-        lo = hi;
+    /// Runs the job alone across `parallelism` worker threads, each owning
+    /// a private sink per shard, one round at a time.
+    ///
+    /// Workers fold every finished shard into the job's [`RoundFolder`] as
+    /// it arrives, so only the out-of-order window is alive at once rather
+    /// than one sink per shard; the round ends at a barrier before the next
+    /// is scheduled. At most `min(threads, shards_per_round)` shards run at
+    /// once, and a sequential budget (or a one-shard round) runs inline on
+    /// the calling thread.
+    ///
+    /// An enabled `recorder` gets the campaign start/end markers, one
+    /// [`Payload::ShardSpan`] per shard with the rng/simulate/accumulate
+    /// split, and one [`Payload::FoldSpan`] per round. Recording sits
+    /// strictly outside the fold path, so the outcome is byte-identical with
+    /// and without it, at every thread count and lane width.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::CombinationalCycle`] if the design cannot be
+    /// levelized.
+    ///
+    /// # Panics
+    ///
+    /// Propagates worker panics.
+    pub fn run(
+        self,
+        parallelism: Parallelism,
+        recorder: &dyn Recorder,
+    ) -> Result<CampaignOutcome<S>, NetlistError> {
+        let engine = Engine::new(
+            self.netlist,
+            self.power,
+            &self.config,
+            parallelism.lane_words(),
+        )?;
+        let grid = shard_grid(&self.config);
+        let mut folder = RoundFolder::new(&self.config, self.shards_per_round, self.rule);
+        let tracing = recorder.enabled();
+        let campaign_start = tracing.then(Instant::now);
+        if tracing {
+            folder = folder.timed();
+            recorder.record(Payload::CampaignStart {
+                gates: self.netlist.gate_count() as u64,
+                planned_fixed: self.config.n_fixed as u64,
+                planned_random: self.config.n_random as u64,
+                threads: parallelism.threads() as u64,
+                lane_words: parallelism.lane_words() as u64,
+                shards: grid.len() as u64,
+                planned_rounds: folder.stats().planned_rounds as u64,
+            });
+        }
+        let folder = Mutex::new(folder);
+        let locked = || folder.lock().expect("no worker panicked while folding");
+        loop {
+            let (range, round) = {
+                let f = locked();
+                (f.round_range(), f.stats().rounds + 1)
+            };
+            if range.is_empty() {
+                break;
+            }
+            run_sharded(range.len(), parallelism, |i| {
+                let grid_index = range.start + i;
+                let mut sink = (self.factory)();
+                if let Some(timing) = engine.run_shard(grid[grid_index], &mut sink, tracing) {
+                    recorder.record(timing.span(round, grid_index, grid[grid_index]));
+                }
+                locked().ingest(grid_index, sink);
+            });
+            if tracing {
+                recorder.record(Payload::FoldSpan {
+                    round: round as u64,
+                    shards: range.len() as u64,
+                    wall_ns: locked().take_fold_ns(),
+                });
+            }
+        }
+        let outcome = folder
+            .into_inner()
+            .expect("no worker panicked while folding")
+            .finish(&self.factory);
+        if let Some(t0) = campaign_start {
+            recorder.record(Payload::CampaignEnd {
+                rounds: outcome.stats.rounds as u64,
+                stopped_early: outcome.stats.stopped_early,
+                fixed_traces: outcome.stats.fixed_traces as u64,
+                random_traces: outcome.stats.random_traces as u64,
+                wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            });
+        }
+        Ok(outcome)
     }
-    rounds
 }
 
-/// One queued work item: shard `grid_idx` of job `job`, depositing into
-/// round slot `slot`.
-#[derive(Clone, Copy, Debug)]
-struct WorkItem {
-    job: usize,
-    slot: usize,
-    grid_idx: usize,
+/// Scheduler state of one job (behind the queue lock): which of its grid
+/// indices may be handed out next.
+struct Cursor {
+    /// Next grid index to hand out.
+    next: usize,
+    /// One past the last grid index of the round in flight.
+    end: usize,
+    /// The job's folded prefix, as last reported by its folder.
+    folded: usize,
 }
 
-/// Mutable per-job scheduler state (behind the fleet mutex).
-struct JobState<'a, S> {
-    rule: BoxedRule<'a, S>,
-    /// The job's round decomposition ([`job_rounds`] of its grid) — the
-    /// single source of truth for both the enqueue schedule and
-    /// `planned_rounds` (`rounds.len()`).
-    rounds: Vec<std::ops::Range<usize>>,
-    planned_fixed: usize,
-    planned_random: usize,
-    /// Running accumulator, folded in grid order at round boundaries.
-    acc: Option<S>,
-    stats: CampaignStats,
-    /// Index into `rounds` of the next round to enqueue.
-    next_round: usize,
-    /// Grid index of the in-flight round's first shard.
-    round_base: usize,
-    /// Per-shard deposit slots of the in-flight round (grid order).
-    slots: Vec<Option<S>>,
-    /// Shards of the in-flight round not yet deposited.
-    outstanding: usize,
-    done: bool,
-}
-
-/// What a completed round fold did to its job.
-enum RoundEvent {
-    /// The job continues with its next round.
-    NextRound,
-    /// The job is finished (grid exhausted or rule stopped).
-    JobDone,
-}
-
-struct FleetInner<'a, S> {
-    queue: VecDeque<WorkItem>,
-    jobs: Vec<JobState<'a, S>>,
+struct FleetQueue {
+    cursors: Vec<Cursor>,
     remaining_jobs: usize,
     /// Set when a worker panicked outside the lock — wakes waiters so the
     /// scope can propagate the panic instead of deadlocking on the condvar.
     poisoned: bool,
 }
 
-struct FleetShared<'a, S> {
-    inner: Mutex<FleetInner<'a, S>>,
-    work_ready: Condvar,
+impl FleetQueue {
+    /// Hands out the next shard of the first job that has one within
+    /// `window` of its folded prefix.
+    fn pop(&mut self, window: usize) -> Option<(usize, usize)> {
+        let (job, cursor) = self
+            .cursors
+            .iter_mut()
+            .enumerate()
+            .find(|(_, c)| c.next < c.end && c.next < c.folded + window)?;
+        cursor.next += 1;
+        Some((job, cursor.next - 1))
+    }
+
+    /// Shards of in-flight rounds not yet handed out.
+    fn depth(&self) -> usize {
+        self.cursors.iter().map(|c| c.end - c.next).sum()
+    }
+
+    /// Books what an ingest did to `job`'s `folder`: the new folded prefix
+    /// and, when a round completed, the next round or the job's retirement.
+    /// Returns whether waiting workers may now find work.
+    ///
+    /// Called with the job's folder lock held, so a job's ingests are booked
+    /// in the order they happened and its folded prefix never moves back.
+    fn book<S: MergeableSink>(
+        &mut self,
+        job: usize,
+        ingest: Ingest,
+        folder: &RoundFolder<'_, S>,
+    ) -> bool {
+        let cursor = &mut self.cursors[job];
+        cursor.folded = folder.folded();
+        match ingest {
+            Ingest::Waiting => false,
+            Ingest::Folded(_) => true,
+            Ingest::RoundDone { done: false, .. } => {
+                let round = folder.round_range();
+                (cursor.next, cursor.end) = (round.start, round.end);
+                true
+            }
+            Ingest::RoundDone { done: true, .. } => {
+                self.remaining_jobs -= 1;
+                self.remaining_jobs == 0
+            }
+        }
+    }
 }
 
-fn lock<'g, 'a, S>(shared: &'g FleetShared<'a, S>) -> MutexGuard<'g, FleetInner<'a, S>> {
+struct FleetShared<'a, S> {
+    queue: Mutex<FleetQueue>,
+    work_ready: Condvar,
+    /// Each job's fold, behind its own lock so queue pops never wait on a
+    /// merge or a rule. Lock order: a folder, then the queue; nothing
+    /// takes a folder lock while holding the queue lock.
+    folders: Vec<Mutex<RoundFolder<'a, S>>>,
+    engines: Vec<Engine<'a>>,
+    grids: Vec<Vec<ShardSpec>>,
+    factories: Vec<SinkFactory<'a, S>>,
+    /// How far past a job's folded prefix shards may be handed out: the
+    /// pool size, so each job holds at most that many private sinks.
+    window: usize,
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     // The `poisoned` flag (plus scope join) is the panic protocol; std's
     // mutex poisoning would only turn one panic into many.
-    shared.inner.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Enqueues job `j`'s next [`job_rounds`] range (with the lock held). Must
-/// only be called while the job has rounds left.
-fn enqueue_round<S>(inner: &mut FleetInner<'_, S>, j: usize) {
-    let st = &mut inner.jobs[j];
-    let range = st.rounds[st.next_round].clone();
-    st.next_round += 1;
-    let count = range.len();
-    debug_assert!(count > 0, "job_rounds never emits an empty round");
-    st.round_base = range.start;
-    st.slots.clear();
-    st.slots.resize_with(count, || None);
-    st.outstanding = count;
-    for (i, grid_idx) in range.enumerate() {
-        inner.queue.push_back(WorkItem {
-            job: j,
-            slot: i,
-            grid_idx,
-        });
-    }
-}
-
-/// Books a completed (lock-free) round fold back into its job's state and
-/// consults the stopping rule — mirroring the standalone round-checkpointed
-/// driver's checkpoint statement for statement. Called with the lock held.
-fn finish_round<S: MergeableSink>(
-    inner: &mut FleetInner<'_, S>,
-    job: usize,
-    acc: S,
-    fixed_traces: usize,
-    random_traces: usize,
-) -> RoundEvent {
-    let st = &mut inner.jobs[job];
-    st.acc = Some(acc);
-    st.stats.fixed_traces += fixed_traces;
-    st.stats.random_traces += random_traces;
-    st.stats.rounds += 1;
-    if st.stats.rounds < st.rounds.len() {
-        let checkpoint = Checkpoint {
-            sink: st.acc.as_ref().expect("non-empty round folds a sink"),
-            round: st.stats.rounds,
-            planned_rounds: st.rounds.len(),
-            fixed_traces: st.stats.fixed_traces,
-            random_traces: st.stats.random_traces,
-            planned_fixed: st.planned_fixed,
-            planned_random: st.planned_random,
-        };
-        if st.rule.should_stop(&checkpoint) {
-            st.stats.stopped_early = true;
-            st.done = true;
-            RoundEvent::JobDone
-        } else {
-            RoundEvent::NextRound
-        }
-    } else {
-        st.done = true;
-        RoundEvent::JobDone
-    }
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Marks a worker panic in the shared state on unwind so waiting workers
 /// exit (and the scope can re-raise the panic) instead of sleeping forever.
-struct PanicSentry<'g, 'a, S> {
-    shared: &'g FleetShared<'a, S>,
+struct PanicSentry<'g> {
+    queue: &'g Mutex<FleetQueue>,
+    work_ready: &'g Condvar,
     armed: bool,
 }
 
-impl<S> Drop for PanicSentry<'_, '_, S> {
+impl Drop for PanicSentry<'_> {
     fn drop(&mut self) {
         if self.armed {
-            lock(self.shared).poisoned = true;
-            self.shared.work_ready.notify_all();
+            lock(self.queue).poisoned = true;
+            self.work_ready.notify_all();
         }
     }
 }
 
-/// The shared worker loop: pull a shard of *any* job, simulate it into a
-/// fresh private sink, deposit; the round-completing deposit folds the
-/// round and schedules the job's next round (or retires the job).
+/// The shared worker loop: take a shard of *any* job, simulate it into a
+/// fresh private sink, and hand it to the job's folder. The ingest that
+/// completes a round opens the job's next round (or retires the job).
 ///
 /// With an enabled `recorder` the loop reports, per item, the queue state
 /// it observed ([`Payload::QueueDepth`]) and the item's phase-split timing
@@ -274,32 +317,25 @@ impl<S> Drop for PanicSentry<'_, '_, S> {
 /// signal), plus one [`Payload::WorkerSummary`] when the worker exits.
 /// Recording never touches scheduling or fold state, so outcomes stay
 /// byte-identical to the untraced fleet.
-fn worker_loop<S: MergeableSink + Default>(
-    shared: &FleetShared<'_, S>,
-    engines: &[Engine<'_>],
-    grids: &[Vec<ShardSpec>],
-    factories: &[Option<SinkFactory<'_, S>>],
-    recorder: &dyn Recorder,
-) {
+fn worker_loop<S: MergeableSink>(shared: &FleetShared<'_, S>, recorder: &dyn Recorder) {
     let tracing = recorder.enabled();
-    let t_loop = if tracing { Some(Instant::now()) } else { None };
+    let t_loop = tracing.then(Instant::now);
     let mut items = 0u64;
     let mut busy_ns = 0u64;
     'worker: loop {
-        let (item, queue_obs) = {
-            let mut guard = lock(shared);
+        let (job, grid_idx, queue_obs) = {
+            let mut queue = lock(&shared.queue);
             loop {
-                if guard.poisoned || guard.remaining_jobs == 0 {
+                if queue.poisoned || queue.remaining_jobs == 0 {
                     break 'worker;
                 }
-                if let Some(item) = guard.queue.pop_front() {
-                    let obs =
-                        tracing.then(|| (guard.queue.len() as u64, guard.remaining_jobs as u64));
-                    break (item, obs);
+                if let Some((job, grid_idx)) = queue.pop(shared.window) {
+                    let obs = tracing.then(|| (queue.depth() as u64, queue.remaining_jobs as u64));
+                    break (job, grid_idx, obs);
                 }
-                guard = shared
+                queue = shared
                     .work_ready
-                    .wait(guard)
+                    .wait(queue)
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
@@ -311,89 +347,35 @@ fn worker_loop<S: MergeableSink + Default>(
         }
 
         let mut sentry = PanicSentry {
-            shared,
+            queue: &shared.queue,
+            work_ready: &shared.work_ready,
             armed: true,
         };
-        let shard = grids[item.job][item.grid_idx];
-        let mut sink = match &factories[item.job] {
-            Some(f) => f(),
-            None => S::default(),
-        };
-        let mut timer = PhaseTimer::new(tracing);
-        let t_item = timer.begin();
-        engines[item.job].run_range_timed(
-            shard.population(),
-            shard.start(),
-            shard.count(),
-            &mut sink,
-            &mut timer,
-        );
-        if let Some(t0) = t_item {
-            let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let shard = shared.grids[job][grid_idx];
+        let mut sink = (shared.factories[job])();
+        if let Some(timing) = shared.engines[job].run_shard(shard, &mut sink, tracing) {
             items += 1;
-            busy_ns += wall_ns;
+            busy_ns += timing.wall_ns;
             recorder.record(Payload::WorkItem {
-                job: item.job as u64,
-                grid_index: item.grid_idx as u64,
+                job: job as u64,
+                grid_index: grid_idx as u64,
                 count: shard.count() as u64,
-                wall_ns,
-                rng_ns: timer.nanos(Phase::Rng),
-                sim_ns: timer.nanos(Phase::Simulate),
-                acc_ns: timer.nanos(Phase::Accumulate),
+                wall_ns: timing.wall_ns,
+                rng_ns: timing.rng_ns,
+                sim_ns: timing.sim_ns,
+                acc_ns: timing.acc_ns,
             });
         }
-
-        let mut guard = lock(shared);
-        let st = &mut guard.jobs[item.job];
-        debug_assert!(st.slots[item.slot].is_none(), "double deposit");
-        st.slots[item.slot] = Some(sink);
-        st.outstanding -= 1;
-        if st.outstanding == 0 {
-            // Round complete. Exactly this worker owns the round now (no
-            // item of the job is queued or in flight), so the deterministic
-            // grid-order fold can run OUTSIDE the lock — dense-sink merges
-            // are a real fraction of simulation cost, and other jobs'
-            // workers must keep popping work meanwhile.
-            let slots = std::mem::take(&mut st.slots);
-            let mut acc = st.acc.take();
-            let round_base = st.round_base;
-            drop(guard);
-
-            let t_fold = if tracing { Some(Instant::now()) } else { None };
-            let grid = &grids[item.job];
-            let (mut fixed_traces, mut random_traces) = (0usize, 0usize);
-            for (i, slot) in slots.into_iter().enumerate() {
-                let shard = grid[round_base + i];
-                let sink = slot.expect("a completed round has every slot deposited");
-                match &mut acc {
-                    None => acc = Some(sink),
-                    Some(a) => a.merge(sink),
-                }
-                match shard.population() {
-                    Population::Fixed => fixed_traces += shard.count(),
-                    Population::Random => random_traces += shard.count(),
-                }
-            }
-            if let Some(t0) = t_fold {
-                busy_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            }
-
-            guard = lock(shared);
-            let acc = acc.expect("non-empty round folds a sink");
-            match finish_round(&mut guard, item.job, acc, fixed_traces, random_traces) {
-                RoundEvent::NextRound => {
-                    enqueue_round(&mut guard, item.job);
-                    shared.work_ready.notify_all();
-                }
-                RoundEvent::JobDone => {
-                    guard.remaining_jobs -= 1;
-                    if guard.remaining_jobs == 0 {
-                        shared.work_ready.notify_all();
-                    }
-                }
-            }
+        let t_fold = tracing.then(Instant::now);
+        let mut folder = lock(&shared.folders[job]);
+        let ingest = folder.ingest(grid_idx, sink);
+        if lock(&shared.queue).book(job, ingest, &folder) {
+            shared.work_ready.notify_all();
         }
-        drop(guard);
+        drop(folder);
+        if let Some(t0) = t_fold {
+            busy_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        }
         sentry.armed = false;
     }
     if let Some(t0) = t_loop {
@@ -409,15 +391,11 @@ fn worker_loop<S: MergeableSink + Default>(
 /// per-job outcomes **in job order**.
 ///
 /// Shards of different jobs interleave freely on the pool's threads; each
-/// job's accumulator is folded in its canonical shard order at its own round
-/// boundaries, so every outcome is byte-identical to the job's standalone
-/// [`run_campaign_parallel`](crate::campaign::run_campaign_parallel) (or,
-/// for jobs with a rule,
-/// [`run_campaign_adaptive`](crate::campaign::run_campaign_adaptive)) run —
-/// at any thread count and in any job mix. A round's fold runs lock-free on
-/// the worker that deposited its last shard (that worker owns the round
-/// exclusively); only the bookkeeping and rule evaluation hold the
-/// scheduler lock.
+/// job's [`RoundFolder`] folds them in its canonical shard order at its own
+/// round boundaries, so every outcome is byte-identical to the job's
+/// standalone [`FleetJob::run`] — at any thread count and in any job mix.
+/// A worker merges into a job's folder under that job's own lock; only
+/// handing out shards holds the shared queue lock.
 ///
 /// `parallelism` caps the pool; like the single-campaign engine, a
 /// sequential budget (or a fleet with at most one concurrently runnable
@@ -462,102 +440,92 @@ pub fn run_fleet_traced<S>(
 where
     S: MergeableSink + Default,
 {
-    // Decompose the jobs: engines borrow the configs, mutable rule state
-    // moves behind the scheduler mutex.
-    let n_jobs = jobs.len();
-    let mut configs = Vec::with_capacity(n_jobs);
-    let mut factories = Vec::with_capacity(n_jobs);
-    let mut parts = Vec::with_capacity(n_jobs);
+    // Engines borrow the configs, so the configs move out of the jobs first.
+    let mut configs = Vec::with_capacity(jobs.len());
+    let mut parts = Vec::with_capacity(jobs.len());
     for job in jobs {
         configs.push(job.config);
-        factories.push(job.factory);
-        parts.push((job.netlist, job.power, job.rule, job.shards_per_round));
+        parts.push((
+            job.netlist,
+            job.power,
+            job.factory,
+            job.rule,
+            job.shards_per_round,
+        ));
     }
-    let mut engines = Vec::with_capacity(n_jobs);
-    let mut states = Vec::with_capacity(n_jobs);
-    let mut remaining_jobs = 0usize;
-    // Worker budget: per job at most one round — `shards_per_round` shards —
-    // is ever in flight, so no thread beyond the fleet's peak runnable-shard
+    let mut engines = Vec::with_capacity(configs.len());
+    let mut factories = Vec::with_capacity(configs.len());
+    let mut folders = Vec::with_capacity(configs.len());
+    let mut cursors = Vec::with_capacity(configs.len());
+    // Pool size: per job at most one round — `shards_per_round` shards — is
+    // ever runnable, so no thread beyond the fleet's peak runnable-shard
     // count can find work.
     let mut concurrency = 0usize;
-    for ((netlist, power, rule, shards_per_round), config) in parts.into_iter().zip(&configs) {
+    for ((netlist, power, factory, rule, shards_per_round), config) in
+        parts.into_iter().zip(&configs)
+    {
         engines.push(Engine::new(
             netlist,
             power,
             config,
             parallelism.lane_words(),
         )?);
-        let n_shards = shard_grid(config).len();
-        let rounds = job_rounds(n_shards, shards_per_round);
-        concurrency += n_shards.min(shards_per_round.max(1));
-        let done = rounds.is_empty();
-        remaining_jobs += usize::from(!done);
-        states.push(JobState {
-            rule,
-            planned_fixed: config.n_fixed,
-            planned_random: config.n_random,
-            acc: None,
-            stats: CampaignStats {
-                planned_rounds: rounds.len(),
-                ..CampaignStats::default()
-            },
-            rounds,
-            next_round: 0,
-            round_base: 0,
-            slots: Vec::new(),
-            outstanding: 0,
-            done,
+        let folder = RoundFolder::new(config, shards_per_round, rule);
+        let round = folder.round_range();
+        concurrency += round.len();
+        cursors.push(Cursor {
+            next: round.start,
+            end: round.end,
+            folded: 0,
         });
+        factories.push(factory);
+        folders.push(Mutex::new(folder));
     }
-    let grids: Vec<Vec<ShardSpec>> = configs.iter().map(shard_grid).collect();
-
+    let remaining_jobs = cursors.iter().filter(|c| c.next < c.end).count();
+    let threads = parallelism.threads().min(concurrency.max(1));
     let shared = FleetShared {
-        inner: Mutex::new(FleetInner {
-            queue: VecDeque::new(),
-            jobs: states,
+        queue: Mutex::new(FleetQueue {
+            cursors,
             remaining_jobs,
             poisoned: false,
         }),
         work_ready: Condvar::new(),
+        folders,
+        engines,
+        grids: configs.iter().map(shard_grid).collect(),
+        factories,
+        window: threads,
     };
-    {
-        let mut inner = lock(&shared);
-        for j in 0..n_jobs {
-            if !inner.jobs[j].done {
-                enqueue_round(&mut inner, j);
-            }
-        }
-    }
-
-    let threads = parallelism.threads().min(concurrency.max(1));
     if remaining_jobs > 0 {
         if threads <= 1 {
-            // Inline path: the queue only drains when every job is done, so
-            // a single worker never waits on the condvar.
-            worker_loop(&shared, &engines, &grids, &factories, recorder);
+            // Inline path: a single worker never waits on the condvar.
+            worker_loop(&shared, recorder);
         } else {
             std::thread::scope(|scope| {
                 for _ in 0..threads {
-                    scope.spawn(|| worker_loop(&shared, &engines, &grids, &factories, recorder));
+                    scope.spawn(|| worker_loop(&shared, recorder));
                 }
             });
         }
     }
 
-    let inner = shared
-        .inner
+    let queue = shared
+        .queue
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
     assert!(
-        !inner.poisoned && inner.remaining_jobs == 0,
+        !queue.poisoned && queue.remaining_jobs == 0,
         "fleet pool exited with unfinished jobs"
     );
-    Ok(inner
-        .jobs
+    Ok(shared
+        .folders
         .into_iter()
-        .map(|st| CampaignOutcome {
-            sink: st.acc.unwrap_or_default(),
-            stats: st.stats,
+        .zip(&shared.factories)
+        .map(|(folder, factory)| {
+            folder
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .finish(factory)
         })
         .collect())
 }
@@ -566,10 +534,32 @@ where
 mod tests {
     use super::*;
     use crate::campaign::{
-        collect_gate_samples_parallel, run_campaign_adaptive, run_campaign_parallel, GateSamples,
-        TraceSink, DEFAULT_SHARDS_PER_ROUND,
+        collect_gate_samples_parallel, run_campaign_adaptive, run_campaign_parallel, CampaignStats,
+        Checkpoint, GateSamples, Population, TraceSink, DEFAULT_SHARDS_PER_ROUND, TRACES_PER_SHARD,
     };
     use polaris_netlist::generators;
+    use std::ops::Range;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The grid ranges a job's folder hands out, round by round, when every
+    /// shard of each round is ingested in order.
+    fn job_rounds(n_shards: usize, shards_per_round: usize) -> Vec<Range<usize>> {
+        let config = CampaignConfig::new(
+            n_shards.div_ceil(2) * TRACES_PER_SHARD,
+            n_shards / 2 * TRACES_PER_SHARD,
+            1,
+        );
+        let mut folder = RoundFolder::new(&config, shards_per_round, Box::new(NeverStop));
+        let mut rounds = Vec::new();
+        while !folder.round_range().is_empty() {
+            let round = folder.round_range();
+            for i in round.clone() {
+                folder.ingest(i, CountProbe::default());
+            }
+            rounds.push(round);
+        }
+        rounds
+    }
 
     #[test]
     fn job_rounds_tile_the_grid() {
@@ -593,6 +583,47 @@ mod tests {
         assert!(job_rounds(0, 1).is_empty());
         // spr == 0 is clamped to 1, matching the standalone driver.
         assert_eq!(job_rounds(3, 0).len(), 3);
+    }
+
+    #[test]
+    fn a_late_booking_never_moves_a_folded_prefix_back() {
+        // One job, one six-shard round, a pool window of three.
+        let config = CampaignConfig::new(3 * TRACES_PER_SHARD, 3 * TRACES_PER_SHARD, 1);
+        let mut folder = RoundFolder::new(&config, usize::MAX, Box::new(NeverStop));
+        assert_eq!(folder.round_range(), 0..6);
+        let mut queue = FleetQueue {
+            cursors: vec![Cursor {
+                next: 0,
+                end: 6,
+                folded: 0,
+            }],
+            remaining_jobs: 1,
+            poisoned: false,
+        };
+        for want in 0..3 {
+            assert_eq!(queue.pop(3), Some((0, want)));
+        }
+        assert_eq!(queue.pop(3), None, "the window is full");
+        // Shard 1 arrives first and parks; its booking comes last of all.
+        let late = folder.ingest(1, CountProbe::default());
+        assert_eq!(late, Ingest::Waiting);
+        let ingest = folder.ingest(0, CountProbe::default());
+        queue.book(0, ingest, &folder);
+        assert_eq!(queue.pop(3), Some((0, 3)));
+        assert_eq!(queue.pop(3), Some((0, 4)));
+        for i in 2..5 {
+            let ingest = folder.ingest(i, CountProbe::default());
+            queue.book(0, ingest, &folder);
+        }
+        queue.book(0, late, &folder);
+        assert_eq!(
+            queue.pop(3),
+            Some((0, 5)),
+            "the job's last shard is handed out"
+        );
+        let ingest = folder.ingest(5, CountProbe::default());
+        assert!(queue.book(0, ingest, &folder), "the fleet is done");
+        assert_eq!(queue.remaining_jobs, 0);
     }
 
     #[test]
@@ -785,6 +816,55 @@ mod tests {
         for id in c17.ids() {
             assert_eq!(outcomes[0].sink.fixed(id), solo.fixed(id));
             assert_eq!(outcomes[0].sink.random(id), solo.random(id));
+        }
+    }
+
+    /// Live `LiveProbe` instances, and the most ever alive at once.
+    static LIVE: AtomicUsize = AtomicUsize::new(0);
+    static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+    /// A sink that counts its own live instances.
+    struct LiveProbe;
+
+    impl Default for LiveProbe {
+        fn default() -> Self {
+            let live = LIVE.fetch_add(1, Ordering::SeqCst) + 1;
+            PEAK.fetch_max(live, Ordering::SeqCst);
+            LiveProbe
+        }
+    }
+
+    impl Drop for LiveProbe {
+        fn drop(&mut self) {
+            LIVE.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    impl TraceSink for LiveProbe {
+        fn record_batch(&mut self, _pop: Population, _batch: crate::campaign::EnergyBatch<'_>) {}
+    }
+
+    impl MergeableSink for LiveProbe {
+        fn merge(&mut self, _other: Self) {}
+    }
+
+    #[test]
+    fn a_one_round_job_never_holds_a_sink_per_shard() {
+        let c17 = generators::iscas_c17();
+        let model = PowerModel::default();
+        // 80 shards, all in the job's single round.
+        let cfg = CampaignConfig::new(40 * TRACES_PER_SHARD, 40 * TRACES_PER_SHARD, 5);
+        for threads in [1usize, 3] {
+            PEAK.store(LIVE.load(Ordering::SeqCst), Ordering::SeqCst);
+            let jobs = vec![FleetJob::<LiveProbe>::new(&c17, &model, cfg.clone())];
+            let outcomes = run_fleet(jobs, Parallelism::new(threads)).unwrap();
+            assert_eq!(outcomes[0].stats.rounds, 1);
+            drop(outcomes);
+            let peak = PEAK.load(Ordering::SeqCst);
+            assert!(
+                peak <= threads + 1,
+                "{peak} sinks alive at once with {threads} threads"
+            );
         }
     }
 }

@@ -27,10 +27,13 @@
 //! evaluates a [`StoppingRule`] on the checkpoint-folded state after each
 //! round and terminates the trace stream once the leakage verdict has
 //! converged — an early-stopped run is the exact prefix of the full run.
-//! Whole *suites* of campaigns schedule as [`fleet`] work items on one
-//! shared pool ([`fleet::run_fleet`]): shards of different campaigns
-//! interleave on the same workers while every job stays byte-identical to
-//! its standalone run.
+//! That fold-and-checkpoint state machine is written once, as
+//! [`RoundFolder`], and every driver — the in-process engine, the fleet
+//! scheduler, the distributed coordinator — feeds it.
+//! A campaign run is one value, a [`FleetJob`]: [`FleetJob::run`] runs it
+//! alone, and whole *suites* of them schedule on one shared pool
+//! ([`fleet::run_fleet`]): shards of different campaigns interleave on the
+//! same workers while every job stays byte-identical to its standalone run.
 //!
 //! # Example
 //!
@@ -61,16 +64,18 @@ pub mod campaign;
 pub mod fleet;
 pub mod logic;
 pub mod power;
+pub mod round;
 
 pub use campaign::{
     collect_gate_samples, collect_gate_samples_parallel, fold_shard_states, partition_shards,
-    run_campaign, run_campaign_adaptive, run_campaign_parallel, run_campaign_parallel_with,
-    run_campaign_traced, run_campaign_traced_with, run_shard_states, run_shard_states_traced_with,
-    run_shard_states_with, shard_grid, BatchShapeError, CampaignConfig, CampaignOutcome,
-    CampaignStats, Checkpoint, DelayModel, EnergyBatch, GateSamples, MergeableSink, NeverStop,
-    Parallelism, Population, ShardSpec, StoppingRule, TraceSink, BATCH_LANES, DEFAULT_LANE_WORDS,
-    MAX_LANE_WORDS, WORD_LANES,
+    run_campaign, run_campaign_adaptive, run_campaign_parallel, run_campaign_traced,
+    run_shard_states, run_shard_states_traced_with, shard_grid, BatchShapeError, CampaignConfig,
+    DelayModel, EnergyBatch, GateSamples, MergeableSink, Parallelism, Population, ShardSpec,
+    TraceSink, BATCH_LANES, DEFAULT_LANE_WORDS, MAX_LANE_WORDS, WORD_LANES,
 };
-pub use fleet::{job_rounds, run_fleet, run_fleet_traced, FleetJob};
+pub use fleet::{run_fleet, run_fleet_traced, FleetJob};
 pub use logic::{BlockState, SimState, Simulator};
 pub use power::PowerModel;
+pub use round::{
+    CampaignOutcome, CampaignStats, Checkpoint, Ingest, NeverStop, RoundFolder, StoppingRule,
+};

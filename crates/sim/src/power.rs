@@ -188,7 +188,7 @@ fn cos_tau(u: f64) -> f64 {
 /// sample in output order — the same consumption pattern as calling
 /// [`sample_standard_normal`] `out.len()` times, so RNG stream positions
 /// are interchangeable between the scalar and batched paths. The math uses
-/// the polynomial [`ln_unit`] / [`cos_tau`] kernels instead of `libm`, so
+/// the polynomial `ln_unit` / `cos_tau` kernels instead of `libm`, so
 /// the *values* differ from the scalar path in the low bits but are
 /// bit-identical across platforms and batch partitionings.
 ///

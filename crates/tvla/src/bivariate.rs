@@ -37,10 +37,12 @@
 //! so their t-values are bit-for-bit identical to the streaming engine's.
 
 use polaris_netlist::{GateId, Netlist, NetlistError};
+use polaris_obs::NullRecorder;
 use polaris_sim::campaign::{
-    run_campaign_parallel_with, CampaignConfig, EnergyBatch, GateSamples, MergeableSink,
-    Parallelism, Population, TraceSink, TRACES_PER_SHARD,
+    CampaignConfig, EnergyBatch, GateSamples, MergeableSink, Parallelism, Population, TraceSink,
+    TRACES_PER_SHARD,
 };
+use polaris_sim::fleet::FleetJob;
 use polaris_sim::power::PowerModel;
 
 use crate::welch::WelchResult;
@@ -420,8 +422,8 @@ impl From<NetlistError> for MultivariateError {
 /// `O(gate-pairs)` memory regardless of trace count.
 ///
 /// The accumulator is a [`MergeableSink`], so it rides every execution
-/// strategy of the campaign engine unchanged — [`run_campaign_parallel_with`]
-/// threads, fleet jobs via a sink factory, and distributed shard states —
+/// strategy of the campaign engine unchanged — [`FleetJob::run`] threads and
+/// fleet jobs via a sink factory, and distributed shard states —
 /// with the usual guarantee: bit-identical results at any thread count,
 /// lane width, or shard partitioning.
 ///
@@ -619,11 +621,10 @@ pub fn assess_pairs(
     pairs: &[(u32, u32)],
 ) -> Result<Vec<(GateId, GateId, WelchResult)>, BivariateError> {
     validate_pairs(pairs, netlist.gate_count())?;
-    let acc: PairAccumulator =
-        run_campaign_parallel_with(netlist, model, config, parallelism, || {
-            PairAccumulator::for_pairs(pairs.to_vec())
-        })?;
-    Ok(acc.sweep())
+    let outcome = FleetJob::new(netlist, model, config.clone())
+        .with_sink_factory(|| PairAccumulator::for_pairs(pairs.to_vec()))
+        .run(parallelism, &NullRecorder)?;
+    Ok(outcome.sink.sweep())
 }
 
 /// Folds one gate pair's dense class buffers through the campaign engine's

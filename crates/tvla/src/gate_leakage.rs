@@ -356,8 +356,9 @@ pub fn assess_parallel(
 
 /// [`assess_parallel`] reporting structured trace events (campaign frame,
 /// per-shard phase spans, fold spans) to `recorder`. The full shard grid is
-/// walked — no stopping rule, so no checkpoint/audit events — and the
-/// leakage map is byte-identical to the untraced run.
+/// walked as the one round the untraced run uses — no stopping rule, so no
+/// checkpoint/audit events — and the leakage map is byte-identical to the
+/// untraced run.
 ///
 /// # Errors
 ///
@@ -374,7 +375,7 @@ pub fn assess_parallel_traced(
         model,
         config,
         parallelism,
-        polaris_sim::campaign::DEFAULT_SHARDS_PER_ROUND,
+        usize::MAX,
         &mut NeverStop,
         recorder.as_ref(),
     )?;

@@ -39,10 +39,11 @@
 //! (see [`TripleAccumulator`]).
 
 use polaris_netlist::{GateId, Netlist};
+use polaris_obs::NullRecorder;
 use polaris_sim::campaign::{
-    run_campaign_parallel_with, CampaignConfig, EnergyBatch, MergeableSink, Parallelism,
-    Population, TraceSink,
+    CampaignConfig, EnergyBatch, MergeableSink, Parallelism, Population, TraceSink,
 };
+use polaris_sim::fleet::FleetJob;
 use polaris_sim::power::PowerModel;
 
 use crate::bivariate::MultivariateError;
@@ -92,7 +93,7 @@ pub const TRIPLE_MOMENTS_RAW_LEN: usize = 26;
 
 /// Streaming accumulator for trivariate central co-moments through degree
 /// `(2, 2, 2)` — see the module docs for the recentering algebra. The
-/// `c` table is indexed by [`idx`]; entries of total degree < 2 are
+/// `c` table is indexed by `idx`; entries of total degree < 2 are
 /// structurally zero (the mean lives in `mean`, degree-1 central moments
 /// vanish identically).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -259,7 +260,7 @@ impl TripleMoments {
     }
 
     /// The raw accumulator state `(n, [μx, μy, μz, C_pqr...])` with the 23
-    /// co-moments in [`MOMENT_TRIPLES`] order — the snapshot side of the
+    /// co-moments in `MOMENT_TRIPLES` order — the snapshot side of the
     /// distributed shard-state format. Together with
     /// [`TripleMoments::from_raw_parts`] this round-trips the accumulator
     /// exactly (floats transported bit for bit), so a restored accumulator
@@ -319,8 +320,8 @@ pub fn triple_welch_t(q0: &TripleMoments, q1: &TripleMoments) -> WelchResult {
 ///
 /// The accumulator is a [`MergeableSink`], so it rides every execution
 /// strategy of the campaign engine unchanged —
-/// [`run_campaign_parallel_with`] threads, fleet jobs via a sink factory,
-/// and distributed shard states — with the usual guarantee: bit-identical
+/// [`FleetJob::run`] threads and fleet jobs via a sink factory, and
+/// distributed shard states — with the usual guarantee: bit-identical
 /// results at any thread count, lane width, or shard partitioning.
 ///
 /// A default-constructed accumulator tracks no triples (the identity the
@@ -529,11 +530,10 @@ pub fn assess_triples(
     triples: &[(u32, u32, u32)],
 ) -> Result<Vec<(GateId, GateId, GateId, WelchResult)>, MultivariateError> {
     validate_triples(triples, netlist.gate_count())?;
-    let acc: TripleAccumulator =
-        run_campaign_parallel_with(netlist, model, config, parallelism, || {
-            TripleAccumulator::for_triples(triples.to_vec())
-        })?;
-    Ok(acc.sweep())
+    let outcome = FleetJob::new(netlist, model, config.clone())
+        .with_sink_factory(|| TripleAccumulator::for_triples(triples.to_vec()))
+        .run(parallelism, &NullRecorder)?;
+    Ok(outcome.sink.sweep())
 }
 
 #[cfg(test)]

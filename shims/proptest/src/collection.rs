@@ -5,7 +5,7 @@ use rand::Rng;
 
 use crate::strategy::Strategy;
 
-/// Length specifications accepted by [`vec`]: an exact `usize`, `lo..hi`,
+/// Length specifications accepted by [`vec()`]: an exact `usize`, `lo..hi`,
 /// or `lo..=hi`.
 pub trait SizeRange {
     /// Inclusive lower bound and exclusive upper bound.

@@ -6,10 +6,11 @@
 //! a shared computation DAG (fixed shard grid, canonical ascending fold) —
 //! these tests pin that the bivariate sink joined it.
 
-use polaris_dist::{execute_part_with, merge_parts};
+use polaris_dist::{execute_part_traced_with, merge_parts};
 use polaris_netlist::{generators, GateId, Netlist};
+use polaris_obs::NullRecorder;
 use polaris_sim::fleet::{run_fleet, FleetJob};
-use polaris_sim::{run_campaign_parallel_with, CampaignConfig, Parallelism, PowerModel};
+use polaris_sim::{CampaignConfig, Parallelism, PowerModel};
 use polaris_tvla::{all_pairs, bivariate_t, PairAccumulator};
 
 fn design() -> Netlist {
@@ -34,11 +35,11 @@ fn streaming_bits(
     par: Parallelism,
     pairs: &[(u32, u32)],
 ) -> Vec<(u64, u64)> {
-    let acc: PairAccumulator =
-        run_campaign_parallel_with(n, &PowerModel::default(), cfg, par, || {
-            PairAccumulator::for_pairs(pairs.to_vec())
-        })
-        .expect("campaign");
+    let acc = FleetJob::new(n, &PowerModel::default(), cfg.clone())
+        .with_sink_factory(|| PairAccumulator::for_pairs(pairs.to_vec()))
+        .run(par, &NullRecorder)
+        .expect("campaign")
+        .sink;
     acc.results()
         .iter()
         .map(|(_, _, r)| (r.t.to_bits(), r.dof.to_bits()))
@@ -102,9 +103,16 @@ fn distributed_split_folds_bit_identically_at_any_partitioning() {
     for parts in [1usize, 2, 3] {
         let files: Vec<Vec<u8>> = (0..parts)
             .map(|i| {
-                execute_part_with(&n, &model, &cfg, Parallelism::new(2), i, parts, || {
-                    PairAccumulator::for_pairs(pairs.clone())
-                })
+                execute_part_traced_with(
+                    &n,
+                    &model,
+                    &cfg,
+                    Parallelism::new(2),
+                    i,
+                    parts,
+                    || PairAccumulator::for_pairs(pairs.clone()),
+                    &NullRecorder,
+                )
                 .expect("part executes")
             })
             .collect();

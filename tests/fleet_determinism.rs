@@ -12,14 +12,33 @@ use polaris::pipeline::{MaskBudget, PolarisPipeline};
 use polaris_netlist::generators;
 use polaris_netlist::transform::decompose;
 use polaris_sim::campaign::{partition_shards, shard_grid, TRACES_PER_SHARD};
-use polaris_sim::fleet::job_rounds;
 use polaris_sim::{
-    run_campaign_parallel, run_fleet, CampaignConfig, FleetJob, GateSamples, Parallelism,
-    PowerModel,
+    run_campaign_parallel, run_fleet, CampaignConfig, FleetJob, GateSamples, NeverStop,
+    Parallelism, PowerModel, RoundFolder,
 };
 use polaris_tvla::{
     adaptive_fleet_job, campaign_outcome_adaptive, SequentialConfig, WelchAccumulator,
 };
+
+/// The grid ranges a job's [`RoundFolder`] hands out, round by round, over
+/// a campaign of exactly `n` shards whose states are ingested in order.
+fn job_rounds(n: usize, spr: usize) -> Vec<std::ops::Range<usize>> {
+    let config = CampaignConfig::new(
+        n.div_ceil(2) * TRACES_PER_SHARD,
+        n / 2 * TRACES_PER_SHARD,
+        1,
+    );
+    let mut folder = RoundFolder::new(&config, spr, Box::new(NeverStop));
+    let mut rounds = Vec::new();
+    while !folder.round_range().is_empty() {
+        let round = folder.round_range();
+        for i in round.clone() {
+            folder.ingest(i, GateSamples::default());
+        }
+        rounds.push(round);
+    }
+    rounds
+}
 
 fn t_bits(design: &polaris_netlist::Netlist, acc: &WelchAccumulator) -> Vec<(u64, u64)> {
     let leakage = acc.leakage();
@@ -227,9 +246,9 @@ proptest! {
         prop_assert!(max - min <= 1, "balanced: {:?}", sizes);
     }
 
-    /// The fleet's round decomposition tiles every job grid contiguously at
-    /// any checkpoint granularity — the queue enqueues exactly these ranges,
-    /// so together with the in-order fold this is the no-loss/no-dup
+    /// A job folder's round decomposition tiles every job grid contiguously
+    /// at any checkpoint granularity — the fleet hands out exactly these
+    /// ranges, so together with the in-order fold this is the no-loss/no-dup
     /// invariant of the scheduler's work accounting.
     #[test]
     fn job_rounds_tile_contiguously(n in 0usize..500, spr in 0usize..40) {

@@ -11,10 +11,12 @@ use std::sync::Arc;
 use polaris_netlist::{generators, Netlist};
 use polaris_obs::{parse_trace, JsonlRecorder, Payload, TraceSummary};
 use polaris_sim::{
-    run_campaign_parallel, run_campaign_traced, CampaignConfig, NeverStop, Parallelism, PowerModel,
+    run_campaign_parallel, run_campaign_traced, CampaignConfig, FleetJob, NeverStop, Parallelism,
+    PowerModel,
 };
 use polaris_tvla::{
-    campaign_outcome_adaptive, campaign_outcome_adaptive_traced, SequentialConfig, WelchAccumulator,
+    assess_parallel, assess_parallel_traced, campaign_outcome_adaptive,
+    campaign_outcome_adaptive_traced, SequentialConfig, WelchAccumulator,
 };
 
 fn design() -> Netlist {
@@ -88,6 +90,43 @@ fn recording_is_byte_identical_across_threads_and_lane_widths() {
             );
             assert_eq!(off.stats, on.stats);
         }
+    }
+}
+
+/// `--trace-out` profiles the schedule the real run uses: traced
+/// `assess_parallel` walks the grid in the same single round as the
+/// untraced engine, so its trace holds one fold span per untraced round.
+#[test]
+fn traced_assessment_runs_the_untraced_round_schedule() {
+    let netlist = design();
+    let model = PowerModel::default();
+    let config = CampaignConfig::new(1_500, 1_500, 11);
+    for threads in [1usize, 2] {
+        let par = Parallelism::new(threads);
+        let untraced = FleetJob::<WelchAccumulator>::new(&netlist, &model, config.clone())
+            .run(par, &polaris_obs::NullRecorder)
+            .expect("campaign runs");
+        assert_eq!(untraced.stats.rounds, 1);
+        let recorder = Arc::new(JsonlRecorder::new());
+        let traced = assess_parallel_traced(&netlist, &model, &config, par, recorder.clone())
+            .expect("campaign runs");
+        let plain = assess_parallel(&netlist, &model, &config, par).expect("campaign runs");
+        let events = parse_trace(&recorder.to_jsonl()).expect("recorded trace parses");
+        let fold_spans = events
+            .iter()
+            .filter(|ev| matches!(ev.payload, Payload::FoldSpan { .. }))
+            .count();
+        assert_eq!(
+            fold_spans, untraced.stats.rounds,
+            "traced run used a different round schedule at {threads} threads"
+        );
+        let bits = |l: &polaris_tvla::GateLeakage| {
+            netlist
+                .ids()
+                .map(|id| l.result(id).t.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&traced), bits(&plain));
     }
 }
 

@@ -8,11 +8,12 @@
 //! 3-share ISW masked AND is clean through order 2 and fails only the
 //! third-order test.
 
-use polaris_dist::{execute_part_with, merge_parts};
+use polaris_dist::{execute_part_traced_with, merge_parts};
 use polaris_masking::isw::{masked_and_order2, IswMasks};
 use polaris_netlist::{generators, Netlist};
+use polaris_obs::NullRecorder;
 use polaris_sim::fleet::{run_fleet, FleetJob};
-use polaris_sim::{run_campaign_parallel_with, CampaignConfig, Parallelism, PowerModel};
+use polaris_sim::{CampaignConfig, Parallelism, PowerModel};
 use polaris_tvla::{
     all_pairs, all_triples, assess_pairs, assess_triples, TripleAccumulator, TVLA_THRESHOLD,
 };
@@ -39,11 +40,11 @@ fn streaming_bits(
     par: Parallelism,
     triples: &[(u32, u32, u32)],
 ) -> Vec<(u64, u64)> {
-    let acc: TripleAccumulator =
-        run_campaign_parallel_with(n, &PowerModel::default(), cfg, par, || {
-            TripleAccumulator::for_triples(triples.to_vec())
-        })
-        .expect("campaign");
+    let acc = FleetJob::new(n, &PowerModel::default(), cfg.clone())
+        .with_sink_factory(|| TripleAccumulator::for_triples(triples.to_vec()))
+        .run(par, &NullRecorder)
+        .expect("campaign")
+        .sink;
     acc.results()
         .iter()
         .map(|(_, _, _, r)| (r.t.to_bits(), r.dof.to_bits()))
@@ -80,9 +81,16 @@ fn distributed_split_folds_bit_identically_at_any_partitioning() {
     for parts in [1usize, 2, 3] {
         let files: Vec<Vec<u8>> = (0..parts)
             .map(|i| {
-                execute_part_with(&n, &model, &cfg, Parallelism::new(2), i, parts, || {
-                    TripleAccumulator::for_triples(triples.clone())
-                })
+                execute_part_traced_with(
+                    &n,
+                    &model,
+                    &cfg,
+                    Parallelism::new(2),
+                    i,
+                    parts,
+                    || TripleAccumulator::for_triples(triples.clone()),
+                    &NullRecorder,
+                )
                 .expect("part executes")
             })
             .collect();
