@@ -19,12 +19,19 @@
 //! that stays silent past it (or drops) has its leases re-issued to the
 //! surviving fleet. Workers `Ping` while a lease executes, so long
 //! simulations do not look like death.
+//!
+//! Nothing on the serve path waits on a timer. The accept loop blocks in
+//! `accept` (a shutdown wakes it with one loopback connect); a worker's
+//! `Next` that finds no work is held on the condvar that every submission,
+//! settled lease, lost worker and shutdown notifies, for up to half the
+//! heartbeat budget, and the worker re-asks right after an `Idle`. Every
+//! socket runs with `TCP_NODELAY`, and every message is one write.
 
 use std::io::{BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use polaris_dist::{
     Coordinator, DesignFormat, JobResult, JobStatus, Message, ProtoError, ResultOrigin, Submission,
@@ -55,8 +62,10 @@ const WORKER_USAGE: &str = "\
 worker --connect HOST:PORT [--name ID --threads N --lane-words W]
 
 Attaches a live worker to a running serve daemon and executes leased shard
-ranges until the daemon drains. --threads/--lane-words are throughput knobs
-only; results are bit-identical at any setting.";
+ranges until the daemon drains. The daemon holds each task request until
+work arrives (up to half its heartbeat budget), so a submission starts on
+an idle worker at once. --threads/--lane-words are throughput knobs only;
+results are bit-identical at any setting.";
 
 const SUBMIT_USAGE: &str = "\
 submit <netlist> --connect HOST:PORT [--tenant ID --traces N --seed N
@@ -87,14 +96,22 @@ fn proto_err(e: ProtoError) -> CliError {
     }
 }
 
+/// Why a coordinator lock can fail: another connection thread panicked
+/// while holding it.
+const POISONED: &str = "coordinator lock poisoned by a panicked connection thread";
+
 /// State shared between the accept loop and every connection thread. The
-/// condvar signals job settlement (and shutdown) to waiting submit
-/// handlers; it pairs with the coordinator mutex.
+/// condvar pairs with the coordinator mutex and is notified after every
+/// change a waiter may be waiting for — new leasable work, a settled job,
+/// shutdown — so waiting submit handlers and long-polling `Next` handlers
+/// wake at once.
 struct Shared {
     coordinator: Mutex<Coordinator>,
-    settled: Condvar,
+    changed: Condvar,
     shutdown: AtomicBool,
     heartbeat_ms: u64,
+    /// Where a shutdown connects to wake the accept loop.
+    wake: SocketAddr,
 }
 
 /// `polaris-cli serve`
@@ -119,34 +136,39 @@ pub(crate) fn serve(args: &[String]) -> Result<(), CliError> {
     let addr = listener
         .local_addr()
         .map_err(|e| CliError::from(e.to_string()))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| CliError::from(e.to_string()))?;
     println!("serving on {addr}");
     std::io::stdout().flush().ok();
     if let Some(path) = flags.get("port-file") {
         write_file(path, &format!("{addr}\n")).map_err(CliError::from)?;
     }
 
+    let wake_ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
     let shared = Arc::new(Shared {
         coordinator: Mutex::new(Coordinator::new(trace.recorder())),
-        settled: Condvar::new(),
+        changed: Condvar::new(),
         shutdown: AtomicBool::new(false),
         heartbeat_ms,
+        wake: SocketAddr::new(wake_ip, addr.port()),
     });
-    let mut handles = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
+                handles.retain(|h| !h.is_finished());
                 let shared = Arc::clone(&shared);
                 handles.push(std::thread::spawn(move || {
                     if let Err(e) = handle_connection(stream, &shared) {
                         eprintln!("connection: {e}");
                     }
                 }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
             }
             Err(e) => {
                 eprintln!("accept: {e}");
@@ -187,6 +209,7 @@ pub(crate) fn serve(args: &[String]) -> Result<(), CliError> {
 /// the daemon.
 fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), String> {
     let e = |e: std::io::Error| e.to_string();
+    stream.set_nodelay(true).map_err(e)?;
     // Bound the first read so a silent connection cannot wedge shutdown.
     stream
         .set_read_timeout(Some(Duration::from_millis(10_000)))
@@ -212,9 +235,16 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), String> {
             reply.write_to(&mut writer).map_err(e)
         }
         Ok(Some(Message::Shutdown)) => {
+            // Set the flag under the lock, so a handler that has just found
+            // it clear is already waiting when the notification comes.
+            let guard = shared.coordinator.lock().expect(POISONED);
             shared.shutdown.store(true, Ordering::SeqCst);
-            shared.settled.notify_all();
-            Ok(())
+            drop(guard);
+            shared.changed.notify_all();
+            // Wake the accept loop, which re-checks the flag.
+            TcpStream::connect_timeout(&shared.wake, Duration::from_secs(5))
+                .map(drop)
+                .map_err(|err| format!("waking the accept loop: {err}"))
         }
         Ok(Some(_)) => {
             let _ = Message::Error {
@@ -237,9 +267,10 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), String> {
 }
 
 /// The daemon side of one worker connection: a pull loop of `Next` →
-/// `Task`/`Idle`, with `Done`/`Fail` settling leases. Leaving the loop for
-/// any reason — heartbeat timeout, EOF, protocol violation, drain — marks
-/// the worker lost so its outstanding leases are re-issued.
+/// `Task`/`Idle`/`Shutdown` (see [`next_reply`]), with `Done`/`Fail`
+/// settling leases. Leaving the loop for any reason — heartbeat timeout,
+/// EOF, protocol violation, drain — marks the worker lost so its
+/// outstanding leases are re-issued.
 fn serve_worker(
     reader: &mut BufReader<TcpStream>,
     writer: &mut TcpStream,
@@ -264,18 +295,11 @@ fn serve_worker(
     loop {
         match Message::read_from(reader) {
             Ok(Some(Message::Next)) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    let _ = Message::Shutdown.write_to(writer);
+                let reply = next_reply(shared, worker);
+                if reply == Message::Shutdown {
+                    let _ = reply.write_to(writer);
                     break;
                 }
-                let task = shared.coordinator.lock().unwrap().next_task(worker);
-                let reply = match task {
-                    Some((lease, spec)) => Message::Task {
-                        task: lease,
-                        blob: spec.render(),
-                    },
-                    None => Message::Idle,
-                };
                 reply.write_to(writer).map_err(|e| e.to_string())?;
             }
             Ok(Some(Message::Ping)) => {}
@@ -288,12 +312,12 @@ fn serve_worker(
                 if let Err(err) = outcome {
                     eprintln!("worker {name}: part for lease {task} rejected: {err}");
                 }
-                shared.settled.notify_all();
+                shared.changed.notify_all();
             }
             Ok(Some(Message::Fail { task, reason })) => {
                 shared.coordinator.lock().unwrap().fail_task(task, &reason);
                 eprintln!("worker {name}: lease {task} failed: {reason}");
-                shared.settled.notify_all();
+                shared.changed.notify_all();
             }
             // Protocol violation, clean EOF, heartbeat timeout, or transport
             // failure: in every case the worker is no longer usable.
@@ -301,8 +325,33 @@ fn serve_worker(
         }
     }
     shared.coordinator.lock().unwrap().worker_lost(worker);
-    shared.settled.notify_all();
+    shared.changed.notify_all();
     Ok(())
+}
+
+/// The reply to one `Next`: a lease as soon as one is available, or
+/// `Shutdown` as soon as the daemon drains. While neither holds, the
+/// handler waits on the condvar with the coordinator unlocked, and answers
+/// `Idle` after half the heartbeat budget.
+fn next_reply(shared: &Shared, worker: u64) -> Message {
+    let deadline = Instant::now() + Duration::from_millis(shared.heartbeat_ms / 2);
+    let mut guard = shared.coordinator.lock().expect(POISONED);
+    loop {
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return Message::Shutdown;
+        }
+        if let Some((lease, spec)) = guard.next_task(worker) {
+            return Message::Task {
+                task: lease,
+                blob: spec.render(),
+            };
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Message::Idle;
+        }
+        guard = shared.changed.wait_timeout(guard, left).expect(POISONED).0;
+    }
 }
 
 /// The daemon side of one client submission: parse, submit, wait for the
@@ -326,6 +375,7 @@ fn client_reply(shared: &Shared, version: u16, blob: &[u8]) -> Message {
         }
     };
     let outcome = shared.coordinator.lock().unwrap().submit(&sub);
+    shared.changed.notify_all();
     match outcome {
         Err(e) => Message::Error {
             code: e.exit_class(),
@@ -357,7 +407,7 @@ fn client_reply(shared: &Shared, version: u16, blob: &[u8]) -> Message {
                             };
                         }
                         let (g, _) = shared
-                            .settled
+                            .changed
                             .wait_timeout(guard, Duration::from_millis(100))
                             .unwrap();
                         guard = g;
@@ -382,6 +432,16 @@ fn result_message(result: &JobResult, origin: ResultOrigin) -> Message {
     }
 }
 
+/// Connects to the daemon with `TCP_NODELAY` set and returns the read and
+/// write halves of the socket.
+fn connect_to(addr: &str) -> Result<(BufReader<TcpStream>, TcpStream), CliError> {
+    let stream = TcpStream::connect(addr)
+        .map_err(|e| CliError::from(format!("cannot connect to {addr}: {e}")))?;
+    stream.set_nodelay(true).map_err(io_err)?;
+    let reader = BufReader::new(stream.try_clone().map_err(io_err)?);
+    Ok((reader, stream))
+}
+
 /// `polaris-cli worker`
 pub(crate) fn worker(args: &[String]) -> Result<(), CliError> {
     let flags = Flags::parse(args, &["help"]).map_err(CliError::from)?;
@@ -394,14 +454,7 @@ pub(crate) fn worker(args: &[String]) -> Result<(), CliError> {
         .ok_or_else(|| CliError::from("missing --connect HOST:PORT".to_string()))?;
     let name = flags.get("name").unwrap_or("worker");
     let parallelism = parallelism_from(&flags).map_err(CliError::from)?;
-    let stream = TcpStream::connect(connect)
-        .map_err(|e| CliError::from(format!("cannot connect to {connect}: {e}")))?;
-    let mut reader = BufReader::new(
-        stream
-            .try_clone()
-            .map_err(|e| CliError::from(e.to_string()))?,
-    );
-    let mut writer = stream;
+    let (mut reader, mut writer) = connect_to(connect)?;
     Message::Hello {
         version: PROTO_VERSION,
         name: name.to_string(),
@@ -440,9 +493,7 @@ pub(crate) fn worker(args: &[String]) -> Result<(), CliError> {
                     }
                 }
             }
-            Some(Message::Idle) => {
-                std::thread::sleep(Duration::from_millis((heartbeat_ms / 4).clamp(50, 500)));
-            }
+            Some(Message::Idle) => {}
             Some(Message::Shutdown) | None => break,
             Some(_) => return Err(CliError::from("unexpected daemon message".to_string())),
         }
@@ -495,14 +546,7 @@ pub(crate) fn submit(args: &[String]) -> Result<(), CliError> {
     let connect = flags
         .get("connect")
         .ok_or_else(|| CliError::from("missing --connect HOST:PORT".to_string()))?;
-    let stream = TcpStream::connect(connect)
-        .map_err(|e| CliError::from(format!("cannot connect to {connect}: {e}")))?;
-    let mut reader = BufReader::new(
-        stream
-            .try_clone()
-            .map_err(|e| CliError::from(e.to_string()))?,
-    );
-    let mut writer = stream;
+    let (mut reader, mut writer) = connect_to(connect)?;
 
     if flags.has("shutdown") {
         Message::Shutdown.write_to(&mut writer).map_err(io_err)?;

@@ -1,7 +1,8 @@
 //! End-to-end tests of the live assessment service and the crash-safety of
 //! artifact writes, driving real `polaris-cli` processes over real sockets.
 
-use std::io::Read as _;
+use std::io::{BufReader, Read as _};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -382,5 +383,164 @@ fn serve_two_workers_with_crash_matches_solo_assess() {
     assert!(
         daemon_err.contains("(lost)"),
         "daemon must report the killed worker as lost:\n{daemon_err}"
+    );
+}
+
+/// A lease lost mid-campaign is re-issued, deterministically: a scripted
+/// worker asks for work while the queue is empty, the daemon holds that
+/// `NEXT` until a submission arrives and answers it with a `TASK`, and the
+/// worker then drops the connection without a `DONE`. A real worker started
+/// only afterwards must finish the job through the re-issued lease, with
+/// the served CSV byte-identical to solo `assess`.
+#[test]
+fn long_polled_lease_dropped_by_its_worker_is_reissued() {
+    use polaris_dist::{Message, PROTO_VERSION};
+
+    let design = tmp("lost_c17.bench");
+    std::fs::write(&design, C17_BENCH).expect("write design");
+    let design = design.to_str().expect("utf8").to_string();
+
+    let port_file = tmp("lost_port.txt");
+
+    let mut reaper = Reaper(Vec::new());
+    // A 10 s heartbeat lets the daemon hold a `NEXT` for up to 5 s, far
+    // longer than the submit below takes to arrive.
+    let daemon = cli()
+        .args([
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--heartbeat-ms",
+            "10000",
+            "--port-file",
+            port_file.to_str().expect("utf8"),
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("daemon spawns");
+    let daemon = reaper.adopt(daemon);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let addr = loop {
+        if let Ok(addr) = std::fs::read_to_string(&port_file) {
+            break addr.trim().to_string();
+        }
+        assert!(
+            Instant::now() < deadline,
+            "daemon never wrote the port file"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    };
+
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    Message::Hello {
+        version: PROTO_VERSION,
+        name: "scripted".to_string(),
+    }
+    .write_to(&mut writer)
+    .expect("send HELLO");
+    let welcome = Message::read_from(&mut reader).expect("WELCOME");
+    assert!(
+        matches!(welcome, Some(Message::Welcome { .. })),
+        "{welcome:?}"
+    );
+    Message::Next.write_to(&mut writer).expect("send NEXT");
+
+    let csv = tmp("lost_adaptive.csv");
+    let csv = csv.to_str().expect("utf8").to_string();
+    let submit = cli()
+        .args([
+            "submit",
+            &design,
+            "--connect",
+            &addr,
+            "--traces",
+            "6000",
+            "--seed",
+            "11",
+            "--adaptive",
+            "--csv",
+            &csv,
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("submit spawns");
+    let submit = reaper.adopt(submit);
+
+    let reply = Message::read_from(&mut reader).expect("reply to NEXT");
+    assert!(
+        matches!(reply, Some(Message::Task { .. })),
+        "the NEXT sent before the submission must be answered with its TASK, got {reply:?}"
+    );
+    drop(reader);
+    drop(writer);
+
+    reaper.adopt(
+        cli()
+            .args([
+                "worker",
+                "--connect",
+                &addr,
+                "--name",
+                "real",
+                "--threads",
+                "1",
+            ])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("worker spawns"),
+    );
+    let status = reaper.0[submit].wait().expect("submit finishes");
+    assert!(status.success(), "adaptive submit failed");
+
+    let solo = tmp("lost_solo.csv");
+    let solo = solo.to_str().expect("utf8").to_string();
+    run_ok(&[
+        "assess",
+        &design,
+        "--traces",
+        "6000",
+        "--seed",
+        "11",
+        "--adaptive",
+        "--csv",
+        &solo,
+    ]);
+    assert_eq!(
+        std::fs::read_to_string(&csv).expect("served csv"),
+        std::fs::read_to_string(&solo).expect("solo csv"),
+        "served CSV must be byte-identical to solo assess through the lost lease"
+    );
+
+    run_ok(&["submit", "--shutdown", "--connect", &addr]);
+    let daemon = &mut reaper.0[daemon];
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = daemon.try_wait().expect("try_wait") {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "daemon did not drain");
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(status.success(), "daemon must exit cleanly on shutdown");
+    let mut daemon_err = String::new();
+    daemon
+        .stderr
+        .take()
+        .expect("piped")
+        .read_to_string(&mut daemon_err)
+        .expect("stderr utf8");
+    assert!(
+        daemon_err
+            .lines()
+            .any(|l| l.starts_with("worker scripted:") && l.ends_with("(lost)")),
+        "daemon must report the scripted worker as lost:\n{daemon_err}"
     );
 }

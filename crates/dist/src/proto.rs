@@ -6,7 +6,7 @@
 //! blob immediately after the line:
 //!
 //! ```text
-//! SUBMIT 1 1234\n<1234 manifest bytes>
+//! SUBMIT 2 1234\n<1234 manifest bytes>
 //! TASK 7 5678\n<5678 task-manifest bytes>
 //! DONE 7 90123\n<90123 PLRSHARD part bytes>
 //! ```
@@ -18,22 +18,37 @@
 //! bounded before allocation, and every malformed input maps to a typed
 //! [`ProtoError`] — never a panic.
 //!
+//! Every message, header line and blob together, goes to the writer in one
+//! `write_all` call, so on a socket it leaves as one send rather than one
+//! per header field.
+//!
 //! ## Conversations
 //!
 //! A worker connection: `Hello` → `Welcome`, then a pull loop of `Next` →
 //! (`Task` | `Idle` | `Shutdown`), with `Done`/`Fail` completing leases and
-//! `Ping` keeping the heartbeat alive while a task executes. A client
-//! connection: `Submit` → (`Result` | `Error`), or a bare `Shutdown` to
-//! drain the daemon. Each `Next`/`Ping` doubles as a heartbeat: the daemon
-//! reads worker sockets with a timeout, and a worker that stays silent past
-//! it is declared lost and its leases re-issued.
+//! `Ping` keeping the heartbeat alive while a task executes. The daemon may
+//! hold a `Next` for up to half the heartbeat budget, answering `Task` the
+//! moment work is queued (or `Shutdown` the moment the daemon drains) and
+//! `Idle` only when the wait runs out; the worker sends its next `Next`
+//! right after an `Idle`, so an idle worker costs one round trip per half
+//! heartbeat and picks up new work without delay. A client connection:
+//! `Submit` → (`Result` | `Error`), or a bare `Shutdown` to drain the
+//! daemon. Each `Next`/`Ping` doubles as a heartbeat: the daemon reads
+//! worker sockets with a timeout, and a worker that stays silent past it is
+//! declared lost and its leases re-issued.
 
 use std::io::{BufRead, Read, Write};
 
 /// Protocol version spoken by [`Message::Hello`] and [`Message::Submit`].
 /// Exact-match policy, like the shard-state format: a daemon never guesses
 /// at framing written by a different build.
-pub const PROTO_VERSION: u16 = 1;
+///
+/// Version 2 made `Next` a long poll: the daemon holds it until work is
+/// queued (up to half the heartbeat budget), and the worker re-asks at once
+/// after `Idle` instead of sleeping. A version-2 worker against a
+/// version-1 daemon, which answers `Idle` at once, would spin, so the
+/// handshake refuses the mix.
+pub const PROTO_VERSION: u16 = 2;
 
 /// Longest accepted header line (bytes, excluding the newline).
 pub const MAX_LINE_BYTES: usize = 1024;
@@ -165,7 +180,9 @@ pub enum Message {
         /// often or be declared lost.
         heartbeat_ms: u64,
     },
-    /// Worker → daemon: request a task (also a heartbeat).
+    /// Worker → daemon: request a task (also a heartbeat). The daemon may
+    /// hold the request for up to half the heartbeat budget while no work
+    /// is queued.
     Next,
     /// Worker → daemon: still alive while executing (heartbeat only).
     Ping,
@@ -176,7 +193,8 @@ pub enum Message {
         /// Rendered task manifest.
         blob: Vec<u8>,
     },
-    /// Daemon → worker: nothing to do right now; ask again shortly.
+    /// Daemon → worker: no work was queued while the daemon held the
+    /// `Next`; the worker asks again right away.
     Idle,
     /// Worker → daemon: the lease's shard-state part bytes.
     Done {
@@ -229,39 +247,29 @@ pub enum Message {
 }
 
 impl Message {
-    /// Writes the message (header line plus any payload blob) and flushes,
-    /// so a peer blocked in `read` always sees complete messages.
+    /// Writes the message (header line plus any payload blob) in one
+    /// `write_all` and flushes, so a peer blocked in `read` always sees
+    /// complete messages and a raw socket never sends a message as several
+    /// segments (which Nagle's algorithm would hold back for the peer's
+    /// delayed ACK).
     ///
     /// # Errors
     ///
     /// Propagates transport errors.
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        match self {
-            Message::Hello { version, name } => {
-                writeln!(w, "HELLO {version} {}", token(name))?;
-            }
+        let (header, blob): (String, &[u8]) = match self {
+            Message::Hello { version, name } => (format!("HELLO {version} {}", token(name)), &[]),
             Message::Welcome {
                 worker,
                 heartbeat_ms,
-            } => writeln!(w, "WELCOME {worker} {heartbeat_ms}")?,
-            Message::Next => writeln!(w, "NEXT")?,
-            Message::Ping => writeln!(w, "PING")?,
-            Message::Task { task, blob } => {
-                writeln!(w, "TASK {task} {}", blob.len())?;
-                w.write_all(blob)?;
-            }
-            Message::Idle => writeln!(w, "IDLE")?,
-            Message::Done { task, blob } => {
-                writeln!(w, "DONE {task} {}", blob.len())?;
-                w.write_all(blob)?;
-            }
-            Message::Fail { task, reason } => {
-                writeln!(w, "FAIL {task} {}", oneline(reason))?;
-            }
-            Message::Submit { version, blob } => {
-                writeln!(w, "SUBMIT {version} {}", blob.len())?;
-                w.write_all(blob)?;
-            }
+            } => (format!("WELCOME {worker} {heartbeat_ms}"), &[]),
+            Message::Next => ("NEXT".to_string(), &[]),
+            Message::Ping => ("PING".to_string(), &[]),
+            Message::Task { task, blob } => (format!("TASK {task} {}", blob.len()), blob),
+            Message::Idle => ("IDLE".to_string(), &[]),
+            Message::Done { task, blob } => (format!("DONE {task} {}", blob.len()), blob),
+            Message::Fail { task, reason } => (format!("FAIL {task} {}", oneline(reason)), &[]),
+            Message::Submit { version, blob } => (format!("SUBMIT {version} {}", blob.len()), blob),
             Message::Result {
                 origin,
                 fixed,
@@ -269,21 +277,23 @@ impl Message {
                 rounds,
                 stopped_early,
                 blob,
-            } => {
-                writeln!(
-                    w,
+            } => (
+                format!(
                     "RESULT {} {fixed} {random} {rounds} {} {}",
                     origin.name(),
                     u8::from(*stopped_early),
                     blob.len()
-                )?;
-                w.write_all(blob)?;
-            }
-            Message::Error { code, message } => {
-                writeln!(w, "ERROR {code} {}", oneline(message))?;
-            }
-            Message::Shutdown => writeln!(w, "SHUTDOWN")?,
-        }
+                ),
+                blob,
+            ),
+            Message::Error { code, message } => (format!("ERROR {code} {}", oneline(message)), &[]),
+            Message::Shutdown => ("SHUTDOWN".to_string(), &[]),
+        };
+        let mut frame = Vec::with_capacity(header.len() + 1 + blob.len());
+        frame.extend_from_slice(header.as_bytes());
+        frame.push(b'\n');
+        frame.extend_from_slice(blob);
+        w.write_all(&frame)?;
         w.flush()
     }
 
@@ -460,9 +470,9 @@ mod tests {
         back
     }
 
-    #[test]
-    fn every_message_roundtrips() {
-        let msgs = [
+    /// One instance of every message variant.
+    fn every_message() -> Vec<Message> {
+        vec![
             Message::Hello {
                 version: PROTO_VERSION,
                 name: "w1".to_string(),
@@ -503,9 +513,45 @@ mod tests {
                 message: "malformed submission".to_string(),
             },
             Message::Shutdown,
-        ];
-        for msg in &msgs {
+        ]
+    }
+
+    #[test]
+    fn every_message_roundtrips() {
+        for msg in &every_message() {
             assert_eq!(&roundtrip(msg), msg, "roundtrip of {msg:?}");
+        }
+    }
+
+    /// A writer that counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_message_is_one_write() {
+        for msg in &every_message() {
+            let mut w = CountingWriter::default();
+            msg.write_to(&mut w).expect("write");
+            assert_eq!(w.writes, 1, "{msg:?} took {} writes", w.writes);
+            let mut r = std::io::Cursor::new(w.bytes);
+            let back = Message::read_from(&mut r).expect("read back");
+            assert_eq!(back.as_ref(), Some(msg));
+            assert_eq!(Message::read_from(&mut r).expect("clean end"), None);
         }
     }
 
