@@ -1,13 +1,11 @@
-//! Second-order sweep throughput bench: streaming co-moment engine vs the
-//! dense two-pass path on an ISCAS-scale netlist, with peak-RSS tracking to
-//! demonstrate the O(gate-pairs) memory bound, and emits
-//! `BENCH_bivariate.json`.
+//! Second-order sweep throughput bench: the streaming bivariate co-moment
+//! engine on an ISCAS-scale netlist, with peak-RSS tracking to demonstrate
+//! the O(gate-pairs) memory bound, and emits `BENCH_bivariate.json`.
 //!
-//! The streaming arm runs at the full trace budget in O(pairs) memory; the
-//! dense arm materializes every per-gate trace sample, so it runs at a
-//! capped trace count (`--dense-traces`) where its O(traces × gates) buffers
-//! still fit. At the shared cap the two engines' t statistics are compared
-//! bit-for-bit — any mismatch fails the bench.
+//! The parity stage pins the engine against itself across execution shapes
+//! that must not change bits: 1- vs 8-word SIMD lanes and a 2-part
+//! distributed split folded back together, at a capped trace count
+//! (`--parity-traces`). Any mismatch fails the bench.
 //!
 //! ```text
 //! cargo run --release -p polaris-bench --bin bivariate -- [flags]
@@ -15,7 +13,7 @@
 //! --quick          CI smoke profile (few traces, few pairs)
 //! --design NAME    ISCAS-like design to simulate          (default c880)
 //! --traces N       traces per TVLA class, streaming arm   (default 1000000)
-//! --dense-traces N traces per class for the dense arm cap (default 20000)
+//! --parity-traces N traces per class for the parity arm   (default 20000)
 //! --gates K        sweep all pairs of the first K cells; 0 = every cell
 //!                  (default 32)
 //! --seed N         campaign master seed                   (default 7)
@@ -25,18 +23,17 @@
 
 use std::time::Instant;
 
-use polaris_bench::{json_u64, peak_rss_kb, rss_mb};
+use polaris_bench::{co_moment_parity, json_u64, peak_rss_kb, rss_mb};
 use polaris_netlist::generators;
 use polaris_obs::NullRecorder;
-use polaris_sim::campaign::collect_gate_samples_parallel;
 use polaris_sim::{CampaignConfig, FleetJob, Parallelism, PowerModel};
-use polaris_tvla::{all_pairs, bivariate_t, PairAccumulator};
+use polaris_tvla::{all_gate_sets, PairAccumulator};
 
 struct Args {
     quick: bool,
     design: String,
     traces: usize,
-    dense_traces: usize,
+    parity_traces: usize,
     gates: usize,
     seed: u64,
     threads: usize,
@@ -48,7 +45,7 @@ fn parse_args() -> Args {
         quick: false,
         design: "c880".to_string(),
         traces: 1_000_000,
-        dense_traces: 20_000,
+        parity_traces: 20_000,
         gates: 32,
         seed: 7,
         threads: 0,
@@ -79,8 +76,8 @@ fn parse_args() -> Args {
                 traces_set = true;
                 i += 2;
             }
-            "--dense-traces" => {
-                a.dense_traces = need(i).parse().expect("--dense-traces takes an integer");
+            "--parity-traces" => {
+                a.parity_traces = need(i).parse().expect("--parity-traces takes an integer");
                 i += 2;
             }
             "--gates" => {
@@ -102,7 +99,7 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "flags: --quick  --design NAME  --traces N  --dense-traces N  \
+                    "flags: --quick  --design NAME  --traces N  --parity-traces N  \
                      --gates K  --seed N  --threads N  --out PATH"
                 );
                 std::process::exit(0);
@@ -120,8 +117,8 @@ fn parse_args() -> Args {
         if !gates_set {
             a.gates = 12;
         }
-        a.dense_traces = a.dense_traces.min(a.traces);
     }
+    a.parity_traces = a.parity_traces.min(a.traces);
     a
 }
 
@@ -138,29 +135,25 @@ fn main() {
     if args.gates > 0 {
         cells.truncate(args.gates);
     }
-    let pairs = all_pairs(&cells);
-    let dense_traces = args.dense_traces.min(args.traces);
+    let pairs = all_gate_sets(&cells, 2);
 
     eprintln!(
         "[bivariate bench] {}: {} gates, {} of them swept = {} pairs, \
-         {} traces/class streaming, {} traces/class dense, {} threads",
+         {} traces/class streaming, {} traces/class parity, {} threads",
         args.design,
         netlist.gate_count(),
         cells.len(),
         pairs.len(),
         args.traces,
-        dense_traces,
+        args.parity_traces,
         par.threads()
     );
 
-    let factory = || PairAccumulator::for_pairs(pairs.clone());
-
-    // Streaming arm first: VmHWM is a process-wide high-water mark, so the
-    // O(pairs) arm must set its reading before the O(traces) arm raises it.
+    // Throughput arm: the full trace budget through the streaming engine.
     let cfg = CampaignConfig::new(args.traces, args.traces, args.seed);
     let t0 = Instant::now();
     let full = FleetJob::new(&netlist, &model, cfg.clone())
-        .with_sink_factory(factory)
+        .with_sink_factory(|| PairAccumulator::new(&pairs))
         .run(par, &NullRecorder)
         .expect("campaign runs")
         .sink;
@@ -169,9 +162,9 @@ fn main() {
     let total_traces = (args.traces * 2) as f64;
     let updates_per_sec = pairs.len() as f64 * total_traces / streaming_secs.max(1e-9);
     let leaky = full
-        .results()
+        .rows()
         .iter()
-        .filter(|(_, _, r)| r.is_leaky(polaris_tvla::TVLA_THRESHOLD))
+        .filter(|(_, r)| r.is_leaky(polaris_tvla::TVLA_THRESHOLD))
         .count();
     eprintln!(
         "  streaming {:>8} traces/class: {streaming_secs:.3}s  \
@@ -180,42 +173,15 @@ fn main() {
         rss_mb(streaming_rss_kb)
     );
 
-    // Parity stage at the dense cap: streaming re-run, then the dense
-    // two-pass engine over materialized samples — bits must agree.
-    let cap_cfg = CampaignConfig::new(dense_traces, dense_traces, args.seed);
-    let t0 = Instant::now();
-    let capped = FleetJob::new(&netlist, &model, cap_cfg.clone())
-        .with_sink_factory(factory)
-        .run(par, &NullRecorder)
-        .expect("campaign runs")
-        .sink;
-    let streaming_cap_secs = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    let samples = collect_gate_samples_parallel(&netlist, &model, &cap_cfg, par).expect("campaign");
-    let dense: Vec<_> = pairs
-        .iter()
-        .map(|&(x, y)| {
-            bivariate_t(
-                &samples,
-                polaris_netlist::GateId::new(x as usize),
-                polaris_netlist::GateId::new(y as usize),
-            )
-            .expect("pairs in range")
-        })
-        .collect();
-    let dense_secs = t0.elapsed().as_secs_f64();
-    let dense_rss_kb = peak_rss_kb();
-    drop(samples);
-
-    let identical =
-        capped.results().iter().zip(&dense).all(|((_, _, s), d)| {
-            s.t.to_bits() == d.t.to_bits() && s.dof.to_bits() == d.dof.to_bits()
-        });
+    // Parity arm: the same capped campaign through three execution shapes —
+    // 1- and 8-word lanes, and a 2-part distributed split folded back — all
+    // of which must carry identical bits.
+    let cap_cfg = CampaignConfig::new(args.parity_traces, args.parity_traces, args.seed);
+    let identical = co_moment_parity::<2>(&netlist, &model, &cap_cfg, args.threads, &pairs);
     eprintln!(
-        "  dense     {dense_traces:>8} traces/class: {dense_secs:.3}s \
-         (vs {streaming_cap_secs:.3}s streaming, peak RSS {}, bit_identical: {identical})",
-        rss_mb(dense_rss_kb)
+        "  parity    {:>8} traces/class: lanes 1 vs 8 and 2-part dist fold \
+         (bit_identical: {identical})",
+        args.parity_traces
     );
 
     let json = format!(
@@ -224,8 +190,8 @@ fn main() {
          \"quick\": {},\n  \"host_cores\": {},\n  \
          \"streaming\": {{\n    \"traces_per_class\": {},\n    \"seconds\": {:.4},\n    \
          \"pair_updates_per_sec\": {:.1},\n    \"peak_rss_kb\": {},\n    \"leaky_pairs\": {}\n  }},\n  \
-         \"dense\": {{\n    \"traces_per_class\": {},\n    \"seconds\": {:.4},\n    \
-         \"streaming_seconds_at_cap\": {:.4},\n    \"peak_rss_kb\": {}\n  }},\n  \
+         \"parity\": {{\n    \"traces_per_class\": {},\n    \"lane_words\": [1, 8],\n    \
+         \"dist_parts\": 2\n  }},\n  \
          \"bit_identical\": {}\n}}\n",
         args.design,
         netlist.gate_count(),
@@ -240,10 +206,7 @@ fn main() {
         updates_per_sec,
         json_u64(streaming_rss_kb),
         leaky,
-        dense_traces,
-        dense_secs,
-        streaming_cap_secs,
-        json_u64(dense_rss_kb),
+        args.parity_traces,
         identical
     );
     polaris_bench::emit_bench_json("bivariate bench", &args.out, &json).unwrap_or_else(|e| {
@@ -253,7 +216,8 @@ fn main() {
 
     if !identical {
         eprintln!(
-            "ERROR: streaming and dense t statistics disagreed — the engines must be bit-identical"
+            "ERROR: lane-width or distributed-fold t statistics disagreed — the \
+             engine must be bit-identical across execution shapes"
         );
         std::process::exit(1);
     }

@@ -28,14 +28,14 @@
 
 use std::time::Instant;
 
-use polaris_bench::{json_u64, peak_rss_kb, rss_mb};
-use polaris_dist::{execute_part_traced_with, merge_parts};
+use polaris_bench::{co_moment_parity, json_u64, peak_rss_kb, rss_mb};
 use polaris_masking::isw::{masked_and_order2, IswMasks};
 use polaris_netlist::{generators, Netlist};
 use polaris_obs::NullRecorder;
 use polaris_sim::{CampaignConfig, FleetJob, Parallelism, PowerModel};
 use polaris_tvla::{
-    all_pairs, all_triples, assess_pairs, assess_triples, TripleAccumulator, TVLA_THRESHOLD,
+    all_gate_sets, all_pairs, all_triples, assess_pairs, assess_triples, TripleAccumulator,
+    TVLA_THRESHOLD,
 };
 
 struct Args {
@@ -131,25 +131,6 @@ fn parse_args() -> Args {
     a
 }
 
-/// The (t, dof) bit patterns of a streaming triple campaign, in list order.
-fn sweep_bits(
-    netlist: &Netlist,
-    model: &PowerModel,
-    cfg: &CampaignConfig,
-    par: Parallelism,
-    triples: &[(u32, u32, u32)],
-) -> Vec<(u64, u64)> {
-    let acc = FleetJob::new(netlist, model, cfg.clone())
-        .with_sink_factory(|| TripleAccumulator::for_triples(triples.to_vec()))
-        .run(par, &NullRecorder)
-        .expect("campaign runs")
-        .sink;
-    acc.results()
-        .iter()
-        .map(|(_, _, _, r)| (r.t.to_bits(), r.dof.to_bits()))
-        .collect()
-}
-
 fn main() {
     let args = parse_args();
     let netlist = generators::iscas_like(&args.design, 1, args.seed).unwrap_or_else(|| {
@@ -163,7 +144,7 @@ fn main() {
     if args.gates > 0 {
         cells.truncate(args.gates);
     }
-    let triples = all_triples(&cells);
+    let triples = all_gate_sets(&cells, 3);
 
     eprintln!(
         "[trivariate bench] {}: {} gates, {} of them swept = {} triples, \
@@ -181,7 +162,7 @@ fn main() {
     let cfg = CampaignConfig::new(args.traces, args.traces, args.seed);
     let t0 = Instant::now();
     let full = FleetJob::new(&netlist, &model, cfg.clone())
-        .with_sink_factory(|| TripleAccumulator::for_triples(triples.clone()))
+        .with_sink_factory(|| TripleAccumulator::new(&triples))
         .run(par, &NullRecorder)
         .expect("campaign runs")
         .sink;
@@ -190,9 +171,9 @@ fn main() {
     let total_traces = (args.traces * 2) as f64;
     let updates_per_sec = triples.len() as f64 * total_traces / streaming_secs.max(1e-9);
     let leaky = full
-        .results()
+        .rows()
         .iter()
-        .filter(|(_, _, _, r)| r.is_leaky(TVLA_THRESHOLD))
+        .filter(|(_, r)| r.is_leaky(TVLA_THRESHOLD))
         .count();
     eprintln!(
         "  streaming {:>8} traces/class: {streaming_secs:.3}s  \
@@ -205,44 +186,7 @@ fn main() {
     // 1- and 8-word lanes, and a 2-part distributed split folded back — all
     // of which must carry identical bits.
     let cap_cfg = CampaignConfig::new(args.parity_traces, args.parity_traces, args.seed);
-    let reference = sweep_bits(
-        &netlist,
-        &model,
-        &cap_cfg,
-        Parallelism::new(args.threads).with_lane_words(1),
-        &triples,
-    );
-    let wide = sweep_bits(
-        &netlist,
-        &model,
-        &cap_cfg,
-        Parallelism::new(args.threads).with_lane_words(8),
-        &triples,
-    );
-    let parts: Vec<Vec<u8>> = (0..2)
-        .map(|i| {
-            execute_part_traced_with(
-                &netlist,
-                &model,
-                &cap_cfg,
-                par,
-                i,
-                2,
-                || TripleAccumulator::for_triples(triples.clone()),
-                &NullRecorder,
-            )
-            .expect("part executes")
-        })
-        .collect();
-    let folded: Vec<(u64, u64)> =
-        merge_parts::<TripleAccumulator>(parts.iter().map(Vec::as_slice), None)
-            .expect("parts merge")
-            .state
-            .results()
-            .iter()
-            .map(|(_, _, _, r)| (r.t.to_bits(), r.dof.to_bits()))
-            .collect();
-    let identical = wide == reference && folded == reference;
+    let identical = co_moment_parity::<3>(&netlist, &model, &cap_cfg, args.threads, &triples);
     eprintln!(
         "  parity    {:>8} traces/class: lanes 1 vs 8 and 2-part dist fold \
          (bit_identical: {identical})",

@@ -19,7 +19,9 @@
 use polaris::config::{ModelKind, PolarisConfig};
 use polaris::pipeline::{PolarisPipeline, TrainedPolaris};
 use polaris_netlist::{generators, Netlist};
-use polaris_sim::{Parallelism, PowerModel};
+use polaris_obs::NullRecorder;
+use polaris_sim::{CampaignConfig, FleetJob, Parallelism, PowerModel};
+use polaris_tvla::{CoMomentAccumulator, Order, SupportedOrder};
 
 /// Common harness parameters parsed from the command line.
 #[derive(Clone, Debug, PartialEq)]
@@ -245,6 +247,58 @@ pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(0)
+}
+
+/// The parity stage of the multivariate benches: the `(t, dof)` bits of one
+/// order-`K` sweep over `sets` must be identical at 1- and 8-word lanes and
+/// through a 2-part distributed split folded back together. Returns whether
+/// all three agree.
+pub fn co_moment_parity<const K: usize>(
+    netlist: &Netlist,
+    model: &PowerModel,
+    config: &CampaignConfig,
+    threads: usize,
+    sets: &[Vec<u32>],
+) -> bool
+where
+    Order<K>: SupportedOrder,
+{
+    let empty = CoMomentAccumulator::<K>::new(sets);
+    let bits = |acc: CoMomentAccumulator<K>| -> Vec<(u64, u64)> {
+        acc.rows()
+            .iter()
+            .map(|(_, r)| (r.t.to_bits(), r.dof.to_bits()))
+            .collect()
+    };
+    let lanes = |lane_words: usize| {
+        let par = Parallelism::new(threads).with_lane_words(lane_words);
+        FleetJob::new(netlist, model, config.clone())
+            .with_sink_factory(|| empty.clone())
+            .run(par, &NullRecorder)
+            .expect("campaign runs")
+            .sink
+    };
+    let reference = bits(lanes(1));
+    let parts: Vec<Vec<u8>> = (0..2)
+        .map(|i| {
+            polaris_dist::execute_part_traced_with(
+                netlist,
+                model,
+                config,
+                Parallelism::new(threads),
+                i,
+                2,
+                || empty.clone(),
+                &NullRecorder,
+            )
+            .expect("part executes")
+        })
+        .collect();
+    let folded =
+        polaris_dist::merge_parts::<CoMomentAccumulator<K>>(parts.iter().map(Vec::as_slice), None)
+            .expect("parts merge")
+            .state;
+    bits(lanes(8)) == reference && bits(folded) == reference
 }
 
 #[cfg(test)]

@@ -9,7 +9,10 @@ use polaris_netlist::{
     generators, parse_bench, parse_netlist, write_bench, write_netlist, GateId, GraphView, Netlist,
 };
 use polaris_sim::{CampaignConfig, Parallelism, PowerModel};
-use polaris_tvla::{GateLeakage, MultivariateError, WelchResult, TVLA_THRESHOLD};
+use polaris_tvla::{
+    all_gate_sets, assess_gate_sets, parse_gate_sets, set_noun, GateLeakage, MultivariateError,
+    Order, SupportedOrder, WelchResult, TVLA_THRESHOLD,
+};
 
 use crate::{read_file, write_file, CliError, Flags};
 
@@ -174,22 +177,20 @@ pub(crate) fn stats(args: &[String]) -> Result<(), String> {
 ///
 /// Exits 8 on a multivariate input error (a `--pair-gates`/`--triple-gates`
 /// entry referencing a gate outside the design, repeating a gate within one
-/// entry, duplicating an entry, or mismatched dense sample buffers) so
-/// scripts can tell a bad gate list from a generic failure. Exits 2 when
-/// the top-N and explicit-list selectors of the same order are both given.
+/// entry, or duplicating an entry) so scripts can tell a bad gate list from
+/// a generic failure. Exits 2 when the top-N and explicit-list selectors of
+/// the same order are both given.
 pub(crate) fn assess(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &["glitch", "adaptive", "pairs-dense", "help"])?;
+    let flags = Flags::parse(args, &["glitch", "adaptive", "help"])?;
     if flags.has("help") {
         println!(
             "assess <netlist.v> [--traces N --seed N --cycles N --threads N \
              --lane-words 1|2|4|8 --glitch] \
              [--adaptive --confidence P] [--csv out.csv]\n       \
-             [--pairs N | --pair-gates A:B,C:D] [--pairs-dense] [--pairs-csv out.csv]\n       \
+             [--pairs N | --pair-gates A:B,C:D] [--pairs-csv out.csv]\n       \
              [--triples N | --triple-gates A:B:C,D:E:F] [--triples-csv out.csv]\n\n\
              --pairs N          bivariate sweep over all pairs of the N leakiest cells\n\
              --pair-gates L     bivariate sweep over an explicit gate-index pair list\n\
-             --pairs-dense      use the dense two-pass engine (stores every trace;\n                    \
-             default is the streaming O(pairs) engine — results are bit-identical)\n\
              --pairs-csv FILE   write the per-pair sweep as CSV (exit code 8 on a bad\n                    \
              pair list)\n\
              --triples N        trivariate sweep over all triples of the N leakiest cells\n\
@@ -205,17 +206,14 @@ pub(crate) fn assess(args: &[String]) -> Result<(), CliError> {
     // Conflicting sweep selectors are a usage error (exit 2), matching the
     // missing-command convention: before this check `--pairs N` was silently
     // dropped whenever `--pair-gates` was also given.
-    if flags.get("pairs").is_some() && flags.get("pair-gates").is_some() {
-        return Err(usage_err(
-            "--pairs and --pair-gates are mutually exclusive (top-N sweep or \
-             explicit pair list, not both)",
-        ));
-    }
-    if flags.get("triples").is_some() && flags.get("triple-gates").is_some() {
-        return Err(usage_err(
-            "--triples and --triple-gates are mutually exclusive (top-N sweep or \
-             explicit triple list, not both)",
-        ));
+    for noun in [set_noun(2), set_noun(3)] {
+        if flags.get(&format!("{noun}s")).is_some() && flags.get(&format!("{noun}-gates")).is_some()
+        {
+            return Err(usage_err(&format!(
+                "--{noun}s and --{noun}-gates are mutually exclusive (top-N sweep or \
+                 explicit {noun} list, not both)"
+            )));
+        }
     }
     let netlist = load_netlist(flags.positional(0, "netlist path")?)?;
     let mut campaign = campaign_from(&flags, 7)?;
@@ -291,131 +289,93 @@ pub(crate) fn assess(args: &[String]) -> Result<(), CliError> {
         write_file(csv, &leakage_csv(&netlist, &leakage))?;
         eprintln!("per-gate results written to {csv}");
     }
-    // Optional bivariate (second-order) sweep: `--pair-gates` names explicit
-    // gate-index pairs, `--pairs N` sweeps every pair of the N leakiest
-    // cells. The default engine streams co-moments in O(pairs) memory; the
-    // dense engine (`--pairs-dense`) stores every trace and exists as the
-    // bit-identical cross-check.
-    let model = PowerModel::default();
-    let top_n: usize = flags.get_parsed("pairs", 0)?;
-    let pairs: Option<Vec<(u32, u32)>> = match flags.get("pair-gates") {
-        Some(spec) => Some(parse_pair_list(spec)?),
-        None if top_n > 0 => Some(polaris_tvla::all_pairs(&leakiest_cells(
-            &netlist, &leakage, top_n,
-        ))),
-        None => None,
+    // Optional multivariate sweeps, one per order: `--pair-gates` /
+    // `--triple-gates` name explicit gate-index sets, `--pairs N` /
+    // `--triples N` sweep every set of the N leakiest cells.
+    multivariate_sweep::<2>(&flags, &netlist, &leakage, &campaign, par)?;
+    multivariate_sweep::<3>(&flags, &netlist, &leakage, &campaign, par)
+}
+
+/// The `--pairs`/`--triples` sweep of `assess` at order `K`: select the
+/// gate sets, stream the co-moment campaign (`O(sets)` memory, never the
+/// traces), print the worst rows and write the CSV. An empty selection
+/// (e.g. `--pairs 1`, which yields zero pairs) warns and sweeps nothing.
+fn multivariate_sweep<const K: usize>(
+    flags: &Flags,
+    netlist: &Netlist,
+    leakage: &GateLeakage,
+    campaign: &CampaignConfig,
+    par: Parallelism,
+) -> Result<(), CliError>
+where
+    Order<K>: SupportedOrder,
+{
+    let noun = set_noun(K);
+    let (ordinal, test) = order_words(K);
+    let top_n: usize = flags.get_parsed(&format!("{noun}s"), 0)?;
+    let sets = match flags.get(&format!("{noun}-gates")) {
+        Some(spec) => parse_gate_sets(spec, K)?,
+        None if top_n > 0 => all_gate_sets(&leakiest_cells(netlist, leakage, top_n), K),
+        None => return Ok(()),
     };
-    if let Some(pairs) = pairs.filter(|p| {
-        // An empty selection (e.g. `--pairs 1`, which yields zero pairs)
-        // short-circuits before the pair campaign: warn, sweep nothing,
-        // write no CSV.
-        let empty = p.is_empty();
-        if empty {
-            eprintln!(
-                "warning: the pair selection is empty (fewer than 2 cells selected); \
-                 skipping the bivariate sweep, no CSV written"
-            );
-        }
-        !empty
-    }) {
-        let sweep = if flags.has("pairs-dense") {
-            eprintln!(
-                "running dense (two-pass) bivariate sweep over {} gate pairs…",
-                pairs.len()
-            );
-            polaris_tvla::validate_pairs(&pairs, netlist.gate_count()).map_err(multivariate_err)?;
-            let samples = polaris_sim::campaign::collect_gate_samples_parallel(
-                &netlist, &model, &campaign, par,
-            )
-            .map_err(|e| e.to_string())?;
-            let mut out = Vec::with_capacity(pairs.len());
-            for &(a, b) in &pairs {
-                let g1 = GateId::new(a as usize);
-                let g2 = GateId::new(b as usize);
-                out.push((
-                    g1,
-                    g2,
-                    polaris_tvla::bivariate_t(&samples, g1, g2).map_err(multivariate_err)?,
-                ));
-            }
-            out.sort_by(|a, b| b.2.t.abs().total_cmp(&a.2.t.abs()));
-            out
-        } else {
-            eprintln!(
-                "running streaming bivariate sweep over {} gate pairs…",
-                pairs.len()
-            );
-            polaris_tvla::assess_pairs(&netlist, &model, &campaign, par, &pairs)
-                .map_err(multivariate_err)?
-        };
-        println!("\nworst second-order (bivariate) pairs:");
-        for (g1, g2, r) in sweep.iter().take(10) {
-            println!(
-                "  {:>10} x {:<10} |t2| = {:.2}{}",
-                netlist.gate(*g1).name(),
-                netlist.gate(*g2).name(),
-                r.t.abs(),
-                if r.is_leaky(TVLA_THRESHOLD) {
-                    "  LEAKY"
-                } else {
-                    ""
-                }
-            );
-        }
-        if let Some(csv) = flags.get("pairs-csv") {
-            write_file(csv, &pair_csv(&netlist, &sweep))?;
-            eprintln!("per-pair results written to {csv}");
-        }
-    }
-    // Optional trivariate (third-order) sweep, mirroring the pair surface:
-    // `--triple-gates` names explicit A:B:C gate-index triples, `--triples N`
-    // sweeps every triple of the N leakiest cells. Streaming only — the
-    // engine holds O(triples) co-moments, never the traces.
-    let top_t: usize = flags.get_parsed("triples", 0)?;
-    let triples: Option<Vec<(u32, u32, u32)>> = match flags.get("triple-gates") {
-        Some(spec) => Some(parse_triple_list(spec)?),
-        None if top_t > 0 => Some(polaris_tvla::all_triples(&leakiest_cells(
-            &netlist, &leakage, top_t,
-        ))),
-        None => None,
-    };
-    if let Some(triples) = triples.filter(|t| {
-        let empty = t.is_empty();
-        if empty {
-            eprintln!(
-                "warning: the triple selection is empty (fewer than 3 cells selected); \
-                 skipping the trivariate sweep, no CSV written"
-            );
-        }
-        !empty
-    }) {
+    if sets.is_empty() {
         eprintln!(
-            "running streaming trivariate sweep over {} gate triples…",
-            triples.len()
+            "warning: the {noun} selection is empty (fewer than {K} cells selected); \
+             skipping the {test} sweep, no CSV written"
         );
-        let sweep = polaris_tvla::assess_triples(&netlist, &model, &campaign, par, &triples)
-            .map_err(multivariate_err)?;
-        println!("\nworst third-order (trivariate) triples:");
-        for (g1, g2, g3, r) in sweep.iter().take(10) {
-            println!(
-                "  {:>10} x {:^10} x {:<10} |t3| = {:.2}{}",
-                netlist.gate(*g1).name(),
-                netlist.gate(*g2).name(),
-                netlist.gate(*g3).name(),
-                r.t.abs(),
-                if r.is_leaky(TVLA_THRESHOLD) {
-                    "  LEAKY"
-                } else {
-                    ""
-                }
-            );
-        }
-        if let Some(csv) = flags.get("triples-csv") {
-            write_file(csv, &triple_csv(&netlist, &sweep))?;
-            eprintln!("per-triple results written to {csv}");
-        }
+        return Ok(());
+    }
+    eprintln!(
+        "running streaming {test} sweep over {} gate {noun}s…",
+        sets.len()
+    );
+    let sweep = assess_gate_sets::<K, _>(netlist, &PowerModel::default(), campaign, par, &sets)
+        .map_err(multivariate_err)?;
+    println!("\nworst {ordinal}-order ({test}) {noun}s:");
+    print_worst(netlist, &sweep);
+    if let Some(csv) = flags.get(&format!("{noun}s-csv")) {
+        write_file(csv, &co_moment_csv(netlist, &sweep))?;
+        eprintln!("per-{noun} results written to {csv}");
     }
     Ok(())
+}
+
+/// The ordinal and the name of the order-`order` test: `("second",
+/// "bivariate")`, `("third", "trivariate")`.
+pub(crate) fn order_words(order: usize) -> (&'static str, &'static str) {
+    match order {
+        2 => ("second", "bivariate"),
+        _ => ("third", "trivariate"),
+    }
+}
+
+/// Prints the ten worst rows of a multivariate sweep, one line per gate
+/// set: the gate names joined by ` x ` and `|tK|`.
+pub(crate) fn print_worst<const K: usize>(netlist: &Netlist, sweep: &[([GateId; K], WelchResult)]) {
+    for (gates, r) in sweep.iter().take(10) {
+        let names: Vec<String> = gates
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| {
+                let name = netlist.gate(g).name();
+                match i {
+                    0 => format!("{name:>10}"),
+                    _ if i == K - 1 => format!("{name:<10}"),
+                    _ => format!("{name:^10}"),
+                }
+            })
+            .collect();
+        println!(
+            "  {} |t{K}| = {:.2}{}",
+            names.join(" x "),
+            r.t.abs(),
+            if r.is_leaky(TVLA_THRESHOLD) {
+                "  LEAKY"
+            } else {
+                ""
+            }
+        );
+    }
 }
 
 /// The `n` cells with the highest first-order `|t|` — the seed set for the
@@ -448,40 +408,6 @@ pub(crate) fn multivariate_err(e: MultivariateError) -> CliError {
     }
 }
 
-/// Parses a `--pair-gates` list: comma-separated `A:B` gate-index pairs.
-pub(crate) fn parse_pair_list(spec: &str) -> Result<Vec<(u32, u32)>, String> {
-    let mut pairs = Vec::new();
-    for entry in spec.split(',') {
-        let (a, b) = entry
-            .split_once(':')
-            .ok_or_else(|| format!("bad pair entry `{entry}` (expected A:B gate indices)"))?;
-        let parse = |v: &str| -> Result<u32, String> {
-            v.parse().map_err(|_| format!("bad gate index `{v}`"))
-        };
-        pairs.push((parse(a)?, parse(b)?));
-    }
-    Ok(pairs)
-}
-
-/// Parses a `--triple-gates` list: comma-separated `A:B:C` gate-index
-/// triples.
-pub(crate) fn parse_triple_list(spec: &str) -> Result<Vec<(u32, u32, u32)>, String> {
-    let mut triples = Vec::new();
-    for entry in spec.split(',') {
-        let fields: Vec<&str> = entry.split(':').collect();
-        let [a, b, c] = fields[..] else {
-            return Err(format!(
-                "bad triple entry `{entry}` (expected A:B:C gate indices)"
-            ));
-        };
-        let parse = |v: &str| -> Result<u32, String> {
-            v.parse().map_err(|_| format!("bad gate index `{v}`"))
-        };
-        triples.push((parse(a)?, parse(b)?, parse(c)?));
-    }
-    Ok(triples)
-}
-
 /// RFC-4180-quotes one CSV field: a value containing `,`, `"`, or a line
 /// break is wrapped in double quotes with embedded quotes doubled, so a
 /// hostile gate name can never desynchronize the columns CI `cmp`s.
@@ -493,46 +419,31 @@ pub(crate) fn csv_field(raw: &str) -> std::borrow::Cow<'_, str> {
     }
 }
 
-/// Renders the per-pair bivariate CSV
-/// (`gate_a,name_a,gate_b,name_b,t,leaky`). Shared by `assess --pairs-csv`
-/// and `dist merge --csv` on a pairs plan, so the streaming engine, the
-/// dense engine, and a distributed fold of the same campaign write
-/// byte-identical files — exactly what the CI smoke job diffs.
-pub(crate) fn pair_csv(netlist: &Netlist, results: &[(GateId, GateId, WelchResult)]) -> String {
-    let mut out = String::from("gate_a,name_a,gate_b,name_b,t,leaky\n");
-    for (g1, g2, r) in results {
-        out.push_str(&format!(
-            "{},{},{},{},{:.6},{}\n",
-            g1.index(),
-            csv_field(netlist.gate(*g1).name()),
-            g2.index(),
-            csv_field(netlist.gate(*g2).name()),
-            r.t,
-            u8::from(r.is_leaky(TVLA_THRESHOLD))
-        ));
-    }
-    out
-}
-
-/// Renders the per-triple trivariate CSV
-/// (`gate_a,name_a,gate_b,name_b,gate_c,name_c,t,leaky`). Shared by
-/// `assess --triples-csv` and `dist merge --csv` on a triples plan, so a
-/// single-process streaming sweep and a distributed fold of the same
-/// campaign write byte-identical files.
-pub(crate) fn triple_csv(
+/// Renders the per-set multivariate CSV: `gate_a,name_a,gate_b,name_b,t,leaky`
+/// for pairs, with `gate_c,name_c` added for triples. Shared by
+/// `assess --pairs-csv`/`--triples-csv` and `dist merge --csv` on a
+/// co-moment plan, so a single-process sweep and a distributed fold of the
+/// same campaign write byte-identical files — exactly what the CI smoke
+/// jobs diff.
+pub(crate) fn co_moment_csv<const K: usize>(
     netlist: &Netlist,
-    results: &[(GateId, GateId, GateId, WelchResult)],
+    results: &[([GateId; K], WelchResult)],
 ) -> String {
-    let mut out = String::from("gate_a,name_a,gate_b,name_b,gate_c,name_c,t,leaky\n");
-    for (g1, g2, g3, r) in results {
+    let mut out = String::new();
+    for c in ('a'..='z').take(K) {
+        out.push_str(&format!("gate_{c},name_{c},"));
+    }
+    out.push_str("t,leaky\n");
+    for (gates, r) in results {
+        for &g in gates {
+            out.push_str(&format!(
+                "{},{},",
+                g.index(),
+                csv_field(netlist.gate(g).name())
+            ));
+        }
         out.push_str(&format!(
-            "{},{},{},{},{},{},{:.6},{}\n",
-            g1.index(),
-            csv_field(netlist.gate(*g1).name()),
-            g2.index(),
-            csv_field(netlist.gate(*g2).name()),
-            g3.index(),
-            csv_field(netlist.gate(*g3).name()),
+            "{:.6},{}\n",
             r.t,
             u8::from(r.is_leaky(TVLA_THRESHOLD))
         ));
@@ -843,7 +754,8 @@ mod tests {
     fn pair_csv_keeps_column_structure_under_hostile_names() {
         let (n, g1, g2, _) = hostile_netlist();
         let r = WelchResult { t: 1.25, dof: 10.0 };
-        let csv = pair_csv(&n, &[(g1, g2, r)]);
+        let csv = co_moment_csv(&n, &[([g1, g2], r)]);
+        assert!(csv.starts_with("gate_a,name_a,gate_b,name_b,t,leaky\n"));
         for line in csv.lines() {
             assert_eq!(field_count(line), 6, "bad record: {line}");
         }
@@ -855,7 +767,7 @@ mod tests {
     fn triple_csv_keeps_column_structure_under_hostile_names() {
         let (n, g1, g2, g3) = hostile_netlist();
         let r = WelchResult { t: -7.5, dof: 99.0 };
-        let csv = triple_csv(&n, &[(g1, g2, g3, r)]);
+        let csv = co_moment_csv(&n, &[([g1, g2, g3], r)]);
         assert!(csv.starts_with("gate_a,name_a,gate_b,name_b,gate_c,name_c,t,leaky\n"));
         for line in csv.lines() {
             assert_eq!(field_count(line), 8, "bad record: {line}");
@@ -867,12 +779,12 @@ mod tests {
     #[test]
     fn parse_triple_list_accepts_and_rejects() {
         assert_eq!(
-            parse_triple_list("0:1:2,7:8:9").unwrap(),
-            vec![(0, 1, 2), (7, 8, 9)]
+            parse_gate_sets("0:1:2,7:8:9", 3).unwrap(),
+            vec![vec![0, 1, 2], vec![7, 8, 9]]
         );
-        assert!(parse_triple_list("0:1").is_err());
-        assert!(parse_triple_list("0:1:2:3").is_err());
-        assert!(parse_triple_list("0:x:2").is_err());
-        assert!(parse_triple_list("").is_err());
+        assert!(parse_gate_sets("0:1", 3).is_err());
+        assert!(parse_gate_sets("0:1:2:3", 3).is_err());
+        assert!(parse_gate_sets("0:x:2", 3).is_err());
+        assert!(parse_gate_sets("", 3).is_err());
     }
 }

@@ -22,12 +22,17 @@
 //! fingerprint mismatch.
 
 use polaris_dist::{merge_parts_traced, merged_outcome, DistError, DistPlan, SinkKind};
-use polaris_sim::{GateSamples, Parallelism};
-use polaris_tvla::{PairAccumulator, TripleAccumulator, WelchAccumulator, TVLA_THRESHOLD};
+use polaris_netlist::Netlist;
+use polaris_obs::Recorder;
+use polaris_sim::{GateSamples, Parallelism, PowerModel};
+use polaris_tvla::{
+    parse_gate_sets, set_noun, CoMomentAccumulator, Order, SupportedOrder, WelchAccumulator,
+    TVLA_THRESHOLD,
+};
 
 use crate::commands::{
-    campaign_from, leakage_csv, load_netlist, pair_csv, parallelism_from, parse_pair_list,
-    parse_triple_list, triple_csv,
+    campaign_from, co_moment_csv, leakage_csv, load_netlist, order_words, parallelism_from,
+    print_worst,
 };
 use crate::{read_file, write_file, CliError, Flags};
 
@@ -130,39 +135,29 @@ fn plan(args: &[String]) -> Result<(), CliError> {
     let out = flags
         .get("out")
         .ok_or_else(|| CliError::from("missing --out <plan manifest>".to_string()))?;
-    if flags.get("pair-gates").is_some() && !matches!(sink, SinkKind::Pairs) {
-        return Err(CliError::from(
-            "--pair-gates is only valid with --sink pairs".to_string(),
-        ));
-    }
-    if flags.get("triple-gates").is_some() && !matches!(sink, SinkKind::Triples) {
-        return Err(CliError::from(
-            "--triple-gates is only valid with --sink triples".to_string(),
-        ));
+    for order in [2, 3] {
+        let noun = set_noun(order);
+        if flags.get(&format!("{noun}-gates")).is_some() && sink.order() != Some(order) {
+            return Err(CliError::from(format!(
+                "--{noun}-gates is only valid with --sink {noun}s"
+            )));
+        }
     }
     let model = polaris_sim::PowerModel::default();
-    let plan = match sink {
-        SinkKind::Pairs => {
-            let spec = flags.get("pair-gates").ok_or_else(|| {
-                CliError::from(
-                    "--sink pairs needs --pair-gates A:B,C:D (the gate pairs every \
+    let plan = match sink.order() {
+        Some(order) => {
+            let noun = set_noun(order);
+            let example = if order == 2 { "A:B,C:D" } else { "A:B:C,D:E:F" };
+            let spec = flags.get(&format!("{noun}-gates")).ok_or_else(|| {
+                CliError::from(format!(
+                    "--sink {noun}s needs --{noun}-gates {example} (the gate {noun}s every \
                      worker accumulates)"
-                        .to_string(),
-                )
+                ))
             })?;
-            DistPlan::new_pairs(&netlist, &model, &campaign, parse_pair_list(spec)?, parts)
+            let sets = parse_gate_sets(spec, order)?;
+            DistPlan::new_gate_sets(&netlist, &model, &campaign, order, sets, parts)
         }
-        SinkKind::Triples => {
-            let spec = flags.get("triple-gates").ok_or_else(|| {
-                CliError::from(
-                    "--sink triples needs --triple-gates A:B:C,D:E:F (the gate triples \
-                     every worker accumulates)"
-                        .to_string(),
-                )
-            })?;
-            DistPlan::new_triples(&netlist, &model, &campaign, parse_triple_list(spec)?, parts)
-        }
-        _ => DistPlan::new(&netlist, &model, &campaign, sink, parts),
+        None => DistPlan::new(&netlist, &model, &campaign, sink, parts),
     }
     .map_err(dist_err)?;
     write_file(out, &plan.render())?;
@@ -236,7 +231,7 @@ fn work(args: &[String]) -> Result<(), CliError> {
             parallelism,
             part,
             plan.parts.len(),
-            || PairAccumulator::for_pairs(plan.pair_gates.clone()),
+            || CoMomentAccumulator::<2>::new(&plan.gate_sets),
             recorder,
         ),
         SinkKind::Triples => polaris_dist::execute_part_traced_with(
@@ -246,7 +241,7 @@ fn work(args: &[String]) -> Result<(), CliError> {
             parallelism,
             part,
             plan.parts.len(),
-            || TripleAccumulator::for_triples(plan.triple_gates.clone()),
+            || CoMomentAccumulator::<3>::new(&plan.gate_sets),
             recorder,
         ),
         SinkKind::Cpa => Err(DistError::PlanMismatch(
@@ -349,87 +344,8 @@ fn merge(args: &[String]) -> Result<(), CliError> {
             );
             println!("(for distributed bivariate sweeps, plan with --sink pairs)");
         }
-        SinkKind::Pairs => {
-            let merged = merge_parts_traced::<PairAccumulator>(
-                part_files.iter().map(Vec::as_slice),
-                Some(plan.fingerprint),
-                recorder,
-            )
-            .map_err(dist_err)?;
-            let parts = merged.parts;
-            let outcome = merged_outcome(&netlist, &model, &campaign, merged).map_err(dist_err)?;
-            let sweep = outcome.sink.sweep();
-            eprintln!(
-                "folded {} shards from {parts} part(s) — pair statistics are \
-                 byte-identical to a single-process `assess --pair-gates` run",
-                plan.n_shards
-            );
-            let leaky = sweep
-                .iter()
-                .filter(|(_, _, r)| r.is_leaky(TVLA_THRESHOLD))
-                .count();
-            println!("gate pairs:   {}", sweep.len());
-            println!("leaky pairs:  {leaky} (|t| > {TVLA_THRESHOLD})");
-            println!("worst second-order (bivariate) pairs:");
-            for (g1, g2, r) in sweep.iter().take(10) {
-                println!(
-                    "  {:>10} x {:<10} |t2| = {:.2}{}",
-                    netlist.gate(*g1).name(),
-                    netlist.gate(*g2).name(),
-                    r.t.abs(),
-                    if r.is_leaky(TVLA_THRESHOLD) {
-                        "  LEAKY"
-                    } else {
-                        ""
-                    }
-                );
-            }
-            if let Some(csv) = flags.get("csv") {
-                write_file(csv, &pair_csv(&netlist, &sweep))?;
-                eprintln!("per-pair results written to {csv}");
-            }
-        }
-        SinkKind::Triples => {
-            let merged = merge_parts_traced::<TripleAccumulator>(
-                part_files.iter().map(Vec::as_slice),
-                Some(plan.fingerprint),
-                recorder,
-            )
-            .map_err(dist_err)?;
-            let parts = merged.parts;
-            let outcome = merged_outcome(&netlist, &model, &campaign, merged).map_err(dist_err)?;
-            let sweep = outcome.sink.sweep();
-            eprintln!(
-                "folded {} shards from {parts} part(s) — triple statistics are \
-                 byte-identical to a single-process `assess --triple-gates` run",
-                plan.n_shards
-            );
-            let leaky = sweep
-                .iter()
-                .filter(|(_, _, _, r)| r.is_leaky(TVLA_THRESHOLD))
-                .count();
-            println!("gate triples:  {}", sweep.len());
-            println!("leaky triples: {leaky} (|t| > {TVLA_THRESHOLD})");
-            println!("worst third-order (trivariate) triples:");
-            for (g1, g2, g3, r) in sweep.iter().take(10) {
-                println!(
-                    "  {:>10} x {:^10} x {:<10} |t3| = {:.2}{}",
-                    netlist.gate(*g1).name(),
-                    netlist.gate(*g2).name(),
-                    netlist.gate(*g3).name(),
-                    r.t.abs(),
-                    if r.is_leaky(TVLA_THRESHOLD) {
-                        "  LEAKY"
-                    } else {
-                        ""
-                    }
-                );
-            }
-            if let Some(csv) = flags.get("csv") {
-                write_file(csv, &triple_csv(&netlist, &sweep))?;
-                eprintln!("per-triple results written to {csv}");
-            }
-        }
+        SinkKind::Pairs => merge_co_moments::<2>(&flags, &netlist, &plan, &part_files, recorder)?,
+        SinkKind::Triples => merge_co_moments::<3>(&flags, &netlist, &plan, &part_files, recorder)?,
         SinkKind::Cpa => {
             return Err(CliError::from(
                 "CPA shard states merge via the library API, not `dist merge`".to_string(),
@@ -437,5 +353,55 @@ fn merge(args: &[String]) -> Result<(), CliError> {
         }
     }
     trace_out.flush()?;
+    Ok(())
+}
+
+/// `dist merge` of a co-moment plan at order `K`: fold the parts, print the
+/// sweep like `assess` does, and write `--csv` with the same writer, so the
+/// file is byte-identical to the single-process `assess --pairs-csv` /
+/// `--triples-csv` output.
+fn merge_co_moments<const K: usize>(
+    flags: &Flags,
+    netlist: &Netlist,
+    plan: &DistPlan,
+    part_files: &[Vec<u8>],
+    recorder: &dyn Recorder,
+) -> Result<(), CliError>
+where
+    Order<K>: SupportedOrder,
+{
+    let merged = merge_parts_traced::<CoMomentAccumulator<K>>(
+        part_files.iter().map(Vec::as_slice),
+        Some(plan.fingerprint),
+        recorder,
+    )
+    .map_err(dist_err)?;
+    let parts = merged.parts;
+    let outcome = merged_outcome(netlist, &PowerModel::default(), &plan.campaign(), merged)
+        .map_err(dist_err)?;
+    let sweep = outcome.sink.sweep();
+    let noun = set_noun(K);
+    let (ordinal, test) = order_words(K);
+    eprintln!(
+        "folded {} shards from {parts} part(s) — {noun} statistics are \
+         byte-identical to a single-process `assess --{noun}-gates` run",
+        plan.n_shards
+    );
+    let leaky = sweep
+        .iter()
+        .filter(|(_, r)| r.is_leaky(TVLA_THRESHOLD))
+        .count();
+    let width = (noun.len() + 9).max(14);
+    println!("{:<width$}{}", format!("gate {noun}s:"), sweep.len());
+    println!(
+        "{:<width$}{leaky} (|t| > {TVLA_THRESHOLD})",
+        format!("leaky {noun}s:")
+    );
+    println!("worst {ordinal}-order ({test}) {noun}s:");
+    print_worst(netlist, &sweep);
+    if let Some(csv) = flags.get("csv") {
+        write_file(csv, &co_moment_csv(netlist, &sweep))?;
+        eprintln!("per-{noun} results written to {csv}");
+    }
     Ok(())
 }

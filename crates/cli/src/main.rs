@@ -4,7 +4,7 @@
 //! polaris-cli train   --out model.polaris [--scale N --traces N --seed N --threads N --model adaboost|xgboost|random-forest --glitch --adaptive --confidence P]
 //! polaris-cli stats   <netlist.v>
 //! polaris-cli assess  <netlist.v> [--traces N --seed N --threads N --glitch --adaptive --confidence P] [--csv out.csv]
-//!                     [--pairs N | --pair-gates A:B,C:D] [--pairs-dense] [--pairs-csv out.csv]
+//!                     [--pairs N | --pair-gates A:B,C:D] [--pairs-csv out.csv]
 //!                     [--triples N | --triple-gates A:B:C,D:E:F] [--triples-csv out.csv] [--trace-out trace.jsonl]
 //! polaris-cli fleet   <manifest.txt> [--traces N --seed N --threads N --glitch --adaptive --confidence P] [--csv-dir DIR]
 //!                     [--trace-out trace.jsonl]

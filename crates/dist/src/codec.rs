@@ -1,6 +1,7 @@
 //! Body encodings of the snapshotable accumulators — one [`ShardState`]
 //! impl per [`polaris_sim::MergeableSink`] the campaign and CPA engines
-//! fold (Welch moments, dense gate samples, CPA correlation sums).
+//! fold (Welch moments, dense gate samples, CPA correlation sums, and the
+//! co-moment sinks of every multivariate order).
 //!
 //! Bodies carry raw accumulator state, with every `f64` transported as its
 //! bit pattern: `decode(encode(x))` reproduces `x` exactly, and
@@ -10,8 +11,8 @@
 use polaris_sim::campaign::MergeableSink;
 use polaris_sim::GateSamples;
 use polaris_tvla::{
-    CorrelationAccumulator, CpaAccumulator, PairAccumulator, PairMoments, StreamingMoments,
-    TripleAccumulator, TripleMoments, WelchAccumulator,
+    CoMomentAccumulator, CoMoments, CorrelationAccumulator, CpaAccumulator, Order,
+    StreamingMoments, SupportedOrder, WelchAccumulator,
 };
 
 use crate::wire::{put_f64, put_u32, put_u64, Reader};
@@ -26,13 +27,31 @@ pub enum SinkKind {
     GateSamples,
     /// Per-key-guess correlation sums ([`CpaAccumulator`]).
     Cpa,
-    /// Per-gate-pair bivariate co-moments ([`PairAccumulator`]).
+    /// Per-gate-pair bivariate co-moments ([`CoMomentAccumulator<2>`]).
     Pairs,
-    /// Per-gate-triple trivariate co-moments ([`TripleAccumulator`]).
+    /// Per-gate-triple trivariate co-moments ([`CoMomentAccumulator<3>`]).
     Triples,
 }
 
 impl SinkKind {
+    /// The co-moment sink of `order` gates per set, if there is one.
+    pub const fn for_order(order: usize) -> Option<Self> {
+        match order {
+            2 => Some(SinkKind::Pairs),
+            3 => Some(SinkKind::Triples),
+            _ => None,
+        }
+    }
+
+    /// Gates per set of a co-moment sink; `None` for the other kinds.
+    pub fn order(self) -> Option<usize> {
+        match self {
+            SinkKind::Pairs => Some(2),
+            SinkKind::Triples => Some(3),
+            _ => None,
+        }
+    }
+
     /// The wire tag (see the format table in the crate docs).
     pub fn tag(self) -> u8 {
         match self {
@@ -285,67 +304,66 @@ impl ShardState for CpaAccumulator {
     }
 }
 
-const PAIR_MOMENTS_WIRE_BYTES: usize = 8 + 8 * 8;
+impl<const K: usize> ShardState for CoMomentAccumulator<K>
+where
+    Order<K>: SupportedOrder,
+{
+    const KIND: SinkKind = match SinkKind::for_order(K) {
+        Some(kind) => kind,
+        None => panic!("co-moment order without a shard-state kind"),
+    };
 
-fn put_pair_moments(out: &mut Vec<u8>, m: &PairMoments) {
-    let (n, parts) = m.raw_parts();
-    put_u64(out, n);
-    for v in parts {
-        put_f64(out, v);
-    }
-}
-
-fn read_pair_moments(r: &mut Reader<'_>, context: &str) -> Result<PairMoments, DistError> {
-    let n = r.u64(context)?;
-    let mut parts = [0.0f64; 8];
-    for v in &mut parts {
-        *v = r.f64(context)?;
-    }
-    Ok(PairMoments::from_raw_parts(n, parts))
-}
-
-impl ShardState for PairAccumulator {
-    const KIND: SinkKind = SinkKind::Pairs;
-
-    /// `pairs (u32)`, then `pairs` gate-index records `a (u32), b (u32)`,
-    /// then `pairs` fixed-class co-moment records followed by `pairs`
-    /// random-class records, each `n (u64)` + 8 × f64
-    /// (`mean_x, mean_y, C20, C02, C11, C21, C12, C22`).
+    /// `sets (u32)`, then `sets` gate-index records of K × `u32`, then
+    /// `sets` fixed-class co-moment records followed by `sets` random-class
+    /// records, each `n (u64)` + [`CoMoments::RAW_LEN`] × f64 (the K means,
+    /// then the tracked co-moments in lexicographic order — the
+    /// [`CoMoments::raw_parts`] layout).
     fn encode_body(&self, out: &mut Vec<u8>) {
-        let pairs = self.pairs();
+        let sets = self.gate_sets();
         put_u32(
             out,
-            u32::try_from(pairs.len()).expect("pair count fits u32"),
+            u32::try_from(sets.len()).expect("gate-set count fits u32"),
         );
-        for &(a, b) in pairs {
-            put_u32(out, a);
-            put_u32(out, b);
+        for &g in sets.iter().flatten() {
+            put_u32(out, g);
         }
         let (fixed, random) = self.class_moments();
         for m in fixed.iter().chain(random) {
-            put_pair_moments(out, m);
+            let (n, words) = m.raw_parts();
+            put_u64(out, n);
+            for w in words {
+                put_f64(out, w);
+            }
         }
     }
 
     fn decode_body(r: &mut Reader<'_>) -> Result<Self, DistError> {
-        let count = r.u32("pair count")? as usize;
-        r.expect_elements(count, 2 * 4 + 2 * PAIR_MOMENTS_WIRE_BYTES, "pair records")?;
-        let mut pairs = Vec::with_capacity(count);
+        let count = r.u32("gate-set count")? as usize;
+        let record = 8 + 8 * CoMoments::<K>::RAW_LEN;
+        r.expect_elements(count, 4 * K + 2 * record, "gate-set records")?;
+        let mut sets = Vec::with_capacity(count);
         for _ in 0..count {
-            let a = r.u32("pair gate index")?;
-            let b = r.u32("pair gate index")?;
-            pairs.push((a, b));
+            let mut set = [0u32; K];
+            for g in &mut set {
+                *g = r.u32("gate-set index")?;
+            }
+            sets.push(set);
         }
-        let mut read_class = |class: &str| -> Result<Vec<PairMoments>, DistError> {
+        let mut read_class = |class: &str| -> Result<Vec<CoMoments<K>>, DistError> {
             let mut v = Vec::with_capacity(count);
+            let mut words = vec![0.0; CoMoments::<K>::RAW_LEN];
             for _ in 0..count {
-                v.push(read_pair_moments(r, class)?);
+                let n = r.u64(class)?;
+                for w in &mut words {
+                    *w = r.f64(class)?;
+                }
+                v.push(CoMoments::from_raw_parts(n, &words));
             }
             Ok(v)
         };
-        let fixed = read_class("pair fixed-class co-moments")?;
-        let random = read_class("pair random-class co-moments")?;
-        Ok(PairAccumulator::from_parts(pairs, fixed, random))
+        let fixed = read_class("fixed-class co-moments")?;
+        let random = read_class("random-class co-moments")?;
+        Ok(CoMomentAccumulator::from_parts(sets, fixed, random))
     }
 
     fn fold(&mut self, other: Self) {
@@ -353,94 +371,15 @@ impl ShardState for PairAccumulator {
     }
 
     fn dimension(&self) -> Option<usize> {
-        let pairs = self.pair_count();
-        (pairs > 0).then_some(pairs)
-    }
-}
-
-const TRIPLE_MOMENTS_WIRE_BYTES: usize = 8 + polaris_tvla::trivariate::TRIPLE_MOMENTS_RAW_LEN * 8;
-
-fn put_triple_moments(out: &mut Vec<u8>, m: &TripleMoments) {
-    let (n, parts) = m.raw_parts();
-    put_u64(out, n);
-    for v in parts {
-        put_f64(out, v);
-    }
-}
-
-fn read_triple_moments(r: &mut Reader<'_>, context: &str) -> Result<TripleMoments, DistError> {
-    let n = r.u64(context)?;
-    let mut parts = [0.0f64; polaris_tvla::trivariate::TRIPLE_MOMENTS_RAW_LEN];
-    for v in &mut parts {
-        *v = r.f64(context)?;
-    }
-    Ok(TripleMoments::from_raw_parts(n, parts))
-}
-
-impl ShardState for TripleAccumulator {
-    const KIND: SinkKind = SinkKind::Triples;
-
-    /// `triples (u32)`, then `triples` gate-index records
-    /// `a (u32), b (u32), c (u32)`, then `triples` fixed-class co-moment
-    /// records followed by `triples` random-class records, each `n (u64)` +
-    /// 26 × f64 (`mean_x, mean_y, mean_z`, then the 23 co-moments in the
-    /// canonical [`TripleMoments::raw_parts`] order).
-    fn encode_body(&self, out: &mut Vec<u8>) {
-        let triples = self.triples();
-        put_u32(
-            out,
-            u32::try_from(triples.len()).expect("triple count fits u32"),
-        );
-        for &(a, b, c) in triples {
-            put_u32(out, a);
-            put_u32(out, b);
-            put_u32(out, c);
-        }
-        let (fixed, random) = self.class_moments();
-        for m in fixed.iter().chain(random) {
-            put_triple_moments(out, m);
-        }
-    }
-
-    fn decode_body(r: &mut Reader<'_>) -> Result<Self, DistError> {
-        let count = r.u32("triple count")? as usize;
-        r.expect_elements(
-            count,
-            3 * 4 + 2 * TRIPLE_MOMENTS_WIRE_BYTES,
-            "triple records",
-        )?;
-        let mut triples = Vec::with_capacity(count);
-        for _ in 0..count {
-            let a = r.u32("triple gate index")?;
-            let b = r.u32("triple gate index")?;
-            let c = r.u32("triple gate index")?;
-            triples.push((a, b, c));
-        }
-        let mut read_class = |class: &str| -> Result<Vec<TripleMoments>, DistError> {
-            let mut v = Vec::with_capacity(count);
-            for _ in 0..count {
-                v.push(read_triple_moments(r, class)?);
-            }
-            Ok(v)
-        };
-        let fixed = read_class("triple fixed-class co-moments")?;
-        let random = read_class("triple random-class co-moments")?;
-        Ok(TripleAccumulator::from_parts(triples, fixed, random))
-    }
-
-    fn fold(&mut self, other: Self) {
-        MergeableSink::merge(self, other);
-    }
-
-    fn dimension(&self) -> Option<usize> {
-        let triples = self.triple_count();
-        (triples > 0).then_some(triples)
+        let sets = self.gate_sets().len();
+        (sets > 0).then_some(sets)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polaris_tvla::{PairAccumulator, PairMoments, TripleAccumulator, TripleMoments};
 
     fn round_trip<S: ShardState>(state: &S) -> S {
         let mut bytes = Vec::new();
@@ -487,7 +426,7 @@ mod tests {
     #[test]
     fn pairs_round_trip_bit_exactly() {
         use polaris_sim::campaign::{EnergyBatch, Population, TraceSink};
-        let mut acc = PairAccumulator::for_pairs(vec![(0, 2), (1, 2)]);
+        let mut acc = PairAccumulator::new(&[[0u32, 2], [1, 2]]);
         let e: Vec<f64> = (0..6).map(|i| (i as f64).sin() * 1e-2).collect();
         acc.record_batch(
             Population::Fixed,
@@ -505,7 +444,7 @@ mod tests {
     fn pairs_round_trip_extreme_values() {
         let extreme = PairMoments::from_raw_parts(
             u64::MAX,
-            [
+            &[
                 f64::MIN_POSITIVE,
                 -0.0,
                 1e308,
@@ -517,7 +456,7 @@ mod tests {
             ],
         );
         let acc = PairAccumulator::from_parts(
-            vec![(7, u32::MAX)],
+            vec![[7, u32::MAX]],
             vec![extreme],
             vec![PairMoments::default()],
         );
@@ -571,16 +510,16 @@ mod tests {
 
     #[test]
     fn triples_round_trip_extreme_values() {
-        let mut parts = [0.0f64; polaris_tvla::trivariate::TRIPLE_MOMENTS_RAW_LEN];
+        let mut parts = [0.0f64; TripleMoments::RAW_LEN];
         parts[0] = f64::MIN_POSITIVE;
         parts[1] = -0.0;
         parts[3] = f64::INFINITY;
         parts[4] = f64::NEG_INFINITY;
         parts[5] = f64::NAN;
         parts[25] = -1e-308;
-        let extreme = TripleMoments::from_raw_parts(u64::MAX, parts);
+        let extreme = TripleMoments::from_raw_parts(u64::MAX, &parts);
         let acc = TripleAccumulator::from_parts(
-            vec![(7, 9, u32::MAX)],
+            vec![[7, 9, u32::MAX]],
             vec![extreme],
             vec![TripleMoments::default()],
         );

@@ -143,7 +143,8 @@ pub enum DistError {
     /// disagreeing grid sizes).
     PlanMismatch(String),
     /// A plan's gate-pair or gate-triple list is semantically invalid for
-    /// the design (out-of-range index, repeated gate, duplicate entry) —
+    /// the design (wrong arity, out-of-range index, repeated gate, duplicate
+    /// entry) —
     /// the same input class [`polaris_tvla::MultivariateError`] covers on
     /// the CLI side, kept distinct from [`DistError::PlanMismatch`] so a
     /// hand-edited `3:3` plan fails with the multivariate-input exit code.

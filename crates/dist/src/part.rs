@@ -23,7 +23,7 @@ pub const MAGIC: [u8; 8] = *b"PLRSHARD";
 
 /// Current wire-format version. Readers accept an exact match only; see the
 /// crate docs for the version policy.
-pub const FORMAT_VERSION: u16 = 2;
+pub const FORMAT_VERSION: u16 = 3;
 
 /// Fixed-size header fields of a part file (everything between the version
 /// word and the payload).
@@ -263,7 +263,7 @@ where
 ///
 /// The factory builds each shard's *empty* private sink, for sinks whose
 /// shape is configured at construction (e.g.
-/// [`polaris_tvla::PairAccumulator`], which must know its gate-pair list).
+/// [`polaris_tvla::CoMomentAccumulator`], which must know its gate sets).
 /// `recorder` gets one shard span per simulated shard (with the per-phase
 /// split) plus a `plan_exec` frame naming the part's slot in the plan. The
 /// encoded file is byte-identical to the untraced run.

@@ -118,15 +118,13 @@ pub struct DistPlan {
     pub n_shards: usize,
     /// Contiguous per-part shard ranges, tiling `0..n_shards` in order.
     pub parts: Vec<Range<usize>>,
-    /// Gate pairs the workers accumulate bivariate co-moments for. Non-empty
-    /// exactly when `sink` is [`SinkKind::Pairs`] — every worker must build
-    /// its [`polaris_tvla::PairAccumulator`] over the *same ordered list*,
-    /// or the central fold would combine moments of different pairs.
-    pub pair_gates: Vec<(u32, u32)>,
-    /// Gate triples the workers accumulate trivariate co-moments for.
-    /// Non-empty exactly when `sink` is [`SinkKind::Triples`], under the
-    /// same same-ordered-list contract as `pair_gates`.
-    pub triple_gates: Vec<(u32, u32, u32)>,
+    /// Gate sets the workers accumulate co-moments for, each naming
+    /// [`SinkKind::order`] gates (pairs for [`SinkKind::Pairs`], triples for
+    /// [`SinkKind::Triples`]). Non-empty exactly when the sink has an order
+    /// — every worker must build its [`polaris_tvla::CoMomentAccumulator`]
+    /// over the *same ordered list*, or the central fold would combine
+    /// moments of different gate sets.
+    pub gate_sets: Vec<Vec<u32>>,
 }
 
 const MANIFEST_HEADER: &str = "polaris-dist-plan v1";
@@ -138,8 +136,8 @@ impl DistPlan {
     ///
     /// [`DistError::Malformed`] if `parts == 0`, the campaign carries
     /// explicit class vectors (which the manifest cannot transport), or
-    /// `sink` is [`SinkKind::Pairs`] / [`SinkKind::Triples`] (which need a
-    /// gate list — use [`DistPlan::new_pairs`] / [`DistPlan::new_triples`]).
+    /// `sink` is a co-moment sink (which needs a gate list — use
+    /// [`DistPlan::new_gate_sets`]).
     pub fn new(
         netlist: &Netlist,
         model: &PowerModel,
@@ -147,97 +145,55 @@ impl DistPlan {
         sink: SinkKind,
         parts: usize,
     ) -> Result<Self, DistError> {
-        if sink == SinkKind::Pairs {
-            return Err(DistError::Malformed(
-                "a pairs plan needs a gate-pair list; use DistPlan::new_pairs".into(),
-            ));
+        if sink.order().is_some() {
+            return Err(DistError::Malformed(format!(
+                "a {} plan needs a gate list; use DistPlan::new_gate_sets",
+                sink.name()
+            )));
         }
-        if sink == SinkKind::Triples {
-            return Err(DistError::Malformed(
-                "a triples plan needs a gate-triple list; use DistPlan::new_triples".into(),
-            ));
-        }
-        Self::build(netlist, model, config, sink, parts, Vec::new(), Vec::new())
+        Self::build(netlist, model, config, sink, parts, Vec::new())
     }
 
-    /// Plans a bivariate ([`SinkKind::Pairs`]) campaign: like
-    /// [`DistPlan::new`], plus the ordered gate-pair list every worker
+    /// Plans a co-moment campaign of `order` gates per set
+    /// ([`SinkKind::Pairs`] for 2, [`SinkKind::Triples`] for 3): like
+    /// [`DistPlan::new`], plus the ordered gate-set list every worker
     /// accumulates.
     ///
     /// # Errors
     ///
-    /// [`DistError::Malformed`] on the [`DistPlan::new`] conditions or an
-    /// empty pair list; [`DistError::GateList`] if the list fails
-    /// [`polaris_tvla::validate_pairs`] (out-of-range index, self-pair,
-    /// duplicate entry).
-    pub fn new_pairs(
+    /// [`DistError::Malformed`] on the [`DistPlan::new`] conditions, an order
+    /// without a co-moment sink, or an empty list; [`DistError::GateList`]
+    /// if the list fails [`polaris_tvla::validate_gate_sets`] (wrong arity,
+    /// out-of-range index, repeated gate, duplicate entry).
+    pub fn new_gate_sets(
         netlist: &Netlist,
         model: &PowerModel,
         config: &CampaignConfig,
-        pair_gates: Vec<(u32, u32)>,
+        order: usize,
+        gate_sets: Vec<Vec<u32>>,
         parts: usize,
     ) -> Result<Self, DistError> {
-        if pair_gates.is_empty() {
-            return Err(DistError::Malformed(
-                "a pairs plan needs at least one gate pair".into(),
-            ));
+        let sink = SinkKind::for_order(order)
+            .ok_or_else(|| DistError::Malformed(format!("no co-moment sink for order {order}")))?;
+        let noun = polaris_tvla::set_noun(order);
+        if gate_sets.is_empty() {
+            return Err(DistError::Malformed(format!(
+                "a {} plan needs at least one gate {noun}",
+                sink.name()
+            )));
         }
-        polaris_tvla::validate_pairs(&pair_gates, netlist.gate_count())
-            .map_err(|e| DistError::GateList(format!("pairs plan: {e}")))?;
-        Self::build(
-            netlist,
-            model,
-            config,
-            SinkKind::Pairs,
-            parts,
-            pair_gates,
-            Vec::new(),
-        )
+        polaris_tvla::validate_gate_sets(order, &gate_sets, netlist.gate_count())
+            .map_err(|e| DistError::GateList(format!("{} plan: {e}", sink.name())))?;
+        Self::build(netlist, model, config, sink, parts, gate_sets)
     }
 
-    /// Plans a trivariate ([`SinkKind::Triples`]) campaign: like
-    /// [`DistPlan::new`], plus the ordered gate-triple list every worker
-    /// accumulates.
-    ///
-    /// # Errors
-    ///
-    /// [`DistError::Malformed`] on the [`DistPlan::new`] conditions or an
-    /// empty triple list; [`DistError::GateList`] if the list fails
-    /// [`polaris_tvla::validate_triples`].
-    pub fn new_triples(
-        netlist: &Netlist,
-        model: &PowerModel,
-        config: &CampaignConfig,
-        triple_gates: Vec<(u32, u32, u32)>,
-        parts: usize,
-    ) -> Result<Self, DistError> {
-        if triple_gates.is_empty() {
-            return Err(DistError::Malformed(
-                "a triples plan needs at least one gate triple".into(),
-            ));
-        }
-        polaris_tvla::validate_triples(&triple_gates, netlist.gate_count())
-            .map_err(|e| DistError::GateList(format!("triples plan: {e}")))?;
-        Self::build(
-            netlist,
-            model,
-            config,
-            SinkKind::Triples,
-            parts,
-            Vec::new(),
-            triple_gates,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn build(
         netlist: &Netlist,
         model: &PowerModel,
         config: &CampaignConfig,
         sink: SinkKind,
         parts: usize,
-        pair_gates: Vec<(u32, u32)>,
-        triple_gates: Vec<(u32, u32, u32)>,
+        gate_sets: Vec<Vec<u32>>,
     ) -> Result<Self, DistError> {
         if parts == 0 {
             return Err(DistError::Malformed(
@@ -263,8 +219,7 @@ impl DistPlan {
             fingerprint: campaign_fingerprint(netlist, model, config),
             n_shards,
             parts: partition_shards(n_shards, parts),
-            pair_gates,
-            triple_gates,
+            gate_sets,
         })
     }
 
@@ -288,8 +243,8 @@ impl DistPlan {
     /// # Errors
     ///
     /// [`DistError::FingerprintMismatch`] / [`DistError::PlanMismatch`] on
-    /// divergence; [`DistError::GateList`] when the plan's pair or triple
-    /// list is invalid for the loaded netlist (so a hand-edited list fails
+    /// divergence; [`DistError::GateList`] when the plan's gate-set list is
+    /// invalid for the loaded netlist (so a hand-edited list fails
     /// on the worker exactly as it would at planning time).
     pub fn verify(
         &self,
@@ -311,13 +266,10 @@ impl DistPlan {
                 self.n_shards
             )));
         }
-        if !self.pair_gates.is_empty() {
-            polaris_tvla::validate_pairs(&self.pair_gates, netlist.gate_count())
-                .map_err(|e| DistError::GateList(format!("pair list: {e}")))?;
-        }
-        if !self.triple_gates.is_empty() {
-            polaris_tvla::validate_triples(&self.triple_gates, netlist.gate_count())
-                .map_err(|e| DistError::GateList(format!("triple list: {e}")))?;
+        if let Some(order) = self.sink.order() {
+            let noun = polaris_tvla::set_noun(order);
+            polaris_tvla::validate_gate_sets(order, &self.gate_sets, netlist.gate_count())
+                .map_err(|e| DistError::GateList(format!("{noun} list: {e}")))?;
         }
         Ok(campaign)
     }
@@ -329,21 +281,14 @@ impl DistPlan {
         out.push('\n');
         out.push_str(&format!("design {}\n", self.design));
         out.push_str(&format!("sink {}\n", self.sink.name()));
-        if !self.pair_gates.is_empty() {
+        if let Some(order) = self.sink.order() {
             let list: Vec<String> = self
-                .pair_gates
+                .gate_sets
                 .iter()
-                .map(|(a, b)| format!("{a}:{b}"))
+                .map(|set| set.iter().map(u32::to_string).collect::<Vec<_>>().join(":"))
                 .collect();
-            out.push_str(&format!("pair-gates {}\n", list.join(",")));
-        }
-        if !self.triple_gates.is_empty() {
-            let list: Vec<String> = self
-                .triple_gates
-                .iter()
-                .map(|(a, b, c)| format!("{a}:{b}:{c}"))
-                .collect();
-            out.push_str(&format!("triple-gates {}\n", list.join(",")));
+            let noun = polaris_tvla::set_noun(order);
+            out.push_str(&format!("{noun}-gates {}\n", list.join(",")));
         }
         out.push_str(&format!("seed {}\n", self.seed));
         out.push_str(&format!("traces-fixed {}\n", self.n_fixed));
@@ -380,8 +325,8 @@ impl DistPlan {
         }
         let mut design = None;
         let mut sink = None;
-        let mut pair_gates: Option<Vec<(u32, u32)>> = None;
-        let mut triple_gates: Option<Vec<(u32, u32, u32)>> = None;
+        // The gate-set list with the order its key names.
+        let mut gate_sets: Option<(usize, Vec<Vec<u32>>)> = None;
         let mut seed = None;
         let mut n_fixed = None;
         let mut n_random = None;
@@ -427,36 +372,10 @@ impl DistPlan {
                         .ok_or_else(|| bad(format!("unknown sink kind `{name}`")))?;
                     set(&mut sink, key, kind)?;
                 }
-                "pair-gates" => {
-                    let list = one()?;
-                    let mut pairs = Vec::new();
-                    for entry in list.split(',') {
-                        let (a, b) = entry
-                            .split_once(':')
-                            .ok_or_else(|| bad(format!("bad pair entry `{entry}`")))?;
-                        let parse = |v: &str| {
-                            v.parse::<u32>()
-                                .map_err(|_| bad(format!("bad pair gate index `{v}`")))
-                        };
-                        pairs.push((parse(a)?, parse(b)?));
-                    }
-                    set(&mut pair_gates, key, pairs)?;
-                }
-                "triple-gates" => {
-                    let list = one()?;
-                    let mut triples = Vec::new();
-                    for entry in list.split(',') {
-                        let parse = |v: &str| {
-                            v.parse::<u32>()
-                                .map_err(|_| bad(format!("bad triple gate index `{v}`")))
-                        };
-                        let fields: Vec<&str> = entry.split(':').collect();
-                        if fields.len() != 3 {
-                            return Err(bad(format!("bad triple entry `{entry}`")));
-                        }
-                        triples.push((parse(fields[0])?, parse(fields[1])?, parse(fields[2])?));
-                    }
-                    set(&mut triple_gates, key, triples)?;
+                "pair-gates" | "triple-gates" => {
+                    let order = if key == "pair-gates" { 2 } else { 3 };
+                    let sets = polaris_tvla::parse_gate_sets(one()?, order).map_err(bad)?;
+                    set(&mut gate_sets, key, (order, sets))?;
                 }
                 "seed" => set(
                     &mut seed,
@@ -499,7 +418,7 @@ impl DistPlan {
         }
 
         let req = |name: &'static str| move || bad(format!("missing key `{name}`"));
-        let plan = DistPlan {
+        let mut plan = DistPlan {
             design: design.ok_or_else(req("design"))?,
             sink: sink.ok_or_else(req("sink"))?,
             seed: seed.ok_or_else(req("seed"))?,
@@ -524,29 +443,29 @@ impl DistPlan {
                 }
                 parts.into_iter().map(|(_, r)| r).collect()
             },
-            pair_gates: pair_gates.unwrap_or_default(),
-            triple_gates: triple_gates.unwrap_or_default(),
+            gate_sets: Vec::new(),
         };
-        // Each gate list and the sink kind must agree: a pairs/triples plan
+        // The gate list and the sink kind must agree: a co-moment plan
         // without its list (or a list on another sink) cannot drive the
         // workers.
-        if plan.sink == SinkKind::Pairs && plan.pair_gates.is_empty() {
-            return Err(bad("sink `pairs` requires a `pair-gates` list".into()));
-        }
-        if plan.sink != SinkKind::Pairs && !plan.pair_gates.is_empty() {
-            return Err(bad(format!(
-                "`pair-gates` is only valid with sink `pairs`, found `{}`",
-                plan.sink.name()
-            )));
-        }
-        if plan.sink == SinkKind::Triples && plan.triple_gates.is_empty() {
-            return Err(bad("sink `triples` requires a `triple-gates` list".into()));
-        }
-        if plan.sink != SinkKind::Triples && !plan.triple_gates.is_empty() {
-            return Err(bad(format!(
-                "`triple-gates` is only valid with sink `triples`, found `{}`",
-                plan.sink.name()
-            )));
+        match (plan.sink.order(), gate_sets) {
+            (Some(order), Some((found, sets))) if found == order => plan.gate_sets = sets,
+            (Some(order), _) => {
+                return Err(bad(format!(
+                    "sink `{}` requires a `{}-gates` list",
+                    plan.sink.name(),
+                    polaris_tvla::set_noun(order)
+                )))
+            }
+            (None, Some((found, _))) => {
+                return Err(bad(format!(
+                    "`{}-gates` is only valid with sink `{}s`, found `{}`",
+                    polaris_tvla::set_noun(found),
+                    polaris_tvla::set_noun(found),
+                    plan.sink.name()
+                )))
+            }
+            (None, None) => {}
         }
         // Ranges must tile the grid in order.
         let mut next = 0usize;
@@ -671,14 +590,15 @@ mod tests {
     fn pairs_manifest_round_trips() {
         let n = generators::iscas_c17();
         let cfg = CampaignConfig::new(2000, 2000, 13);
-        let pairs = vec![(0, 3), (1, 4), (2, 5)];
-        let plan = DistPlan::new_pairs(&n, &PowerModel::default(), &cfg, pairs.clone(), 2).unwrap();
+        let pairs = vec![vec![0, 3], vec![1, 4], vec![2, 5]];
+        let plan =
+            DistPlan::new_gate_sets(&n, &PowerModel::default(), &cfg, 2, pairs.clone(), 2).unwrap();
         assert_eq!(plan.sink, SinkKind::Pairs);
         let rendered = plan.render();
         assert!(rendered.contains("pair-gates 0:3,1:4,2:5"), "{rendered}");
         let parsed = DistPlan::parse(&rendered).unwrap();
         assert_eq!(plan, parsed);
-        assert_eq!(parsed.pair_gates, pairs);
+        assert_eq!(parsed.gate_sets, pairs);
         parsed.verify(&n, &PowerModel::default()).unwrap();
     }
 
@@ -694,25 +614,25 @@ mod tests {
         ));
         // Empty and out-of-range pair lists are rejected.
         assert!(matches!(
-            DistPlan::new_pairs(&n, &model, &cfg, vec![], 2),
+            DistPlan::new_gate_sets(&n, &model, &cfg, 2, vec![], 2),
             Err(DistError::Malformed(_))
         ));
         assert!(matches!(
-            DistPlan::new_pairs(&n, &model, &cfg, vec![(0, 999)], 2),
+            DistPlan::new_gate_sets(&n, &model, &cfg, 2, vec![vec![0, 999]], 2),
             Err(DistError::GateList(_))
         ));
         // Self-pairs and duplicate entries are the multivariate input class.
         assert!(matches!(
-            DistPlan::new_pairs(&n, &model, &cfg, vec![(3, 3)], 2),
+            DistPlan::new_gate_sets(&n, &model, &cfg, 2, vec![vec![3, 3]], 2),
             Err(DistError::GateList(_))
         ));
         assert!(matches!(
-            DistPlan::new_pairs(&n, &model, &cfg, vec![(0, 3), (3, 0)], 2),
+            DistPlan::new_gate_sets(&n, &model, &cfg, 2, vec![vec![0, 3], vec![3, 0]], 2),
             Err(DistError::GateList(_))
         ));
 
         // Manifest-side agreement between sink kind and pair list.
-        let good = DistPlan::new_pairs(&n, &model, &cfg, vec![(0, 3)], 2)
+        let good = DistPlan::new_gate_sets(&n, &model, &cfg, 2, vec![vec![0, 3]], 2)
             .unwrap()
             .render();
         for mangle in [
@@ -731,14 +651,14 @@ mod tests {
         // A parsed plan whose pairs do not fit the loaded netlist fails
         // verification even when the fingerprint matches — including a
         // hand-edited self-pair, which must land in the gate-list class.
-        let mut plan = DistPlan::new_pairs(&n, &model, &cfg, vec![(0, 3)], 2).unwrap();
-        plan.pair_gates = vec![(0, 999)];
+        let mut plan = DistPlan::new_gate_sets(&n, &model, &cfg, 2, vec![vec![0, 3]], 2).unwrap();
+        plan.gate_sets = vec![vec![0, 999]];
         assert!(matches!(
             plan.verify(&n, &model),
             Err(DistError::GateList(_))
         ));
-        let mut plan = DistPlan::new_pairs(&n, &model, &cfg, vec![(0, 3)], 2).unwrap();
-        plan.pair_gates = vec![(3, 3)];
+        let mut plan = DistPlan::new_gate_sets(&n, &model, &cfg, 2, vec![vec![0, 3]], 2).unwrap();
+        plan.gate_sets = vec![vec![3, 3]];
         assert!(matches!(
             plan.verify(&n, &model),
             Err(DistError::GateList(_))
@@ -749,15 +669,15 @@ mod tests {
     fn triples_manifest_round_trips() {
         let n = generators::iscas_c17();
         let cfg = CampaignConfig::new(2000, 2000, 13);
-        let triples = vec![(0, 3, 5), (1, 4, 6)];
-        let plan =
-            DistPlan::new_triples(&n, &PowerModel::default(), &cfg, triples.clone(), 2).unwrap();
+        let triples = vec![vec![0, 3, 5], vec![1, 4, 6]];
+        let plan = DistPlan::new_gate_sets(&n, &PowerModel::default(), &cfg, 3, triples.clone(), 2)
+            .unwrap();
         assert_eq!(plan.sink, SinkKind::Triples);
         let rendered = plan.render();
         assert!(rendered.contains("triple-gates 0:3:5,1:4:6"), "{rendered}");
         let parsed = DistPlan::parse(&rendered).unwrap();
         assert_eq!(plan, parsed);
-        assert_eq!(parsed.triple_gates, triples);
+        assert_eq!(parsed.gate_sets, triples);
         parsed.verify(&n, &PowerModel::default()).unwrap();
     }
 
@@ -771,22 +691,23 @@ mod tests {
             Err(DistError::Malformed(_))
         ));
         assert!(matches!(
-            DistPlan::new_triples(&n, &model, &cfg, vec![], 2),
+            DistPlan::new_gate_sets(&n, &model, &cfg, 3, vec![], 2),
             Err(DistError::Malformed(_))
         ));
         for bad_list in [
-            vec![(0, 1, 999)],
-            vec![(0, 1, 1)],
-            vec![(0, 1, 2), (2, 1, 0)],
+            vec![vec![0, 1, 999]],
+            vec![vec![0, 1, 1]],
+            vec![vec![0, 1, 2], vec![2, 1, 0]],
+            vec![vec![0, 1]],
         ] {
             assert!(matches!(
-                DistPlan::new_triples(&n, &model, &cfg, bad_list, 2),
+                DistPlan::new_gate_sets(&n, &model, &cfg, 3, bad_list, 2),
                 Err(DistError::GateList(_))
             ));
         }
 
         // Manifest-side agreement between sink kind and triple list.
-        let good = DistPlan::new_triples(&n, &model, &cfg, vec![(0, 3, 5)], 2)
+        let good = DistPlan::new_gate_sets(&n, &model, &cfg, 3, vec![vec![0, 3, 5]], 2)
             .unwrap()
             .render();
         for mangle in [
@@ -805,8 +726,9 @@ mod tests {
 
         // A hand-edited repeated-gate triple fails verification in the
         // gate-list class (the CLI maps it to the multivariate exit code).
-        let mut plan = DistPlan::new_triples(&n, &model, &cfg, vec![(0, 3, 5)], 2).unwrap();
-        plan.triple_gates = vec![(3, 3, 5)];
+        let mut plan =
+            DistPlan::new_gate_sets(&n, &model, &cfg, 3, vec![vec![0, 3, 5]], 2).unwrap();
+        plan.gate_sets = vec![vec![3, 3, 5]];
         assert!(matches!(
             plan.verify(&n, &model),
             Err(DistError::GateList(_))

@@ -12,6 +12,9 @@
 //!   used by Algorithms 1–2 of the paper and by the VALIANT baseline,
 //!   including the ±4.5 leaky-gate threshold and second-order (centered
 //!   square) assessment.
+//! * [`comoments`] — higher-order (bivariate, trivariate) TVLA: one
+//!   streaming co-moment engine, [`CoMoments<K>`], for every order, with
+//!   [`bivariate`] and [`trivariate`] as its order-2 and order-3 names.
 //! * [`sequential`] — adaptive sequential stopping: an O'Brien–Fleming
 //!   alpha-spending rule evaluated at the parallel engine's round
 //!   checkpoints, terminating a campaign once every gate's verdict has
@@ -35,6 +38,7 @@
 //! ```
 
 pub mod bivariate;
+pub mod comoments;
 pub mod cpa;
 pub mod gate_leakage;
 pub mod moments;
@@ -44,9 +48,10 @@ pub mod trivariate;
 pub mod waveform;
 pub mod welch;
 
-pub use bivariate::{
-    all_pairs, assess_pairs, bivariate_sweep, bivariate_t, pair_welch_t, validate_pairs,
-    BivariateError, MultivariateError, PairAccumulator, PairMoments,
+pub use bivariate::{all_pairs, assess_pairs, PairAccumulator, PairMoments};
+pub use comoments::{
+    all_gate_sets, assess_gate_sets, co_moment_welch_t, parse_gate_sets, set_noun,
+    validate_gate_sets, CoMomentAccumulator, CoMoments, MultivariateError, Order, SupportedOrder,
 };
 pub use cpa::{run_cpa, run_cpa_parallel, CorrelationAccumulator, CpaAccumulator};
 pub use gate_leakage::{
@@ -59,9 +64,7 @@ pub use sequential::{
     campaign_outcome_adaptive, campaign_outcome_adaptive_traced, AdaptiveAssessment,
     SequentialConfig, SequentialStopping,
 };
-pub use trivariate::{
-    all_triples, assess_triples, triple_welch_t, validate_triples, TripleAccumulator, TripleMoments,
-};
+pub use trivariate::{all_triples, assess_triples, TripleAccumulator, TripleMoments};
 pub use welch::{welch_t, WelchResult};
 
 /// The conventional TVLA distinguishability threshold on `|t|` (±4.5, giving

@@ -8,9 +8,8 @@
 
 use polaris_masking::{apply_masking, MaskingStyle};
 use polaris_netlist::{GateKind, Netlist};
-use polaris_sim::{campaign::collect_gate_samples, CampaignConfig, PowerModel};
-use polaris_tvla::bivariate::bivariate_sweep;
-use polaris_tvla::TVLA_THRESHOLD;
+use polaris_sim::{CampaignConfig, Parallelism, PowerModel};
+use polaris_tvla::{all_pairs, assess_pairs, TVLA_THRESHOLD};
 
 fn keyed_and() -> (Netlist, polaris_netlist::GateId) {
     let mut n = Netlist::new("keyed_and");
@@ -62,8 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let uni = polaris_tvla::assess(&masked.netlist, &power, &cfg)?;
         let worst_uni = core.iter().map(|&c| uni.abs_t(c)).fold(0.0f64, f64::max);
 
-        let samples = collect_gate_samples(&masked.netlist, &power, &cfg)?;
-        let sweep = bivariate_sweep(&samples, core)?;
+        let pairs = all_pairs(core);
+        let sweep = assess_pairs(&masked.netlist, &power, &cfg, Parallelism::new(0), &pairs)?;
         let worst_bi = sweep.first().map_or(0.0, |(_, _, r)| r.t.abs());
 
         println!(

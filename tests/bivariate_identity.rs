@@ -1,17 +1,19 @@
 //! Byte-identity of the streaming bivariate engine across every execution
 //! shape: the per-pair t statistics of one campaign must carry the *same
 //! bits* whether the co-moments stream through 1, 2, or 8 worker threads,
-//! 1- or 8-word SIMD lanes, a dense two-pass sweep, a 2-worker distributed
-//! split, or a fleet job on a shared pool. The engine's determinism story is
-//! a shared computation DAG (fixed shard grid, canonical ascending fold) —
-//! these tests pin that the bivariate sink joined it.
+//! 1- or 8-word SIMD lanes, a 2-worker distributed split, or a fleet job on
+//! a shared pool. The engine's determinism story is a shared computation
+//! DAG (fixed shard grid, canonical ascending fold) — these tests pin that
+//! the bivariate sink joined it. An independent two-pass oracle (Welch's t
+//! over the explicitly centered products) checks the values themselves.
 
 use polaris_dist::{execute_part_traced_with, merge_parts};
 use polaris_netlist::{generators, GateId, Netlist};
 use polaris_obs::NullRecorder;
 use polaris_sim::fleet::{run_fleet, FleetJob};
 use polaris_sim::{CampaignConfig, Parallelism, PowerModel};
-use polaris_tvla::{all_pairs, bivariate_t, PairAccumulator};
+use polaris_tvla::welch::welch_t_slices;
+use polaris_tvla::{all_gate_sets, PairAccumulator, WelchResult, TVLA_THRESHOLD};
 
 fn design() -> Netlist {
     generators::iscas_c17()
@@ -23,8 +25,24 @@ fn campaign() -> CampaignConfig {
     CampaignConfig::new(600, 600, 23)
 }
 
-fn pair_list(n: &Netlist) -> Vec<(u32, u32)> {
-    all_pairs(&n.cell_ids())
+fn pair_list(n: &Netlist) -> Vec<Vec<u32>> {
+    all_gate_sets(&n.cell_ids(), 2)
+}
+
+/// The per-pair results of a streaming campaign at the given parallelism,
+/// in pair-list order.
+fn streaming_results(
+    n: &Netlist,
+    cfg: &CampaignConfig,
+    par: Parallelism,
+    pairs: &[Vec<u32>],
+) -> Vec<WelchResult> {
+    let acc = FleetJob::new(n, &PowerModel::default(), cfg.clone())
+        .with_sink_factory(|| PairAccumulator::new(pairs))
+        .run(par, &NullRecorder)
+        .expect("campaign")
+        .sink;
+    acc.rows().into_iter().map(|(_, r)| r).collect()
 }
 
 /// The (t, dof) bit patterns of a streaming campaign at the given
@@ -33,16 +51,15 @@ fn streaming_bits(
     n: &Netlist,
     cfg: &CampaignConfig,
     par: Parallelism,
-    pairs: &[(u32, u32)],
+    pairs: &[Vec<u32>],
 ) -> Vec<(u64, u64)> {
-    let acc = FleetJob::new(n, &PowerModel::default(), cfg.clone())
-        .with_sink_factory(|| PairAccumulator::for_pairs(pairs.to_vec()))
-        .run(par, &NullRecorder)
-        .expect("campaign")
-        .sink;
-    acc.results()
+    bits(&streaming_results(n, cfg, par, pairs))
+}
+
+fn bits(results: &[WelchResult]) -> Vec<(u64, u64)> {
+    results
         .iter()
-        .map(|(_, _, r)| (r.t.to_bits(), r.dof.to_bits()))
+        .map(|r| (r.t.to_bits(), r.dof.to_bits()))
         .collect()
 }
 
@@ -65,15 +82,17 @@ fn streaming_sweep_is_bit_identical_at_any_thread_count_and_lane_width() {
     }
 }
 
+/// Test-only oracle: store every trace, center each gate's class buffer on
+/// its class mean, and run Welch's t-test over the explicit products
+/// `(e₁ − μ₁)(e₂ − μ₂)`. Two passes and a different summation order than the
+/// streaming co-moments, so the two agree to rounding, not to the bit.
 #[test]
-fn streaming_sweep_matches_the_dense_two_pass_engine_bit_for_bit() {
+fn streaming_sweep_matches_the_centered_product_oracle() {
     let n = design();
     let cfg = campaign();
     let pairs = pair_list(&n);
-    let streaming = streaming_bits(&n, &cfg, Parallelism::new(4), &pairs);
+    let streaming = streaming_results(&n, &cfg, Parallelism::new(4), &pairs);
 
-    // Dense engine: every trace stored, then two passes per pair — chunked
-    // through the same computation DAG, so the bits must agree exactly.
     let samples = polaris_sim::campaign::collect_gate_samples_parallel(
         &n,
         &PowerModel::default(),
@@ -81,15 +100,42 @@ fn streaming_sweep_matches_the_dense_two_pass_engine_bit_for_bit() {
         Parallelism::new(2),
     )
     .expect("campaign");
-    let dense: Vec<(u64, u64)> = pairs
-        .iter()
-        .map(|&(a, b)| {
-            let r = bivariate_t(&samples, GateId::new(a as usize), GateId::new(b as usize))
-                .expect("pairs in range");
-            (r.t.to_bits(), r.dof.to_bits())
-        })
-        .collect();
-    assert_eq!(streaming, dense);
+    let centered_products = |e1: &[f64], e2: &[f64]| -> Vec<f64> {
+        let mean = |e: &[f64]| e.iter().sum::<f64>() / e.len() as f64;
+        let (m1, m2) = (mean(e1), mean(e2));
+        e1.iter()
+            .zip(e2)
+            .map(|(a, b)| (a - m1) * (b - m2))
+            .collect()
+    };
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
+    let mut leaky = 0;
+    for (pair, got) in pairs.iter().zip(&streaming) {
+        let (g1, g2) = (GateId::new(pair[0] as usize), GateId::new(pair[1] as usize));
+        let want = welch_t_slices(
+            &centered_products(samples.fixed(g1), samples.fixed(g2)),
+            &centered_products(samples.random(g1), samples.random(g2)),
+        );
+        assert!(close(got.t, want.t), "{pair:?}: t {} vs {}", got.t, want.t);
+        assert!(
+            close(got.dof, want.dof),
+            "{pair:?}: dof {} vs {}",
+            got.dof,
+            want.dof
+        );
+        assert_eq!(
+            got.is_leaky(TVLA_THRESHOLD),
+            want.is_leaky(TVLA_THRESHOLD),
+            "{pair:?}: verdict"
+        );
+        leaky += usize::from(got.is_leaky(TVLA_THRESHOLD));
+    }
+    // The oracle is only a check if both verdicts occur.
+    assert!(
+        leaky > 0 && leaky < pairs.len(),
+        "{leaky} of {} leaky",
+        pairs.len()
+    );
 }
 
 #[test]
@@ -110,7 +156,7 @@ fn distributed_split_folds_bit_identically_at_any_partitioning() {
                     Parallelism::new(2),
                     i,
                     parts,
-                    || PairAccumulator::for_pairs(pairs.clone()),
+                    || PairAccumulator::new(&pairs),
                     &NullRecorder,
                 )
                 .expect("part executes")
@@ -118,13 +164,8 @@ fn distributed_split_folds_bit_identically_at_any_partitioning() {
             .collect();
         let merged =
             merge_parts::<PairAccumulator>(files.iter().map(Vec::as_slice), None).expect("merges");
-        let bits: Vec<(u64, u64)> = merged
-            .state
-            .results()
-            .iter()
-            .map(|(_, _, r)| (r.t.to_bits(), r.dof.to_bits()))
-            .collect();
-        assert_eq!(bits, reference, "{parts}-worker split");
+        let rows: Vec<WelchResult> = merged.state.rows().into_iter().map(|(_, r)| r).collect();
+        assert_eq!(bits(&rows), reference, "{parts}-worker split");
     }
 }
 
@@ -143,17 +184,17 @@ fn fleet_pair_job_matches_its_standalone_run() {
         let job_pairs = pairs.clone();
         let jobs = vec![
             FleetJob::<PairAccumulator>::new(&n, &model, cfg.clone())
-                .with_sink_factory(move || PairAccumulator::for_pairs(job_pairs.clone())),
+                .with_sink_factory(move || PairAccumulator::new(&job_pairs)),
             FleetJob::<PairAccumulator>::new(&n, &model, filler_cfg)
-                .with_sink_factory(|| PairAccumulator::for_pairs(vec![(0, 1)])),
+                .with_sink_factory(|| PairAccumulator::new(&[[0u32, 1]])),
         ];
         let outcomes = run_fleet(jobs, Parallelism::new(threads)).expect("fleet");
-        let bits: Vec<(u64, u64)> = outcomes[0]
+        let rows: Vec<WelchResult> = outcomes[0]
             .sink
-            .results()
-            .iter()
-            .map(|(_, _, r)| (r.t.to_bits(), r.dof.to_bits()))
+            .rows()
+            .into_iter()
+            .map(|(_, r)| r)
             .collect();
-        assert_eq!(bits, reference, "{threads}-thread fleet");
+        assert_eq!(bits(&rows), reference, "{threads}-thread fleet");
     }
 }

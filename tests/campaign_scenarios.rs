@@ -1,13 +1,13 @@
 //! Scenario breadth of the parallel campaign engine (ISSUE 3): fixed-vs-fixed
 //! TVLA end-to-end through the sharded/round-checkpointed engine (previously
 //! only fixed-vs-random had integration coverage), plus a bivariate-sweep
-//! smoke test fed from parallel dense collection.
+//! smoke test through the parallel streaming engine.
 
 use polaris_netlist::generators;
-use polaris_sim::campaign::collect_gate_samples_parallel;
 use polaris_sim::{CampaignConfig, Parallelism, PowerModel};
-use polaris_tvla::bivariate::bivariate_sweep;
-use polaris_tvla::{assess_adaptive, assess_parallel, SequentialConfig, TVLA_THRESHOLD};
+use polaris_tvla::{
+    all_pairs, assess_adaptive, assess_pairs, assess_parallel, SequentialConfig, TVLA_THRESHOLD,
+};
 
 fn c17_vectors() -> (Vec<bool>, Vec<bool>) {
     (
@@ -117,10 +117,9 @@ fn fixed_vs_fixed_supports_adaptive_stopping() {
     assert!(a.stats.traces_used() < cfg.n_fixed + cfg.n_random);
 }
 
-/// Bivariate smoke on a small netlist: dense samples from the *parallel*
-/// collector feed the second-order sweep; the shared-mask pair leaks
-/// bivariately while first-order stays silent, and the sweep is ordered by
-/// descending |t|.
+/// Bivariate smoke on a small netlist: a parallel streaming second-order
+/// sweep; the shared-mask pair leaks bivariately while first-order stays
+/// silent, and the sweep is ordered by descending |t|.
 #[test]
 fn bivariate_sweep_smoke_on_small_netlist() {
     let src = "
@@ -146,11 +145,16 @@ endmodule";
         );
     }
 
-    // Second order via the parallel dense collector.
-    let samples = collect_gate_samples_parallel(&design, &model, &cfg, Parallelism::new(4))
-        .expect("campaign");
+    // Second order via the parallel streaming sweep.
     let cells = design.cell_ids();
-    let sweep = bivariate_sweep(&samples, &cells).expect("pairs in range");
+    let sweep = assess_pairs(
+        &design,
+        &model,
+        &cfg,
+        Parallelism::new(4),
+        &all_pairs(&cells),
+    )
+    .expect("pairs in range");
     assert_eq!(sweep.len(), cells.len() * (cells.len() - 1) / 2);
     for w in sweep.windows(2) {
         assert!(w[0].2.t.abs() >= w[1].2.t.abs(), "sweep must be sorted");

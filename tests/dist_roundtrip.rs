@@ -10,11 +10,11 @@ use proptest::prelude::*;
 
 use polaris_dist::wire::Reader;
 use polaris_dist::{decode_part, encode_part, PartHeader, ShardState};
+
 use polaris_sim::GateSamples;
-use polaris_tvla::trivariate::TRIPLE_MOMENTS_RAW_LEN;
 use polaris_tvla::{
-    CorrelationAccumulator, CpaAccumulator, PairAccumulator, PairMoments, StreamingMoments,
-    TripleAccumulator, TripleMoments, WelchAccumulator,
+    CoMomentAccumulator, CoMoments, CorrelationAccumulator, CpaAccumulator, Order, PairAccumulator,
+    StreamingMoments, SupportedOrder, TripleAccumulator, WelchAccumulator,
 };
 
 /// Encode → decode → encode; asserts the two encodings are byte-identical
@@ -42,22 +42,46 @@ fn arb_moments() -> impl Strategy<Value = StreamingMoments> {
         .prop_map(|(n, mean, m2, m3, m4)| StreamingMoments::from_raw_parts(n, mean, m2, m3, m4))
 }
 
-fn arb_pair_moments() -> impl Strategy<Value = PairMoments> {
-    (any::<u64>(), prop::collection::vec(arb_f64(), 8)).prop_map(|(n, f)| {
-        PairMoments::from_raw_parts(n, [f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7]])
-    })
-}
-
-fn arb_triple_moments() -> impl Strategy<Value = TripleMoments> {
+fn arb_co_moments<const K: usize>() -> impl Strategy<Value = CoMoments<K>>
+where
+    Order<K>: SupportedOrder,
+{
     (
         any::<u64>(),
-        prop::collection::vec(arb_f64(), TRIPLE_MOMENTS_RAW_LEN),
+        prop::collection::vec(arb_f64(), CoMoments::<K>::RAW_LEN),
     )
-        .prop_map(|(n, f)| {
-            let mut parts = [0.0; TRIPLE_MOMENTS_RAW_LEN];
-            parts.copy_from_slice(&f);
-            TripleMoments::from_raw_parts(n, parts)
-        })
+        .prop_map(|(n, f)| CoMoments::from_raw_parts(n, &f))
+}
+
+/// Round-trips a co-moment accumulator built from `entries` and checks the
+/// gate sets and every raw word survive bit for bit.
+fn co_moment_bodies_round_trip<const K: usize>(
+    entries: Vec<([u32; K], CoMoments<K>, CoMoments<K>)>,
+) -> TestCaseResult
+where
+    Order<K>: SupportedOrder,
+{
+    let mut sets = Vec::new();
+    let mut fixed = Vec::new();
+    let mut random = Vec::new();
+    for (set, f, r) in entries {
+        sets.push(set);
+        fixed.push(f);
+        random.push(r);
+    }
+    let acc = CoMomentAccumulator::from_parts(sets.clone(), fixed.clone(), random.clone());
+    let back = round_trip(&acc);
+    prop_assert_eq!(back.gate_sets(), &sets[..]);
+    let (f1, r1) = back.class_moments();
+    for (a, b) in fixed.iter().zip(f1).chain(random.iter().zip(r1)) {
+        let (n0, parts0) = a.raw_parts();
+        let (n1, parts1) = b.raw_parts();
+        prop_assert_eq!(n0, n1);
+        for (x, y) in parts0.iter().zip(&parts1) {
+            prop_assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -129,30 +153,13 @@ proptest! {
     #[test]
     fn pair_bodies_round_trip(
         entries in prop::collection::vec(
-            ((any::<u32>(), any::<u32>()), arb_pair_moments(), arb_pair_moments()),
+            ((any::<u32>(), any::<u32>()), arb_co_moments::<2>(), arb_co_moments::<2>()),
             0..16,
         ),
     ) {
-        let mut pairs = Vec::new();
-        let mut fixed = Vec::new();
-        let mut random = Vec::new();
-        for (p, f, r) in entries {
-            pairs.push(p);
-            fixed.push(f);
-            random.push(r);
-        }
-        let acc = PairAccumulator::from_parts(pairs.clone(), fixed.clone(), random.clone());
-        let back = round_trip(&acc);
-        prop_assert_eq!(back.pairs(), &pairs[..]);
-        let (f1, r1) = back.class_moments();
-        for (a, b) in fixed.iter().zip(f1).chain(random.iter().zip(r1)) {
-            let (n0, parts0) = a.raw_parts();
-            let (n1, parts1) = b.raw_parts();
-            prop_assert_eq!(n0, n1);
-            for (x, y) in parts0.iter().zip(&parts1) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
+        co_moment_bodies_round_trip(
+            entries.into_iter().map(|(p, f, r)| (p.into(), f, r)).collect(),
+        )?;
     }
 
     #[test]
@@ -160,32 +167,15 @@ proptest! {
         entries in prop::collection::vec(
             (
                 (any::<u32>(), any::<u32>(), any::<u32>()),
-                arb_triple_moments(),
-                arb_triple_moments(),
+                arb_co_moments::<3>(),
+                arb_co_moments::<3>(),
             ),
             0..16,
         ),
     ) {
-        let mut triples = Vec::new();
-        let mut fixed = Vec::new();
-        let mut random = Vec::new();
-        for (t, f, r) in entries {
-            triples.push(t);
-            fixed.push(f);
-            random.push(r);
-        }
-        let acc = TripleAccumulator::from_parts(triples.clone(), fixed.clone(), random.clone());
-        let back = round_trip(&acc);
-        prop_assert_eq!(back.triples(), &triples[..]);
-        let (f1, r1) = back.class_moments();
-        for (a, b) in fixed.iter().zip(f1).chain(random.iter().zip(r1)) {
-            let (n0, parts0) = a.raw_parts();
-            let (n1, parts1) = b.raw_parts();
-            prop_assert_eq!(n0, n1);
-            for (x, y) in parts0.iter().zip(&parts1) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
+        co_moment_bodies_round_trip(
+            entries.into_iter().map(|(t, f, r)| (t.into(), f, r)).collect(),
+        )?;
     }
 
     #[test]
@@ -233,9 +223,9 @@ fn empty_shard_states_round_trip() {
     let back = round_trip(&CpaAccumulator::new(3));
     assert_eq!(back.guess_accumulators().len(), 3);
     round_trip(&PairAccumulator::default());
-    let back = round_trip(&PairAccumulator::for_pairs(vec![(0, 1), (1, 2)]));
-    assert_eq!(back.pair_count(), 2);
+    let back = round_trip(&PairAccumulator::new(&[[0u32, 1], [1, 2]]));
+    assert_eq!(back.gate_sets().len(), 2);
     round_trip(&TripleAccumulator::default());
     let back = round_trip(&TripleAccumulator::for_triples(vec![(0, 1, 2), (1, 2, 3)]));
-    assert_eq!(back.triple_count(), 2);
+    assert_eq!(back.gate_sets().len(), 2);
 }

@@ -5,7 +5,7 @@
 use polaris_masking::{apply_masking, MaskingStyle};
 use polaris_netlist::transform::decompose;
 use polaris_netlist::{generators, GateId};
-use polaris_sim::{CampaignConfig, PowerModel};
+use polaris_sim::{CampaignConfig, Parallelism, PowerModel};
 use polaris_tvla::{assess, WelchAccumulator, TVLA_THRESHOLD};
 
 #[test]
@@ -197,9 +197,9 @@ fn isw_order2_defeats_bivariate_tvla_where_trichina_fails() {
             first.abs_t(cg)
         );
     }
-    let samples =
-        polaris_sim::campaign::collect_gate_samples(&tri.netlist, &power, &cfg).expect("campaign");
-    let sweep = polaris_tvla::bivariate::bivariate_sweep(&samples, &tri_internal).expect("sweep");
+    let pairs = polaris_tvla::all_pairs(&tri_internal);
+    let sweep = polaris_tvla::assess_pairs(&tri.netlist, &power, &cfg, Parallelism::new(2), &pairs)
+        .expect("sweep");
     let worst_pair = sweep.first().expect("pairs exist");
     assert!(
         worst_pair.2.t.abs() > TVLA_THRESHOLD,
@@ -218,10 +218,10 @@ fn isw_order2_defeats_bivariate_tvla_where_trichina_fails() {
             first_isw.abs_t(cg)
         );
     }
-    let samples_isw =
-        polaris_sim::campaign::collect_gate_samples(&isw.netlist, &power, &cfg).expect("campaign");
+    let pairs_isw = polaris_tvla::all_pairs(&isw_internal);
     let sweep_isw =
-        polaris_tvla::bivariate::bivariate_sweep(&samples_isw, &isw_internal).expect("sweep");
+        polaris_tvla::assess_pairs(&isw.netlist, &power, &cfg, Parallelism::new(2), &pairs_isw)
+            .expect("sweep");
     let worst_isw = sweep_isw.first().expect("pairs exist");
     assert!(
         worst_isw.2.t.abs() < TVLA_THRESHOLD,

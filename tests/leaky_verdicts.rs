@@ -1,15 +1,17 @@
 //! Verdict pins for the committed designs: the leaky-cell sets of
 //! `designs/c17.bench` and `designs/c432.bench` at the CI budgets (seed 11,
-//! 1500 and 6000 traces per class), and the first-order cleanliness of
-//! `designs/shares3.v`.
+//! 1500 and 6000 traces per class), the first-order cleanliness of
+//! `designs/shares3.v`, and the higher-order verdicts: the leaky pairs of
+//! the c432 `assess --pairs 8` sweep and the leaky triples of the shares3
+//! share gates.
 //!
 //! A kernel rewrite may change the low bits of every t-statistic, but the
 //! verdicts `polaris-cli assess` reports on these designs must not move. A
 //! change that moves one is a change of results, not of speed.
 
-use polaris_netlist::{parse_bench, parse_netlist, Netlist};
-use polaris_sim::{CampaignConfig, PowerModel};
-use polaris_tvla::{assess, TVLA_THRESHOLD};
+use polaris_netlist::{parse_bench, parse_netlist, GateId, Netlist};
+use polaris_sim::{CampaignConfig, Parallelism, PowerModel};
+use polaris_tvla::{all_pairs, all_triples, assess, assess_pairs, assess_triples, TVLA_THRESHOLD};
 
 fn design(file: &str) -> Netlist {
     let path = format!("{}/designs/{file}", env!("CARGO_MANIFEST_DIR"));
@@ -81,4 +83,75 @@ fn c432_leaky_cells_are_pinned() {
 fn shares3_stays_first_order_clean() {
     let shares3 = design("shares3.v");
     assert_eq!(leaky_names(&shares3, 4000, 7), Vec::<String>::new());
+}
+
+/// The `n` cells with the highest first-order `|t|`, the selection
+/// `assess --pairs N` sweeps.
+fn leakiest_cells(netlist: &Netlist, traces: usize, seed: u64, n: usize) -> Vec<GateId> {
+    let cfg = CampaignConfig::new(traces, traces, seed);
+    let leakage = assess(netlist, &PowerModel::default(), &cfg).expect("assessment runs");
+    let mut cells: Vec<(GateId, f64)> = netlist
+        .cell_ids()
+        .into_iter()
+        .map(|id| (id, leakage.abs_t(id)))
+        .collect();
+    cells.sort_by(|a, b| b.1.total_cmp(&a.1));
+    cells.into_iter().take(n).map(|(id, _)| id).collect()
+}
+
+/// `A:B` gate-index keys of every pair of the 8 leakiest c432 cells that
+/// fails second-order TVLA (seed 11, 6000 traces per class).
+const C432_LEAKY_PAIRS: &str = "19:121 19:29 19:32 19:51 19:55 26:121 28:121 28:19 \
+    28:29 28:32 28:51 28:55 29:121 29:32 29:55 32:121 32:55 51:121 51:29 51:32 51:55 55:121";
+
+/// `A:B:C` gate-index keys of the shares3 triples over gates 3–6 that fail
+/// third-order TVLA (seed 7, 4000 traces per class).
+const SHARES3_LEAKY_TRIPLES: &str = "4:5:6";
+
+#[test]
+fn c432_leaky_pairs_are_pinned() {
+    let c432 = design("c432.bench");
+    let pairs = all_pairs(&leakiest_cells(&c432, 6000, 11, 8));
+    assert_eq!(pairs.len(), 28);
+    let cfg = CampaignConfig::new(6000, 6000, 11);
+    let sweep = assess_pairs(
+        &c432,
+        &PowerModel::default(),
+        &cfg,
+        Parallelism::new(2),
+        &pairs,
+    )
+    .expect("pair sweep runs");
+    let mut leaky: Vec<String> = sweep
+        .iter()
+        .filter(|(_, _, r)| r.is_leaky(TVLA_THRESHOLD))
+        .map(|(a, b, _)| format!("{}:{}", a.index(), b.index()))
+        .collect();
+    leaky.sort();
+    assert_eq!(leaky, sorted(C432_LEAKY_PAIRS));
+}
+
+#[test]
+fn shares3_leaky_triples_are_pinned() {
+    let shares3 = design("shares3.v");
+    let gates: Vec<GateId> = (3..=6).map(GateId::new).collect();
+    let triples = all_triples(&gates);
+    assert_eq!(triples.len(), 4);
+    let cfg = CampaignConfig::new(4000, 4000, 7);
+    let sweep = assess_triples(
+        &shares3,
+        &PowerModel::default(),
+        &cfg,
+        Parallelism::new(2),
+        &triples,
+    )
+    .expect("triple sweep runs");
+    let mut leaky: Vec<String> = sweep
+        .iter()
+        .filter(|(_, _, _, r)| r.is_leaky(TVLA_THRESHOLD))
+        .map(|(a, b, c, _)| format!("{}:{}:{}", a.index(), b.index(), c.index()))
+        .collect();
+    leaky.sort();
+    assert!(leaky.contains(&"4:5:6".to_string()), "{leaky:?}");
+    assert_eq!(leaky, sorted(SHARES3_LEAKY_TRIPLES));
 }
