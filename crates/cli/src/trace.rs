@@ -164,6 +164,7 @@ fn render_summary(s: &TraceSummary) -> String {
         for (name, ns) in [
             ("rng", s.phases.rng_ns),
             ("simulate", s.phases.sim_ns),
+            ("power", s.phases.power_ns),
             ("accumulate", s.phases.acc_ns),
             ("overhead", s.phases.overhead_ns()),
             ("fold", s.phases.fold_ns),
@@ -320,6 +321,21 @@ mod tests {
         assert_eq!(err.code, EXIT_MALFORMED_TRACE);
     }
 
+    /// A shard span without the power phase (the layout written before
+    /// `power_ns` existed) is malformed, not summarized with a zero.
+    #[test]
+    fn shard_span_without_power_phase_maps_to_exit_code_9() {
+        let err = summarize_text(concat!(
+            "{\"t\": 0, \"thread\": 0, \"kind\": \"shard_span\", \"round\": 1, ",
+            "\"grid_index\": 0, \"pop\": \"fixed\", \"start\": 0, \"count\": 256, ",
+            "\"wall_ns\": 1000000, \"rng_ns\": 600000, \"sim_ns\": 250000, ",
+            "\"acc_ns\": 100000}\n",
+        ))
+        .unwrap_err();
+        assert_eq!(err.code, EXIT_MALFORMED_TRACE);
+        assert!(err.message.contains("power_ns"), "{}", err.message);
+    }
+
     #[test]
     fn unknown_event_kind_maps_to_exit_code_9() {
         let err = summarize_text("{\"t\": 0, \"thread\": 0, \"kind\": \"mystery\"}").unwrap_err();
@@ -331,8 +347,8 @@ mod tests {
         let trace = concat!(
             "{\"t\": 0, \"thread\": 0, \"kind\": \"shard_span\", \"round\": 1, ",
             "\"grid_index\": 0, \"pop\": \"fixed\", \"start\": 0, \"count\": 256, ",
-            "\"wall_ns\": 1000000, \"rng_ns\": 600000, \"sim_ns\": 250000, ",
-            "\"acc_ns\": 100000}\n",
+            "\"wall_ns\": 1000000, \"rng_ns\": 100000, \"sim_ns\": 250000, ",
+            "\"power_ns\": 500000, \"acc_ns\": 100000}\n",
             "{\"t\": 5, \"thread\": 0, \"kind\": \"fold_span\", \"round\": 1, ",
             "\"shards\": 2, \"wall_ns\": 50000}\n",
             "{\"t\": 6, \"thread\": 0, \"kind\": \"round_checkpoint\", \"round\": 1, ",
@@ -349,6 +365,7 @@ mod tests {
         assert!(report.contains("events: 5"));
         assert!(report.contains("phase breakdown:"));
         assert!(report.contains("rng"));
+        assert!(report.contains("power"));
         assert!(report.contains("phase coverage:"));
         assert!(report.contains("round checkpoints:"));
         assert!(report.contains("final stopping audit:"));

@@ -90,11 +90,13 @@ pub enum Payload {
         count: u64,
         /// Wall time of the whole shard.
         wall_ns: u64,
-        /// Time in counter-derived RNG streams (data, masks, noise).
+        /// Time in counter-derived RNG streams (data, masks).
         rng_ns: u64,
         /// Time in gate evaluation and toggle counting.
         sim_ns: u64,
-        /// Time in energy emission and sink recording.
+        /// Time in the fused noise-and-energy pass.
+        power_ns: u64,
+        /// Time in sink recording.
         acc_ns: u64,
     },
     /// The checkpoint fold of one round completed.
@@ -180,7 +182,9 @@ pub enum Payload {
         rng_ns: u64,
         /// Time in gate evaluation and toggle counting.
         sim_ns: u64,
-        /// Time in energy emission and sink recording.
+        /// Time in the fused noise-and-energy pass.
+        power_ns: u64,
+        /// Time in sink recording.
         acc_ns: u64,
     },
     /// A fleet worker exited its loop.
@@ -306,6 +310,7 @@ impl Event {
                 wall_ns,
                 rng_ns,
                 sim_ns,
+                power_ns,
                 acc_ns,
             } => {
                 w.u64("round", *round)
@@ -316,6 +321,7 @@ impl Event {
                     .u64("wall_ns", *wall_ns)
                     .u64("rng_ns", *rng_ns)
                     .u64("sim_ns", *sim_ns)
+                    .u64("power_ns", *power_ns)
                     .u64("acc_ns", *acc_ns);
             }
             Payload::FoldSpan {
@@ -392,6 +398,7 @@ impl Event {
                 wall_ns,
                 rng_ns,
                 sim_ns,
+                power_ns,
                 acc_ns,
             } => {
                 w.u64("job", *job)
@@ -400,6 +407,7 @@ impl Event {
                     .u64("wall_ns", *wall_ns)
                     .u64("rng_ns", *rng_ns)
                     .u64("sim_ns", *sim_ns)
+                    .u64("power_ns", *power_ns)
                     .u64("acc_ns", *acc_ns);
             }
             Payload::WorkerSummary {
@@ -489,6 +497,7 @@ impl Event {
                 wall_ns: u64_field(n, f, "wall_ns")?,
                 rng_ns: u64_field(n, f, "rng_ns")?,
                 sim_ns: u64_field(n, f, "sim_ns")?,
+                power_ns: u64_field(n, f, "power_ns")?,
                 acc_ns: u64_field(n, f, "acc_ns")?,
             },
             "fold_span" => Payload::FoldSpan {
@@ -539,6 +548,7 @@ impl Event {
                 wall_ns: u64_field(n, f, "wall_ns")?,
                 rng_ns: u64_field(n, f, "rng_ns")?,
                 sim_ns: u64_field(n, f, "sim_ns")?,
+                power_ns: u64_field(n, f, "power_ns")?,
                 acc_ns: u64_field(n, f, "acc_ns")?,
             },
             "worker_summary" => Payload::WorkerSummary {
@@ -617,8 +627,9 @@ mod tests {
                 start: 0,
                 count: 256,
                 wall_ns: 1_000_000,
-                rng_ns: 680_000,
+                rng_ns: 80_000,
                 sim_ns: 200_000,
+                power_ns: 600_000,
                 acc_ns: 100_000,
             }),
             mk(Payload::FoldSpan {
@@ -662,8 +673,9 @@ mod tests {
                 grid_index: 9,
                 count: 256,
                 wall_ns: 800_000,
-                rng_ns: 500_000,
+                rng_ns: 40_000,
                 sim_ns: 200_000,
+                power_ns: 460_000,
                 acc_ns: 90_000,
             }),
             mk(Payload::WorkerSummary {
@@ -743,5 +755,31 @@ mod tests {
         assert!(Event::decode(1, &ok.replace("\"depth\":1", "\"depth\":\"x\"")).is_err());
         assert!(Event::decode(1, &ok.replace("\"depth\":1,", "")).is_err());
         assert!(Event::decode(1, &ok.replace("\"t\":1", "\"t\":-1")).is_err());
+    }
+
+    /// Both phase-split kinds carry `power_ns`: a line without it (the
+    /// layout before the power phase was split out) or with a mistyped
+    /// value is rejected, never read as zero.
+    #[test]
+    fn decode_requires_the_power_phase() {
+        for ev in sample_events() {
+            if !matches!(
+                ev.payload,
+                Payload::ShardSpan { .. } | Payload::WorkItem { .. }
+            ) {
+                continue;
+            }
+            let line = ev.encode();
+            let key = line
+                .find("\"power_ns\":")
+                .expect("phase split encodes power_ns");
+            let end = key + line[key..].find(',').expect("acc_ns follows");
+            let without = format!("{}{}", &line[..key - 1], &line[end..]);
+            assert!(Event::decode(1, &without).is_err(), "{without}");
+            for hostile in ["\"x\"", "-1", "1.5", "null", "18446744073709551616"] {
+                let bad = format!("{}\"power_ns\":{hostile}{}", &line[..key], &line[end..]);
+                assert!(Event::decode(1, &bad).is_err(), "{bad}");
+            }
+        }
     }
 }

@@ -243,12 +243,15 @@ impl Recorder for JsonlRecorder {
 /// An engine phase measured inside one shard span.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
-    /// Counter-derived RNG streams: data vectors, mask refresh, noise.
+    /// Counter-derived RNG streams of data vectors and mask refresh.
     Rng = 0,
     /// Gate evaluation and toggle counting.
     Simulate = 1,
-    /// Energy emission and sink recording.
-    Accumulate = 2,
+    /// The fused noise-and-energy pass: noise draws, the Box–Muller
+    /// transform, and energy synthesis into the batch.
+    Power = 2,
+    /// Sink recording of the batch.
+    Accumulate = 3,
 }
 
 /// Accumulates per-phase nanoseconds across the blocks of one shard.
@@ -260,7 +263,7 @@ pub enum Phase {
 #[derive(Clone, Copy, Debug)]
 pub struct PhaseTimer {
     enabled: bool,
-    nanos: [u64; 3],
+    nanos: [u64; 4],
 }
 
 impl PhaseTimer {
@@ -268,7 +271,7 @@ impl PhaseTimer {
     pub fn new(enabled: bool) -> Self {
         PhaseTimer {
             enabled,
-            nanos: [0; 3],
+            nanos: [0; 4],
         }
     }
 

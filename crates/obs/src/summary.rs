@@ -11,11 +11,13 @@ use crate::event::{Event, Payload, Verdict};
 /// work item of the trace.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTotals {
-    /// Counter-derived RNG streams (data, masks, noise).
+    /// Counter-derived RNG streams (data, masks).
     pub rng_ns: u64,
     /// Gate evaluation and toggle counting.
     pub sim_ns: u64,
-    /// Energy emission and sink recording.
+    /// The fused noise-and-energy pass.
+    pub power_ns: u64,
+    /// Sink recording.
     pub acc_ns: u64,
     /// Checkpoint folds.
     pub fold_ns: u64,
@@ -28,14 +30,14 @@ pub struct PhaseTotals {
 
 impl PhaseTotals {
     /// Shard-span residual the sub-phase timers cannot see: span wall time
-    /// minus rng + simulate + accumulate (timer reads, loop bookkeeping,
-    /// per-shard setup).
+    /// minus rng + simulate + power + accumulate (timer reads, loop
+    /// bookkeeping, per-shard setup).
     pub fn overhead_ns(&self) -> u64 {
         self.shard_wall_ns
-            .saturating_sub(self.rng_ns + self.sim_ns + self.acc_ns)
+            .saturating_sub(self.rng_ns + self.sim_ns + self.power_ns + self.acc_ns)
     }
 
-    /// Sum of the measured phases: the full shard-span wall time (the three
+    /// Sum of the measured phases: the full shard-span wall time (the four
     /// sub-phases plus their residual overhead), folds, and checkpoint looks.
     pub fn phases_ns(&self) -> u64 {
         self.shard_wall_ns + self.fold_ns + self.checkpoint_ns
@@ -152,6 +154,7 @@ impl TraceSummary {
                     wall_ns,
                     rng_ns,
                     sim_ns,
+                    power_ns,
                     acc_ns,
                     ..
                 }
@@ -159,11 +162,13 @@ impl TraceSummary {
                     wall_ns,
                     rng_ns,
                     sim_ns,
+                    power_ns,
                     acc_ns,
                     ..
                 } => {
                     s.phases.rng_ns += rng_ns;
                     s.phases.sim_ns += sim_ns;
+                    s.phases.power_ns += power_ns;
                     s.phases.acc_ns += acc_ns;
                     s.phases.shard_wall_ns += wall_ns;
                     let row = workers.entry(ev.thread).or_insert_with(|| WorkerRow {
@@ -306,8 +311,9 @@ mod tests {
                     start: 0,
                     count: 256,
                     wall_ns: 100,
-                    rng_ns: 60,
+                    rng_ns: 20,
                     sim_ns: 25,
+                    power_ns: 40,
                     acc_ns: 10,
                 },
             ),
@@ -318,8 +324,9 @@ mod tests {
                     grid_index: 1,
                     count: 256,
                     wall_ns: 50,
-                    rng_ns: 30,
+                    rng_ns: 10,
                     sim_ns: 10,
+                    power_ns: 20,
                     acc_ns: 5,
                 },
             ),
@@ -378,8 +385,9 @@ mod tests {
             ),
         ];
         let s = TraceSummary::build(&events);
-        assert_eq!(s.phases.rng_ns, 90);
+        assert_eq!(s.phases.rng_ns, 30);
         assert_eq!(s.phases.sim_ns, 35);
+        assert_eq!(s.phases.power_ns, 60);
         assert_eq!(s.phases.acc_ns, 15);
         assert_eq!(s.phases.fold_ns, 7);
         assert_eq!(s.phases.overhead_ns(), 10);

@@ -66,7 +66,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::fleet::FleetJob;
 use crate::logic::{BlockState, Simulator};
-use crate::power::{fill_standard_normal, sample_standard_normal, PowerModel};
+use crate::power::{fill_word, sample_standard_normal, BitEnergy, CountEnergy, PowerModel};
 pub use crate::round::{CampaignOutcome, CampaignStats, Checkpoint, NeverStop, StoppingRule};
 
 /// Trace lanes per simulator word (one `u64` of lane bits).
@@ -589,8 +589,6 @@ struct BlockScratch<const W: usize> {
     zero_data: Vec<u64>,
     /// Input-major mask words (`W` per mask input).
     masks: Vec<u64>,
-    /// Per-lane standard-normal noise of one gate, in lane order.
-    normals: Vec<f64>,
 }
 
 impl<const W: usize> BlockScratch<W> {
@@ -603,7 +601,6 @@ impl<const W: usize> BlockScratch<W> {
             data: vec![0; engine.n_data * W],
             zero_data: vec![0; engine.n_data * W],
             masks: vec![0; engine.n_mask * W],
-            normals: vec![0.0; W * WORD_LANES],
         }
     }
 }
@@ -613,6 +610,7 @@ pub(crate) struct ShardTiming {
     pub(crate) wall_ns: u64,
     pub(crate) rng_ns: u64,
     pub(crate) sim_ns: u64,
+    pub(crate) power_ns: u64,
     pub(crate) acc_ns: u64,
 }
 
@@ -629,6 +627,7 @@ impl ShardTiming {
             wall_ns: self.wall_ns,
             rng_ns: self.rng_ns,
             sim_ns: self.sim_ns,
+            power_ns: self.power_ns,
             acc_ns: self.acc_ns,
         }
     }
@@ -708,7 +707,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Simulates one grid shard into `sink`. With `timed`, also returns the
-    /// shard's wall time and its rng/simulate/accumulate split.
+    /// shard's wall time and its rng/simulate/power/accumulate split.
     pub(crate) fn run_shard<S: TraceSink>(
         &self,
         shard: ShardSpec,
@@ -722,11 +721,12 @@ impl<'a> Engine<'a> {
             wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
             rng_ns: timer.nanos(Phase::Rng),
             sim_ns: timer.nanos(Phase::Simulate),
+            power_ns: timer.nanos(Phase::Power),
             acc_ns: timer.nanos(Phase::Accumulate),
         })
     }
 
-    /// [`Engine::run_range`] with per-phase timing: RNG/simulate/accumulate
+    /// [`Engine::run_range`] with per-phase timing: rng/simulate/power/accumulate
     /// nanoseconds accumulate into `timer` (free when the timer is
     /// disabled). Timing is strictly observational — no RNG draw, batch
     /// boundary, or sink call depends on it, so traced and untraced runs
@@ -789,16 +789,14 @@ impl<'a> Engine<'a> {
         let seed = self.config.seed;
         let word_start = |w: usize| block_start + (w * WORD_LANES) as u64;
 
-        // Per-word active lane counts and masks: all words are full except
-        // possibly the last. Lanes at and beyond `lanes` are masked out of
-        // data generation and never read back, so a partial trailing block
-        // can never leak garbage into a sink at any width.
-        let mut word_lanes = [0usize; W];
+        // Per-word active lane masks: all words are full except possibly
+        // the last. Lanes at and beyond `lanes` are masked out of data
+        // generation and never read back, so a partial trailing block can
+        // never leak garbage into a sink at any width.
         let mut lane_mask = [0u64; W];
-        for w in 0..words {
+        for (w, mask) in lane_mask.iter_mut().enumerate().take(words) {
             let lw = (lanes - w * WORD_LANES).min(WORD_LANES);
-            word_lanes[w] = lw;
-            lane_mask[w] = if lw == WORD_LANES {
+            *mask = if lw == WORD_LANES {
                 !0
             } else {
                 (1u64 << lw) - 1
@@ -912,40 +910,31 @@ impl<'a> Engine<'a> {
         // Energy emission, `(gate-major, lane-minor)`: full words precede
         // the partial trailing word, so lane `w * 64 + l` of the batch is
         // sample `w * 64 + l` of the gate's row — contiguous at any width.
+        // Each word's noise is drawn from its own stream and fused with the
+        // gate's toggles straight into the row.
+        let t_power = timer.begin();
+        let sigma = self.sigma;
         let energies = &mut scratch.energies[..self.gates * lanes];
-        let normals = &mut scratch.normals;
-        for g in 0..self.gates {
+        for (g, row) in energies.chunks_exact_mut(lanes).enumerate() {
             let cap = self.caps[g];
-            let t_rng = timer.begin();
-            for w in 0..words {
-                fill_standard_normal(
-                    &mut noise_rngs[w],
-                    &mut normals[w * WORD_LANES..w * WORD_LANES + word_lanes[w]],
-                );
-            }
-            timer.end(Phase::Rng, t_rng);
-            let t_acc = timer.begin();
-            let row = &mut energies[g * lanes..(g + 1) * lanes];
-            if single_cycle {
-                for (w, &wl) in word_lanes.iter().enumerate().take(words) {
-                    let base = w * WORD_LANES;
+            for (w, (rng, out)) in noise_rngs
+                .iter_mut()
+                .zip(row.chunks_mut(WORD_LANES))
+                .enumerate()
+            {
+                if single_cycle {
                     let diff = st.values()[g * W + w] ^ scratch.prev[g * W + w];
-                    for l in 0..wl {
-                        let t = f64::from(u8::from((diff >> l) & 1 == 1));
-                        row[base + l] = cap * t + self.sigma * normals[base + l];
-                    }
-                }
-            } else {
-                for (w, &wl) in word_lanes.iter().enumerate().take(words) {
-                    let base = w * WORD_LANES;
-                    let t_row = &scratch.toggles[(g * W + w) * WORD_LANES..];
-                    for l in 0..wl {
-                        row[base + l] = cap * f64::from(t_row[l]) + self.sigma * normals[base + l];
-                    }
+                    fill_word(rng, &BitEnergy { cap, sigma, diff }, out);
+                } else {
+                    let at = (g * W + w) * WORD_LANES;
+                    let counts = scratch.toggles[at..at + WORD_LANES]
+                        .try_into()
+                        .expect("a word holds 64 lane counters");
+                    fill_word(rng, &CountEnergy { cap, sigma, counts }, out);
                 }
             }
-            timer.end(Phase::Accumulate, t_acc);
         }
+        timer.end(Phase::Power, t_power);
         let t_acc = timer.begin();
         let batch = EnergyBatch::new(energies, self.gates, lanes)
             .expect("engine emits well-formed batches");
@@ -1325,7 +1314,7 @@ where
 
 /// [`run_campaign_adaptive`] reporting structured trace events to
 /// `recorder`: one [`Payload::ShardSpan`] per shard with the
-/// rng/simulate/accumulate phase split, one [`Payload::FoldSpan`] per
+/// rng/simulate/power/accumulate phase split, one [`Payload::FoldSpan`] per
 /// round, and campaign start/end markers. A disabled recorder (the
 /// [`NullRecorder`]) makes this identical — in cost and in outcome — to
 /// the untraced call; an enabled one never changes the outcome either:

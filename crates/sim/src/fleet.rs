@@ -363,6 +363,7 @@ fn worker_loop<S: MergeableSink>(shared: &FleetShared<'_, S>, recorder: &dyn Rec
                 wall_ns: timing.wall_ns,
                 rng_ns: timing.rng_ns,
                 sim_ns: timing.sim_ns,
+                power_ns: timing.power_ns,
                 acc_ns: timing.acc_ns,
             });
         }

@@ -8,7 +8,9 @@
 //! setup used by TVLA-based EDA flows (CASCADE, Karna, VALIANT).
 
 use polaris_netlist::GateKind;
-use rand::Rng;
+use rand::{Rng, RngCore};
+
+use crate::campaign::WORD_LANES;
 
 /// Per-kind capacitance weights plus measurement-noise level.
 #[derive(Clone, Debug, PartialEq)]
@@ -106,6 +108,25 @@ pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// with float ops the compiler can vectorize, and both are exact.
 const TWO_52: f64 = 4_503_599_627_370_496.0;
 
+/// `2⁻⁵³`: the spacing of the uniforms `rng.gen::<f64>()` returns.
+const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// The uniform in `[0, 1)` that `rng.gen::<f64>()` makes of the draw `x`,
+/// `(x >> 11) as f64 · 2⁻⁵³`, without an int→float conversion.
+///
+/// The top 52 bits OR-ed into the mantissa of 1.0 read back as
+/// `1 + (x >> 12) · 2⁻⁵²`; subtracting 1.0 is exact. Bit 11 then adds
+/// `2⁻⁵³` or `+0.0`, also exactly, since every multiple of `2⁻⁵³` below 1
+/// is a double. So the result is the conversion's value bit for bit, built
+/// from shifts, masks and exact float adds that every vector ISA has; AVX2
+/// has no 64-bit integer conversion.
+#[inline(always)]
+fn unit(x: u64) -> f64 {
+    let hi = f64::from_bits(1.0f64.to_bits() | (x >> 12)) - 1.0;
+    let lo = f64::from_bits(((x >> 11) & 1).wrapping_neg() & UNIT.to_bits());
+    hi + lo
+}
+
 /// Natural log for `x ∈ (0, 1]` as a branchless polynomial.
 ///
 /// Exponent/mantissa split, mantissa reduced into `[√2/2, √2)`, then the
@@ -116,7 +137,7 @@ const TWO_52: f64 = 4_503_599_627_370_496.0;
 /// property the campaign engine's cross-host determinism rests on, which
 /// `libm`'s `ln` (allowed to differ by a ulp between implementations) does
 /// not give.
-#[inline]
+#[inline(always)]
 fn ln_unit(x: f64) -> f64 {
     const LN2: f64 = std::f64::consts::LN_2;
     const SQRT2: f64 = std::f64::consts::SQRT_2;
@@ -146,7 +167,7 @@ fn ln_unit(x: f64) -> f64 {
 /// expansion is accurate to 7 × 10⁻¹² absolute; the quadrant selects
 /// between the two and fixes the sign. IEEE-exact ops only (see
 /// [`ln_unit`]), so bit-stable across platforms.
-#[inline]
+#[inline(always)]
 fn cos_tau(u: f64) -> f64 {
     const FRAC_PI_2: f64 = std::f64::consts::FRAC_PI_2;
     let x = 4.0 * u;
@@ -181,6 +202,220 @@ fn cos_tau(u: f64) -> f64 {
     f64::from_bits(v.to_bits() ^ ((((q + 1) >> 1) & 1) << 63))
 }
 
+/// What one word of standard-normal deviates `z` becomes: the deviates
+/// themselves, or a gate's energies `cap · t + σ · z`.
+pub(crate) trait Synth {
+    /// The output of lane `l` (`l < 64`) from its deviate `z`.
+    fn emit(&self, l: usize, z: f64) -> f64;
+}
+
+/// The deviates themselves ([`fill_standard_normal`]).
+struct Deviates;
+
+impl Synth for Deviates {
+    #[inline(always)]
+    fn emit(&self, _l: usize, z: f64) -> f64 {
+        z
+    }
+}
+
+/// Energies of a gate whose lane `l` toggled once iff bit `l` of `diff` is
+/// set (single-cycle zero-delay).
+pub(crate) struct BitEnergy {
+    pub(crate) cap: f64,
+    pub(crate) sigma: f64,
+    pub(crate) diff: u64,
+}
+
+impl Synth for BitEnergy {
+    #[inline(always)]
+    fn emit(&self, l: usize, z: f64) -> f64 {
+        // The toggle bit as the float 0.0 or 1.0, by masking 1.0's bits.
+        let bit = (self.diff >> l) & 1;
+        let t = f64::from_bits(bit.wrapping_neg() & 1.0f64.to_bits());
+        self.cap * t + self.sigma * z
+    }
+}
+
+/// Energies of a gate from per-lane toggle counts (multi-cycle or
+/// unit-delay).
+pub(crate) struct CountEnergy<'a> {
+    pub(crate) cap: f64,
+    pub(crate) sigma: f64,
+    pub(crate) counts: &'a [u32; WORD_LANES],
+}
+
+impl Synth for CountEnergy<'_> {
+    #[inline(always)]
+    fn emit(&self, l: usize, z: f64) -> f64 {
+        self.cap * f64::from(self.counts[l]) + self.sigma * z
+    }
+}
+
+/// One word's raw `u64` draws, one per lane.
+type Draws = [u64; WORD_LANES];
+
+/// The Box–Muller transform of one word, fed by raw draws.
+///
+/// Lane `l` converts its two draws exactly as `rng.gen::<f64>()` would,
+/// shifts the first into `(0, 1]` to keep `ln` finite, and hands
+/// `√(−2 ln u₁) · cos(2π u₂)` to `synth`. Only the first `out.len()` (at
+/// most 64) lanes are written. `#[inline(always)]` so each `#[target_feature]`
+/// build in [`kernel`] compiles its own copy of the whole pass.
+#[inline(always)]
+fn transform<S: Synth>(d1: &Draws, d2: &Draws, synth: &S, out: &mut [f64]) {
+    let n = out.len().min(WORD_LANES);
+    for l in 0..n {
+        let u1 = 1.0 - unit(d1[l]);
+        let u2 = unit(d2[l]);
+        let z = (-2.0 * ln_unit(u1)).sqrt() * cos_tau(u2);
+        out[l] = synth.emit(l, z);
+    }
+}
+
+/// Run-time choice among the builds of [`transform`].
+mod kernel {
+    use super::{transform, Draws, Synth};
+    use std::sync::OnceLock;
+
+    /// One build of the transform that this host can run.
+    ///
+    /// The field is private to this module and the only constructor is
+    /// [`Kernel::supported`], which returns an instruction-set build only
+    /// after `is_x86_feature_detected!` confirmed every feature it enables
+    /// ([`Isa::detected`]). That is the invariant [`Kernel::run`]'s
+    /// `unsafe` call relies on.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(super) struct Kernel(Isa);
+
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Isa {
+        Portable,
+        #[cfg(target_arch = "x86_64")]
+        Avx2,
+        #[cfg(target_arch = "x86_64")]
+        Avx512,
+    }
+
+    impl Isa {
+        /// Whether this CPU has every feature the build enables.
+        fn detected(self) -> bool {
+            match self {
+                Isa::Portable => true,
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2 => is_x86_feature_detected!("avx2"),
+                // `avx512f` implies `avx2`, `fma` and `f16c` in the
+                // compiler's feature table, so those are checked too.
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx512 => {
+                    is_x86_feature_detected!("avx512f")
+                        && is_x86_feature_detected!("avx512dq")
+                        && is_x86_feature_detected!("avx512vl")
+                        && is_x86_feature_detected!("avx2")
+                        && is_x86_feature_detected!("fma")
+                        && is_x86_feature_detected!("f16c")
+                }
+            }
+        }
+    }
+
+    impl Kernel {
+        /// Every build the host supports, in ascending preference; the
+        /// portable build is always first.
+        pub(super) fn supported() -> Vec<Kernel> {
+            [
+                Isa::Portable,
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2,
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx512,
+            ]
+            .into_iter()
+            .filter(|isa| isa.detected())
+            .map(Kernel)
+            .collect()
+        }
+
+        /// The host's preferred build, detected once per process.
+        pub(super) fn detected() -> Kernel {
+            static BEST: OnceLock<Kernel> = OnceLock::new();
+            *BEST.get_or_init(|| {
+                *Kernel::supported()
+                    .last()
+                    .expect("the portable build is always supported")
+            })
+        }
+
+        /// Runs this build of [`transform`].
+        #[cfg_attr(
+            target_arch = "x86_64",
+            expect(
+                unsafe_code,
+                reason = "calling a #[target_feature] build needs the detection \
+                          `Kernel::supported` performed"
+            )
+        )]
+        #[inline]
+        pub(super) fn run<S: Synth>(self, d1: &Draws, d2: &Draws, synth: &S, out: &mut [f64]) {
+            match self.0 {
+                Isa::Portable => transform(d1, d2, synth, out),
+                // SAFETY: a `Kernel(Isa::Avx2)` exists only after
+                // `Kernel::supported` detected `avx2` on this host.
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2 => unsafe { transform_avx2(d1, d2, synth, out) },
+                // SAFETY: a `Kernel(Isa::Avx512)` exists only after
+                // `Kernel::supported` detected every feature this build
+                // enables, the implied ones included.
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx512 => unsafe { transform_avx512(d1, d2, synth, out) },
+            }
+        }
+    }
+
+    /// [`transform`] compiled for AVX2. `fma` is never enabled: a fused
+    /// multiply-add rounds once where the portable build rounds twice.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn transform_avx2<S: Synth>(d1: &Draws, d2: &Draws, synth: &S, out: &mut [f64]) {
+        transform(d1, d2, synth, out);
+    }
+
+    /// [`transform`] compiled for AVX-512 (F/DQ/VL). The implied `fma`
+    /// goes unused: Rust emits a fused multiply-add only for an explicit
+    /// `mul_add`, which the transform never calls.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    fn transform_avx512<S: Synth>(d1: &Draws, d2: &Draws, synth: &S, out: &mut [f64]) {
+        transform(d1, d2, synth, out);
+    }
+}
+
+use kernel::Kernel;
+
+/// Draws one word of noise from `rng` and writes `synth`'s output for
+/// each of `out`'s lanes (at most 64).
+///
+/// A serial loop stages the raw `u64` draws on the stack, two per lane in
+/// lane order, so the stream is consumed exactly as [`fill_standard_normal`]
+/// consumes it. The host's build of [`transform`] then turns them into
+/// output in one pass. For a gate's energies that pass writes the energy
+/// row directly, with no noise buffer in between, and builds `cap · t + σ · z`
+/// with the same two roundings as a fill followed by a separate synthesis.
+#[inline]
+pub(crate) fn fill_word<R: RngCore + ?Sized, S: Synth>(rng: &mut R, synth: &S, out: &mut [f64]) {
+    debug_assert!(
+        out.len() <= WORD_LANES,
+        "one word is at most {WORD_LANES} lanes"
+    );
+    let mut d1: Draws = [0; WORD_LANES];
+    let mut d2: Draws = [0; WORD_LANES];
+    for (a, b) in d1.iter_mut().zip(&mut d2).take(out.len()) {
+        *a = rng.next_u64();
+        *b = rng.next_u64();
+    }
+    Kernel::detected().run(&d1, &d2, synth, out);
+}
+
 /// Fills `out` with standard-normal samples via a batched, branchless
 /// Box–Muller transform.
 ///
@@ -192,22 +427,27 @@ fn cos_tau(u: f64) -> f64 {
 /// the *values* differ from the scalar path in the low bits but are
 /// bit-identical across platforms and batch partitionings.
 ///
-/// The uniforms are staged into word-sized stack buffers and the transform
-/// runs as a second, RNG-free pass. Without the serial generator chain
-/// threaded through it, and with no bounds checks or int↔float
-/// conversions inside, the pure-float loop vectorizes. The staging is
-/// invisible to the stream contract — draw order is unchanged.
+/// Each 64-sample word runs in two passes. A serial loop stages the raw
+/// `u64` draws on the stack; then one RNG-free pass converts them and
+/// applies the transform. That pass has no serial generator chain and no
+/// bounds checks, so it vectorizes. It is compiled three times: portable,
+/// AVX2, and AVX-512 (F/DQ/VL). The best build the CPU supports is picked
+/// once per process with `is_x86_feature_detected!`; there is no flag or
+/// environment variable for it. The campaign engine's fused
+/// noise-and-energy pass runs through the same builds, so the polynomial
+/// exists once.
+///
+/// Every build produces the same bits. Each is the same sequence of
+/// IEEE-754 adds, multiplies, divides and square roots, each correctly
+/// rounded whatever the vector width. A fused multiply-add would round
+/// once where the sequence rounds twice, so `fma` is never enabled by name.
+/// The compiler counts `fma` as implied by `avx512f`, but Rust never
+/// contracts `a * b + c` into one on its own. A test compares every build
+/// the host supports bit for bit. So workers on hosts with different
+/// instruction sets still produce byte-identical campaign parts.
 pub fn fill_standard_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
-    let mut u1 = [0.0f64; 64];
-    let mut u2 = [0.0f64; 64];
-    for chunk in out.chunks_mut(64) {
-        for (a, b) in u1.iter_mut().zip(&mut u2).take(chunk.len()) {
-            *a = 1.0 - rng.gen::<f64>();
-            *b = rng.gen();
-        }
-        for ((o, &a), &b) in chunk.iter_mut().zip(&u1).zip(&u2) {
-            *o = (-2.0 * ln_unit(a)).sqrt() * cos_tau(b);
-        }
+    for chunk in out.chunks_mut(WORD_LANES) {
+        fill_word(rng, &Deviates, chunk);
     }
 }
 
@@ -354,6 +594,139 @@ mod tests {
             fill_standard_normal(&mut rng, &mut out);
             let got = fnv1a_bits(&out);
             assert_eq!(got, want, "seed {seed}, len {len}: digest {got:#018x}");
+        }
+    }
+
+    /// Raw draws covering the edges of the conversion and of `cos_tau`'s
+    /// quadrant reduction: `0` and `u64::MAX` (the ends of `[0, 1)` and so
+    /// `u₁ = 1` and `u₁ = 2⁻⁵³`), `1 << 11` (the smallest non-zero
+    /// uniform), draws below it that convert to zero, and the quadrant
+    /// boundaries `u = 0.25, 0.5, 0.75`.
+    const EDGE_DRAWS: [u64; 8] = [
+        0,
+        u64::MAX,
+        1 << 11,
+        (1 << 11) - 1,
+        1 << 62,
+        1 << 63,
+        3 << 62,
+        0x0123_4567_89ab_cdef,
+    ];
+
+    /// Words of raw draws: every pair of edge draws once, then random ones.
+    fn draw_words() -> Vec<(Draws, Draws)> {
+        let mut words = Vec::new();
+        let mut d1 = [0u64; WORD_LANES];
+        let mut d2 = [0u64; WORD_LANES];
+        for (l, (a, b)) in d1.iter_mut().zip(&mut d2).enumerate() {
+            *a = EDGE_DRAWS[l / EDGE_DRAWS.len()];
+            *b = EDGE_DRAWS[l % EDGE_DRAWS.len()];
+        }
+        words.push((d1, d2));
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..32 {
+            let d1 = std::array::from_fn(|_| rng.next_u64());
+            let d2 = std::array::from_fn(|_| rng.next_u64());
+            words.push((d1, d2));
+        }
+        words
+    }
+
+    fn toggle_counts() -> [u32; WORD_LANES] {
+        std::array::from_fn(|l| (l as u32 * 7) % 5)
+    }
+
+    /// `unit` is `rng.gen::<f64>()`'s conversion, bit for bit, on the edge
+    /// draws and on random ones.
+    #[test]
+    fn unit_is_the_gen_conversion() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let random = (0..100_000).map(|_| rng.next_u64());
+        for x in EDGE_DRAWS.into_iter().chain(random) {
+            let want = (x >> 11) as f64 * UNIT;
+            assert_eq!(unit(x).to_bits(), want.to_bits(), "draw {x:#018x}");
+        }
+    }
+
+    /// Every build of the transform the host supports — chosen by the same
+    /// detection the engine uses — writes the portable build's exact bits,
+    /// for the deviates and for both toggle sources, on full words and on a
+    /// partial trailing word. A build that fused a multiply-add, or
+    /// reassociated anything, fails here.
+    #[test]
+    fn every_kernel_matches_the_portable_bits() {
+        let kernels = Kernel::supported();
+        assert_eq!(kernels.last(), Some(&Kernel::detected()));
+        let counts = toggle_counts();
+        for (d1, d2) in draw_words() {
+            for n in [WORD_LANES, 37, 1] {
+                let mut want = [0.0f64; WORD_LANES];
+                let mut got = [0.0f64; WORD_LANES];
+                let check = |want: &[f64], got: &[f64], what: &str, k: Kernel| {
+                    for (l, (w, g)) in want.iter().zip(got).enumerate() {
+                        assert_eq!(w.to_bits(), g.to_bits(), "{k:?} {what} lane {l} of {n}");
+                    }
+                };
+                for k in &kernels {
+                    transform(&d1, &d2, &Deviates, &mut want[..n]);
+                    k.run(&d1, &d2, &Deviates, &mut got[..n]);
+                    check(&want[..n], &got[..n], "deviates", *k);
+                    for (cap, sigma) in [(2.1, 0.35), (0.0, 1.0), (3.6, 0.0)] {
+                        let bits = BitEnergy {
+                            cap,
+                            sigma,
+                            diff: 0xdead_beef_0123_4567,
+                        };
+                        transform(&d1, &d2, &bits, &mut want[..n]);
+                        k.run(&d1, &d2, &bits, &mut got[..n]);
+                        check(&want[..n], &got[..n], "bits", *k);
+                        let counted = CountEnergy {
+                            cap,
+                            sigma,
+                            counts: &counts,
+                        };
+                        transform(&d1, &d2, &counted, &mut want[..n]);
+                        k.run(&d1, &d2, &counted, &mut got[..n]);
+                        check(&want[..n], &got[..n], "counts", *k);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The fused pass writes exactly `cap * t + σ * z` for the `z`
+    /// [`fill_standard_normal`] draws from the same stream, for both toggle
+    /// sources and on a partial trailing word, and leaves the stream at the
+    /// same position.
+    #[test]
+    fn fused_energy_is_fill_then_synthesize() {
+        let (cap, sigma) = (2.2, 0.35);
+        let diff = 0x8000_0000_f0f0_1235u64;
+        let counts = toggle_counts();
+        for n in [WORD_LANES, 37] {
+            for seed in 0..8u64 {
+                let mut a = StdRng::seed_from_u64(seed);
+                let mut b = a.clone();
+                let mut z = [0.0f64; WORD_LANES];
+                let mut from_bits = [0.0f64; WORD_LANES];
+                let mut from_counts = [0.0f64; WORD_LANES];
+                fill_standard_normal(&mut a, &mut z[..n]);
+                fill_word(&mut b, &BitEnergy { cap, sigma, diff }, &mut from_bits[..n]);
+                assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "stream position");
+                let mut c = StdRng::seed_from_u64(seed);
+                let counted = CountEnergy {
+                    cap,
+                    sigma,
+                    counts: &counts,
+                };
+                fill_word(&mut c, &counted, &mut from_counts[..n]);
+                for l in 0..n {
+                    let t = f64::from(u8::from((diff >> l) & 1 == 1));
+                    assert_eq!(from_bits[l].to_bits(), (cap * t + sigma * z[l]).to_bits());
+                    let t = f64::from(counts[l]);
+                    assert_eq!(from_counts[l].to_bits(), (cap * t + sigma * z[l]).to_bits());
+                }
+            }
         }
     }
 
