@@ -24,6 +24,7 @@
 use std::time::Instant;
 
 use polaris_netlist::generators;
+use polaris_obs::NullRecorder;
 use polaris_sim::{CampaignConfig, Parallelism, PowerModel};
 use polaris_tvla::{assess_adaptive, assess_parallel, SequentialConfig, TVLA_THRESHOLD};
 
@@ -210,7 +211,8 @@ fn main() {
         let seq = SequentialConfig::with_confidence(args.confidence);
         let t0 = Instant::now();
         let par = Parallelism::auto().with_lane_words(args.lane_words);
-        let a = assess_adaptive(&netlist, &model, &cfg, par, &seq).expect("adaptive campaign runs");
+        let a = assess_adaptive(&netlist, &model, &cfg, par, &seq, &NullRecorder)
+            .expect("adaptive campaign runs");
         let seconds = t0.elapsed().as_secs_f64();
         let full = reference_leakage
             .as_ref()

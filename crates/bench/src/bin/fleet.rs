@@ -18,6 +18,7 @@
 use std::time::Instant;
 
 use polaris_netlist::{generators, Netlist};
+use polaris_obs::NullRecorder;
 use polaris_sim::{
     run_campaign_parallel, run_fleet, CampaignConfig, FleetJob, Parallelism, PowerModel,
 };
@@ -163,7 +164,8 @@ fn main() {
             .map(|n| FleetJob::new(n, &model, cfg.clone()))
             .collect();
         let t0 = Instant::now();
-        let outcomes = run_fleet(jobs, Parallelism::new(threads)).expect("fleet runs");
+        let outcomes =
+            run_fleet(jobs, Parallelism::new(threads), &NullRecorder).expect("fleet runs");
         let seconds = t0.elapsed().as_secs_f64();
         let tps = suite_traces / seconds.max(1e-9);
         let mut run_identical = true;

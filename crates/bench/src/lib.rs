@@ -279,19 +279,11 @@ where
             .sink
     };
     let reference = bits(lanes(1));
+    let job = FleetJob::new(netlist, model, config.clone()).with_sink_factory(|| empty.clone());
     let parts: Vec<Vec<u8>> = (0..2)
         .map(|i| {
-            polaris_dist::execute_part_traced_with(
-                netlist,
-                model,
-                config,
-                Parallelism::new(threads),
-                i,
-                2,
-                || empty.clone(),
-                &NullRecorder,
-            )
-            .expect("part executes")
+            polaris_dist::execute_job_part(&job, Parallelism::new(threads), i, 2, &NullRecorder)
+                .expect("part executes")
         })
         .collect();
     let folded =

@@ -8,10 +8,10 @@ use polaris_masking::{analyze_overhead, CellLibrary};
 use polaris_netlist::{
     generators, parse_bench, parse_netlist, write_bench, write_netlist, GateId, GraphView, Netlist,
 };
-use polaris_sim::{CampaignConfig, Parallelism, PowerModel};
+use polaris_sim::{CampaignConfig, FleetJob, Parallelism, PowerModel};
 use polaris_tvla::{
     all_gate_sets, assess_gate_sets, parse_gate_sets, set_noun, GateLeakage, MultivariateError,
-    Order, SupportedOrder, WelchResult, TVLA_THRESHOLD,
+    Order, SupportedOrder, WelchAccumulator, WelchResult, TVLA_THRESHOLD,
 };
 
 use crate::{read_file, write_file, CliError, Flags};
@@ -229,15 +229,16 @@ pub(crate) fn assess(args: &[String]) -> Result<(), CliError> {
         },
         par.threads()
     );
+    let power = PowerModel::default();
     let leakage = if flags.has("adaptive") {
         let seq = polaris_tvla::SequentialConfig::with_confidence(confidence_from(&flags)?);
-        let a = polaris_tvla::assess_adaptive_traced(
+        let a = polaris_tvla::assess_adaptive(
             &netlist,
-            &PowerModel::default(),
+            &power,
             &campaign,
             par,
             &seq,
-            trace_out.recorder(),
+            trace_out.dyn_recorder(),
         )
         .map_err(|e| e.to_string())?;
         println!(
@@ -260,14 +261,11 @@ pub(crate) fn assess(args: &[String]) -> Result<(), CliError> {
         campaign.n_random = a.stats.random_traces;
         a.leakage
     } else {
-        polaris_tvla::assess_parallel_traced(
-            &netlist,
-            &PowerModel::default(),
-            &campaign,
-            par,
-            trace_out.recorder(),
-        )
-        .map_err(|e| e.to_string())?
+        FleetJob::<WelchAccumulator>::new(&netlist, &power, campaign.clone())
+            .run(par, trace_out.dyn_recorder())
+            .map_err(|e| e.to_string())?
+            .sink
+            .leakage()
     };
     // The multivariate sweeps below run on separate engines the recorder
     // does not instrument — the trace covers the first-order campaign.
@@ -510,7 +508,7 @@ pub(crate) fn mask(args: &[String]) -> Result<(), String> {
             &netlist,
             &PowerModel::default(),
             budget,
-            trace_out.recorder(),
+            trace_out.dyn_recorder(),
         )
         .map_err(|e| e.to_string())?;
     trace_out.flush()?;

@@ -21,10 +21,12 @@
 //! stderr: re-fetch a truncated part, rebuild on version skew, re-plan on a
 //! fingerprint mismatch.
 
-use polaris_dist::{merge_parts_traced, merged_outcome, DistError, DistPlan, SinkKind};
+use polaris_dist::{
+    execute_job_part, merge_parts_traced, merged_outcome, DistError, DistPlan, SinkKind,
+};
 use polaris_netlist::Netlist;
 use polaris_obs::Recorder;
-use polaris_sim::{GateSamples, Parallelism, PowerModel};
+use polaris_sim::{FleetJob, GateSamples, Parallelism, PowerModel};
 use polaris_tvla::{
     parse_gate_sets, set_noun, CoMomentAccumulator, Order, SupportedOrder, WelchAccumulator,
     TVLA_THRESHOLD,
@@ -203,45 +205,36 @@ fn work(args: &[String]) -> Result<(), CliError> {
         plan.n_shards,
         parallelism.threads()
     );
+    let parts = plan.parts.len();
     let bytes = match plan.sink {
-        SinkKind::Welch => polaris_dist::execute_part_traced_with(
-            &netlist,
-            &model,
-            &campaign,
+        SinkKind::Welch => execute_job_part(
+            &FleetJob::<WelchAccumulator>::new(&netlist, &model, campaign),
             parallelism,
             part,
-            plan.parts.len(),
-            WelchAccumulator::default,
+            parts,
             recorder,
         ),
-        SinkKind::GateSamples => polaris_dist::execute_part_traced_with(
-            &netlist,
-            &model,
-            &campaign,
+        SinkKind::GateSamples => execute_job_part(
+            &FleetJob::<GateSamples>::new(&netlist, &model, campaign),
             parallelism,
             part,
-            plan.parts.len(),
-            GateSamples::default,
+            parts,
             recorder,
         ),
-        SinkKind::Pairs => polaris_dist::execute_part_traced_with(
-            &netlist,
-            &model,
-            &campaign,
+        SinkKind::Pairs => execute_job_part(
+            &FleetJob::new(&netlist, &model, campaign)
+                .with_sink_factory(|| CoMomentAccumulator::<2>::new(&plan.gate_sets)),
             parallelism,
             part,
-            plan.parts.len(),
-            || CoMomentAccumulator::<2>::new(&plan.gate_sets),
+            parts,
             recorder,
         ),
-        SinkKind::Triples => polaris_dist::execute_part_traced_with(
-            &netlist,
-            &model,
-            &campaign,
+        SinkKind::Triples => execute_job_part(
+            &FleetJob::new(&netlist, &model, campaign)
+                .with_sink_factory(|| CoMomentAccumulator::<3>::new(&plan.gate_sets)),
             parallelism,
             part,
-            plan.parts.len(),
-            || CoMomentAccumulator::<3>::new(&plan.gate_sets),
+            parts,
             recorder,
         ),
         SinkKind::Cpa => Err(DistError::PlanMismatch(

@@ -4,7 +4,7 @@
 //! The manifest is a plain text file with one netlist path per line (blank
 //! lines and `#` comments are skipped; relative paths resolve against the
 //! working directory). Every design's fixed-vs-random campaign becomes one
-//! [`FleetJob`] of a single [`run_fleet_traced`] pool, so shards of all designs
+//! [`FleetJob`] of a single [`run_fleet`] pool, so shards of all designs
 //! interleave on the same worker threads instead of each campaign
 //! serializing on its own fold barrier.
 //!
@@ -13,8 +13,8 @@
 //! `assess --csv` outputs.
 
 use polaris_netlist::Netlist;
-use polaris_sim::{run_fleet_traced, CampaignOutcome, FleetJob, PowerModel};
-use polaris_tvla::{adaptive_fleet_job_traced, SequentialConfig, WelchAccumulator, TVLA_THRESHOLD};
+use polaris_sim::{run_fleet, CampaignOutcome, FleetJob, PowerModel};
+use polaris_tvla::{adaptive_fleet_job, SequentialConfig, WelchAccumulator, TVLA_THRESHOLD};
 
 use polaris::report::{fmt_f, TextTable};
 
@@ -97,13 +97,7 @@ pub(crate) fn fleet(args: &[String]) -> Result<(), String> {
         .map(|design| {
             if adaptive {
                 let seq = SequentialConfig::with_confidence(confidence);
-                adaptive_fleet_job_traced(
-                    design,
-                    &power,
-                    campaign.clone(),
-                    &seq,
-                    trace_out.recorder(),
-                )
+                adaptive_fleet_job(design, &power, campaign.clone(), &seq)
             } else {
                 FleetJob::new(design, &power, campaign.clone())
             }
@@ -111,7 +105,7 @@ pub(crate) fn fleet(args: &[String]) -> Result<(), String> {
         .collect();
     let start = std::time::Instant::now();
     let outcomes: Vec<CampaignOutcome<WelchAccumulator>> =
-        run_fleet_traced(jobs, par, trace_out.dyn_recorder()).map_err(|e| e.to_string())?;
+        run_fleet(jobs, par, trace_out.dyn_recorder()).map_err(|e| e.to_string())?;
     let seconds = start.elapsed().as_secs_f64();
     trace_out.flush()?;
     let suite_traces: usize = outcomes.iter().map(|o| o.stats.traces_used()).sum();

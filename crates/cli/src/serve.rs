@@ -148,7 +148,7 @@ pub(crate) fn serve(args: &[String]) -> Result<(), CliError> {
         ip => ip,
     };
     let shared = Arc::new(Shared {
-        coordinator: Mutex::new(Coordinator::new(trace.recorder())),
+        coordinator: Mutex::new(Coordinator::new(trace.owned())),
         changed: Condvar::new(),
         shutdown: AtomicBool::new(false),
         heartbeat_ms,

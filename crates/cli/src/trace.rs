@@ -16,9 +16,7 @@
 use std::sync::Arc;
 
 use polaris::report::{fmt_f, TextTable};
-use polaris_obs::{
-    JsonlRecorder, NullRecorder, Recorder, SharedRecorder, TraceError, TraceSummary,
-};
+use polaris_obs::{JsonlRecorder, NullRecorder, Recorder, TraceError, TraceSummary};
 
 use crate::{read_file, write_file, CliError, Flags};
 
@@ -40,11 +38,11 @@ exit codes:
   9  malformed trace file (rejected by the bounded JSONL parser)";
 
 /// The `--trace-out FILE` wiring shared by every recording command: holds
-/// a buffered [`JsonlRecorder`] when the flag is present, hands out
-/// recorder references in both the `Arc` and `&dyn` shapes the library
-/// APIs take, and flushes the buffer to the file once the command's
-/// campaigns are done. Without the flag every accessor degrades to the
-/// zero-overhead null recorder.
+/// a buffered [`JsonlRecorder`] when the flag is present, hands it to each
+/// run call as its `&dyn Recorder` argument, and flushes the buffer to the
+/// file once the command's campaigns are done. Without the flag the run
+/// gets the zero-overhead null recorder. Only `serve`, whose coordinator
+/// owns its recorder for the daemon's life, takes it as an `Arc`.
 pub(crate) struct TraceOut {
     path: Option<String>,
     jsonl: Option<Arc<JsonlRecorder>>,
@@ -58,19 +56,19 @@ impl TraceOut {
         TraceOut { path, jsonl }
     }
 
-    /// The recorder as a [`SharedRecorder`], for APIs that store it.
-    pub(crate) fn recorder(&self) -> SharedRecorder {
-        match &self.jsonl {
-            Some(j) => j.clone(),
-            None => polaris_obs::shared_null(),
-        }
-    }
-
-    /// The recorder as a plain borrow, for engine-level APIs.
+    /// The recorder to pass to a run call.
     pub(crate) fn dyn_recorder(&self) -> &dyn Recorder {
         match &self.jsonl {
             Some(j) => j.as_ref(),
             None => &NullRecorder,
+        }
+    }
+
+    /// The recorder as an owned handle, for the serve coordinator.
+    pub(crate) fn owned(&self) -> Arc<dyn Recorder> {
+        match &self.jsonl {
+            Some(j) => j.clone(),
+            None => Arc::new(NullRecorder),
         }
     }
 
@@ -378,7 +376,7 @@ mod tests {
         let flags = Flags::parse(&[], &[]).unwrap();
         let t = TraceOut::from_flags(&flags);
         assert!(!t.dyn_recorder().enabled());
-        assert!(!t.recorder().enabled());
+        assert!(!t.owned().enabled());
         t.flush().unwrap();
     }
 }

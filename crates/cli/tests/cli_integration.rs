@@ -857,3 +857,146 @@ fn dist_triples_merge_is_byte_identical_to_assess() {
         "distributed trivariate fold must be byte-identical to the single-process run"
     );
 }
+
+/// Per-kind event counts of a JSONL trace, as `kind=count` in kind order.
+fn trace_census(path: &std::path::Path) -> String {
+    let text = std::fs::read_to_string(path).expect("trace written");
+    let mut counts = std::collections::BTreeMap::<String, usize>::new();
+    for line in text.lines() {
+        let kind = line
+            .split("\"kind\":\"")
+            .nth(1)
+            .and_then(|rest| rest.split('"').next())
+            .expect("every trace line names its kind");
+        *counts.entry(kind.to_string()).or_default() += 1;
+    }
+    counts
+        .iter()
+        .map(|(kind, n)| format!("{kind}={n}"))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+#[test]
+fn traced_commands_emit_pinned_event_counts() {
+    // Every recording command at one thread emits a fixed event census:
+    // how a recorder reaches a run may change, what it records may not.
+    let c17 = tmp("census_c17.bench");
+    std::fs::write(&c17, C17_BENCH).expect("write design");
+    let demo = tmp("census_demo.v");
+    std::fs::write(&demo, DEMO).expect("write design");
+    let manifest = tmp("census_manifest.txt");
+    std::fs::write(
+        &manifest,
+        format!(
+            "{}\n{}\n",
+            c17.to_str().expect("utf8"),
+            demo.to_str().expect("utf8")
+        ),
+    )
+    .expect("write manifest");
+    let (c17, manifest) = (
+        c17.to_str().expect("utf8"),
+        manifest.to_str().expect("utf8"),
+    );
+    let census = |name: &str, args: &[&str]| {
+        let trace = tmp(&format!("census_{name}.jsonl"));
+        let out = cli()
+            .args(args)
+            .args([
+                "--threads",
+                "1",
+                "--trace-out",
+                trace.to_str().expect("utf8"),
+            ])
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{args:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        trace_census(&trace)
+    };
+    let budget = ["--traces", "3000", "--seed", "11"];
+
+    let assess = census("assess", &[&["assess", c17][..], &budget].concat());
+    assert_eq!(
+        assess,
+        "campaign_end=1 campaign_start=1 fold_span=1 shard_span=24"
+    );
+    let adaptive = census(
+        "assess_adaptive",
+        &[&["assess", c17, "--adaptive"][..], &budget].concat(),
+    );
+    assert_eq!(
+        adaptive,
+        "campaign_end=1 campaign_start=1 fold_span=2 round_checkpoint=2 shard_span=8 stop_audit=12"
+    );
+    let fleet = census(
+        "fleet_adaptive",
+        &[&["fleet", manifest, "--adaptive"][..], &budget].concat(),
+    );
+    assert_eq!(
+        fleet,
+        "queue_depth=16 round_checkpoint=4 stop_audit=18 work_item=16 worker_summary=1"
+    );
+    let masked = tmp("census_masked.v");
+    let mask = census(
+        "mask_adaptive",
+        &[
+            &[
+                "mask",
+                c17,
+                "--model",
+                model_path().to_str().expect("utf8"),
+                "--out",
+                masked.to_str().expect("utf8"),
+                "--adaptive",
+            ][..],
+            &budget,
+        ]
+        .concat(),
+    );
+    assert_eq!(
+        mask,
+        "campaign_end=2 campaign_start=2 fold_span=3 round_checkpoint=2 shard_span=16 stop_audit=12"
+    );
+
+    let plan = tmp("census_plan.txt");
+    let plan = plan.to_str().expect("utf8");
+    let out = cli()
+        .args(
+            [
+                &["dist", "plan", c17, "--parts", "2", "--out", plan][..],
+                &budget,
+            ]
+            .concat(),
+        )
+        .output()
+        .expect("runs");
+    assert!(out.status.success());
+    let part = tmp("census_part1.shard");
+    let part = part.to_str().expect("utf8");
+    let work = census(
+        "dist_work",
+        &[
+            "dist", "work", c17, "--plan", plan, "--part", "1", "--out", part,
+        ],
+    );
+    assert_eq!(work, "plan_exec=1 shard_span=12");
+    let part0 = tmp("census_part0.shard");
+    let part0 = part0.to_str().expect("utf8");
+    let out = cli()
+        .args([
+            "dist", "work", c17, "--plan", plan, "--part", "0", "--out", part0,
+        ])
+        .output()
+        .expect("runs");
+    assert!(out.status.success());
+    let merge = census(
+        "dist_merge",
+        &["dist", "merge", c17, "--plan", plan, part0, part],
+    );
+    assert_eq!(merge, "merge_done=1 merge_fold=2");
+}

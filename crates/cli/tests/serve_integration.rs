@@ -544,3 +544,141 @@ fn long_polled_lease_dropped_by_its_worker_is_reissued() {
         "daemon must report the scripted worker as lost:\n{daemon_err}"
     );
 }
+
+/// The round-checkpoint and stopping-audit rows of a trace, with the
+/// timing fields (`t`, `thread`, `wall_ns`) dropped so two runs compare.
+fn audit_rows(trace: &std::path::Path) -> Vec<String> {
+    std::fs::read_to_string(trace)
+        .expect("trace written")
+        .lines()
+        .filter(|l| {
+            l.contains("\"kind\":\"round_checkpoint\"") || l.contains("\"kind\":\"stop_audit\"")
+        })
+        .map(|l| {
+            l.trim_start_matches('{')
+                .trim_end_matches('}')
+                .split(',')
+                .filter(|f| {
+                    !["\"t\":", "\"thread\":", "\"wall_ns\":"]
+                        .iter()
+                        .any(|p| f.starts_with(p))
+                })
+                .collect::<Vec<_>>()
+                .join(",")
+        })
+        .collect()
+}
+
+/// A daemon started with `--trace-out` hands its recorder to each job's
+/// folder: an adaptive submission's round checkpoints and per-gate
+/// stopping audit land in the daemon's trace exactly as a solo
+/// `assess --adaptive --trace-out` records them, and the served CSV stays
+/// byte-identical to the solo one.
+#[test]
+fn traced_daemon_records_the_adaptive_stopping_audit() {
+    let design = tmp("audit_c17.bench");
+    std::fs::write(&design, C17_BENCH).expect("write design");
+    let design = design.to_str().expect("utf8").to_string();
+    let port_file = tmp("audit_port.txt");
+    let served_trace = tmp("audit_served.jsonl");
+
+    let mut reaper = Reaper(Vec::new());
+    let daemon = cli()
+        .args([
+            "serve",
+            "--listen",
+            "127.0.0.1:0",
+            "--port-file",
+            port_file.to_str().expect("utf8"),
+            "--trace-out",
+            served_trace.to_str().expect("utf8"),
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("daemon spawns");
+    let daemon = reaper.adopt(daemon);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let addr = loop {
+        if let Ok(addr) = std::fs::read_to_string(&port_file) {
+            break addr.trim().to_string();
+        }
+        assert!(
+            Instant::now() < deadline,
+            "daemon never wrote the port file"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    };
+    reaper.adopt(
+        cli()
+            .args([
+                "worker",
+                "--connect",
+                &addr,
+                "--name",
+                "w",
+                "--threads",
+                "1",
+            ])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("worker spawns"),
+    );
+
+    let budget = ["--traces", "6000", "--seed", "11", "--adaptive"];
+    let served_csv = tmp("audit_served.csv");
+    let served_csv = served_csv.to_str().expect("utf8").to_string();
+    run_ok(
+        &[
+            &["submit", &design, "--connect", &addr][..],
+            &budget,
+            &["--csv", &served_csv],
+        ]
+        .concat(),
+    );
+    let solo_csv = tmp("audit_solo.csv");
+    let solo_csv = solo_csv.to_str().expect("utf8").to_string();
+    let solo_trace = tmp("audit_solo.jsonl");
+    run_ok(
+        &[
+            &["assess", &design][..],
+            &budget,
+            &[
+                "--csv",
+                &solo_csv,
+                "--trace-out",
+                solo_trace.to_str().expect("utf8"),
+            ],
+        ]
+        .concat(),
+    );
+    assert_eq!(
+        std::fs::read_to_string(&served_csv).expect("served csv"),
+        std::fs::read_to_string(&solo_csv).expect("solo csv"),
+        "served adaptive CSV must be byte-identical to solo assess"
+    );
+
+    run_ok(&["submit", "--shutdown", "--connect", &addr]);
+    let daemon = &mut reaper.0[daemon];
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = daemon.try_wait().expect("try_wait") {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "daemon did not drain");
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(status.success(), "daemon must exit cleanly on shutdown");
+
+    let solo = audit_rows(&solo_trace);
+    assert!(
+        solo.iter().any(|r| r.contains("stop_audit")),
+        "the solo run records a stopping audit"
+    );
+    assert_eq!(
+        audit_rows(&served_trace),
+        solo,
+        "the daemon's trace must carry the job's round checkpoints and stopping audit"
+    );
+}

@@ -10,6 +10,7 @@
 
 use polaris_masking::apply_masking;
 use polaris_netlist::{GateId, GraphView, Netlist};
+use polaris_obs::NullRecorder;
 use polaris_sim::{run_fleet, CampaignConfig, FleetJob, PowerModel};
 use polaris_tvla::{GateLeakage, WelchAccumulator};
 use rand::rngs::StdRng;
@@ -99,6 +100,7 @@ pub fn generate_for_design(
             &campaign,
             par,
             &config.sequential_config(),
+            &NullRecorder,
         )?;
         campaign.n_fixed = a.stats.fixed_traces;
         campaign.n_random = a.stats.random_traces;
@@ -162,7 +164,7 @@ pub fn generate_for_design(
                 FleetJob::new(&masked.netlist, power, mod_campaign.clone())
             })
             .collect();
-        let outcomes = run_fleet(jobs, par)?;
+        let outcomes = run_fleet(jobs, par, &NullRecorder)?;
 
         for (((selected, mod_campaign), masked), outcome) in
             batch.iter().zip(&masked_batch).zip(outcomes)

@@ -11,10 +11,10 @@ use std::time::Instant;
 use polaris_masking::{apply_masking, MaskedDesign};
 use polaris_ml::Classifier;
 use polaris_netlist::{GateId, GraphView, Netlist};
-use polaris_obs::SharedRecorder;
+use polaris_obs::{NullRecorder, Recorder};
 use polaris_sim::{
-    run_campaign_parallel, run_campaign_traced, run_fleet, CampaignConfig, CampaignOutcome,
-    FleetJob, NeverStop, Parallelism, PowerModel,
+    run_campaign_parallel, run_fleet, CampaignConfig, CampaignOutcome, FleetJob, Parallelism,
+    PowerModel,
 };
 use polaris_tvla::{adaptive_fleet_job, GateLeakage, LeakageSummary, WelchAccumulator};
 use polaris_xai::RuleSet;
@@ -113,12 +113,28 @@ pub fn reporting_campaign(config: &PolarisConfig) -> CampaignConfig {
     campaign
 }
 
-/// Runs the baseline [`reporting_campaign`] of `config` over a *normalized*
-/// design in-process (honoring the adaptive-stopping knobs) and returns the
-/// folded outcome — exactly what [`polaris_mask_with_baseline`] consumes.
-/// The distributed flow replaces this one function with a plan / work /
-/// merge round (`polaris_dist::merged_outcome`); everything downstream is
-/// shared.
+/// The baseline [`reporting_campaign`] of `config` over a *normalized*
+/// design as a campaign job: in adaptive mode it carries the cells-scoped
+/// sequential stopping rule, so the baseline stops once its verdict
+/// converges. Running it yields exactly what [`polaris_mask_with_baseline`]
+/// consumes. The distributed flow replaces this one campaign with a plan /
+/// work / merge round (`polaris_dist::merged_outcome`); everything
+/// downstream is shared.
+pub fn baseline_job<'a>(
+    design: &'a Netlist,
+    config: &PolarisConfig,
+    power: &'a PowerModel,
+) -> FleetJob<'a, WelchAccumulator> {
+    let campaign = reporting_campaign(config);
+    if config.adaptive {
+        adaptive_fleet_job(design, power, campaign, &config.sequential_config())
+    } else {
+        FleetJob::new(design, power, campaign)
+    }
+}
+
+/// Runs [`baseline_job`] in-process without a recorder. Kept with this
+/// signature for `perfbench/` until a benchmark PR moves it over.
 ///
 /// # Errors
 ///
@@ -128,13 +144,11 @@ pub fn baseline_outcome(
     config: &PolarisConfig,
     power: &PowerModel,
 ) -> Result<CampaignOutcome<WelchAccumulator>, PolarisError> {
-    baseline_outcome_traced(design, config, power, polaris_obs::shared_null())
+    baseline_outcome_traced(design, config, power, &NullRecorder)
 }
 
-/// [`baseline_outcome`] reporting structured trace events to `recorder` —
-/// shard/fold spans always, plus the checkpoint census and per-gate audit
-/// trail when the configuration is adaptive. The folded outcome is
-/// byte-identical to the untraced run.
+/// Runs [`baseline_job`] in-process, reporting to `recorder`. Kept with
+/// [`baseline_outcome`] until a benchmark PR moves `perfbench/` over.
 ///
 /// # Errors
 ///
@@ -143,34 +157,9 @@ pub fn baseline_outcome_traced(
     design: &Netlist,
     config: &PolarisConfig,
     power: &PowerModel,
-    recorder: SharedRecorder,
+    recorder: &dyn Recorder,
 ) -> Result<CampaignOutcome<WelchAccumulator>, PolarisError> {
-    let campaign = reporting_campaign(config);
-    // The campaigns run on the sharded parallel engine — the thread knob
-    // never changes the statistics. In adaptive mode the baseline stops
-    // once its verdict converges.
-    let par = config.parallelism();
-    let outcome = if config.adaptive {
-        polaris_tvla::campaign_outcome_adaptive_traced(
-            design,
-            power,
-            &campaign,
-            par,
-            &config.sequential_config(),
-            recorder,
-        )?
-    } else {
-        run_campaign_traced(
-            design,
-            power,
-            &campaign,
-            par,
-            usize::MAX,
-            &mut NeverStop,
-            recorder.as_ref(),
-        )?
-    };
-    Ok(outcome)
+    Ok(baseline_job(design, config, power).run(config.parallelism(), recorder)?)
 }
 
 /// [`baseline_outcome`] for a whole suite: runs every *normalized* design's
@@ -193,18 +182,11 @@ pub fn baseline_outcomes_fleet(
     config: &PolarisConfig,
     power: &PowerModel,
 ) -> Result<Vec<CampaignOutcome<WelchAccumulator>>, PolarisError> {
-    let campaign = reporting_campaign(config);
-    let jobs: Vec<FleetJob<'_, WelchAccumulator>> = designs
+    let jobs = designs
         .iter()
-        .map(|design| {
-            if config.adaptive {
-                adaptive_fleet_job(design, power, campaign.clone(), &config.sequential_config())
-            } else {
-                FleetJob::new(design, power, campaign.clone())
-            }
-        })
+        .map(|design| baseline_job(design, config, power))
         .collect();
-    Ok(run_fleet(jobs, config.parallelism())?)
+    Ok(run_fleet(jobs, config.parallelism(), &NullRecorder)?)
 }
 
 /// Runs Algorithm 2 on a normalized design, masking the `msize` top-ranked
@@ -225,10 +207,18 @@ pub fn polaris_mask(
     // Reporting baseline (outside the mitigation path); its cost is
     // attributed to this report's assessment time.
     let assess_start = Instant::now();
-    let baseline = baseline_outcome(design, config, power)?;
+    let baseline = baseline_job(design, config, power).run(config.parallelism(), &NullRecorder)?;
     let baseline_time_s = assess_start.elapsed().as_secs_f64();
     let mut report = polaris_mask_with_baseline(
-        design, model, rules, extractor, config, power, msize, baseline,
+        design,
+        model,
+        rules,
+        extractor,
+        config,
+        power,
+        msize,
+        baseline,
+        &NullRecorder,
     )?;
     report.assessment_time_s += baseline_time_s;
     Ok(report)
@@ -365,6 +355,10 @@ pub(crate) fn finish_mitigation(
 /// done here (the after-campaign); the caller owns the baseline's cost
 /// accounting.
 ///
+/// `recorder` gets the after-campaign's shard and fold spans, in the same
+/// trace as the (caller-run) baseline. The report is byte-identical without
+/// it in every statistical field.
+///
 /// # Errors
 ///
 /// Propagates netlist/masking/simulation failures.
@@ -378,54 +372,19 @@ pub fn polaris_mask_with_baseline(
     power: &PowerModel,
     msize: usize,
     baseline: CampaignOutcome<WelchAccumulator>,
-) -> Result<MitigationReport, PolarisError> {
-    polaris_mask_with_baseline_traced(
-        design,
-        model,
-        rules,
-        extractor,
-        config,
-        power,
-        msize,
-        baseline,
-        polaris_obs::shared_null(),
-    )
-}
-
-/// [`polaris_mask_with_baseline`] with a trace recorder: the masked
-/// design's after-campaign emits shard/fold spans into the same trace as
-/// the (caller-run) baseline. The report is byte-identical to the untraced
-/// run in every statistical field.
-///
-/// # Errors
-///
-/// Propagates netlist/masking/simulation failures.
-#[allow(clippy::too_many_arguments)] // mirrors polaris_mask_with_baseline
-pub fn polaris_mask_with_baseline_traced(
-    design: &Netlist,
-    model: &PolarisModel,
-    rules: Option<&RuleSet>,
-    extractor: &StructuralFeatureExtractor,
-    config: &PolarisConfig,
-    power: &PowerModel,
-    msize: usize,
-    baseline: CampaignOutcome<WelchAccumulator>,
-    recorder: SharedRecorder,
+    recorder: &dyn Recorder,
 ) -> Result<MitigationReport, PolarisError> {
     let par = config.parallelism();
     let pending = prepare_mitigation(design, model, rules, extractor, config, msize, baseline)?;
     let assess_start = Instant::now();
-    // Full-grid never-stopping schedule: byte-identical fold order to
+    // One never-stopping round: byte-identical fold order to
     // `run_campaign_parallel`, with the engine's spans on top.
-    let outcome = run_campaign_traced::<WelchAccumulator, _>(
+    let outcome = FleetJob::new(
         pending.masked_netlist(),
         power,
-        &pending.after_campaign,
-        par,
-        usize::MAX,
-        &mut NeverStop,
-        recorder.as_ref(),
-    )?;
+        pending.after_campaign.clone(),
+    )
+    .run(par, recorder)?;
     let after_seconds = assess_start.elapsed().as_secs_f64();
     Ok(finish_mitigation(
         design,
@@ -493,7 +452,7 @@ pub fn assess_grouped_fleet(
         .zip(campaigns)
         .map(|(v, c)| FleetJob::new(&v.netlist, power, c.clone()))
         .collect();
-    let outcomes = run_fleet(jobs, parallelism)?;
+    let outcomes = run_fleet(jobs, parallelism, &NullRecorder)?;
     Ok(variants
         .iter()
         .zip(outcomes)

@@ -5,6 +5,7 @@ use polaris_ml::metrics::{roc_auc, Confusion};
 use polaris_ml::{Classifier, Dataset};
 use polaris_netlist::transform::decompose;
 use polaris_netlist::Netlist;
+use polaris_obs::{NullRecorder, Recorder};
 use polaris_sim::{run_fleet, CampaignOutcome, FleetJob, PowerModel};
 use polaris_tvla::WelchAccumulator;
 use polaris_xai::{RuleMiner, RuleSet};
@@ -14,9 +15,8 @@ use crate::config::PolarisConfig;
 use crate::explain::Explainer;
 use crate::features::StructuralFeatureExtractor;
 use crate::masking_flow::{
-    baseline_outcome_traced, baseline_outcomes_fleet, finish_mitigation,
-    polaris_mask_with_baseline, polaris_mask_with_baseline_traced, prepare_mitigation,
-    MitigationReport,
+    baseline_job, baseline_outcomes_fleet, finish_mitigation, polaris_mask_with_baseline,
+    prepare_mitigation, MitigationReport,
 };
 use crate::model::PolarisModel;
 use crate::PolarisError;
@@ -270,6 +270,8 @@ impl TrainedPolaris {
 
     /// Protects one (possibly un-normalized) design: normalizes it, resolves
     /// the mask budget, and runs Algorithm 2 with model+rules scoring.
+    /// [`TrainedPolaris::mask_design_traced`] without a recorder. Kept with
+    /// this signature for `perfbench/` until a benchmark PR moves it over.
     ///
     /// # Errors
     ///
@@ -280,14 +282,16 @@ impl TrainedPolaris {
         power: &PowerModel,
         budget: MaskBudget,
     ) -> Result<MitigationReport, PolarisError> {
-        self.mask_design_traced(design, power, budget, polaris_obs::shared_null())
+        self.mask_design_traced(design, power, budget, &NullRecorder)
     }
 
     /// [`TrainedPolaris::mask_design`] reporting structured trace events to
     /// `recorder`: both reporting campaigns (baseline and after-masking)
     /// emit shard/fold spans, and in adaptive mode the baseline adds the
     /// checkpoint census and per-gate stopping audit trail. The report is
-    /// byte-identical to the untraced run in every statistical field.
+    /// byte-identical to the untraced run in every statistical field. Kept
+    /// beside [`TrainedPolaris::mask_design`] until a benchmark PR moves
+    /// `perfbench/` over to one recorder-taking call.
     ///
     /// # Errors
     ///
@@ -297,7 +301,7 @@ impl TrainedPolaris {
         design: &Netlist,
         power: &PowerModel,
         budget: MaskBudget,
-        recorder: polaris_obs::SharedRecorder,
+        recorder: &dyn Recorder,
     ) -> Result<MitigationReport, PolarisError> {
         // One reporting baseline serves both the leaky-count budget
         // resolution and the mitigation report (a leaky *count* is a
@@ -307,12 +311,13 @@ impl TrainedPolaris {
         // and spares LeakyFraction its former extra campaign.
         let (normalized, _) = decompose(design)?;
         let assess_start = std::time::Instant::now();
-        let baseline = baseline_outcome_traced(&normalized, &self.config, power, recorder.clone())?;
+        let baseline = baseline_job(&normalized, &self.config, power)
+            .run(self.config.parallelism(), recorder)?;
         let baseline_time_s = assess_start.elapsed().as_secs_f64();
         let msize = self.resolve_msize(&normalized, budget, || {
             Ok(baseline.sink.leakage().summarize(&normalized).leaky_cells)
         })?;
-        let mut report = polaris_mask_with_baseline_traced(
+        let mut report = polaris_mask_with_baseline(
             &normalized,
             &self.model,
             Some(&self.rules),
@@ -381,7 +386,7 @@ impl TrainedPolaris {
             .iter()
             .map(|p| FleetJob::new(p.masked_netlist(), power, p.after_campaign.clone()))
             .collect();
-        let outcomes = run_fleet(jobs, self.config.parallelism())?;
+        let outcomes = run_fleet(jobs, self.config.parallelism(), &NullRecorder)?;
         let after_seconds = fleet_start.elapsed().as_secs_f64();
 
         let share = (baseline_seconds + after_seconds) / designs.len().max(1) as f64;
@@ -453,6 +458,7 @@ impl TrainedPolaris {
             power,
             msize,
             baseline,
+            &NullRecorder,
         )
     }
 }

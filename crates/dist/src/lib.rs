@@ -6,7 +6,7 @@
 //! location-independent (counter-derived RNG streams, ordered pairwise
 //! merge); this crate adds the missing piece: a coordinator partitions the
 //! shard grid into contiguous **plans** ([`DistPlan`]), independent worker
-//! processes execute one plan each ([`execute_part`]) and snapshot their
+//! processes execute one plan each ([`execute_job_part`]) and snapshot their
 //! per-shard accumulators into a versioned, checksummed, self-describing
 //! binary **shard-state file**, and a central merge ([`merge_parts`]) folds
 //! the parts back in canonical shard order — producing a result that is
@@ -87,8 +87,8 @@ pub mod wire;
 
 pub use codec::{ShardState, SinkKind};
 pub use part::{
-    decode_part, encode_part, execute_part, execute_part_traced_with, merge_parts,
-    merge_parts_traced, merged_outcome, Merged, PartHeader, FORMAT_VERSION, MAGIC,
+    decode_part, encode_part, execute_job_part, execute_part, merge_parts, merge_parts_traced,
+    merged_outcome, Merged, PartHeader, FORMAT_VERSION, MAGIC,
 };
 pub use plan::{campaign_fingerprint, DistPlan};
 pub use proto::{Message, ProtoError, ResultOrigin, PROTO_VERSION};

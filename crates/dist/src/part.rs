@@ -8,10 +8,10 @@ use std::time::Instant;
 use polaris_netlist::Netlist;
 use polaris_obs::{NullRecorder, Payload, Recorder};
 use polaris_sim::campaign::{
-    partition_shards, run_shard_states_traced_with, shard_grid, CampaignConfig, CampaignOutcome,
-    CampaignStats, MergeableSink, Parallelism,
+    partition_shards, shard_grid, CampaignConfig, CampaignOutcome, CampaignStats, MergeableSink,
+    Parallelism,
 };
-use polaris_sim::PowerModel;
+use polaris_sim::{FleetJob, PowerModel};
 
 use crate::codec::ShardState;
 use crate::plan::campaign_fingerprint;
@@ -228,13 +228,13 @@ pub fn decode_part<S: ShardState>(bytes: &[u8]) -> Result<(PartHeader, Vec<S>), 
 }
 
 /// Executes part `part_index` of a `part_count`-way plan over `config` and
-/// returns the encoded shard-state file — the whole body of a
-/// `polaris dist work` process.
+/// returns the encoded shard-state file: [`execute_job_part`] on a plain
+/// job, without a recorder. Kept with this signature for `perfbench/` until
+/// a benchmark PR moves it over.
 ///
 /// # Errors
 ///
-/// [`DistError::PlanMismatch`] for an out-of-range part index;
-/// [`DistError::Sim`] if the design cannot be levelized.
+/// Same contract as [`execute_job_part`].
 pub fn execute_part<S>(
     netlist: &Netlist,
     model: &PowerModel,
@@ -246,46 +246,36 @@ pub fn execute_part<S>(
 where
     S: ShardState + MergeableSink + Default,
 {
-    execute_part_traced_with(
-        netlist,
-        model,
-        config,
-        parallelism,
-        part_index,
-        part_count,
-        S::default,
-        &NullRecorder,
-    )
+    let job = FleetJob::<S>::new(netlist, model, config.clone());
+    execute_job_part(&job, parallelism, part_index, part_count, &NullRecorder)
 }
 
-/// [`execute_part`] with an explicit sink factory and a trace recorder — the
-/// general form the plain call reduces to.
+/// Executes part `part_index` of a `part_count`-way plan over `job`'s
+/// campaign and returns the encoded shard-state file — the whole body of a
+/// `polaris dist work` process.
 ///
-/// The factory builds each shard's *empty* private sink, for sinks whose
-/// shape is configured at construction (e.g.
-/// [`polaris_tvla::CoMomentAccumulator`], which must know its gate sets).
-/// `recorder` gets one shard span per simulated shard (with the per-phase
-/// split) plus a `plan_exec` frame naming the part's slot in the plan. The
-/// encoded file is byte-identical to the untraced run.
+/// Each shard runs into its own empty sink from the job's factory (see
+/// [`FleetJob::with_sink_factory`], for sinks whose shape is configured at
+/// construction, e.g. [`polaris_tvla::CoMomentAccumulator`]). `recorder`
+/// gets one shard span per simulated shard (with the per-phase split) plus
+/// a `plan_exec` frame naming the part's slot in the plan. The encoded file
+/// is byte-identical to the untraced run.
 ///
 /// # Errors
 ///
-/// Same contract as [`execute_part`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_part_traced_with<S, F>(
-    netlist: &Netlist,
-    model: &PowerModel,
-    config: &CampaignConfig,
+/// [`DistError::PlanMismatch`] for an out-of-range part index;
+/// [`DistError::Sim`] if the design cannot be levelized.
+pub fn execute_job_part<S>(
+    job: &FleetJob<'_, S>,
     parallelism: Parallelism,
     part_index: usize,
     part_count: usize,
-    factory: F,
     recorder: &dyn Recorder,
 ) -> Result<Vec<u8>, DistError>
 where
-    S: ShardState + MergeableSink,
-    F: Fn() -> S + Sync,
+    S: ShardState + MergeableSink + Default,
 {
+    let config = job.config();
     let n_shards = shard_grid(config).len();
     if part_count == 0 {
         return Err(DistError::PlanMismatch(
@@ -299,15 +289,7 @@ where
         ))
     })?;
     let started = recorder.enabled().then(Instant::now);
-    let states: Vec<S> = run_shard_states_traced_with(
-        netlist,
-        model,
-        config,
-        parallelism,
-        range.clone(),
-        factory,
-        recorder,
-    )?;
+    let states = job.run_shards(parallelism, range.clone(), recorder)?;
     if let Some(t0) = started {
         recorder.record(Payload::PlanExec {
             part: part_index as u64,
@@ -318,7 +300,7 @@ where
         });
     }
     let header = PartHeader {
-        fingerprint: campaign_fingerprint(netlist, model, config),
+        fingerprint: campaign_fingerprint(job.netlist(), job.power(), config),
         part_index: part_index as u32,
         part_count: part_count as u32,
         shard_lo: range.start as u32,
@@ -343,12 +325,9 @@ pub struct Merged<S> {
     pub parts: usize,
 }
 
-/// Folds a complete set of encoded part files in canonical shard order.
-///
-/// Every part must decode cleanly, agree on fingerprint / grid size / part
-/// count (and match `expected_fingerprint` when given), and the shard
-/// ranges must tile the grid exactly — missing, duplicate, or overlapping
-/// parts are [`DistError::PlanMismatch`].
+/// Folds a complete set of encoded part files in canonical shard order:
+/// [`merge_parts_traced`] without a recorder. Kept with this signature for
+/// `perfbench/` until a benchmark PR moves it over.
 ///
 /// # Errors
 ///
@@ -363,14 +342,22 @@ where
     merge_parts_traced(parts, expected_fingerprint, &NullRecorder)
 }
 
-/// [`merge_parts`] reporting structured trace events to `recorder`: one
-/// `merge_fold` span per part (covering its shards' fold into the running
-/// accumulator) and a final `merge_done` frame. The folded state is
-/// byte-identical to the untraced merge.
+/// Folds a complete set of encoded part files in canonical shard order,
+/// reporting to `recorder`.
+///
+/// Every part must decode cleanly, agree on fingerprint / grid size / part
+/// count (and match `expected_fingerprint` when given), and the shard
+/// ranges must tile the grid exactly — missing, duplicate, or overlapping
+/// parts are [`DistError::PlanMismatch`].
+///
+/// `recorder` gets one `merge_fold` span per part (covering its shards'
+/// fold into the running accumulator) and a final `merge_done` frame. The
+/// folded state is byte-identical to the untraced merge. Kept under this
+/// name for `perfbench/` until a benchmark PR moves it over.
 ///
 /// # Errors
 ///
-/// Same contract as [`merge_parts`].
+/// A typed [`DistError`] for each failure class; see the variant docs.
 pub fn merge_parts_traced<'a, S>(
     parts: impl IntoIterator<Item = &'a [u8]>,
     expected_fingerprint: Option<u64>,

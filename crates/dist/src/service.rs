@@ -47,12 +47,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use polaris_netlist::{parse_bench, parse_netlist, Netlist};
-use polaris_obs::{Payload, SharedRecorder};
+use polaris_obs::{NullRecorder, Payload, Recorder};
 use polaris_sim::campaign::{
-    run_shard_states, shard_grid, splitmix64, CampaignConfig, CampaignStats, NeverStop,
-    Parallelism, ShardSpec, StoppingRule,
+    shard_grid, splitmix64, CampaignConfig, CampaignStats, NeverStop, Parallelism, ShardSpec,
+    StoppingRule,
 };
-use polaris_sim::{PowerModel, RoundFolder};
+use polaris_sim::{FleetJob, PowerModel, RoundFolder};
 use polaris_tvla::{SequentialConfig, SequentialStopping, WelchAccumulator};
 
 use crate::part::{decode_part, encode_part, PartHeader};
@@ -475,12 +475,10 @@ impl TaskSpec {
                 self.shard_lo, self.shard_hi, self.n_shards
             )));
         }
-        let states: Vec<WelchAccumulator> = run_shard_states(
-            &netlist,
-            &model,
-            &config,
+        let states = FleetJob::<WelchAccumulator>::new(&netlist, &model, config).run_shards(
             parallelism,
             self.shard_lo..self.shard_hi,
+            &NullRecorder,
         )?;
         Ok(encode_part(
             &PartHeader {
@@ -602,7 +600,8 @@ struct Job {
 /// the `serve` front-end wires it to sockets and threads; the unit tests
 /// drive it directly, playing both sides.
 pub struct Coordinator {
-    recorder: SharedRecorder,
+    /// Owned for the daemon's whole life; every job's folder reports to it.
+    recorder: Arc<dyn Recorder>,
     workers: HashMap<u64, WorkerEntry>,
     jobs: BTreeMap<u64, Job>,
     leases: HashMap<u64, Lease>,
@@ -621,13 +620,15 @@ pub struct Coordinator {
 
 impl Default for Coordinator {
     fn default() -> Self {
-        Coordinator::new(polaris_obs::shared_null())
+        Coordinator::new(Arc::new(NullRecorder))
     }
 }
 
 impl Coordinator {
-    /// A coordinator reporting scheduling/merge events to `recorder`.
-    pub fn new(recorder: SharedRecorder) -> Self {
+    /// A coordinator reporting scheduling/merge events to `recorder`, and
+    /// handing it to every job's folder so adaptive jobs report their
+    /// round checkpoints and stopping audit there too.
+    pub fn new(recorder: Arc<dyn Recorder>) -> Self {
         Coordinator {
             recorder,
             workers: HashMap::new(),
@@ -887,7 +888,11 @@ impl Coordinator {
         let fold_start = Instant::now();
         let before = job.folder.folded();
         for (offset, state) in states.into_iter().enumerate() {
-            job.folder.ingest(lease_info.range.start + offset, state);
+            job.folder.ingest(
+                lease_info.range.start + offset,
+                state,
+                self.recorder.as_ref(),
+            );
         }
         let folded = job.folder.folded() - before;
         job.leases_done += 1;
@@ -1345,6 +1350,7 @@ mod tests {
             &config,
             Parallelism::sequential(),
             &seq,
+            &NullRecorder,
         )
         .unwrap();
         assert!(reference.stats.stopped_early, "{:?}", reference.stats);

@@ -29,7 +29,7 @@ pub use json::{JsonValue, JsonWriter, TraceError, MAX_FIELDS, MAX_LINE_BYTES, MA
 pub use summary::{AuditRow, CheckpointRow, PhaseTotals, TraceSummary, WorkerRow};
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// An event sink instrumented engines report to.
@@ -47,9 +47,14 @@ pub trait Recorder: Send + Sync {
     fn record(&self, payload: Payload);
 }
 
-/// Shared handle to a recorder, for owned contexts (stopping rules, fleet
-/// jobs) that outlive a borrow.
-pub type SharedRecorder = Arc<dyn Recorder>;
+/// Debug output of a borrowed recorder: whether it records, not what.
+impl std::fmt::Debug for dyn Recorder + '_ {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Recorder")
+            .field("enabled", &self.enabled())
+            .finish_non_exhaustive()
+    }
+}
 
 /// The zero-overhead default recorder: disabled, drops everything.
 #[derive(Clone, Copy, Debug, Default)]
@@ -61,11 +66,6 @@ impl Recorder for NullRecorder {
     }
 
     fn record(&self, _payload: Payload) {}
-}
-
-/// A fresh [`SharedRecorder`] wrapping a [`NullRecorder`].
-pub fn shared_null() -> SharedRecorder {
-    Arc::new(NullRecorder)
 }
 
 /// Process-wide worker ordinals: small, stable per thread, allocated on
@@ -314,6 +314,7 @@ impl PhaseTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn null_recorder_is_disabled_and_silent() {

@@ -1044,16 +1044,9 @@ pub fn partition_shards(n_shards: usize, parts: usize) -> Vec<std::ops::Range<us
     ranges
 }
 
-/// Executes the grid entries `shards` (see [`shard_grid`]) of a campaign,
-/// each into its **own** fresh sink, and returns the per-shard sinks in grid
-/// order — the shard-range execution primitive of distributed workers.
-///
-/// The per-shard states are deliberately *not* folded here: the Chan-et-al
-/// moment merges are floating-point and therefore not associative, so only a
-/// strictly ascending one-shard-at-a-time fold over the whole grid
-/// reproduces [`run_campaign_parallel`] bit for bit. Keeping shard
-/// granularity lets a central merge replay exactly that fold regardless of
-/// how the grid was partitioned across workers.
+/// Executes the grid entries `shards` of a campaign into per-shard sinks:
+/// [`FleetJob::run_shards`] on a plain job, without a recorder. Kept with
+/// this signature for `perfbench/` until a benchmark PR moves it over.
 ///
 /// # Errors
 ///
@@ -1073,64 +1066,7 @@ pub fn run_shard_states<S>(
 where
     S: MergeableSink + Default,
 {
-    run_shard_states_traced_with(
-        netlist,
-        model,
-        config,
-        parallelism,
-        shards,
-        S::default,
-        &NullRecorder,
-    )
-}
-
-/// [`run_shard_states`] with an explicit sink factory and a recorder — the
-/// general form the other shard-state entry points reduce to.
-///
-/// The factory replaces the `Default` bound for sinks whose empty state
-/// carries configuration (e.g. a gate-pair list). It must return *empty*
-/// sinks: it configures shape, it never seeds samples. `recorder` gets one
-/// [`Payload::ShardSpan`] per shard (with `round = 0` — a bare shard range
-/// has no round structure; `grid_index` is the shard's absolute position
-/// in the full grid). The per-shard states are unchanged by recording.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::CombinationalCycle`] if the design cannot be
-/// levelized.
-///
-/// # Panics
-///
-/// Panics if `shards` reaches past the end of the grid.
-pub fn run_shard_states_traced_with<S, F>(
-    netlist: &Netlist,
-    model: &PowerModel,
-    config: &CampaignConfig,
-    parallelism: Parallelism,
-    shards: std::ops::Range<usize>,
-    factory: F,
-    recorder: &dyn Recorder,
-) -> Result<Vec<S>, NetlistError>
-where
-    S: MergeableSink,
-    F: Fn() -> S + Sync,
-{
-    let engine = Engine::new(netlist, model, config, parallelism.lane_words())?;
-    let grid = shard_grid(config);
-    assert!(
-        shards.end <= grid.len() && shards.start <= shards.end,
-        "shard range {shards:?} outside the {}-shard grid",
-        grid.len()
-    );
-    let tracing = recorder.enabled();
-    Ok(run_sharded(shards.len(), parallelism, |i| {
-        let grid_index = shards.start + i;
-        let mut sink = factory();
-        if let Some(timing) = engine.run_shard(grid[grid_index], &mut sink, tracing) {
-            recorder.record(timing.span(0, grid_index, grid[grid_index]));
-        }
-        sink
-    }))
+    FleetJob::new(netlist, model, config.clone()).run_shards(parallelism, shards, &NullRecorder)
 }
 
 /// Folds per-shard (or per-part) states **in order** into one accumulator —
@@ -1285,6 +1221,10 @@ where
 /// `stats.fixed_traces`/`stats.random_traces` as the class budgets
 /// reproduces the stopped sink bit for bit.
 ///
+/// This is [`FleetJob::with_rule`] and [`FleetJob::run`] without a
+/// recorder. Kept with this signature for `perfbench/` until a benchmark PR
+/// moves it over.
+///
 /// # Errors
 ///
 /// Returns [`NetlistError::CombinationalCycle`] if the design cannot be
@@ -1301,25 +1241,14 @@ where
     S: MergeableSink + Default,
     R: StoppingRule<S>,
 {
-    run_campaign_traced(
-        netlist,
-        model,
-        config,
-        parallelism,
-        shards_per_round,
-        rule,
-        &NullRecorder,
-    )
+    FleetJob::new(netlist, model, config.clone())
+        .with_rule(rule, shards_per_round)
+        .run(parallelism, &NullRecorder)
 }
 
-/// [`run_campaign_adaptive`] reporting structured trace events to
-/// `recorder`: one [`Payload::ShardSpan`] per shard with the
-/// rng/simulate/power/accumulate phase split, one [`Payload::FoldSpan`] per
-/// round, and campaign start/end markers. A disabled recorder (the
-/// [`NullRecorder`]) makes this identical — in cost and in outcome — to
-/// the untraced call; an enabled one never changes the outcome either:
-/// recording sits strictly outside the fold path, so the result stays
-/// byte-identical at every thread count, lane width, and partitioning.
+/// [`run_campaign_adaptive`] reporting to `recorder` (see
+/// [`FleetJob::run`] for the events). Kept with this signature for
+/// `perfbench/` until a benchmark PR moves it over.
 ///
 /// # Errors
 ///

@@ -6,6 +6,12 @@
 //! [`FleetJob::run`] is the single-campaign driver every `run_campaign_*`
 //! entry point reduces to: its workers drain one round of the job's shard
 //! grid at a time, and the round ends at a barrier.
+//! [`FleetJob::run_shards`] runs a bare range of the grid into per-shard
+//! states, the primitive of distributed workers.
+//!
+//! Every driver takes its recorder as the last argument of the run call and
+//! hands it on to the job's [`RoundFolder`], whose checkpoints carry it to
+//! the stopping rule.
 //!
 //! Suites — the cognition loop, the table harnesses, a manifest of designs
 //! — run many campaigns, whose small members would then serialize on their
@@ -34,11 +40,12 @@
 //! Every job's [`CampaignOutcome`] is therefore **byte-identical** to its
 //! standalone run — at any worker count and in any job mix.
 
+use std::ops::Range;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use polaris_netlist::{Netlist, NetlistError};
-use polaris_obs::{NullRecorder, Payload, Recorder};
+use polaris_obs::{Payload, Recorder};
 
 use crate::campaign::{
     run_sharded, shard_grid, CampaignConfig, CampaignOutcome, Engine, MergeableSink, NeverStop,
@@ -108,6 +115,69 @@ impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
         &self.config
     }
 
+    /// The job's design.
+    pub fn netlist(&self) -> &'a Netlist {
+        self.netlist
+    }
+
+    /// The job's power model.
+    pub fn power(&self) -> &'a PowerModel {
+        self.power
+    }
+
+    /// Executes the grid entries `shards` (see [`shard_grid`]) of the job's
+    /// campaign, each into its **own** fresh sink from the job's factory,
+    /// and returns the per-shard sinks in grid order. The job's stopping
+    /// rule plays no part: a bare shard range has no rounds.
+    ///
+    /// The states are deliberately *not* folded here: the Chan-et-al
+    /// moment merges are floating-point and therefore not associative, so
+    /// only a strictly ascending one-shard-at-a-time fold over the whole
+    /// grid reproduces [`FleetJob::run`] bit for bit. Keeping shard
+    /// granularity lets a central merge replay exactly that fold however
+    /// the grid was partitioned across workers.
+    ///
+    /// An enabled `recorder` gets one [`Payload::ShardSpan`] per shard with
+    /// `round = 0` and the shard's absolute grid index. The states are
+    /// unchanged by recording.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::CombinationalCycle`] if the design cannot be
+    /// levelized.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` reaches past the end of the grid.
+    pub fn run_shards(
+        &self,
+        parallelism: Parallelism,
+        shards: Range<usize>,
+        recorder: &dyn Recorder,
+    ) -> Result<Vec<S>, NetlistError> {
+        let engine = Engine::new(
+            self.netlist,
+            self.power,
+            &self.config,
+            parallelism.lane_words(),
+        )?;
+        let grid = shard_grid(&self.config);
+        assert!(
+            shards.end <= grid.len() && shards.start <= shards.end,
+            "shard range {shards:?} outside the {}-shard grid",
+            grid.len()
+        );
+        let (tracing, factory) = (recorder.enabled(), &self.factory);
+        Ok(run_sharded(shards.len(), parallelism, |i| {
+            let grid_index = shards.start + i;
+            let mut sink = factory();
+            if let Some(timing) = engine.run_shard(grid[grid_index], &mut sink, tracing) {
+                recorder.record(timing.span(0, grid_index, grid[grid_index]));
+            }
+            sink
+        }))
+    }
+
     /// Runs the job alone across `parallelism` worker threads, each owning
     /// a private sink per shard, one round at a time.
     ///
@@ -119,10 +189,12 @@ impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
     /// the calling thread.
     ///
     /// An enabled `recorder` gets the campaign start/end markers, one
-    /// [`Payload::ShardSpan`] per shard with the rng/simulate/accumulate
-    /// split, and one [`Payload::FoldSpan`] per round. Recording sits
-    /// strictly outside the fold path, so the outcome is byte-identical with
-    /// and without it, at every thread count and lane width.
+    /// [`Payload::ShardSpan`] per shard with the rng/simulate/power/accumulate
+    /// split, and one [`Payload::FoldSpan`] per round; every
+    /// [`Checkpoint`](crate::round::Checkpoint) hands it to the stopping
+    /// rule. Recording sits strictly outside the fold path, so the outcome
+    /// is byte-identical with and without it, at every thread count and lane
+    /// width.
     ///
     /// # Errors
     ///
@@ -175,7 +247,7 @@ impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
                 if let Some(timing) = engine.run_shard(grid[grid_index], &mut sink, tracing) {
                     recorder.record(timing.span(round, grid_index, grid[grid_index]));
                 }
-                locked().ingest(grid_index, sink);
+                locked().ingest(grid_index, sink, recorder);
             });
             if tracing {
                 recorder.record(Payload::FoldSpan {
@@ -369,7 +441,7 @@ fn worker_loop<S: MergeableSink>(shared: &FleetShared<'_, S>, recorder: &dyn Rec
         }
         let t_fold = tracing.then(Instant::now);
         let mut folder = lock(&shared.folders[job]);
-        let ingest = folder.ingest(grid_idx, sink);
+        let ingest = folder.ingest(grid_idx, sink, recorder);
         if lock(&shared.queue).book(job, ingest, &folder) {
             shared.work_ready.notify_all();
         }
@@ -402,6 +474,12 @@ fn worker_loop<S: MergeableSink>(shared: &FleetShared<'_, S>, recorder: &dyn Rec
 /// sequential budget (or a fleet with at most one concurrently runnable
 /// shard) executes inline on the calling thread.
 ///
+/// An enabled `recorder` gets per-item queue depth, per-item phase-split
+/// timing (whose thread stamps expose the job interleave), one
+/// worker-utilization summary per pool thread, and — through each job's
+/// checkpoints — whatever the jobs' stopping rules report. Recording is
+/// strictly observational: outcomes stay byte-identical with and without it.
+///
 /// # Errors
 ///
 /// Returns the first [`NetlistError`] hit while compiling a job's design
@@ -411,29 +489,6 @@ fn worker_loop<S: MergeableSink>(shared: &FleetShared<'_, S>, recorder: &dyn Rec
 ///
 /// Propagates worker panics.
 pub fn run_fleet<S>(
-    jobs: Vec<FleetJob<'_, S>>,
-    parallelism: Parallelism,
-) -> Result<Vec<CampaignOutcome<S>>, NetlistError>
-where
-    S: MergeableSink + Default,
-{
-    run_fleet_traced(jobs, parallelism, &NullRecorder)
-}
-
-/// [`run_fleet`] reporting structured trace events to `recorder`: per-item
-/// queue depth, per-item phase-split timing (whose thread stamps expose the
-/// job interleave), and one worker-utilization summary per pool thread.
-/// Recording is strictly observational — outcomes stay byte-identical to
-/// [`run_fleet`] at any worker count and in any job mix.
-///
-/// # Errors
-///
-/// Returns the first [`NetlistError`] hit while compiling a job's design.
-///
-/// # Panics
-///
-/// Propagates worker panics.
-pub fn run_fleet_traced<S>(
     jobs: Vec<FleetJob<'_, S>>,
     parallelism: Parallelism,
     recorder: &dyn Recorder,
@@ -539,7 +594,7 @@ mod tests {
         Checkpoint, GateSamples, Population, TraceSink, DEFAULT_SHARDS_PER_ROUND, TRACES_PER_SHARD,
     };
     use polaris_netlist::generators;
-    use std::ops::Range;
+    use polaris_obs::NullRecorder;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// The grid ranges a job's folder hands out, round by round, when every
@@ -555,7 +610,7 @@ mod tests {
         while !folder.round_range().is_empty() {
             let round = folder.round_range();
             for i in round.clone() {
-                folder.ingest(i, CountProbe::default());
+                folder.ingest(i, CountProbe::default(), &NullRecorder);
             }
             rounds.push(round);
         }
@@ -606,14 +661,14 @@ mod tests {
         }
         assert_eq!(queue.pop(3), None, "the window is full");
         // Shard 1 arrives first and parks; its booking comes last of all.
-        let late = folder.ingest(1, CountProbe::default());
+        let late = folder.ingest(1, CountProbe::default(), &NullRecorder);
         assert_eq!(late, Ingest::Waiting);
-        let ingest = folder.ingest(0, CountProbe::default());
+        let ingest = folder.ingest(0, CountProbe::default(), &NullRecorder);
         queue.book(0, ingest, &folder);
         assert_eq!(queue.pop(3), Some((0, 3)));
         assert_eq!(queue.pop(3), Some((0, 4)));
         for i in 2..5 {
-            let ingest = folder.ingest(i, CountProbe::default());
+            let ingest = folder.ingest(i, CountProbe::default(), &NullRecorder);
             queue.book(0, ingest, &folder);
         }
         queue.book(0, late, &folder);
@@ -622,7 +677,7 @@ mod tests {
             Some((0, 5)),
             "the job's last shard is handed out"
         );
-        let ingest = folder.ingest(5, CountProbe::default());
+        let ingest = folder.ingest(5, CountProbe::default(), &NullRecorder);
         assert!(queue.book(0, ingest, &folder), "the fleet is done");
         assert_eq!(queue.remaining_jobs, 0);
     }
@@ -645,7 +700,7 @@ mod tests {
                 FleetJob::<GateSamples>::new(&c17, &model, cfg_a.clone()),
                 FleetJob::<GateSamples>::new(&c432, &model, cfg_b.clone()),
             ];
-            let outcomes = run_fleet(jobs, Parallelism::new(threads)).unwrap();
+            let outcomes = run_fleet(jobs, Parallelism::new(threads), &NullRecorder).unwrap();
             assert_eq!(outcomes.len(), 2);
             for id in c17.ids() {
                 assert_eq!(outcomes[0].sink.fixed(id), solo_a.fixed(id), "{threads}");
@@ -697,7 +752,7 @@ mod tests {
                 FleetJob::<GateSamples>::new(&c17, &model, filler_cfg.clone()),
                 FleetJob::new(&c17, &model, adaptive_cfg.clone()).with_rule(StopAfter(2), 2),
             ];
-            let outcomes = run_fleet(jobs, Parallelism::new(threads)).unwrap();
+            let outcomes = run_fleet(jobs, Parallelism::new(threads), &NullRecorder).unwrap();
             assert_eq!(outcomes[1].stats, solo.stats, "{threads} threads");
             for id in c17.ids() {
                 assert_eq!(outcomes[1].sink.fixed(id), solo.sink.fixed(id));
@@ -714,7 +769,7 @@ mod tests {
             FleetJob::<GateSamples>::new(&c17, &model, CampaignConfig::new(0, 0, 1)),
             FleetJob::<GateSamples>::new(&c17, &model, CampaignConfig::new(0, 300, 4)),
         ];
-        let outcomes = run_fleet(jobs, Parallelism::new(4)).unwrap();
+        let outcomes = run_fleet(jobs, Parallelism::new(4), &NullRecorder).unwrap();
         assert_eq!(outcomes[0].stats, CampaignStats::default());
         assert_eq!(outcomes[0].sink.gate_count(), 0);
         assert_eq!(outcomes[1].stats.random_traces, 300);
@@ -729,7 +784,7 @@ mod tests {
             assert_eq!(outcomes[1].sink.random(id), solo.random(id));
         }
         let none: Vec<CampaignOutcome<GateSamples>> =
-            run_fleet(Vec::new(), Parallelism::new(4)).unwrap();
+            run_fleet(Vec::new(), Parallelism::new(4), &NullRecorder).unwrap();
         assert!(none.is_empty());
     }
 
@@ -743,7 +798,7 @@ mod tests {
             run_campaign_parallel(&c17, &model, &cfg, Parallelism::new(2)).unwrap();
         let job = FleetJob::new(&c17, &model, cfg)
             .with_sink_factory(move || GateSamples::with_capacity(gates, 256, 256));
-        let outcomes = run_fleet(vec![job], Parallelism::new(2)).unwrap();
+        let outcomes = run_fleet(vec![job], Parallelism::new(2), &NullRecorder).unwrap();
         for id in c17.ids() {
             assert_eq!(outcomes[0].sink.fixed(id), solo.fixed(id));
             assert_eq!(outcomes[0].sink.random(id), solo.random(id));
@@ -793,7 +848,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let outcomes = run_fleet(jobs, Parallelism::new(threads)).unwrap();
+            let outcomes = run_fleet(jobs, Parallelism::new(threads), &NullRecorder).unwrap();
             for (outcome, &(nf, nr)) in outcomes.iter().zip(&sizes) {
                 assert_eq!(outcome.sink.fixed, nf, "{threads} threads");
                 assert_eq!(outcome.sink.random, nr, "{threads} threads");
@@ -812,6 +867,7 @@ mod tests {
         let outcomes = run_fleet(
             vec![FleetJob::<GateSamples>::new(&c17, &model, cfg)],
             Parallelism::new(2),
+            &NullRecorder,
         )
         .unwrap();
         for id in c17.ids() {
@@ -858,7 +914,7 @@ mod tests {
         for threads in [1usize, 3] {
             PEAK.store(LIVE.load(Ordering::SeqCst), Ordering::SeqCst);
             let jobs = vec![FleetJob::<LiveProbe>::new(&c17, &model, cfg.clone())];
-            let outcomes = run_fleet(jobs, Parallelism::new(threads)).unwrap();
+            let outcomes = run_fleet(jobs, Parallelism::new(threads), &NullRecorder).unwrap();
             assert_eq!(outcomes[0].stats.rounds, 1);
             drop(outcomes);
             let peak = PEAK.load(Ordering::SeqCst);

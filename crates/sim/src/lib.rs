@@ -69,11 +69,11 @@ pub mod round;
 pub use campaign::{
     collect_gate_samples, collect_gate_samples_parallel, fold_shard_states, partition_shards,
     run_campaign, run_campaign_adaptive, run_campaign_parallel, run_campaign_traced,
-    run_shard_states, run_shard_states_traced_with, shard_grid, BatchShapeError, CampaignConfig,
-    DelayModel, EnergyBatch, GateSamples, MergeableSink, Parallelism, Population, ShardSpec,
-    TraceSink, BATCH_LANES, DEFAULT_LANE_WORDS, MAX_LANE_WORDS, WORD_LANES,
+    run_shard_states, shard_grid, BatchShapeError, CampaignConfig, DelayModel, EnergyBatch,
+    GateSamples, MergeableSink, Parallelism, Population, ShardSpec, TraceSink, BATCH_LANES,
+    DEFAULT_LANE_WORDS, MAX_LANE_WORDS, WORD_LANES,
 };
-pub use fleet::{run_fleet, run_fleet_traced, FleetJob};
+pub use fleet::{run_fleet, FleetJob};
 pub use logic::{BlockState, SimState, Simulator};
 pub use power::PowerModel;
 pub use round::{

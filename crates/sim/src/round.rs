@@ -19,6 +19,8 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::time::Instant;
 
+use polaris_obs::Recorder;
+
 use crate::campaign::{shard_grid, CampaignConfig, MergeableSink, Population, ShardSpec};
 
 /// Trace-consumption statistics of one (possibly early-stopped) campaign.
@@ -55,7 +57,8 @@ pub struct CampaignOutcome<S> {
 }
 
 /// Checkpoint state handed to a [`StoppingRule`] after each round: the
-/// folded accumulator so far plus the engine's position in the shard grid.
+/// folded accumulator so far, the engine's position in the shard grid, and
+/// the recorder of the run that reached it.
 #[derive(Debug)]
 pub struct Checkpoint<'a, S> {
     /// The running accumulator, folded in shard order over every shard
@@ -73,6 +76,10 @@ pub struct Checkpoint<'a, S> {
     pub planned_fixed: usize,
     /// Random-class trace budget of the full campaign.
     pub planned_random: usize,
+    /// The recorder the driver passed to [`RoundFolder::ingest`]. A rule
+    /// may report its look here; it must never let the recorder change
+    /// its decision.
+    pub recorder: &'a dyn Recorder,
 }
 
 impl<S> Checkpoint<'_, S> {
@@ -254,9 +261,9 @@ impl<'a, S: MergeableSink> RoundFolder<'a, S> {
     /// bit-identical), or one at or past the stop bound, is dropped.
     ///
     /// Completing a round consults the rule (unless it was the last
-    /// round); a stop moves the stop bound to the round boundary and drops
-    /// every pending state.
-    pub fn ingest(&mut self, grid_idx: usize, state: S) -> Ingest {
+    /// round) with a [`Checkpoint`] carrying `recorder`; a stop moves the
+    /// stop bound to the round boundary and drops every pending state.
+    pub fn ingest(&mut self, grid_idx: usize, state: S, recorder: &dyn Recorder) -> Ingest {
         if grid_idx < self.next || grid_idx >= self.stop_bound {
             return Ingest::Waiting;
         }
@@ -271,7 +278,7 @@ impl<'a, S: MergeableSink> RoundFolder<'a, S> {
             folded += 1;
             if self.next == self.round_end() {
                 round_done = true;
-                self.end_round();
+                self.end_round(recorder);
             }
             ready = self.pending.remove(&self.next);
         }
@@ -321,7 +328,7 @@ impl<'a, S: MergeableSink> RoundFolder<'a, S> {
         self.next += 1;
     }
 
-    fn end_round(&mut self) {
+    fn end_round(&mut self, recorder: &dyn Recorder) {
         self.stats.rounds += 1;
         self.round_start = self.next;
         if self.stats.rounds >= self.stats.planned_rounds {
@@ -335,6 +342,7 @@ impl<'a, S: MergeableSink> RoundFolder<'a, S> {
             random_traces: self.stats.random_traces,
             planned_fixed: self.planned_fixed,
             planned_random: self.planned_random,
+            recorder,
         };
         if self.rule.should_stop(&checkpoint) {
             self.stats.stopped_early = true;
@@ -348,6 +356,7 @@ impl<'a, S: MergeableSink> RoundFolder<'a, S> {
 mod tests {
     use super::*;
     use crate::campaign::{EnergyBatch, TraceSink, TRACES_PER_SHARD};
+    use polaris_obs::NullRecorder;
 
     /// A sink recording the grid indices folded into it, in fold order.
     #[derive(Debug, Default, PartialEq)]
@@ -393,20 +402,23 @@ mod tests {
     fn out_of_order_states_fold_in_grid_order() {
         let mut f = folder(6, 3, NeverStop);
         assert_eq!(f.round_range(), 0..3);
-        assert_eq!(f.ingest(2, Trail(vec![2])), Ingest::Waiting);
-        assert_eq!(f.ingest(1, Trail(vec![1])), Ingest::Waiting);
+        assert_eq!(f.ingest(2, Trail(vec![2]), &NullRecorder), Ingest::Waiting);
+        assert_eq!(f.ingest(1, Trail(vec![1]), &NullRecorder), Ingest::Waiting);
         assert_eq!(
-            f.ingest(0, Trail(vec![0])),
+            f.ingest(0, Trail(vec![0]), &NullRecorder),
             Ingest::RoundDone {
                 folded: 3,
                 done: false
             }
         );
         assert_eq!(f.round_range(), 3..6);
-        assert_eq!(f.ingest(4, Trail(vec![4])), Ingest::Waiting);
-        assert_eq!(f.ingest(3, Trail(vec![3])), Ingest::Folded(2));
+        assert_eq!(f.ingest(4, Trail(vec![4]), &NullRecorder), Ingest::Waiting);
         assert_eq!(
-            f.ingest(5, Trail(vec![5])),
+            f.ingest(3, Trail(vec![3]), &NullRecorder),
+            Ingest::Folded(2)
+        );
+        assert_eq!(
+            f.ingest(5, Trail(vec![5]), &NullRecorder),
             Ingest::RoundDone {
                 folded: 1,
                 done: true
@@ -424,17 +436,29 @@ mod tests {
     #[test]
     fn replayed_and_duplicate_indices_are_dropped() {
         let mut f = folder(4, usize::MAX, NeverStop);
-        assert_eq!(f.ingest(0, Trail(vec![0])), Ingest::Folded(1));
-        // Already folded.
-        assert_eq!(f.ingest(0, Trail(vec![100])), Ingest::Waiting);
-        // Already pending: the first copy stays.
-        assert_eq!(f.ingest(2, Trail(vec![2])), Ingest::Waiting);
-        assert_eq!(f.ingest(2, Trail(vec![200])), Ingest::Waiting);
-        // Past the grid.
-        assert_eq!(f.ingest(4, Trail(vec![4])), Ingest::Waiting);
-        assert_eq!(f.ingest(1, Trail(vec![1])), Ingest::Folded(2));
         assert_eq!(
-            f.ingest(3, Trail(vec![3])),
+            f.ingest(0, Trail(vec![0]), &NullRecorder),
+            Ingest::Folded(1)
+        );
+        // Already folded.
+        assert_eq!(
+            f.ingest(0, Trail(vec![100]), &NullRecorder),
+            Ingest::Waiting
+        );
+        // Already pending: the first copy stays.
+        assert_eq!(f.ingest(2, Trail(vec![2]), &NullRecorder), Ingest::Waiting);
+        assert_eq!(
+            f.ingest(2, Trail(vec![200]), &NullRecorder),
+            Ingest::Waiting
+        );
+        // Past the grid.
+        assert_eq!(f.ingest(4, Trail(vec![4]), &NullRecorder), Ingest::Waiting);
+        assert_eq!(
+            f.ingest(1, Trail(vec![1]), &NullRecorder),
+            Ingest::Folded(2)
+        );
+        assert_eq!(
+            f.ingest(3, Trail(vec![3]), &NullRecorder),
             Ingest::RoundDone {
                 folded: 1,
                 done: true
@@ -448,17 +472,17 @@ mod tests {
         let mut f = folder(8, 2, StopAt(2));
         // The rest of round 2 and part of round 3 arrive early and wait.
         for i in [5usize, 3, 2] {
-            assert_eq!(f.ingest(i, Trail(vec![i])), Ingest::Waiting);
+            assert_eq!(f.ingest(i, Trail(vec![i]), &NullRecorder), Ingest::Waiting);
         }
         assert_eq!(
-            f.ingest(0, Trail(vec![0])),
+            f.ingest(0, Trail(vec![0]), &NullRecorder),
             Ingest::Folded(1),
             "index 1 is still missing"
         );
         // Folding 1 completes round 1, then 2 and 3 complete round 2, where
         // the rule stops: the pending 5 is dropped unfolded.
         assert_eq!(
-            f.ingest(1, Trail(vec![1])),
+            f.ingest(1, Trail(vec![1]), &NullRecorder),
             Ingest::RoundDone {
                 folded: 3,
                 done: true
@@ -467,8 +491,8 @@ mod tests {
         assert!(f.finished());
         assert_eq!(f.stop_bound(), 4);
         assert!(f.pending.is_empty(), "a stop clears pending");
-        assert_eq!(f.ingest(6, Trail(vec![6])), Ingest::Waiting);
-        assert_eq!(f.ingest(4, Trail(vec![4])), Ingest::Waiting);
+        assert_eq!(f.ingest(6, Trail(vec![6]), &NullRecorder), Ingest::Waiting);
+        assert_eq!(f.ingest(4, Trail(vec![4]), &NullRecorder), Ingest::Waiting);
         assert!(f.pending.is_empty(), "nothing past the stop bound parks");
         let outcome = f.finish(Trail::default);
         assert_eq!(outcome.sink, Trail(vec![0, 1, 2, 3]));

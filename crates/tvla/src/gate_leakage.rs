@@ -9,10 +9,9 @@
 //! exactly this, with the ±4.5 threshold).
 
 use polaris_netlist::{GateId, Netlist, NetlistError};
-use polaris_obs::SharedRecorder;
 use polaris_sim::campaign::{
-    run_campaign_parallel, run_campaign_traced, CampaignConfig, EnergyBatch, MergeableSink,
-    NeverStop, Parallelism, Population, TraceSink,
+    run_campaign_parallel, CampaignConfig, EnergyBatch, MergeableSink, Parallelism, Population,
+    TraceSink,
 };
 use polaris_sim::power::PowerModel;
 
@@ -339,7 +338,10 @@ pub fn assess(
 /// Runs the campaign across worker threads (each owning a private
 /// [`WelchAccumulator`]) and folds the shards at the barrier. The thread
 /// count is purely a throughput knob — the leakage map is bit-identical at
-/// 1, 2, 8, … threads.
+/// 1, 2, 8, … threads. A traced run builds the
+/// [`FleetJob`](polaris_sim::FleetJob) itself and passes its recorder to
+/// [`FleetJob::run`](polaris_sim::FleetJob::run). Kept with this signature for
+/// `perfbench/` until a benchmark PR moves it over.
 ///
 /// # Errors
 ///
@@ -352,34 +354,6 @@ pub fn assess_parallel(
 ) -> Result<GateLeakage, NetlistError> {
     let acc: WelchAccumulator = run_campaign_parallel(netlist, model, config, parallelism)?;
     Ok(acc.leakage())
-}
-
-/// [`assess_parallel`] reporting structured trace events (campaign frame,
-/// per-shard phase spans, fold spans) to `recorder`. The full shard grid is
-/// walked as the one round the untraced run uses — no stopping rule, so no
-/// checkpoint/audit events — and the leakage map is byte-identical to the
-/// untraced run.
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from simulator compilation.
-pub fn assess_parallel_traced(
-    netlist: &Netlist,
-    model: &PowerModel,
-    config: &CampaignConfig,
-    parallelism: Parallelism,
-    recorder: SharedRecorder,
-) -> Result<GateLeakage, NetlistError> {
-    let outcome = run_campaign_traced::<WelchAccumulator, _>(
-        netlist,
-        model,
-        config,
-        parallelism,
-        usize::MAX,
-        &mut NeverStop,
-        recorder.as_ref(),
-    )?;
-    Ok(outcome.sink.leakage())
 }
 
 /// Second-order variant of [`assess`] (centered-square preprocessing).

@@ -55,13 +55,12 @@ pub use comoments::{
 };
 pub use cpa::{run_cpa, run_cpa_parallel, CorrelationAccumulator, CpaAccumulator};
 pub use gate_leakage::{
-    assess, assess_order2, assess_order2_parallel, assess_parallel, assess_parallel_traced,
-    ConvergenceSummary, GateLeakage, LeakageSummary, WelchAccumulator,
+    assess, assess_order2, assess_order2_parallel, assess_parallel, ConvergenceSummary,
+    GateLeakage, LeakageSummary, WelchAccumulator,
 };
 pub use moments::StreamingMoments;
 pub use sequential::{
-    adaptive_fleet_job, adaptive_fleet_job_traced, assess_adaptive, assess_adaptive_traced,
-    campaign_outcome_adaptive, campaign_outcome_adaptive_traced, AdaptiveAssessment,
+    adaptive_fleet_job, assess_adaptive, campaign_outcome_adaptive, AdaptiveAssessment,
     SequentialConfig, SequentialStopping,
 };
 pub use trivariate::{all_triples, assess_triples, TripleAccumulator, TripleMoments};

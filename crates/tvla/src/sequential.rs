@@ -28,10 +28,9 @@
 //! round boundary.
 
 use polaris_netlist::{Netlist, NetlistError};
-use polaris_obs::{Payload, SharedRecorder, Verdict};
+use polaris_obs::{Payload, Recorder, Verdict};
 use polaris_sim::campaign::{
-    run_campaign_adaptive, run_campaign_traced, CampaignConfig, CampaignStats, Checkpoint,
-    Parallelism, StoppingRule, DEFAULT_SHARDS_PER_ROUND,
+    CampaignConfig, CampaignStats, Checkpoint, Parallelism, StoppingRule, DEFAULT_SHARDS_PER_ROUND,
 };
 use polaris_sim::fleet::FleetJob;
 use polaris_sim::power::PowerModel;
@@ -97,7 +96,12 @@ impl Default for SequentialConfig {
 
 /// The stateful stopping rule: tracks the alpha already spent at previous
 /// looks and the current stability streak.
-#[derive(Clone)]
+///
+/// Every look reports to the checkpoint's
+/// [`recorder`](Checkpoint::recorder): a `round_checkpoint` census plus
+/// one `stop_audit` row per scoped gate. A disabled recorder skips all of
+/// it, and recording never feeds back into the stop decision.
+#[derive(Clone, Debug)]
 pub struct SequentialStopping {
     config: SequentialConfig,
     /// Gates the verdict is over (`None` = every gate of the map).
@@ -107,26 +111,9 @@ pub struct SequentialStopping {
     /// inputs, constants and flops carry no maskable leakage and must not
     /// hold the campaign open.
     scope: Option<Vec<polaris_netlist::GateId>>,
-    /// Audit-trail recorder: every look emits a `round_checkpoint` event
-    /// plus one `stop_audit` row per scoped gate. Defaults to the no-op
-    /// recorder, which skips all of it.
-    recorder: SharedRecorder,
     prev_fraction: f64,
     streak: usize,
     last_leaky: Option<usize>,
-}
-
-impl std::fmt::Debug for SequentialStopping {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SequentialStopping")
-            .field("config", &self.config)
-            .field("scope", &self.scope)
-            .field("recording", &self.recorder.enabled())
-            .field("prev_fraction", &self.prev_fraction)
-            .field("streak", &self.streak)
-            .field("last_leaky", &self.last_leaky)
-            .finish()
-    }
 }
 
 impl SequentialStopping {
@@ -135,7 +122,6 @@ impl SequentialStopping {
         SequentialStopping {
             config,
             scope: None,
-            recorder: polaris_obs::shared_null(),
             prev_fraction: 0.0,
             streak: 0,
             last_leaky: None,
@@ -151,18 +137,8 @@ impl SequentialStopping {
         }
     }
 
-    /// Attaches an audit-trail recorder: every checkpoint emits its
-    /// convergence census and one per-gate verdict row. Recording never
-    /// feeds back into the stop decision — the rule's state transitions are
-    /// byte-identical with or without it.
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: SharedRecorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Emits the per-gate audit rows for one look, then the checkpoint
-    /// census. The census comes last so its `wall_ns` — elapsed since the
+    /// Emits the per-gate audit rows for one look to the checkpoint's
+    /// recorder, then the checkpoint census. The census comes last so its `wall_ns` — elapsed since the
     /// look began — covers the audit-row encoding as well as the leakage
     /// fold, convergence census, and alpha boundary.
     #[allow(clippy::too_many_arguments)]
@@ -192,7 +168,7 @@ impl SequentialStopping {
                 Some(false) => Verdict::Clean,
                 None => Verdict::Undecided,
             };
-            self.recorder.record(Payload::StopAudit {
+            checkpoint.recorder.record(Payload::StopAudit {
                 round: checkpoint.round as u64,
                 gate: id.index() as u64,
                 abs_t: leakage.abs_t(id),
@@ -200,7 +176,7 @@ impl SequentialStopping {
                 verdict,
             });
         }
-        self.recorder.record(Payload::RoundCheckpoint {
+        checkpoint.recorder.record(Payload::RoundCheckpoint {
             round: checkpoint.round as u64,
             planned_rounds: checkpoint.planned_rounds as u64,
             fixed_traces: checkpoint.fixed_traces as u64,
@@ -221,7 +197,7 @@ impl StoppingRule<WelchAccumulator> for SequentialStopping {
         // Time the whole look (leakage fold, convergence census, boundary)
         // so the trace can attribute the adaptive-stopping overhead the
         // shard-phase spans cannot see. Only taken when recording.
-        let look_start = self.recorder.enabled().then(std::time::Instant::now);
+        let look_start = checkpoint.recorder.enabled().then(std::time::Instant::now);
         let fraction = checkpoint.information_fraction();
         let margin = sequential_boundary(self.config.alpha, self.prev_fraction, fraction);
         self.prev_fraction = fraction;
@@ -297,6 +273,11 @@ impl AdaptiveAssessment {
 /// open. Results are byte-identical at any thread count, and equal to
 /// [`crate::assess_parallel`] re-run at the consumed trace counts.
 ///
+/// `recorder` gets the engine's shard and fold spans plus the stopping
+/// rule's checkpoint census and per-gate audit trail. Recording is strictly
+/// observational: the leakage map, stats and stop round are byte-identical
+/// without it.
+///
 /// # Errors
 ///
 /// Propagates [`NetlistError`] from simulator compilation.
@@ -306,42 +287,10 @@ pub fn assess_adaptive(
     config: &CampaignConfig,
     parallelism: Parallelism,
     sequential: &SequentialConfig,
+    recorder: &dyn Recorder,
 ) -> Result<AdaptiveAssessment, NetlistError> {
-    assess_adaptive_traced(
-        netlist,
-        model,
-        config,
-        parallelism,
-        sequential,
-        polaris_obs::shared_null(),
-    )
-}
-
-/// [`assess_adaptive`] reporting structured trace events to `recorder`:
-/// per-shard phase spans, per-round fold spans and convergence checkpoints,
-/// and the full per-gate stopping audit trail. Recording is strictly
-/// observational — the leakage map, stats, and stop round are byte-identical
-/// to the untraced run.
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from simulator compilation.
-pub fn assess_adaptive_traced(
-    netlist: &Netlist,
-    model: &PowerModel,
-    config: &CampaignConfig,
-    parallelism: Parallelism,
-    sequential: &SequentialConfig,
-    recorder: SharedRecorder,
-) -> Result<AdaptiveAssessment, NetlistError> {
-    let outcome = campaign_outcome_adaptive_traced(
-        netlist,
-        model,
-        config,
-        parallelism,
-        sequential,
-        recorder,
-    )?;
+    let outcome =
+        campaign_outcome_adaptive(netlist, model, config, parallelism, sequential, recorder)?;
     Ok(AdaptiveAssessment {
         leakage: outcome.sink.leakage(),
         stats: outcome.stats,
@@ -366,45 +315,9 @@ pub fn campaign_outcome_adaptive(
     config: &CampaignConfig,
     parallelism: Parallelism,
     sequential: &SequentialConfig,
+    recorder: &dyn Recorder,
 ) -> Result<polaris_sim::CampaignOutcome<WelchAccumulator>, NetlistError> {
-    let mut rule = SequentialStopping::scoped(*sequential, netlist.cell_ids());
-    run_campaign_adaptive::<WelchAccumulator, _>(
-        netlist,
-        model,
-        config,
-        parallelism,
-        sequential.shards_per_round,
-        &mut rule,
-    )
-}
-
-/// [`campaign_outcome_adaptive`] with a trace recorder: the engine emits
-/// shard/fold spans and the stopping rule emits the checkpoint census plus
-/// the per-gate audit trail. Outcomes are byte-identical to the untraced
-/// run at any thread count and lane width.
-///
-/// # Errors
-///
-/// Propagates [`NetlistError`] from simulator compilation.
-pub fn campaign_outcome_adaptive_traced(
-    netlist: &Netlist,
-    model: &PowerModel,
-    config: &CampaignConfig,
-    parallelism: Parallelism,
-    sequential: &SequentialConfig,
-    recorder: SharedRecorder,
-) -> Result<polaris_sim::CampaignOutcome<WelchAccumulator>, NetlistError> {
-    let mut rule =
-        SequentialStopping::scoped(*sequential, netlist.cell_ids()).with_recorder(recorder.clone());
-    run_campaign_traced::<WelchAccumulator, _>(
-        netlist,
-        model,
-        config,
-        parallelism,
-        sequential.shards_per_round,
-        &mut rule,
-        recorder.as_ref(),
-    )
+    adaptive_fleet_job(netlist, model, config.clone(), sequential).run(parallelism, recorder)
 }
 
 /// [`campaign_outcome_adaptive`] packaged as a fleet work item: a
@@ -424,25 +337,11 @@ pub fn adaptive_fleet_job<'a>(
     FleetJob::new(netlist, model, config).with_rule(rule, sequential.shards_per_round)
 }
 
-/// [`adaptive_fleet_job`] whose stopping rule carries an audit-trail
-/// recorder: the job's checkpoints and per-gate verdicts land in the fleet
-/// trace alongside the scheduler's queue/worker events. The stop decision
-/// is unchanged by recording.
-pub fn adaptive_fleet_job_traced<'a>(
-    netlist: &'a Netlist,
-    model: &'a PowerModel,
-    config: CampaignConfig,
-    sequential: &SequentialConfig,
-    recorder: SharedRecorder,
-) -> FleetJob<'a, WelchAccumulator> {
-    let rule = SequentialStopping::scoped(*sequential, netlist.cell_ids()).with_recorder(recorder);
-    FleetJob::new(netlist, model, config).with_rule(rule, sequential.shards_per_round)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use polaris_netlist::generators;
+    use polaris_obs::NullRecorder;
 
     fn quick_seq() -> SequentialConfig {
         SequentialConfig {
@@ -464,6 +363,7 @@ mod tests {
             &cfg,
             Parallelism::sequential(),
             &quick_seq(),
+            &NullRecorder,
         )
         .unwrap();
         assert!(a.stats.stopped_early, "stats: {:?}", a.stats);
@@ -490,6 +390,7 @@ mod tests {
             &cfg,
             Parallelism::sequential(),
             &quick_seq(),
+            &NullRecorder,
         )
         .unwrap();
         let prefix_cfg = CampaignConfig::new(a.stats.fixed_traces, a.stats.random_traces, cfg.seed);
@@ -517,6 +418,7 @@ mod tests {
                 alpha: 0.2,
                 ..quick_seq()
             },
+            &NullRecorder,
         )
         .unwrap();
         let tight = assess_adaptive(
@@ -528,6 +430,7 @@ mod tests {
                 alpha: 1e-6,
                 ..quick_seq()
             },
+            &NullRecorder,
         )
         .unwrap();
         assert!(
@@ -562,6 +465,7 @@ endmodule";
                 alpha: 1e-12,
                 ..quick_seq()
             },
+            &NullRecorder,
         )
         .unwrap();
         assert!(!a.stats.stopped_early);
@@ -586,6 +490,7 @@ endmodule";
             &cfg,
             Parallelism::sequential(),
             &seq,
+            &NullRecorder,
         )
         .unwrap();
         assert!(scoped.stats.stopped_early);
@@ -622,13 +527,15 @@ endmodule";
         let cfg = CampaignConfig::new(6000, 6000, 11);
         let seq = quick_seq();
         let model = PowerModel::default();
-        let solo = campaign_outcome_adaptive(&n, &model, &cfg, Parallelism::new(2), &seq).unwrap();
+        let solo =
+            campaign_outcome_adaptive(&n, &model, &cfg, Parallelism::new(2), &seq, &NullRecorder)
+                .unwrap();
         assert!(solo.stats.stopped_early);
         let jobs = vec![
             FleetJob::<WelchAccumulator>::new(&n, &model, CampaignConfig::new(500, 500, 3)),
             adaptive_fleet_job(&n, &model, cfg, &seq),
         ];
-        let outcome = polaris_sim::fleet::run_fleet(jobs, Parallelism::new(3))
+        let outcome = polaris_sim::fleet::run_fleet(jobs, Parallelism::new(3), &NullRecorder)
             .unwrap()
             .pop()
             .unwrap();

@@ -7,7 +7,7 @@
 //! the bivariate sink joined it. An independent two-pass oracle (Welch's t
 //! over the explicitly centered products) checks the values themselves.
 
-use polaris_dist::{execute_part_traced_with, merge_parts};
+use polaris_dist::{execute_job_part, merge_parts};
 use polaris_netlist::{generators, GateId, Netlist};
 use polaris_obs::NullRecorder;
 use polaris_sim::fleet::{run_fleet, FleetJob};
@@ -146,20 +146,13 @@ fn distributed_split_folds_bit_identically_at_any_partitioning() {
     let model = PowerModel::default();
     let reference = streaming_bits(&n, &cfg, Parallelism::sequential(), &pairs);
 
+    let job =
+        FleetJob::new(&n, &model, cfg.clone()).with_sink_factory(|| PairAccumulator::new(&pairs));
     for parts in [1usize, 2, 3] {
         let files: Vec<Vec<u8>> = (0..parts)
             .map(|i| {
-                execute_part_traced_with(
-                    &n,
-                    &model,
-                    &cfg,
-                    Parallelism::new(2),
-                    i,
-                    parts,
-                    || PairAccumulator::new(&pairs),
-                    &NullRecorder,
-                )
-                .expect("part executes")
+                execute_job_part(&job, Parallelism::new(2), i, parts, &NullRecorder)
+                    .expect("part executes")
             })
             .collect();
         let merged =
@@ -188,7 +181,7 @@ fn fleet_pair_job_matches_its_standalone_run() {
             FleetJob::<PairAccumulator>::new(&n, &model, filler_cfg)
                 .with_sink_factory(|| PairAccumulator::new(&[[0u32, 1]])),
         ];
-        let outcomes = run_fleet(jobs, Parallelism::new(threads)).expect("fleet");
+        let outcomes = run_fleet(jobs, Parallelism::new(threads), &NullRecorder).expect("fleet");
         let rows: Vec<WelchResult> = outcomes[0]
             .sink
             .rows()

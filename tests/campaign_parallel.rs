@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 
 use polaris_netlist::generators;
+use polaris_obs::NullRecorder;
 use polaris_sim::campaign::{
     collect_gate_samples, collect_gate_samples_parallel, run_campaign, run_campaign_adaptive,
     run_campaign_parallel, CampaignOutcome, Checkpoint, StoppingRule, TRACES_PER_SHARD,
@@ -151,16 +152,30 @@ fn adaptive_case() -> (polaris_netlist::Netlist, CampaignConfig, SequentialConfi
 fn adaptive_stop_deterministic_at_1_2_8_threads() {
     let (design, cfg, seq) = adaptive_case();
     let model = PowerModel::default();
-    let reference =
-        assess_adaptive(&design, &model, &cfg, Parallelism::new(1), &seq).expect("campaign");
+    let reference = assess_adaptive(
+        &design,
+        &model,
+        &cfg,
+        Parallelism::new(1),
+        &seq,
+        &NullRecorder,
+    )
+    .expect("campaign");
     assert!(
         reference.stats.stopped_early,
         "the fixture must stop early: {:?}",
         reference.stats
     );
     for threads in [2, 8] {
-        let run = assess_adaptive(&design, &model, &cfg, Parallelism::new(threads), &seq)
-            .expect("campaign");
+        let run = assess_adaptive(
+            &design,
+            &model,
+            &cfg,
+            Parallelism::new(threads),
+            &seq,
+            &NullRecorder,
+        )
+        .expect("campaign");
         assert_eq!(
             run.stats, reference.stats,
             "stop round at {threads} threads"
@@ -188,8 +203,15 @@ fn adaptive_stop_deterministic_at_1_2_8_threads() {
 fn adaptive_equals_truncated_prefix_of_full_run() {
     let (design, cfg, seq) = adaptive_case();
     let model = PowerModel::default();
-    let stopped =
-        assess_adaptive(&design, &model, &cfg, Parallelism::new(4), &seq).expect("campaign");
+    let stopped = assess_adaptive(
+        &design,
+        &model,
+        &cfg,
+        Parallelism::new(4),
+        &seq,
+        &NullRecorder,
+    )
+    .expect("campaign");
     assert!(stopped.stats.stopped_early);
     assert!(stopped.stats.traces_used() < cfg.n_fixed + cfg.n_random);
 
@@ -266,8 +288,15 @@ endmodule";
         alpha: 1e-13,
         ..SequentialConfig::default()
     };
-    let adaptive =
-        assess_adaptive(&design, &model, &cfg, Parallelism::new(4), &seq).expect("campaign");
+    let adaptive = assess_adaptive(
+        &design,
+        &model,
+        &cfg,
+        Parallelism::new(4),
+        &seq,
+        &NullRecorder,
+    )
+    .expect("campaign");
     assert!(!adaptive.stats.stopped_early);
     let full = assess_parallel(&design, &model, &cfg, Parallelism::new(2)).expect("campaign");
     for id in design.ids() {
@@ -289,6 +318,7 @@ fn adaptive_stop_lands_on_shard_boundaries() {
         &cfg,
         Parallelism::sequential(),
         &seq,
+        &NullRecorder,
     )
     .expect("campaign");
     assert_eq!(a.stats.fixed_traces % TRACES_PER_SHARD, 0);

@@ -4,6 +4,7 @@
 //! smoke test through the parallel streaming engine.
 
 use polaris_netlist::generators;
+use polaris_obs::NullRecorder;
 use polaris_sim::{CampaignConfig, Parallelism, PowerModel};
 use polaris_tvla::{
     all_pairs, assess_adaptive, assess_pairs, assess_parallel, SequentialConfig, TVLA_THRESHOLD,
@@ -99,6 +100,7 @@ fn fixed_vs_fixed_supports_adaptive_stopping() {
         &cfg,
         Parallelism::new(2),
         &SequentialConfig::default(),
+        &NullRecorder,
     )
     .expect("campaign");
     let full = assess_parallel(&design, &model, &cfg, Parallelism::new(2)).expect("campaign");

@@ -11,6 +11,7 @@ use polaris::masking_flow::{baseline_outcome, baseline_outcomes_fleet};
 use polaris::pipeline::{MaskBudget, PolarisPipeline};
 use polaris_netlist::generators;
 use polaris_netlist::transform::decompose;
+use polaris_obs::NullRecorder;
 use polaris_sim::campaign::{partition_shards, shard_grid, TRACES_PER_SHARD};
 use polaris_sim::{
     run_campaign_parallel, run_fleet, CampaignConfig, FleetJob, GateSamples, NeverStop,
@@ -33,7 +34,7 @@ fn job_rounds(n: usize, spr: usize) -> Vec<std::ops::Range<usize>> {
     while !folder.round_range().is_empty() {
         let round = folder.round_range();
         for i in round.clone() {
-            folder.ingest(i, GateSamples::default());
+            folder.ingest(i, GateSamples::default(), &NullRecorder);
         }
         rounds.push(round);
     }
@@ -76,9 +77,15 @@ fn heterogeneous_three_job_fleet_byte_identical_at_1_2_8_threads() {
         run_campaign_parallel(&c432, &model, &fvr_cfg, Parallelism::new(2)).expect("campaign");
     let solo_fvf: WelchAccumulator =
         run_campaign_parallel(&c17, &model, &fvf_cfg, Parallelism::new(2)).expect("campaign");
-    let solo_adaptive =
-        campaign_outcome_adaptive(&c17, &model, &adaptive_cfg, Parallelism::new(2), &seq)
-            .expect("campaign");
+    let solo_adaptive = campaign_outcome_adaptive(
+        &c17,
+        &model,
+        &adaptive_cfg,
+        Parallelism::new(2),
+        &seq,
+        &NullRecorder,
+    )
+    .expect("campaign");
     assert!(
         solo_adaptive.stats.stopped_early,
         "the adaptive fixture must stop early: {:?}",
@@ -95,7 +102,7 @@ fn heterogeneous_three_job_fleet_byte_identical_at_1_2_8_threads() {
             FleetJob::new(&c17, &model, fvf_cfg.clone()),
             adaptive_fleet_job(&c17, &model, adaptive_cfg.clone(), &seq),
         ];
-        let outcomes = run_fleet(jobs, Parallelism::new(threads)).expect("fleet");
+        let outcomes = run_fleet(jobs, Parallelism::new(threads), &NullRecorder).expect("fleet");
         assert_eq!(outcomes.len(), 3);
 
         assert_eq!(
@@ -150,7 +157,7 @@ endmodule";
         adaptive_fleet_job(&masked, &model, cfg.clone(), &seq),
         FleetJob::<WelchAccumulator>::new(&c17, &model, CampaignConfig::new(400, 400, 2)),
     ];
-    let outcomes = run_fleet(jobs, Parallelism::new(4)).expect("fleet");
+    let outcomes = run_fleet(jobs, Parallelism::new(4), &NullRecorder).expect("fleet");
     assert!(!outcomes[0].stats.stopped_early);
     assert_eq!(outcomes[0].stats.fixed_traces, 1500);
     assert_eq!(t_bits(&masked, &outcomes[0].sink), t_bits(&masked, &full));
@@ -294,7 +301,7 @@ proptest! {
                 }
             })
             .collect();
-        let outcomes = run_fleet(jobs, Parallelism::new(threads)).expect("fleet");
+        let outcomes = run_fleet(jobs, Parallelism::new(threads), &NullRecorder).expect("fleet");
         for (cfg, outcome) in configs.iter().zip(outcomes) {
             let solo: GateSamples =
                 run_campaign_parallel(&c17, &model, cfg, Parallelism::sequential())

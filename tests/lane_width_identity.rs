@@ -5,6 +5,7 @@
 //! adaptive stopping, and through the distributed shard-state merge.
 
 use polaris_netlist::generators;
+use polaris_obs::NullRecorder;
 use polaris_sim::campaign::{
     collect_gate_samples_parallel, fold_shard_states, run_shard_states, shard_grid,
 };
@@ -104,6 +105,7 @@ fn adaptive_stop_is_width_invariant() {
         &cfg,
         Parallelism::new(1).with_lane_words(1),
         &seq,
+        &NullRecorder,
     )
     .expect("campaign");
     assert!(
@@ -115,7 +117,8 @@ fn adaptive_stop_is_width_invariant() {
     for width in [2, 4, 8] {
         for threads in [1, 8] {
             let par = Parallelism::new(threads).with_lane_words(width);
-            let run = assess_adaptive(&design, &model, &cfg, par, &seq).expect("campaign");
+            let run =
+                assess_adaptive(&design, &model, &cfg, par, &seq, &NullRecorder).expect("campaign");
             assert_eq!(
                 run.stats, reference.stats,
                 "stop stats at width {width}, {threads} threads"

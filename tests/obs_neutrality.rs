@@ -6,17 +6,11 @@
 //! must survive the JSONL round trip and carry the event kinds the CI
 //! smoke gate requires.
 
-use std::sync::Arc;
-
 use polaris_netlist::{generators, Netlist};
-use polaris_obs::{parse_trace, JsonlRecorder, Payload, TraceSummary};
-use polaris_sim::{
-    run_campaign_parallel, run_campaign_traced, CampaignConfig, FleetJob, NeverStop, Parallelism,
-    PowerModel,
-};
+use polaris_obs::{parse_trace, JsonlRecorder, NullRecorder, Payload, TraceSummary};
+use polaris_sim::{run_campaign_parallel, CampaignConfig, FleetJob, Parallelism, PowerModel};
 use polaris_tvla::{
-    assess_parallel, assess_parallel_traced, campaign_outcome_adaptive,
-    campaign_outcome_adaptive_traced, SequentialConfig, WelchAccumulator,
+    assess_parallel, campaign_outcome_adaptive, SequentialConfig, WelchAccumulator,
 };
 
 fn design() -> Netlist {
@@ -52,27 +46,10 @@ fn recording_is_byte_identical_across_threads_and_lane_widths() {
     for threads in [1usize, 2, 8] {
         for lane_words in [1usize, 8] {
             let par = Parallelism::new(threads).with_lane_words(lane_words);
-            let off = run_campaign_traced::<WelchAccumulator, _>(
-                &netlist,
-                &model,
-                &config,
-                par,
-                usize::MAX,
-                &mut NeverStop,
-                &polaris_obs::NullRecorder,
-            )
-            .expect("campaign runs");
+            let job = || FleetJob::<WelchAccumulator>::new(&netlist, &model, config.clone());
+            let off = job().run(par, &NullRecorder).expect("campaign runs");
             let recorder = JsonlRecorder::new();
-            let on = run_campaign_traced::<WelchAccumulator, _>(
-                &netlist,
-                &model,
-                &config,
-                par,
-                usize::MAX,
-                &mut NeverStop,
-                &recorder,
-            )
-            .expect("campaign runs");
+            let on = job().run(par, &recorder).expect("campaign runs");
             assert!(
                 !recorder.is_empty(),
                 "the enabled recorder saw no events ({threads}t/{lane_words}w)"
@@ -93,9 +70,9 @@ fn recording_is_byte_identical_across_threads_and_lane_widths() {
     }
 }
 
-/// `--trace-out` profiles the schedule the real run uses: traced
-/// `assess_parallel` walks the grid in the same single round as the
-/// untraced engine, so its trace holds one fold span per untraced round.
+/// `--trace-out` profiles the schedule the real run uses: a traced
+/// assessment job walks the grid in the same single round as the untraced
+/// engine, so its trace holds one fold span per untraced round.
 #[test]
 fn traced_assessment_runs_the_untraced_round_schedule() {
     let netlist = design();
@@ -104,12 +81,15 @@ fn traced_assessment_runs_the_untraced_round_schedule() {
     for threads in [1usize, 2] {
         let par = Parallelism::new(threads);
         let untraced = FleetJob::<WelchAccumulator>::new(&netlist, &model, config.clone())
-            .run(par, &polaris_obs::NullRecorder)
+            .run(par, &NullRecorder)
             .expect("campaign runs");
         assert_eq!(untraced.stats.rounds, 1);
-        let recorder = Arc::new(JsonlRecorder::new());
-        let traced = assess_parallel_traced(&netlist, &model, &config, par, recorder.clone())
-            .expect("campaign runs");
+        let recorder = JsonlRecorder::new();
+        let traced = FleetJob::<WelchAccumulator>::new(&netlist, &model, config.clone())
+            .run(par, &recorder)
+            .expect("campaign runs")
+            .sink
+            .leakage();
         let plain = assess_parallel(&netlist, &model, &config, par).expect("campaign runs");
         let events = parse_trace(&recorder.to_jsonl()).expect("recorded trace parses");
         let fold_spans = events
@@ -141,18 +121,11 @@ fn adaptive_stopping_is_unchanged_by_the_audit_trail() {
     let seq = SequentialConfig::with_confidence(0.95);
     for threads in [1usize, 2, 8] {
         let par = Parallelism::new(threads);
-        let off =
-            campaign_outcome_adaptive(&netlist, &model, &config, par, &seq).expect("campaign runs");
-        let recorder = Arc::new(JsonlRecorder::new());
-        let on = campaign_outcome_adaptive_traced(
-            &netlist,
-            &model,
-            &config,
-            par,
-            &seq,
-            recorder.clone(),
-        )
-        .expect("campaign runs");
+        let off = campaign_outcome_adaptive(&netlist, &model, &config, par, &seq, &NullRecorder)
+            .expect("campaign runs");
+        let recorder = JsonlRecorder::new();
+        let on = campaign_outcome_adaptive(&netlist, &model, &config, par, &seq, &recorder)
+            .expect("campaign runs");
         assert_eq!(
             off.stats, on.stats,
             "stop decision changed at {threads} threads"
@@ -193,7 +166,7 @@ fn adaptive_stopping_is_unchanged_by_the_audit_trail() {
 }
 
 /// A single-threaded recorded campaign accounts for its own wall time:
-/// the rng/simulate/accumulate/fold phase sums cover ≥ 90% of the
+/// the rng/simulate/power/accumulate/fold phase sums cover ≥ 90% of the
 /// campaign_end wall clock (one thread, one clock — nothing overlaps).
 #[test]
 fn single_threaded_phase_times_cover_the_campaign_wall_time() {
@@ -201,16 +174,9 @@ fn single_threaded_phase_times_cover_the_campaign_wall_time() {
     let model = PowerModel::default();
     let config = CampaignConfig::new(1_500, 1_500, 11);
     let recorder = JsonlRecorder::new();
-    run_campaign_traced::<WelchAccumulator, _>(
-        &netlist,
-        &model,
-        &config,
-        Parallelism::new(1),
-        usize::MAX,
-        &mut NeverStop,
-        &recorder,
-    )
-    .expect("campaign runs");
+    FleetJob::<WelchAccumulator>::new(&netlist, &model, config)
+        .run(Parallelism::new(1), &recorder)
+        .expect("campaign runs");
     let events = parse_trace(&recorder.to_jsonl()).expect("trace parses");
     let summary = TraceSummary::build(&events);
     let coverage = summary

@@ -8,7 +8,7 @@
 //! 3-share ISW masked AND is clean through order 2 and fails only the
 //! third-order test.
 
-use polaris_dist::{execute_part_traced_with, merge_parts};
+use polaris_dist::{execute_job_part, merge_parts};
 use polaris_masking::isw::{masked_and_order2, IswMasks};
 use polaris_netlist::{generators, Netlist};
 use polaris_obs::NullRecorder;
@@ -78,20 +78,13 @@ fn distributed_split_folds_bit_identically_at_any_partitioning() {
     let model = PowerModel::default();
     let reference = streaming_bits(&n, &cfg, Parallelism::sequential(), &triples);
 
+    let job = FleetJob::new(&n, &model, cfg.clone())
+        .with_sink_factory(|| TripleAccumulator::for_triples(triples.clone()));
     for parts in [1usize, 2, 3] {
         let files: Vec<Vec<u8>> = (0..parts)
             .map(|i| {
-                execute_part_traced_with(
-                    &n,
-                    &model,
-                    &cfg,
-                    Parallelism::new(2),
-                    i,
-                    parts,
-                    || TripleAccumulator::for_triples(triples.clone()),
-                    &NullRecorder,
-                )
-                .expect("part executes")
+                execute_job_part(&job, Parallelism::new(2), i, parts, &NullRecorder)
+                    .expect("part executes")
             })
             .collect();
         let merged = merge_parts::<TripleAccumulator>(files.iter().map(Vec::as_slice), None)
@@ -125,7 +118,7 @@ fn fleet_triple_job_matches_its_standalone_run() {
             FleetJob::<TripleAccumulator>::new(&n, &model, filler_cfg)
                 .with_sink_factory(|| TripleAccumulator::for_triples(vec![(0, 1, 2)])),
         ];
-        let outcomes = run_fleet(jobs, Parallelism::new(threads)).expect("fleet");
+        let outcomes = run_fleet(jobs, Parallelism::new(threads), &NullRecorder).expect("fleet");
         let bits: Vec<(u64, u64)> = outcomes[0]
             .sink
             .results()
