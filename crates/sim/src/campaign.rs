@@ -61,12 +61,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use polaris_netlist::{GateId, Netlist, NetlistError};
 use polaris_obs::{NullRecorder, Payload, Phase, PhaseTimer, PopulationTag, Recorder};
-use rand::rngs::StdRng;
+use rand::rngs::{Lockstep, StdRng};
 use rand::{Rng, SeedableRng};
 
 use crate::fleet::FleetJob;
-use crate::logic::{BlockState, Simulator};
-use crate::power::{fill_word, sample_standard_normal, BitEnergy, CountEnergy, PowerModel};
+use crate::logic::{BlockBuffers, BlockState, Simulator};
+use crate::power::{
+    fill_words, lockstep_words, sample_standard_normal, BitEnergy, CountEnergy, PowerModel,
+};
 pub use crate::round::{CampaignOutcome, CampaignStats, Checkpoint, NeverStop, StoppingRule};
 
 /// Trace lanes per simulator word (one `u64` of lane bits).
@@ -573,13 +575,22 @@ fn add_toggles(toggles: &mut [u32], diff: u64) {
     }
 }
 
-/// Reusable per-worker buffers of the block engine: one allocation set per
-/// `run_range` call instead of per batch.
-struct BlockScratch<const W: usize> {
-    st: BlockState<W>,
+/// One worker's buffers for the block engine.
+///
+/// A worker keeps one set for its whole run, across shards, rounds and
+/// fleet jobs, and frees it when the run returns. Each range resizes the
+/// set to its engine's design and lane width, so the allocations only grow
+/// to the largest shape the worker has met. Nothing one range leaves behind
+/// reaches the next: every block writes each word it reads earlier in that
+/// block, and `zero_data`, which nothing writes, stays zero.
+#[derive(Default)]
+pub(crate) struct BlockScratch {
+    /// The block state's allocations between ranges.
+    state: BlockBuffers,
     /// Previous value words (gate-major, `W` per gate).
     prev: Vec<u64>,
-    /// Per-lane toggle counters, `W × 64` per gate.
+    /// Per-lane toggle counters, `W × 64` per gate, sized and cleared by
+    /// each block that counts toggles.
     toggles: Vec<u32>,
     /// Gate-major energy matrix of the current batch.
     energies: Vec<f64>,
@@ -591,17 +602,16 @@ struct BlockScratch<const W: usize> {
     masks: Vec<u64>,
 }
 
-impl<const W: usize> BlockScratch<W> {
-    fn new(engine: &Engine<'_>) -> Self {
-        BlockScratch {
-            st: engine.sim.zero_block::<W>(),
-            prev: vec![0; engine.gates * W],
-            toggles: vec![0; engine.gates * W * WORD_LANES],
-            energies: vec![0.0; engine.gates * W * WORD_LANES],
-            data: vec![0; engine.n_data * W],
-            zero_data: vec![0; engine.n_data * W],
-            masks: vec![0; engine.n_mask * W],
-        }
+impl BlockScratch {
+    /// Sizes every buffer but the state and the toggle counters (which
+    /// only blocks that count toggles size, as they clear them) for
+    /// `engine` at `W` words.
+    fn fit<const W: usize>(&mut self, engine: &Engine<'_>) {
+        self.prev.resize(engine.gates * W, 0);
+        self.energies.resize(engine.gates * W * WORD_LANES, 0.0);
+        self.data.resize(engine.n_data * W, 0);
+        self.zero_data.resize(engine.n_data * W, 0);
+        self.masks.resize(engine.n_mask * W, 0);
     }
 }
 
@@ -692,9 +702,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Simulates the contiguous trace range `[start, start + count)` of one
-    /// population into `sink`. `start` must be word-aligned (a multiple of
-    /// 64) so the per-word stream grid — and hence every RNG draw — is
-    /// independent of the sharding and of the lane width.
+    /// population into `sink`, in buffers of its own. `start` must be
+    /// word-aligned (a multiple of 64) so the per-word stream grid — and
+    /// hence every RNG draw — is independent of the sharding and of the
+    /// lane width.
     pub(crate) fn run_range<S: TraceSink>(
         &self,
         pop: Population,
@@ -703,20 +714,30 @@ impl<'a> Engine<'a> {
         sink: &mut S,
     ) {
         let mut timer = PhaseTimer::disabled();
-        self.run_range_timed(pop, start, count, sink, &mut timer);
+        let mut scratch = BlockScratch::default();
+        self.run_range_timed(pop, start, count, sink, &mut timer, &mut scratch);
     }
 
-    /// Simulates one grid shard into `sink`. With `timed`, also returns the
-    /// shard's wall time and its rng/simulate/power/accumulate split.
+    /// Simulates one grid shard into `sink` in the worker's `scratch`. With
+    /// `timed`, also returns the shard's wall time and its
+    /// rng/simulate/power/accumulate split.
     pub(crate) fn run_shard<S: TraceSink>(
         &self,
         shard: ShardSpec,
         sink: &mut S,
         timed: bool,
+        scratch: &mut BlockScratch,
     ) -> Option<ShardTiming> {
         let mut timer = PhaseTimer::new(timed);
         let t0 = timer.begin();
-        self.run_range_timed(shard.pop, shard.start, shard.count, sink, &mut timer);
+        self.run_range_timed(
+            shard.pop,
+            shard.start,
+            shard.count,
+            sink,
+            &mut timer,
+            scratch,
+        );
         t0.map(|t0| ShardTiming {
             wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
             rng_ns: timer.nanos(Phase::Rng),
@@ -738,12 +759,13 @@ impl<'a> Engine<'a> {
         count: usize,
         sink: &mut S,
         timer: &mut PhaseTimer,
+        scratch: &mut BlockScratch,
     ) {
         match self.lane_words {
-            1 => self.run_range_w::<S, 1>(pop, start, count, sink, timer),
-            2 => self.run_range_w::<S, 2>(pop, start, count, sink, timer),
-            4 => self.run_range_w::<S, 4>(pop, start, count, sink, timer),
-            8 => self.run_range_w::<S, 8>(pop, start, count, sink, timer),
+            1 => self.run_range_w::<S, 1>(pop, start, count, sink, timer, scratch),
+            2 => self.run_range_w::<S, 2>(pop, start, count, sink, timer, scratch),
+            4 => self.run_range_w::<S, 4>(pop, start, count, sink, timer, scratch),
+            8 => self.run_range_w::<S, 8>(pop, start, count, sink, timer, scratch),
             w => unreachable!("lane width {w} rejected at construction"),
         }
     }
@@ -755,20 +777,26 @@ impl<'a> Engine<'a> {
         count: usize,
         sink: &mut S,
         timer: &mut PhaseTimer,
+        scratch: &mut BlockScratch,
     ) {
         // Sink bits depend on this: see the `TraceSink::record_batch` contract.
         assert_eq!(start % WORD_LANES, 0, "shards must be word-aligned");
-        let mut scratch = BlockScratch::<W>::new(self);
+        scratch.fit::<W>(self);
+        let mut st = self
+            .sim
+            .zero_block_in::<W>(std::mem::take(&mut scratch.state));
         let mut done = 0usize;
         while done < count {
             let lanes = (count - done).min(W * WORD_LANES);
-            self.run_block::<S, W>(pop, (start + done) as u64, lanes, &mut scratch, sink, timer);
+            let block = start + done..start + done + lanes;
+            self.run_block::<S, W>(pop, block, &mut st, scratch, sink, timer);
             done += lanes;
         }
+        scratch.state = st.into_buffers();
     }
 
-    /// Simulates one `W`-word block of `lanes` traces starting at global
-    /// trace `block_start`.
+    /// Simulates one `W`-word block: the traces `block` of `pop`, at most
+    /// `W × 64` of them.
     ///
     /// Cross-width identity: every random stream is keyed by the 64-lane
     /// *word* it feeds (`block_start + w × 64`), and energies are emitted in
@@ -778,12 +806,13 @@ impl<'a> Engine<'a> {
     fn run_block<S: TraceSink, const W: usize>(
         &self,
         pop: Population,
-        block_start: u64,
-        lanes: usize,
-        scratch: &mut BlockScratch<W>,
+        block: std::ops::Range<usize>,
+        st: &mut BlockState<W>,
+        scratch: &mut BlockScratch,
         sink: &mut S,
         timer: &mut PhaseTimer,
     ) {
+        let (block_start, lanes) = (block.start as u64, block.len());
         debug_assert!(lanes >= 1 && lanes <= W * WORD_LANES, "lanes = {lanes}");
         let words = lanes.div_ceil(WORD_LANES);
         let seed = self.config.seed;
@@ -805,7 +834,7 @@ impl<'a> Engine<'a> {
 
         let mut mask_rngs: [StdRng; W] =
             std::array::from_fn(|w| batch_stream_rng(seed, pop, word_start(w), STREAM_MASK));
-        let mut noise_rngs: [StdRng; W] =
+        let noise_rngs: [StdRng; W] =
             std::array::from_fn(|w| batch_stream_rng(seed, pop, word_start(w), STREAM_NOISE));
 
         let t_rng = timer.begin();
@@ -834,7 +863,6 @@ impl<'a> Engine<'a> {
             }
         }
 
-        let st = &mut scratch.st;
         st.reset();
         // Base application: settle on all-zero data with fresh masks;
         // toggles are not counted here.
@@ -856,7 +884,8 @@ impl<'a> Engine<'a> {
         // so the XOR against the base values *is* the toggle bit.
         let single_cycle = self.config.cycles == 1 && self.config.delay_model == DelayModel::Zero;
         if !single_cycle {
-            scratch.toggles.fill(0);
+            scratch.toggles.clear();
+            scratch.toggles.resize(self.gates * W * WORD_LANES, 0);
         }
         for cycle in 0..self.config.cycles {
             let t_rng = timer.begin();
@@ -907,39 +936,94 @@ impl<'a> Engine<'a> {
             timer.end(Phase::Simulate, t_sim);
         }
 
-        // Energy emission, `(gate-major, lane-minor)`: full words precede
-        // the partial trailing word, so lane `w * 64 + l` of the batch is
-        // sample `w * 64 + l` of the gate's row — contiguous at any width.
-        // Each word's noise is drawn from its own stream and fused with the
-        // gate's toggles straight into the row.
         let t_power = timer.begin();
-        let sigma = self.sigma;
-        let energies = &mut scratch.energies[..self.gates * lanes];
-        for (g, row) in energies.chunks_exact_mut(lanes).enumerate() {
-            let cap = self.caps[g];
-            for (w, (rng, out)) in noise_rngs
-                .iter_mut()
-                .zip(row.chunks_mut(WORD_LANES))
-                .enumerate()
-            {
-                if single_cycle {
-                    let diff = st.values()[g * W + w] ^ scratch.prev[g * W + w];
-                    fill_word(rng, &BitEnergy { cap, sigma, diff }, out);
-                } else {
-                    let at = (g * W + w) * WORD_LANES;
-                    let counts = scratch.toggles[at..at + WORD_LANES]
-                        .try_into()
-                        .expect("a word holds 64 lane counters");
-                    fill_word(rng, &CountEnergy { cap, sigma, counts }, out);
-                }
-            }
-        }
+        self.emit_block(lanes, single_cycle, st.values(), &noise_rngs, scratch);
         timer.end(Phase::Power, t_power);
         let t_acc = timer.begin();
+        let energies = &scratch.energies[..self.gates * lanes];
         let batch = EnergyBatch::new(energies, self.gates, lanes)
             .expect("engine emits well-formed batches");
         sink.record_batch(pop, batch);
         timer.end(Phase::Accumulate, t_acc);
+    }
+
+    /// The power pass of one block of `lanes` traces: every gate's energies
+    /// into its row of `scratch.energies`, `(gate-major, lane-minor)`.
+    /// Full words precede the partial trailing word, so lane `w * 64 + l`
+    /// of the batch is sample `w * 64 + l` of the gate's row — contiguous
+    /// at any width. Each word's noise comes from its own stream in `noise`
+    /// (one per word of the block's width), fused with the gate's toggles
+    /// (bits of `values ^ prev` when `single_cycle`, else the counters)
+    /// straight into the row. Where the host's noise kernel runs lockstep
+    /// fills faster ([`lockstep_words`]), runs of full words are drawn in
+    /// lockstep, all `W` of a full block at the default width; the other
+    /// words, a partial trailing word among them, run one at a time.
+    ///
+    /// Generic over neither the sink nor the width, so the noise kernels
+    /// are compiled once, here, not once per crate that runs a campaign.
+    fn emit_block(
+        &self,
+        lanes: usize,
+        single_cycle: bool,
+        values: &[u64],
+        noise: &[StdRng],
+        scratch: &mut BlockScratch,
+    ) {
+        let (full, words) = (lanes / WORD_LANES, lanes.div_ceil(WORD_LANES));
+        let mut w = 0;
+        while w < words {
+            let run = lockstep_words()
+                .iter()
+                .copied()
+                .find(|&n| w + n <= full)
+                .unwrap_or(1);
+            match run {
+                8 => self.emit_words::<8>(w, lanes, single_cycle, values, noise, scratch),
+                4 => self.emit_words::<4>(w, lanes, single_cycle, values, noise, scratch),
+                1 => self.emit_words::<1>(w, lanes, single_cycle, values, noise, scratch),
+                n => unreachable!("no lockstep fill of {n} words"),
+            }
+            w += run;
+        }
+    }
+
+    /// [`Engine::emit_block`] for words `w0..w0 + N`, whose `N` noise
+    /// streams are drawn in lockstep. The words are all full, or `N = 1`.
+    fn emit_words<const N: usize>(
+        &self,
+        w0: usize,
+        lanes: usize,
+        single_cycle: bool,
+        values: &[u64],
+        noise: &[StdRng],
+        scratch: &mut BlockScratch,
+    ) {
+        let lane_words = noise.len();
+        let mut rngs = Lockstep::<N>::from_streams(std::array::from_fn(|k| noise[w0 + k].clone()));
+        let cols = w0 * WORD_LANES..lanes.min((w0 + N) * WORD_LANES);
+        let sigma = self.sigma;
+        let energies = &mut scratch.energies[..self.gates * lanes];
+        for (g, row) in energies.chunks_exact_mut(lanes).enumerate() {
+            let (cap, at, out) = (self.caps[g], g * lane_words + w0, &mut row[cols.clone()]);
+            if single_cycle {
+                let synths: [BitEnergy; N] = std::array::from_fn(|k| BitEnergy {
+                    cap,
+                    sigma,
+                    diff: values[at + k] ^ scratch.prev[at + k],
+                });
+                fill_words(&mut rngs, &synths, out);
+            } else {
+                let synths: [CountEnergy<'_>; N] = std::array::from_fn(|k| {
+                    let counts = &scratch.toggles[(at + k) * WORD_LANES..][..WORD_LANES];
+                    CountEnergy {
+                        cap,
+                        sigma,
+                        counts: counts.try_into().expect("a word holds 64 lane counters"),
+                    }
+                });
+                fill_words(&mut rngs, &synths, out);
+            }
+        }
     }
 }
 
@@ -1103,7 +1187,32 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = parallelism.threads().min(n_shards.max(1));
+    let mut workers = vec![(); parallelism.threads()];
+    run_sharded_with(n_shards, parallelism, &mut workers, |(), i| work(i))
+}
+
+/// [`run_sharded`] with worker-local state: each worker thread takes one
+/// element of `locals` for its whole run, and `work` gets it with every
+/// shard index. At most `locals.len()` workers run, and the inline path
+/// uses `locals[0]`. Passing the same `locals` to several calls carries
+/// the state across them (the campaign engine's block buffers).
+///
+/// # Panics
+///
+/// Panics if `locals` is empty; propagates worker panics.
+pub(crate) fn run_sharded_with<T, L, F>(
+    n_shards: usize,
+    parallelism: Parallelism,
+    locals: &mut [L],
+    work: F,
+) -> Vec<T>
+where
+    T: Send,
+    L: Send,
+    F: Fn(&mut L, usize) -> T + Sync,
+{
+    assert!(!locals.is_empty(), "at least one worker's state");
+    let threads = parallelism.threads().min(n_shards.max(1)).min(locals.len());
     let mut slots: Vec<Option<T>> = Vec::new();
     slots.resize_with(n_shards, || None);
 
@@ -1112,15 +1221,16 @@ where
     // calling thread (a regression test pins this via thread identity).
     if threads <= 1 || n_shards <= 1 {
         for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(work(i));
+            *slot = Some(work(&mut locals[0], i));
         }
     } else {
         let next = AtomicUsize::new(0);
         let produced: Vec<(usize, T)> = std::thread::scope(|scope| {
             let work = &work;
             let next = &next;
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
+            let workers: Vec<_> = locals[..threads]
+                .iter_mut()
+                .map(|state| {
                     scope.spawn(move || {
                         let mut local: Vec<(usize, T)> = Vec::new();
                         loop {
@@ -1128,7 +1238,7 @@ where
                             if i >= n_shards {
                                 break;
                             }
-                            local.push((i, work(i)));
+                            local.push((i, work(state, i)));
                         }
                         local
                     })
@@ -1776,10 +1886,12 @@ mod tests {
     fn glitch_path_is_width_invariant() {
         // The unit-delay (glitch) and multi-cycle paths use the toggle
         // counters rather than the single-cycle fast path; both must be
-        // width-invariant too.
+        // width-invariant too. 1100 = 2 × 512 + 64 + 12 and 1030 = 2 × 512
+        // + 6: full blocks (lockstep fills of `W` words, on hosts that run
+        // them) and a partial trailing word at every width.
         let n = generators::multiplier(1, 4);
         let model = PowerModel::default();
-        let cfg = CampaignConfig::new(97, 70, 31).with_glitches();
+        let cfg = CampaignConfig::new(1100, 1030, 31).with_glitches();
         let collect = |w: usize| {
             let engine = Engine::new(&n, &model, &cfg, w).unwrap();
             let mut s = GateSamples::default();
@@ -1788,7 +1900,7 @@ mod tests {
             s
         };
         let base = collect(1);
-        for w in [2usize, 8] {
+        for w in [2usize, 4, 8] {
             let wide = collect(w);
             for id in n.ids() {
                 assert_eq!(base.fixed(id), wide.fixed(id), "W={w}");
@@ -1799,9 +1911,11 @@ mod tests {
 
     #[test]
     fn multi_cycle_sequential_is_width_invariant() {
+        // Full blocks and a partial trailing word at every width, as in
+        // `glitch_path_is_width_invariant`.
         let m = generators::memctrl(1, 3);
         let model = PowerModel::default();
-        let cfg = CampaignConfig::new(70, 97, 13).with_cycles(3);
+        let cfg = CampaignConfig::new(1030, 1100, 13).with_cycles(3);
         let collect = |w: usize| {
             let engine = Engine::new(&m, &model, &cfg, w).unwrap();
             let mut s = GateSamples::default();
@@ -1810,11 +1924,65 @@ mod tests {
             s
         };
         let base = collect(1);
-        for w in [4usize] {
+        for w in [2usize, 4, 8] {
             let wide = collect(w);
             for id in m.ids() {
                 assert_eq!(base.fixed(id), wide.fixed(id), "W={w}");
                 assert_eq!(base.random(id), wide.random(id), "W={w}");
+            }
+        }
+    }
+
+    /// A dense collector's samples as bit patterns, class by class.
+    fn sample_bits(s: &GateSamples) -> [Vec<Vec<u64>>; 2] {
+        let (fixed, random) = s.classes();
+        let bits = |c: &[Vec<f64>]| {
+            c.iter()
+                .map(|g| g.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        [bits(fixed), bits(random)]
+    }
+
+    /// One worker's scratch serves shards in any order and of any shape:
+    /// every shard's samples equal a run in fresh buffers. The shards come
+    /// in reverse grid order, so the partial ones (612 = 2 × 256 + 100,
+    /// with a partial word) run before the full ones, and the designs
+    /// alternate c432, c17, c432, so the buffers shrink and grow again;
+    /// the lane width changes too. The single-cycle path reads toggle bits,
+    /// the multi-cycle and glitch paths read toggle counters, which a
+    /// reused scratch must clear for every block.
+    #[test]
+    fn reused_scratch_matches_fresh_scratch() {
+        let c432 = generators::iscas_like("c432", 1, 5).unwrap();
+        let c17 = generators::iscas_c17();
+        let model = PowerModel::default();
+        let base = CampaignConfig::new(612, 600, 41);
+        for cfg in [
+            base.clone(),
+            base.clone().with_cycles(3),
+            base.with_glitches(),
+        ] {
+            let grid = shard_grid(&cfg);
+            assert!(grid.iter().any(|s| s.count() < TRACES_PER_SHARD));
+            let mut scratch = BlockScratch::default();
+            for lane_words in [DEFAULT_LANE_WORDS, 8, 1] {
+                for netlist in [&c432, &c17, &c432] {
+                    let engine = Engine::new(netlist, &model, &cfg, lane_words).unwrap();
+                    for &shard in grid.iter().rev() {
+                        let mut reused = GateSamples::default();
+                        engine.run_shard(shard, &mut reused, false, &mut scratch);
+                        let mut fresh = GateSamples::default();
+                        engine.run_range(shard.pop, shard.start, shard.count, &mut fresh);
+                        assert!(
+                            sample_bits(&reused) == sample_bits(&fresh),
+                            "{} gates, W = {lane_words}, cycles {}, {:?}: {shard:?}",
+                            netlist.gate_count(),
+                            cfg.cycles,
+                            cfg.delay_model
+                        );
+                    }
+                }
             }
         }
     }

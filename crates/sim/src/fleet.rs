@@ -48,8 +48,8 @@ use polaris_netlist::{Netlist, NetlistError};
 use polaris_obs::{Payload, Recorder};
 
 use crate::campaign::{
-    run_sharded, shard_grid, CampaignConfig, CampaignOutcome, Engine, MergeableSink, NeverStop,
-    Parallelism, ShardSpec, StoppingRule,
+    run_sharded_with, shard_grid, BlockScratch, CampaignConfig, CampaignOutcome, Engine,
+    MergeableSink, NeverStop, Parallelism, ShardSpec, StoppingRule,
 };
 use crate::power::PowerModel;
 use crate::round::{Ingest, RoundFolder};
@@ -168,14 +168,21 @@ impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
             grid.len()
         );
         let (tracing, factory) = (recorder.enabled(), &self.factory);
-        Ok(run_sharded(shards.len(), parallelism, |i| {
-            let grid_index = shards.start + i;
-            let mut sink = factory();
-            if let Some(timing) = engine.run_shard(grid[grid_index], &mut sink, tracing) {
-                recorder.record(timing.span(0, grid_index, grid[grid_index]));
-            }
-            sink
-        }))
+        let mut scratch = worker_scratch(parallelism);
+        Ok(run_sharded_with(
+            shards.len(),
+            parallelism,
+            &mut scratch,
+            |scratch, i| {
+                let grid_index = shards.start + i;
+                let mut sink = factory();
+                let shard = grid[grid_index];
+                if let Some(timing) = engine.run_shard(shard, &mut sink, tracing, scratch) {
+                    recorder.record(timing.span(0, grid_index, shard));
+                }
+                sink
+            },
+        ))
     }
 
     /// Runs the job alone across `parallelism` worker threads, each owning
@@ -233,6 +240,7 @@ impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
         }
         let folder = Mutex::new(folder);
         let locked = || folder.lock().expect("no worker panicked while folding");
+        let mut scratch = worker_scratch(parallelism);
         loop {
             let (range, round) = {
                 let f = locked();
@@ -241,11 +249,12 @@ impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
             if range.is_empty() {
                 break;
             }
-            run_sharded(range.len(), parallelism, |i| {
+            run_sharded_with(range.len(), parallelism, &mut scratch, |scratch, i| {
                 let grid_index = range.start + i;
                 let mut sink = (self.factory)();
-                if let Some(timing) = engine.run_shard(grid[grid_index], &mut sink, tracing) {
-                    recorder.record(timing.span(round, grid_index, grid[grid_index]));
+                let shard = grid[grid_index];
+                if let Some(timing) = engine.run_shard(shard, &mut sink, tracing, scratch) {
+                    recorder.record(timing.span(round, grid_index, shard));
                 }
                 locked().ingest(grid_index, sink, recorder);
             });
@@ -272,6 +281,14 @@ impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
         }
         Ok(outcome)
     }
+}
+
+/// One empty [`BlockScratch`] per worker thread `parallelism` may run,
+/// kept across the rounds of a run.
+fn worker_scratch(parallelism: Parallelism) -> Vec<BlockScratch> {
+    (0..parallelism.threads())
+        .map(|_| BlockScratch::default())
+        .collect()
 }
 
 /// Scheduler state of one job (behind the queue lock): which of its grid
@@ -381,7 +398,9 @@ impl Drop for PanicSentry<'_> {
 
 /// The shared worker loop: take a shard of *any* job, simulate it into a
 /// fresh private sink, and hand it to the job's folder. The ingest that
-/// completes a round opens the job's next round (or retires the job).
+/// completes a round opens the job's next round (or retires the job). The
+/// worker's one set of block buffers serves every shard it takes, of any
+/// job, and is freed when it exits.
 ///
 /// With an enabled `recorder` the loop reports, per item, the queue state
 /// it observed ([`Payload::QueueDepth`]) and the item's phase-split timing
@@ -394,6 +413,7 @@ fn worker_loop<S: MergeableSink>(shared: &FleetShared<'_, S>, recorder: &dyn Rec
     let t_loop = tracing.then(Instant::now);
     let mut items = 0u64;
     let mut busy_ns = 0u64;
+    let mut scratch = BlockScratch::default();
     'worker: loop {
         let (job, grid_idx, queue_obs) = {
             let mut queue = lock(&shared.queue);
@@ -425,7 +445,8 @@ fn worker_loop<S: MergeableSink>(shared: &FleetShared<'_, S>, recorder: &dyn Rec
         };
         let shard = shared.grids[job][grid_idx];
         let mut sink = (shared.factories[job])();
-        if let Some(timing) = shared.engines[job].run_shard(shard, &mut sink, tracing) {
+        if let Some(timing) = shared.engines[job].run_shard(shard, &mut sink, tracing, &mut scratch)
+        {
             items += 1;
             busy_ns += timing.wall_ns;
             recorder.record(Payload::WorkItem {

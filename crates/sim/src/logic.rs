@@ -45,6 +45,21 @@ impl<const W: usize> BlockState<W> {
         self.values.fill(0);
         self.dff_state.fill(0);
     }
+
+    /// Gives up the state's allocations for [`Simulator::zero_block_in`].
+    pub(crate) fn into_buffers(self) -> BlockBuffers {
+        BlockBuffers {
+            values: self.values,
+            dff_state: self.dff_state,
+        }
+    }
+}
+
+/// The allocations of a [`BlockState`] of any width, kept between uses.
+#[derive(Debug, Default)]
+pub(crate) struct BlockBuffers {
+    values: Vec<u64>,
+    dff_state: Vec<u64>,
 }
 
 impl BlockState<1> {
@@ -151,9 +166,22 @@ impl<'a> Simulator<'a> {
 
     /// Creates an all-zero `W`-word block state (flip-flops reset to 0).
     pub fn zero_block<const W: usize>(&self) -> BlockState<W> {
+        self.zero_block_in(BlockBuffers::default())
+    }
+
+    /// [`Simulator::zero_block`] built in `buffers`' allocations, which a
+    /// state of any width and design handed back with
+    /// [`BlockState::into_buffers`].
+    pub(crate) fn zero_block_in<const W: usize>(&self, buffers: BlockBuffers) -> BlockState<W> {
+        let words = self.netlist.gate_count() * W;
+        let zeroed = |mut v: Vec<u64>| {
+            v.clear();
+            v.resize(words, 0);
+            v
+        };
         BlockState {
-            values: vec![0; self.netlist.gate_count() * W],
-            dff_state: vec![0; self.netlist.gate_count() * W],
+            values: zeroed(buffers.values),
+            dff_state: zeroed(buffers.dff_state),
         }
     }
 

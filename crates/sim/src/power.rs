@@ -8,7 +8,8 @@
 //! setup used by TVLA-based EDA flows (CASCADE, Karna, VALIANT).
 
 use polaris_netlist::GateKind;
-use rand::{Rng, RngCore};
+use rand::rngs::{Lockstep, StdRng};
+use rand::Rng;
 
 use crate::campaign::WORD_LANES;
 
@@ -273,17 +274,54 @@ fn transform<S: Synth>(d1: &Draws, d2: &Draws, synth: &S, out: &mut [f64]) {
     }
 }
 
-/// Run-time choice among the builds of [`transform`].
+/// The lockstep noise pass over `N` words of `out.len() / N` lanes each.
+///
+/// The `N` streams are stepped together, two draws per lane, and each step
+/// is stored whole, so the draws land lane-major: `raw[2l + j][k]` is draw
+/// `j` of lane `l` of word `k`. A transpose then gathers each word's draws
+/// into its own `d1`/`d2` arrays, and [`transform`] turns word `k` into
+/// `synths[k]`'s output in `out`'s `k`-th chunk. Stream `k` is consumed
+/// exactly as a one-word fill of its word alone would consume it.
+#[inline(always)]
+fn lockstep_fill<S: Synth, const N: usize>(
+    rngs: &mut Lockstep<N>,
+    synths: &[S; N],
+    out: &mut [f64],
+) {
+    let lanes = out.len() / N;
+    assert!(
+        lanes * N == out.len() && (1..=WORD_LANES).contains(&lanes),
+        "{N} words of 1 to {WORD_LANES} equal lanes, got {}",
+        out.len()
+    );
+    // The state is stepped in a local so it stays in registers: through
+    // `rngs`, reached via the pass's fields, every step would go to memory.
+    let mut gen = rngs.clone();
+    let mut raw = [[0u64; N]; 2 * WORD_LANES];
+    for step in &mut raw[..2 * lanes] {
+        *step = gen.next_u64s();
+    }
+    *rngs = gen;
+    let d1: [Draws; N] = std::array::from_fn(|k| std::array::from_fn(|l| raw[2 * l][k]));
+    let d2: [Draws; N] = std::array::from_fn(|k| std::array::from_fn(|l| raw[2 * l + 1][k]));
+    for (k, word) in out.chunks_exact_mut(lanes).enumerate() {
+        transform(&d1[k], &d2[k], &synths[k], word);
+    }
+}
+
+/// Run-time choice among the builds of the noise pass.
 mod kernel {
-    use super::{transform, Draws, Synth};
+    use super::{lockstep_fill, Lockstep, Synth};
+    #[cfg(test)]
+    use super::{transform, Draws};
     use std::sync::OnceLock;
 
-    /// One build of the transform that this host can run.
+    /// One build of the noise pass that this host can run.
     ///
     /// The field is private to this module and the only constructor is
     /// [`Kernel::supported`], which returns an instruction-set build only
     /// after `is_x86_feature_detected!` confirmed every feature it enables
-    /// ([`Isa::detected`]). That is the invariant [`Kernel::run`]'s
+    /// ([`Isa::detected`]). That is the invariant [`Kernel::dispatch`]'s
     /// `unsafe` call relies on.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub(super) struct Kernel(Isa);
@@ -319,6 +357,44 @@ mod kernel {
         }
     }
 
+    /// A pass that each build compiles its own copy of. Implementations
+    /// mark `run` `#[inline(always)]`, so it inlines into the
+    /// `#[target_feature]` functions below with everything it calls.
+    pub(super) trait Pass {
+        fn run(self);
+    }
+
+    /// [`lockstep_fill`] as a [`Pass`].
+    pub(super) struct Fill<'a, S, const N: usize> {
+        pub(super) rngs: &'a mut Lockstep<N>,
+        pub(super) synths: &'a [S; N],
+        pub(super) out: &'a mut [f64],
+    }
+
+    impl<S: Synth, const N: usize> Pass for Fill<'_, S, N> {
+        #[inline(always)]
+        fn run(self) {
+            lockstep_fill(self.rngs, self.synths, self.out);
+        }
+    }
+
+    /// [`transform`] alone on given draws, the cross-build test's pass.
+    #[cfg(test)]
+    struct Transform<'a, S> {
+        d1: &'a Draws,
+        d2: &'a Draws,
+        synth: &'a S,
+        out: &'a mut [f64],
+    }
+
+    #[cfg(test)]
+    impl<S: Synth> Pass for Transform<'_, S> {
+        #[inline(always)]
+        fn run(self) {
+            transform(self.d1, self.d2, self.synth, self.out);
+        }
+    }
+
     impl Kernel {
         /// Every build the host supports, in ascending preference; the
         /// portable build is always first.
@@ -346,7 +422,26 @@ mod kernel {
             })
         }
 
-        /// Runs this build of [`transform`].
+        /// The word counts worth filling in lockstep on this build, widest
+        /// first; every other count runs one word at a time.
+        ///
+        /// Only AVX-512 steps the streams as vectors, with native 64-bit
+        /// rotates (`vprolq`), and only 4 or 8 of them fill its registers.
+        /// Without vector rotates the compiler interleaves the streams as
+        /// scalar code, which loses more than it gains: one word at a time,
+        /// a word's serial draws overlap the previous word's transform.
+        /// Measured on a 2-core AVX-512 Xeon VM (c1908, 40k traces per
+        /// class): the AVX2 build's `power` phase took 11% longer in
+        /// lockstep of 4, and the AVX-512 build's 11% less.
+        pub(super) fn lockstep_words(self) -> &'static [usize] {
+            match self.0 {
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx512 => &[8, 4],
+                _ => &[],
+            }
+        }
+
+        /// Runs this build of `pass`.
         #[cfg_attr(
             target_arch = "x86_64",
             expect(
@@ -356,64 +451,89 @@ mod kernel {
             )
         )]
         #[inline]
-        pub(super) fn run<S: Synth>(self, d1: &Draws, d2: &Draws, synth: &S, out: &mut [f64]) {
+        pub(super) fn dispatch<P: Pass>(self, pass: P) {
             match self.0 {
-                Isa::Portable => transform(d1, d2, synth, out),
+                Isa::Portable => run_portable(pass),
                 // SAFETY: a `Kernel(Isa::Avx2)` exists only after
                 // `Kernel::supported` detected `avx2` on this host.
                 #[cfg(target_arch = "x86_64")]
-                Isa::Avx2 => unsafe { transform_avx2(d1, d2, synth, out) },
+                Isa::Avx2 => unsafe { run_avx2(pass) },
                 // SAFETY: a `Kernel(Isa::Avx512)` exists only after
                 // `Kernel::supported` detected every feature this build
                 // enables, the implied ones included.
                 #[cfg(target_arch = "x86_64")]
-                Isa::Avx512 => unsafe { transform_avx512(d1, d2, synth, out) },
+                Isa::Avx512 => unsafe { run_avx512(pass) },
             }
+        }
+
+        /// Runs this build of [`transform`] on given draws.
+        #[cfg(test)]
+        pub(super) fn run<S: Synth>(self, d1: &Draws, d2: &Draws, synth: &S, out: &mut [f64]) {
+            self.dispatch(Transform { d1, d2, synth, out });
         }
     }
 
-    /// [`transform`] compiled for AVX2. `fma` is never enabled: a fused
+    /// `pass` compiled for the baseline target, out of line like the
+    /// other builds so that callers do not each inline a copy of it.
+    #[inline(never)]
+    fn run_portable<P: Pass>(pass: P) {
+        pass.run();
+    }
+
+    /// `pass` compiled for AVX2. `fma` is never enabled: a fused
     /// multiply-add rounds once where the portable build rounds twice.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn transform_avx2<S: Synth>(d1: &Draws, d2: &Draws, synth: &S, out: &mut [f64]) {
-        transform(d1, d2, synth, out);
+    fn run_avx2<P: Pass>(pass: P) {
+        pass.run();
     }
 
-    /// [`transform`] compiled for AVX-512 (F/DQ/VL). The implied `fma`
-    /// goes unused: Rust emits a fused multiply-add only for an explicit
-    /// `mul_add`, which the transform never calls.
+    /// `pass` compiled for AVX-512 (F/DQ/VL), which also gives the
+    /// generator native 64-bit rotates. The implied `fma` goes unused: Rust
+    /// emits a fused multiply-add only for an explicit `mul_add`, which the
+    /// transform never calls.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    fn transform_avx512<S: Synth>(d1: &Draws, d2: &Draws, synth: &S, out: &mut [f64]) {
-        transform(d1, d2, synth, out);
+    fn run_avx512<P: Pass>(pass: P) {
+        pass.run();
     }
 }
 
-use kernel::Kernel;
+use kernel::{Fill, Kernel};
 
-/// Draws one word of noise from `rng` and writes `synth`'s output for
-/// each of `out`'s lanes (at most 64).
+/// The word counts the host's build fills faster in lockstep than one word
+/// at a time, widest first (possibly none).
+pub(crate) fn lockstep_words() -> &'static [usize] {
+    Kernel::detected().lockstep_words()
+}
+
+/// Draws one lockstep fill of noise: `N` words of `out.len() / N` lanes
+/// each (at most 64), word `k` from stream `k` of `rngs`, and writes
+/// `synths[k]`'s output for each of word `k`'s lanes into `out`'s `k`-th
+/// chunk.
 ///
-/// A serial loop stages the raw `u64` draws on the stack, two per lane in
-/// lane order, so the stream is consumed exactly as [`fill_standard_normal`]
-/// consumes it. The host's build of [`transform`] then turns them into
-/// output in one pass. For a gate's energies that pass writes the energy
-/// row directly, with no noise buffer in between, and builds `cap · t + σ · z`
-/// with the same two roundings as a fill followed by a separate synthesis.
+/// The `N` streams are stepped side by side and each draws two `u64`s per
+/// lane of its word, in lane order, so stream `k` ends exactly where a
+/// one-word fill of word `k` from that stream alone would leave it, and
+/// the output bits are the same. Draw, transpose and transform run as one
+/// pass in the host's build (see [`fill_standard_normal`]). For a gate's
+/// energies that pass writes the energy row directly, with no noise buffer
+/// in between, and builds `cap · t + σ · z` with the same two roundings as
+/// a fill followed by a separate synthesis. Where [`lockstep_words`] allows,
+/// the campaign engine fills a full block's `W` words of one gate per call;
+/// other words, a partial trailing word, and [`fill_standard_normal`] are
+/// the `N = 1` case.
+///
+/// # Panics
+///
+/// Panics unless `out` holds `N` equal words of 1 to 64 lanes.
 #[inline]
-pub(crate) fn fill_word<R: RngCore + ?Sized, S: Synth>(rng: &mut R, synth: &S, out: &mut [f64]) {
-    debug_assert!(
-        out.len() <= WORD_LANES,
-        "one word is at most {WORD_LANES} lanes"
-    );
-    let mut d1: Draws = [0; WORD_LANES];
-    let mut d2: Draws = [0; WORD_LANES];
-    for (a, b) in d1.iter_mut().zip(&mut d2).take(out.len()) {
-        *a = rng.next_u64();
-        *b = rng.next_u64();
-    }
-    Kernel::detected().run(&d1, &d2, synth, out);
+pub(crate) fn fill_words<S: Synth, const N: usize>(
+    rngs: &mut Lockstep<N>,
+    synths: &[S; N],
+    out: &mut [f64],
+) {
+    Kernel::detected().dispatch(Fill { rngs, synths, out });
 }
 
 /// Fills `out` with standard-normal samples via a batched, branchless
@@ -427,15 +547,18 @@ pub(crate) fn fill_word<R: RngCore + ?Sized, S: Synth>(rng: &mut R, synth: &S, o
 /// the *values* differ from the scalar path in the low bits but are
 /// bit-identical across platforms and batch partitionings.
 ///
-/// Each 64-sample word runs in two passes. A serial loop stages the raw
-/// `u64` draws on the stack; then one RNG-free pass converts them and
-/// applies the transform. That pass has no serial generator chain and no
-/// bounds checks, so it vectorizes. It is compiled three times: portable,
-/// AVX2, and AVX-512 (F/DQ/VL). The best build the CPU supports is picked
-/// once per process with `is_x86_feature_detected!`; there is no flag or
-/// environment variable for it. The campaign engine's fused
-/// noise-and-energy pass runs through the same builds, so the polynomial
-/// exists once.
+/// Each 64-sample word is the one-stream case of the campaign engine's
+/// lockstep noise fill: the word's raw `u64` draws are staged on the stack,
+/// then one RNG-free pass converts them and applies the transform. That
+/// pass has no serial generator chain and no bounds checks, so it
+/// vectorizes. On AVX-512 the engine steps a block's word streams side by
+/// side instead, so its draws vectorize too. The whole fill, draws
+/// included, is compiled three times: portable, AVX2, and AVX-512
+/// (F/DQ/VL). The best
+/// build the CPU supports is picked once per process with
+/// `is_x86_feature_detected!`; there is no flag or environment variable for
+/// it. The campaign engine's fused noise-and-energy pass runs through the
+/// same builds, so the polynomial exists once.
 ///
 /// Every build produces the same bits. Each is the same sequence of
 /// IEEE-754 adds, multiplies, divides and square roots, each correctly
@@ -445,17 +568,16 @@ pub(crate) fn fill_word<R: RngCore + ?Sized, S: Synth>(rng: &mut R, synth: &S, o
 /// contracts `a * b + c` into one on its own. A test compares every build
 /// the host supports bit for bit. So workers on hosts with different
 /// instruction sets still produce byte-identical campaign parts.
-pub fn fill_standard_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
+pub fn fill_standard_normal(rng: &mut StdRng, out: &mut [f64]) {
     for chunk in out.chunks_mut(WORD_LANES) {
-        fill_word(rng, &Deviates, chunk);
+        fill_words(rng, &[Deviates], chunk);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn default_weights_are_sane() {
@@ -711,7 +833,11 @@ mod tests {
                 let mut from_bits = [0.0f64; WORD_LANES];
                 let mut from_counts = [0.0f64; WORD_LANES];
                 fill_standard_normal(&mut a, &mut z[..n]);
-                fill_word(&mut b, &BitEnergy { cap, sigma, diff }, &mut from_bits[..n]);
+                fill_words(
+                    &mut b,
+                    &[BitEnergy { cap, sigma, diff }],
+                    &mut from_bits[..n],
+                );
                 assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "stream position");
                 let mut c = StdRng::seed_from_u64(seed);
                 let counted = CountEnergy {
@@ -719,7 +845,7 @@ mod tests {
                     sigma,
                     counts: &counts,
                 };
-                fill_word(&mut c, &counted, &mut from_counts[..n]);
+                fill_words(&mut c, &[counted], &mut from_counts[..n]);
                 for l in 0..n {
                     let t = f64::from(u8::from((diff >> l) & 1 == 1));
                     assert_eq!(from_bits[l].to_bits(), (cap * t + sigma * z[l]).to_bits());
@@ -727,6 +853,108 @@ mod tests {
                     assert_eq!(from_counts[l].to_bits(), (cap * t + sigma * z[l]).to_bits());
                 }
             }
+        }
+    }
+
+    /// One word filled the way the engine filled it before the lockstep:
+    /// the stream's draws staged serially, two per lane in lane order, then
+    /// the portable transform.
+    fn word_by_word<S: Synth>(rng: &mut StdRng, synth: &S, out: &mut [f64]) {
+        let mut d1: Draws = [0; WORD_LANES];
+        let mut d2: Draws = [0; WORD_LANES];
+        for (a, b) in d1.iter_mut().zip(&mut d2).take(out.len()) {
+            *a = rng.next_u64();
+            *b = rng.next_u64();
+        }
+        transform(&d1, &d2, synth, out);
+    }
+
+    /// Every build's lockstep fill of `N` words writes the bits of `N`
+    /// word-by-word fills, each from its own stream, and leaves every
+    /// stream where those fills leave it — for the deviates and both toggle
+    /// sources, on full words and on partial ones, over several fills in a
+    /// row as the engine runs them gate after gate.
+    #[test]
+    fn lockstep_fill_is_word_by_word_fill() {
+        fn check<const N: usize>(kernel: Kernel) {
+            let counts: [[u32; WORD_LANES]; N] =
+                std::array::from_fn(|k| std::array::from_fn(|l| ((l * 7 + k * 3) % 5) as u32));
+            for lanes in [WORD_LANES, 37, 1] {
+                let seeds: [u64; N] = std::array::from_fn(|k| 1000 * lanes as u64 + k as u64);
+                let mut lock = Lockstep::from_streams(seeds.map(StdRng::seed_from_u64));
+                let mut solo = seeds.map(StdRng::seed_from_u64);
+                let mut got = vec![0.0f64; N * lanes];
+                let mut want = vec![0.0f64; N * lanes];
+                let compare = |got: &[f64], want: &[f64], what: &str| {
+                    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            w.to_bits(),
+                            "{kernel:?} N = {N} {what}: lane {} of word {}, {lanes} lanes",
+                            i % lanes,
+                            i / lanes
+                        );
+                    }
+                };
+                for (cap, sigma) in [(2.1, 0.35), (0.0, 1.0), (3.6, 0.0)] {
+                    kernel.dispatch(Fill {
+                        rngs: &mut lock,
+                        synths: &std::array::from_fn(|_| Deviates),
+                        out: &mut got,
+                    });
+                    for (rng, word) in solo.iter_mut().zip(want.chunks_exact_mut(lanes)) {
+                        word_by_word(rng, &Deviates, word);
+                    }
+                    compare(&got, &want, "deviates");
+
+                    let bits: [BitEnergy; N] = std::array::from_fn(|k| BitEnergy {
+                        cap,
+                        sigma,
+                        diff: 0xdead_beef_0123_4567u64.rotate_left(9 * k as u32),
+                    });
+                    kernel.dispatch(Fill {
+                        rngs: &mut lock,
+                        synths: &bits,
+                        out: &mut got,
+                    });
+                    for ((rng, synth), word) in
+                        solo.iter_mut().zip(&bits).zip(want.chunks_exact_mut(lanes))
+                    {
+                        word_by_word(rng, synth, word);
+                    }
+                    compare(&got, &want, "bits");
+
+                    let counted: [CountEnergy<'_>; N] = std::array::from_fn(|k| CountEnergy {
+                        cap,
+                        sigma,
+                        counts: &counts[k],
+                    });
+                    kernel.dispatch(Fill {
+                        rngs: &mut lock,
+                        synths: &counted,
+                        out: &mut got,
+                    });
+                    for ((rng, synth), word) in solo
+                        .iter_mut()
+                        .zip(&counted)
+                        .zip(want.chunks_exact_mut(lanes))
+                    {
+                        word_by_word(rng, synth, word);
+                    }
+                    compare(&got, &want, "counts");
+                }
+                assert_eq!(
+                    lock,
+                    Lockstep::from_streams(solo),
+                    "{kernel:?} N = {N}: stream positions"
+                );
+            }
+        }
+        for kernel in Kernel::supported() {
+            check::<1>(kernel);
+            check::<2>(kernel);
+            check::<4>(kernel);
+            check::<8>(kernel);
         }
     }
 

@@ -1,12 +1,17 @@
 //! Minimal, deterministic, offline stand-in for the `rand` crate.
 //!
 //! The build environment has no network access, so this crate vendors the
-//! exact API subset the workspace uses:
+//! API subset the workspace uses:
 //!
 //! * [`Rng`] — `gen`, `gen_range`, `gen_bool`
 //! * [`SeedableRng`] — `seed_from_u64`
 //! * [`rngs::StdRng`] — xoshiro256++ seeded via SplitMix64
 //! * [`seq::SliceRandom`] — `shuffle`, `choose`
+//!
+//! plus one item upstream does not have: [`rngs::Lockstep`], `N` `StdRng`
+//! streams stepped side by side. `StdRng` is its one-stream case, so the
+//! generator is written once. The campaign engine's noise pass draws a
+//! full block's per-word streams with it where that is faster.
 //!
 //! Streams are deterministic for a given seed and stable across runs and
 //! platforms, which is exactly what the test suites rely on. The generator
