@@ -216,6 +216,27 @@ endmodule";
         assert!(op.power_mw < of.power_mw);
     }
 
+    /// Pins the power figure's exact bits. The probe counts each block's
+    /// traces once, so however the engine cuts a block into batches, the
+    /// per-gate activity means and so the figure stay the same.
+    #[test]
+    fn power_bits_are_pinned() {
+        let lib = CellLibrary::default();
+        for (netlist, want) in [
+            (generators::iscas_c17(), 0x3f90_bb6e_d677_707au64),
+            (generators::des3(1, 5), 0x3ff6_41f2_12d7_731e),
+        ] {
+            let power = analyze_overhead(&netlist, &lib, 700, 7).unwrap().power_mw;
+            assert_eq!(
+                power.to_bits(),
+                want,
+                "{} gates: {power} mW ({:#018x})",
+                netlist.gate_count(),
+                power.to_bits()
+            );
+        }
+    }
+
     #[test]
     fn ratio_handles_zero_baseline() {
         let z = Overhead::default();
