@@ -11,7 +11,9 @@
 //! --scale N      generator scale factor               (default 1)
 //! --traces N     traces per TVLA class                (default 20000)
 //! --seed N       campaign master seed                 (default 7)
-//! --lane-words W simulator words per gate visit, 1/2/4/8 (default 4)
+//! --lane-words W simulator words per gate visit, 1/2/4/8 (default 8)
+//! --threads N    run only this thread count           (default 1, 2, 4 and,
+//!                above four cores, every core)
 //! --adaptive     also run the sequential-stopping engine and fail if its
 //!                leak verdict diverges from the full run's
 //! --confidence P adaptive clean-verdict confidence    (default 0.95)
@@ -35,6 +37,7 @@ struct Args {
     traces: usize,
     seed: u64,
     lane_words: usize,
+    threads: Option<usize>,
     adaptive: bool,
     confidence: f64,
     out: String,
@@ -49,6 +52,7 @@ fn parse_args() -> Args {
         traces: 20_000,
         seed: 7,
         lane_words: polaris_sim::DEFAULT_LANE_WORDS,
+        threads: None,
         adaptive: false,
         confidence: 0.95,
         out: "BENCH_campaign.json".to_string(),
@@ -95,6 +99,15 @@ fn parse_args() -> Args {
                 );
                 i += 2;
             }
+            "--threads" => {
+                let threads: usize = need(i).parse().expect("--threads takes an integer");
+                if threads == 0 {
+                    eprintln!("--threads must be at least 1");
+                    std::process::exit(2);
+                }
+                a.threads = Some(threads);
+                i += 2;
+            }
             "--adaptive" => {
                 a.adaptive = true;
                 i += 1;
@@ -119,7 +132,8 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 eprintln!(
                     "flags: --quick  --design NAME  --scale N  --traces N  --seed N  \
-                     --lane-words W  --adaptive  --confidence P  --out PATH  --tmap PATH"
+                     --lane-words W  --threads N  --adaptive  --confidence P  --out PATH  \
+                     --tmap PATH"
                 );
                 std::process::exit(0);
             }
@@ -165,6 +179,9 @@ fn main() {
     }
     thread_counts.retain(|&t| t <= cores.max(4));
     thread_counts.dedup();
+    if let Some(threads) = args.threads {
+        thread_counts = vec![threads];
+    }
 
     eprintln!(
         "[campaign bench] {} (scale {}): {} gates, {} traces/class, {} lane words, threads {:?}",

@@ -30,7 +30,7 @@
 use std::io::{BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use polaris_dist::{
@@ -96,9 +96,30 @@ fn proto_err(e: ProtoError) -> CliError {
     }
 }
 
-/// Why a coordinator lock can fail: another connection thread panicked
-/// while holding it.
-const POISONED: &str = "coordinator lock poisoned by a panicked connection thread";
+/// What every connection is told once the coordinator lock is poisoned.
+const POISONED: &str =
+    "a connection handler panicked holding the coordinator lock; the daemon failed closed";
+
+/// The coordinator lock was found poisoned: a connection thread panicked
+/// while holding it, so the coordinator's state may be half-updated.
+struct Poisoned;
+
+impl Poisoned {
+    /// The typed reply a peer gets: an execution failure (class 1).
+    fn reply(&self) -> Message {
+        Message::Error {
+            code: 1,
+            message: POISONED.to_string(),
+        }
+    }
+
+    /// Sends [`Poisoned::reply`] to `peer` and returns the message the
+    /// connection thread logs.
+    fn answer(self, peer: &mut TcpStream) -> String {
+        let _ = self.reply().write_to(peer);
+        POISONED.to_string()
+    }
+}
 
 /// State shared between the accept loop and every connection thread. The
 /// condvar pairs with the coordinator mutex and is notified after every
@@ -109,9 +130,45 @@ struct Shared {
     coordinator: Mutex<Coordinator>,
     changed: Condvar,
     shutdown: AtomicBool,
+    /// Set once the daemon found the coordinator lock poisoned.
+    failed: AtomicBool,
     heartbeat_ms: u64,
     /// Where a shutdown connects to wake the accept loop.
     wake: SocketAddr,
+}
+
+impl Shared {
+    /// Locks the coordinator. Every handler takes the lock here, so one
+    /// that panicked holding it cannot turn later connections into panics:
+    /// the daemon fails closed instead. It stops taking work, wakes every
+    /// waiter and the accept loop, and `serve` exits with a non-zero code
+    /// once the connection threads are done; the caller answers its peer
+    /// with [`Poisoned::reply`].
+    fn coordinator(&self) -> Result<MutexGuard<'_, Coordinator>, Poisoned> {
+        self.coordinator.lock().map_err(|_| self.fail_closed())
+    }
+
+    /// Waits on the condvar for at most `timeout`, under the same rule as
+    /// [`Shared::coordinator`].
+    fn wait<'a>(
+        &self,
+        guard: MutexGuard<'a, Coordinator>,
+        timeout: Duration,
+    ) -> Result<MutexGuard<'a, Coordinator>, Poisoned> {
+        match self.changed.wait_timeout(guard, timeout) {
+            Ok((guard, _)) => Ok(guard),
+            Err(_) => Err(self.fail_closed()),
+        }
+    }
+
+    fn fail_closed(&self) -> Poisoned {
+        if !self.failed.swap(true, Ordering::SeqCst) {
+            self.shutdown.store(true, Ordering::SeqCst);
+            self.changed.notify_all();
+            let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(5));
+        }
+        Poisoned
+    }
 }
 
 /// `polaris-cli serve`
@@ -151,9 +208,19 @@ pub(crate) fn serve(args: &[String]) -> Result<(), CliError> {
         coordinator: Mutex::new(Coordinator::new(trace.owned())),
         changed: Condvar::new(),
         shutdown: AtomicBool::new(false),
+        failed: AtomicBool::new(false),
         heartbeat_ms,
         wake: SocketAddr::new(wake_ip, addr.port()),
     });
+    let served = run_daemon(&listener, &shared);
+    trace.flush().map_err(CliError::from)?;
+    served
+}
+
+/// The accept loop: one thread per connection until a shutdown, then the
+/// per-tenant and per-worker accounting. Fails with exit class 1 when the
+/// daemon failed closed (see [`Shared::coordinator`]).
+fn run_daemon(listener: &TcpListener, shared: &Arc<Shared>) -> Result<(), CliError> {
     let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
     loop {
         let accepted = listener.accept();
@@ -163,7 +230,7 @@ pub(crate) fn serve(args: &[String]) -> Result<(), CliError> {
         match accepted {
             Ok((stream, _)) => {
                 handles.retain(|h| !h.is_finished());
-                let shared = Arc::clone(&shared);
+                let shared = Arc::clone(shared);
                 handles.push(std::thread::spawn(move || {
                     if let Err(e) = handle_connection(stream, &shared) {
                         eprintln!("connection: {e}");
@@ -180,7 +247,10 @@ pub(crate) fn serve(args: &[String]) -> Result<(), CliError> {
         let _ = handle.join();
     }
 
-    let coordinator = shared.coordinator.lock().unwrap();
+    let coordinator = shared.coordinator().map_err(|_| CliError {
+        code: 1,
+        message: POISONED.to_string(),
+    })?;
     for (name, stats) in coordinator.tenant_summary() {
         eprintln!(
             "tenant {name}: {} submissions ({} cached, {} coalesced), \
@@ -199,8 +269,6 @@ pub(crate) fn serve(args: &[String]) -> Result<(), CliError> {
             if lost { " (lost)" } else { "" }
         );
     }
-    drop(coordinator);
-    trace.flush().map_err(CliError::from)?;
     Ok(())
 }
 
@@ -237,7 +305,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> Result<(), String> {
         Ok(Some(Message::Shutdown)) => {
             // Set the flag under the lock, so a handler that has just found
             // it clear is already waiting when the notification comes.
-            let guard = shared.coordinator.lock().expect(POISONED);
+            let guard = shared.coordinator();
             shared.shutdown.store(true, Ordering::SeqCst);
             drop(guard);
             shared.changed.notify_all();
@@ -277,7 +345,10 @@ fn serve_worker(
     shared: &Shared,
     name: &str,
 ) -> Result<(), String> {
-    let worker = shared.coordinator.lock().unwrap().register_worker(name);
+    let worker = match shared.coordinator() {
+        Ok(mut coordinator) => coordinator.register_worker(name),
+        Err(poisoned) => return Err(poisoned.answer(writer)),
+    };
     Message::Welcome {
         worker,
         heartbeat_ms: shared.heartbeat_ms,
@@ -295,7 +366,7 @@ fn serve_worker(
     loop {
         match Message::read_from(reader) {
             Ok(Some(Message::Next)) => {
-                let reply = next_reply(shared, worker);
+                let reply = next_reply(shared, worker).map_err(|p| p.answer(writer))?;
                 if reply == Message::Shutdown {
                     let _ = reply.write_to(writer);
                     break;
@@ -305,9 +376,8 @@ fn serve_worker(
             Ok(Some(Message::Ping)) => {}
             Ok(Some(Message::Done { task, blob })) => {
                 let outcome = shared
-                    .coordinator
-                    .lock()
-                    .unwrap()
+                    .coordinator()
+                    .map_err(|p| p.answer(writer))?
                     .complete_task(task, &blob);
                 if let Err(err) = outcome {
                     eprintln!("worker {name}: part for lease {task} rejected: {err}");
@@ -315,7 +385,10 @@ fn serve_worker(
                 shared.changed.notify_all();
             }
             Ok(Some(Message::Fail { task, reason })) => {
-                shared.coordinator.lock().unwrap().fail_task(task, &reason);
+                shared
+                    .coordinator()
+                    .map_err(|p| p.answer(writer))?
+                    .fail_task(task, &reason);
                 eprintln!("worker {name}: lease {task} failed: {reason}");
                 shared.changed.notify_all();
             }
@@ -324,7 +397,10 @@ fn serve_worker(
             Ok(Some(_)) | Ok(None) | Err(_) => break,
         }
     }
-    shared.coordinator.lock().unwrap().worker_lost(worker);
+    shared
+        .coordinator()
+        .map_err(|p| p.answer(writer))?
+        .worker_lost(worker);
     shared.changed.notify_all();
     Ok(())
 }
@@ -333,24 +409,24 @@ fn serve_worker(
 /// `Shutdown` as soon as the daemon drains. While neither holds, the
 /// handler waits on the condvar with the coordinator unlocked, and answers
 /// `Idle` after half the heartbeat budget.
-fn next_reply(shared: &Shared, worker: u64) -> Message {
+fn next_reply(shared: &Shared, worker: u64) -> Result<Message, Poisoned> {
     let deadline = Instant::now() + Duration::from_millis(shared.heartbeat_ms / 2);
-    let mut guard = shared.coordinator.lock().expect(POISONED);
+    let mut guard = shared.coordinator()?;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
-            return Message::Shutdown;
+            return Ok(Message::Shutdown);
         }
         if let Some((lease, spec)) = guard.next_task(worker) {
-            return Message::Task {
+            return Ok(Message::Task {
                 task: lease,
                 blob: spec.render(),
-            };
+            });
         }
         let left = deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
-            return Message::Idle;
+            return Ok(Message::Idle);
         }
-        guard = shared.changed.wait_timeout(guard, left).expect(POISONED).0;
+        guard = shared.wait(guard, left)?;
     }
 }
 
@@ -374,7 +450,10 @@ fn client_reply(shared: &Shared, version: u16, blob: &[u8]) -> Message {
             }
         }
     };
-    let outcome = shared.coordinator.lock().unwrap().submit(&sub);
+    let outcome = match shared.coordinator() {
+        Ok(mut coordinator) => coordinator.submit(&sub),
+        Err(poisoned) => return poisoned.reply(),
+    };
     shared.changed.notify_all();
     match outcome {
         Err(e) => Message::Error {
@@ -388,7 +467,10 @@ fn client_reply(shared: &Shared, version: u16, blob: &[u8]) -> Message {
             } else {
                 ResultOrigin::Computed
             };
-            let mut guard = shared.coordinator.lock().unwrap();
+            let mut guard = match shared.coordinator() {
+                Ok(guard) => guard,
+                Err(poisoned) => return poisoned.reply(),
+            };
             loop {
                 match guard.job_status(job) {
                     JobStatus::Done(result) => break result_message(&result, origin),
@@ -406,11 +488,10 @@ fn client_reply(shared: &Shared, version: u16, blob: &[u8]) -> Message {
                                 message: "service shutting down before the job settled".to_string(),
                             };
                         }
-                        let (g, _) = shared
-                            .changed
-                            .wait_timeout(guard, Duration::from_millis(100))
-                            .unwrap();
-                        guard = g;
+                        guard = match shared.wait(guard, Duration::from_millis(100)) {
+                            Ok(guard) => guard,
+                            Err(poisoned) => break poisoned.reply(),
+                        };
                     }
                 }
             }
@@ -495,6 +576,7 @@ pub(crate) fn worker(args: &[String]) -> Result<(), CliError> {
             }
             Some(Message::Idle) => {}
             Some(Message::Shutdown) | None => break,
+            Some(Message::Error { code, message }) => return Err(CliError { code, message }),
             Some(_) => return Err(CliError::from("unexpected daemon message".to_string())),
         }
     }
@@ -646,5 +728,79 @@ fn design_token(path: &str) -> String {
         "design".to_string()
     } else {
         token
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use polaris_obs::NullRecorder;
+
+    /// A handler that panics while holding the coordinator lock poisons it.
+    /// The next handlers answer with a typed error instead of panicking in
+    /// turn, and the daemon stops accepting and exits with a non-zero code.
+    #[test]
+    fn a_panicking_handler_fails_the_daemon_closed() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+        let addr = listener.local_addr().expect("bound address");
+        let shared = Arc::new(Shared {
+            coordinator: Mutex::new(Coordinator::new(Arc::new(NullRecorder))),
+            changed: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            failed: AtomicBool::new(false),
+            heartbeat_ms: 1_000,
+            wake: addr,
+        });
+        let daemon = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || run_daemon(&listener, &shared))
+        };
+        let handler = Arc::clone(&shared);
+        let panicked = std::thread::spawn(move || {
+            let _held = handler.coordinator().ok();
+            panic!("a handler panics holding the coordinator lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+
+        // A worker's HELLO reaches a handler, which finds the lock poisoned.
+        let (mut reader, mut writer) = connect_to(&addr.to_string()).expect("daemon listens");
+        Message::Hello {
+            version: PROTO_VERSION,
+            name: "w".to_string(),
+        }
+        .write_to(&mut writer)
+        .expect("send HELLO");
+        match Message::read_from(&mut reader) {
+            Ok(Some(Message::Error { code, message })) => {
+                assert_eq!(code, 1);
+                assert_eq!(message, POISONED);
+            }
+            other => panic!("expected a typed error reply, got {other:?}"),
+        }
+        let exit = daemon.join().expect("the accept loop returns");
+        assert_eq!(exit.expect_err("the daemon fails closed").code, 1);
+
+        // A submission gets the same reply, and never reaches the coordinator.
+        let sub = Submission {
+            tenant: "t".to_string(),
+            name: "c17".to_string(),
+            format: DesignFormat::Bench,
+            traces: 64,
+            seed: 1,
+            cycles: 1,
+            glitch: false,
+            adaptive: false,
+            confidence: 0.95,
+            source: "INPUT(a)\nOUTPUT(b)\nb = NOT(a)\n".to_string(),
+        };
+        assert_eq!(
+            client_reply(&shared, PROTO_VERSION, &sub.render()),
+            Poisoned.reply()
+        );
+        assert_eq!(
+            next_reply(&shared, 0).err().map(|p| p.reply()),
+            Some(Poisoned.reply())
+        );
     }
 }

@@ -48,19 +48,24 @@ struct ActivityProbe {
 }
 
 impl TraceSink for ActivityProbe {
+    /// Adds each gate's energies to its sum, and counts a block's traces
+    /// once, with the batch that starts at gate 0.
     fn record_batch(&mut self, pop: Population, batch: EnergyBatch<'_>) {
         if pop != Population::Random {
             return;
         }
-        if self.sums.is_empty() {
-            self.sums.resize(batch.gates(), 0.0);
+        let gates = batch.first_gate()..batch.first_gate() + batch.gates();
+        if self.sums.len() < batch.design_gates() {
+            self.sums.resize(batch.design_gates(), 0.0);
         }
-        for (g, sum) in self.sums.iter_mut().enumerate().take(batch.gates()) {
+        for (g, sum) in self.sums[gates].iter_mut().enumerate() {
             for &e in batch.gate_lanes(g) {
                 *sum += e;
             }
         }
-        self.traces += batch.lanes();
+        if batch.first_gate() == 0 {
+            self.traces += batch.lanes();
+        }
     }
 }
 

@@ -49,13 +49,13 @@
 //!
 //! The simulator evaluates `W` 64-lane words per gate visit
 //! (`W ∈ {1, 2, 4, 8}`, see [`Parallelism::with_lane_words`]); samples are
-//! streamed to a [`TraceSink`] in up-to-`W × 64`-lane batches so leakage
-//! assessment can run in constant memory. Because every random stream stays
-//! keyed per 64-lane *word* and per-gate energies are emitted in the same
-//! `(gate-major, lane-minor)` order at every width, the lane width — like
-//! the thread count — **never affects results**: outcomes are byte-identical
-//! for any `W`. [`GateSamples`] is the dense collector used for small
-//! designs and figures.
+//! streamed to a [`TraceSink`] in batches of up to [`GATE_CHUNK`] gates ×
+//! `W × 64` lanes, so leakage assessment runs in constant memory. Because
+//! every random stream stays keyed per 64-lane *word* and each gate's
+//! energies reach its sink in trace order at every width, the lane width —
+//! like the thread count — **never affects results**: outcomes are
+//! byte-identical for any `W`. [`GateSamples`] is the dense collector used
+//! for small designs and figures.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -67,7 +67,7 @@ use rand::{Rng, SeedableRng};
 use crate::fleet::FleetJob;
 use crate::logic::{BlockBuffers, BlockState, Simulator};
 use crate::power::{
-    fill_words, lockstep_words, sample_standard_normal, BitEnergy, CountEnergy, PowerModel,
+    fill_words_at, lockstep_words, sample_standard_normal, BitEnergy, CountEnergy, PowerModel,
 };
 pub use crate::round::{CampaignOutcome, CampaignStats, Checkpoint, NeverStop, StoppingRule};
 
@@ -78,18 +78,29 @@ pub const WORD_LANES: usize = 64;
 pub const MAX_LANE_WORDS: usize = 8;
 
 /// Default lane width of the engine, in words (see
-/// [`Parallelism::with_lane_words`]).
-pub const DEFAULT_LANE_WORDS: usize = 4;
+/// [`Parallelism::with_lane_words`]). One 8-word block covers 512 traces:
+/// two [`TRACES_PER_SHARD`]-trace shards of one population, next to each
+/// other in its trace order, which the engine simulates and noise-fills
+/// together while each keeps its own sink.
+pub const DEFAULT_LANE_WORDS: usize = 8;
 
 /// Maximum lanes per [`TraceSink::record_batch`] call:
 /// `MAX_LANE_WORDS × WORD_LANES`. Every batch carries between 1 and this
 /// many lanes; the engine's actual batch size is `lane_words × 64`, capped
-/// by the remaining traces of the range.
+/// by the remaining traces of the sink's range.
 pub const BATCH_LANES: usize = MAX_LANE_WORDS * WORD_LANES;
+
+/// Gates per batch the engine emits: it fills and records a block's
+/// energies [`GATE_CHUNK`] gates at a time, so its energy buffer holds one
+/// chunk (256 KiB at 8 words), not the whole gates × lanes matrix.
+pub const GATE_CHUNK: usize = 64;
 
 /// Traces per shard of the parallel engine's fixed work grid. The grid is a
 /// pure function of the campaign configuration, so results do not depend on
-/// how many workers process it.
+/// how many workers process it. A shard is the unit of folding: it has its
+/// own sink at every lane width, also when the engine simulates it in one
+/// 8-word block with the next shard of its population (see
+/// [`DEFAULT_LANE_WORDS`]).
 pub const TRACES_PER_SHARD: usize = 256;
 
 /// Default shards per round of the checkpointed engine: 4 shards (2 per
@@ -237,7 +248,9 @@ impl std::fmt::Display for BatchShapeError {
 
 impl std::error::Error for BatchShapeError {}
 
-/// A shape-checked view of one batch's per-gate energy matrix.
+/// A shape-checked view of one batch's per-gate energy matrix: the
+/// energies of the contiguous gate range `first_gate()..first_gate() +
+/// gates()` of a design of `design_gates()` gates, in `lanes()` traces.
 ///
 /// Constructing the view validates the batch invariants once —
 /// `1 ≤ lanes ≤ BATCH_LANES` and `energies.len() == gates × lanes` — so
@@ -247,13 +260,16 @@ impl std::error::Error for BatchShapeError {}
 #[derive(Clone, Copy, Debug)]
 pub struct EnergyBatch<'a> {
     energies: &'a [f64],
+    first_gate: usize,
     gates: usize,
+    design_gates: usize,
     lanes: usize,
 }
 
 impl<'a> EnergyBatch<'a> {
     /// Validates and wraps an energy matrix where `energies[g * lanes + l]`
-    /// is the sample of gate `g` in trace-lane `l`.
+    /// is the sample of gate `g` in trace-lane `l`. The batch covers the
+    /// whole design; see [`EnergyBatch::in_design`] for part of one.
     ///
     /// # Errors
     ///
@@ -274,9 +290,40 @@ impl<'a> EnergyBatch<'a> {
         }
         Ok(EnergyBatch {
             energies,
+            first_gate: 0,
             gates,
+            design_gates: gates,
             lanes,
         })
+    }
+
+    /// The same matrix as the rows of gates `first_gate..` of a design of
+    /// `design_gates` gates: row `g` is gate `first_gate + g`. Knowing the
+    /// design's size, a sink can size its per-gate state once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows reach past the design's last gate.
+    #[must_use]
+    pub fn in_design(mut self, first_gate: usize, design_gates: usize) -> Self {
+        assert!(
+            first_gate + self.gates <= design_gates,
+            "gates {first_gate}..{} outside a {design_gates}-gate design",
+            first_gate + self.gates
+        );
+        self.first_gate = first_gate;
+        self.design_gates = design_gates;
+        self
+    }
+
+    /// The design index of the batch's first gate (row 0).
+    pub fn first_gate(&self) -> usize {
+        self.first_gate
+    }
+
+    /// The number of gates of the design the batch is part of.
+    pub fn design_gates(&self) -> usize {
+        self.design_gates
     }
 
     /// Number of gates covered by the batch.
@@ -289,7 +336,8 @@ impl<'a> EnergyBatch<'a> {
         self.lanes
     }
 
-    /// The `lanes` energy samples of gate `g`, one per trace in trace order.
+    /// The `lanes` energy samples of the batch's row `g` — design gate
+    /// `first_gate() + g` — one per trace in trace order.
     ///
     /// # Panics
     ///
@@ -307,19 +355,25 @@ impl<'a> EnergyBatch<'a> {
 /// Receiver for streamed per-gate energy samples.
 pub trait TraceSink {
     /// Records one shape-checked batch (see [`EnergyBatch`]):
-    /// `batch.gate_lanes(g)[l]` is the energy sample of gate `g` in
-    /// trace-lane `l`.
+    /// `batch.gate_lanes(g)[l]` is the energy sample of design gate
+    /// `batch.first_gate() + g` in trace-lane `l`, of a design of
+    /// `batch.design_gates()` gates.
     ///
     /// # Batch-shape contract
     ///
     /// `1 <= batch.lanes() <= BATCH_LANES`, where
-    /// `BATCH_LANES = MAX_LANE_WORDS × 64`. Batches of one contiguous trace
-    /// range arrive in trace order; an engine running at lane width `W`
-    /// emits `W × 64`-lane batches except possibly the *last* batch of the
-    /// range, which reports its true trailing lane count. Sinks must
-    /// therefore never assume a particular batch width — partial batches
-    /// carry real samples, and the same trace range may arrive in different
-    /// batch sizes at different lane widths while folding to byte-identical
+    /// `BATCH_LANES = MAX_LANE_WORDS × 64`. A batch covers a contiguous gate
+    /// range and a contiguous trace range. The engine cuts its sink's
+    /// traces into *blocks* of up to `W × 64` lanes, in trace order, and
+    /// emits each block as consecutive batches of at most [`GATE_CHUNK`]
+    /// gates in ascending gate order that together cover every gate of the
+    /// design; all batches of a block have its lane count, and they all
+    /// arrive before the next block's first. So every gate's samples
+    /// arrive in trace order, and a sink that counts traces counts the
+    /// batches whose `first_gate()` is 0. Sinks must never assume a
+    /// particular batch width or gate range — partial batches carry real
+    /// samples, and the same trace range may arrive in different batch
+    /// sizes at different lane widths while folding to byte-identical
     /// accumulator state.
     ///
     /// Every batch starts on a [`WORD_LANES`]-trace word boundary of its
@@ -523,15 +577,15 @@ impl GateSamples {
 
 impl TraceSink for GateSamples {
     fn record_batch(&mut self, pop: Population, batch: EnergyBatch<'_>) {
-        let gates = batch.gates();
+        let (first, gates) = (batch.first_gate(), batch.gates());
         let store = match pop {
             Population::Fixed => &mut self.fixed,
             Population::Random => &mut self.random,
         };
-        if store.len() < gates {
-            store.resize(gates, Vec::new());
+        if store.len() < batch.design_gates() {
+            store.resize(batch.design_gates(), Vec::new());
         }
-        for (g, samples) in store.iter_mut().enumerate().take(gates) {
+        for (g, samples) in store[first..first + gates].iter_mut().enumerate() {
             samples.extend_from_slice(batch.gate_lanes(g));
         }
     }
@@ -592,7 +646,8 @@ pub(crate) struct BlockScratch {
     /// Per-lane toggle counters, `W × 64` per gate, sized and cleared by
     /// each block that counts toggles.
     toggles: Vec<u32>,
-    /// Gate-major energy matrix of the current batch.
+    /// Energies of the [`GATE_CHUNK`] gates being emitted: one gate-major
+    /// matrix per [`Piece`] of the block, one after another.
     energies: Vec<f64>,
     /// Input-major data words (`W` per data input).
     data: Vec<u64>,
@@ -605,10 +660,14 @@ pub(crate) struct BlockScratch {
 impl BlockScratch {
     /// Sizes every buffer but the state and the toggle counters (which
     /// only blocks that count toggles size, as they clear them) for
-    /// `engine` at `W` words.
+    /// `engine` at `W` words. The energies take one chunk of gates, and
+    /// never more capacity than the largest chunk met.
     fn fit<const W: usize>(&mut self, engine: &Engine<'_>) {
+        let chunk = engine.gates.min(GATE_CHUNK) * W * WORD_LANES;
         self.prev.resize(engine.gates * W, 0);
-        self.energies.resize(engine.gates * W * WORD_LANES, 0.0);
+        self.energies
+            .reserve_exact(chunk.saturating_sub(self.energies.len()));
+        self.energies.resize(chunk, 0.0);
         self.data.resize(engine.n_data * W, 0);
         self.zero_data.resize(engine.n_data * W, 0);
         self.masks.resize(engine.n_mask * W, 0);
@@ -640,6 +699,113 @@ impl ShardTiming {
             power_ns: self.power_ns,
             acc_ns: self.acc_ns,
         }
+    }
+
+    /// Shares a unit's times among its shards in proportion to their trace
+    /// `counts`. The last shard takes the rounding remainder, so each
+    /// phase's shares add up to the unit's time.
+    fn split(&self, counts: &[usize]) -> Vec<ShardTiming> {
+        let whole = [
+            self.wall_ns,
+            self.rng_ns,
+            self.sim_ns,
+            self.power_ns,
+            self.acc_ns,
+        ];
+        let total = counts.iter().sum::<usize>().max(1) as u128;
+        let mut left = whole;
+        counts
+            .iter()
+            .enumerate()
+            .map(|(i, &count)| {
+                let last = i + 1 == counts.len();
+                let [wall_ns, rng_ns, sim_ns, power_ns, acc_ns] = std::array::from_fn(|f| {
+                    let share = if last {
+                        left[f]
+                    } else {
+                        (u128::from(whole[f]) * count as u128 / total) as u64
+                    };
+                    left[f] -= share;
+                    share
+                });
+                ShardTiming {
+                    wall_ns,
+                    rng_ns,
+                    sim_ns,
+                    power_ns,
+                    acc_ns,
+                }
+            })
+            .collect()
+    }
+}
+
+/// The part of a block that goes to one sink: the block's lanes
+/// `lane0..lane0 + lanes`, which start on a word boundary.
+#[derive(Clone, Copy, Debug, Default)]
+struct Piece {
+    sink: usize,
+    lane0: usize,
+    lanes: usize,
+}
+
+/// The pieces of the block of `lanes` traces that starts `done` traces into
+/// a range whose consecutive sinks take `counts` traces each: one piece per
+/// sink the block reaches, in trace order, in the first `len` entries.
+fn block_pieces(counts: &[usize], done: usize, lanes: usize) -> ([Piece; MAX_LANE_WORDS], usize) {
+    let mut pieces = [Piece::default(); MAX_LANE_WORDS];
+    let (mut len, mut lo) = (0usize, 0usize);
+    for (sink, &count) in counts.iter().enumerate() {
+        let (a, b) = (lo.max(done), (lo + count).min(done + lanes));
+        if a < b {
+            pieces[len] = Piece {
+                sink,
+                lane0: a - done,
+                lanes: b - a,
+            };
+            len += 1;
+        }
+        lo += count;
+    }
+    (pieces, len)
+}
+
+/// Where the power pass writes one chunk of gates of a block: row `i` of
+/// the chunk (gate `gates.start + i`) has word `w` of the block at
+/// `at[w] + i * stride[w]` of the energy buffer.
+struct ChunkRows {
+    gates: std::ops::Range<usize>,
+    /// The block's lane count.
+    lanes: usize,
+    at: [usize; MAX_LANE_WORDS],
+    stride: [usize; MAX_LANE_WORDS],
+}
+
+impl ChunkRows {
+    /// The layout of `gates` for a block of `lanes` traces in `pieces`: each
+    /// piece a gate-major matrix of its own lanes, one after another, so a
+    /// sink's rows are contiguous.
+    fn new(gates: std::ops::Range<usize>, lanes: usize, pieces: &[Piece]) -> Self {
+        let n = gates.len();
+        let (mut at, mut stride) = ([0; MAX_LANE_WORDS], [0; MAX_LANE_WORDS]);
+        for p in pieces {
+            for w in p.lane0 / WORD_LANES..(p.lane0 + p.lanes).div_ceil(WORD_LANES) {
+                at[w] = n * p.lane0 + w * WORD_LANES - p.lane0;
+                stride[w] = p.lanes;
+            }
+        }
+        ChunkRows {
+            gates,
+            lanes,
+            at,
+            stride,
+        }
+    }
+
+    /// The energy rows of `piece`, gate-major.
+    fn piece(&self, piece: Piece) -> std::ops::Range<usize> {
+        let n = self.gates.len();
+        n * piece.lane0..n * (piece.lane0 + piece.lanes)
     }
 }
 
@@ -715,39 +881,72 @@ impl<'a> Engine<'a> {
     ) {
         let mut timer = PhaseTimer::disabled();
         let mut scratch = BlockScratch::default();
-        self.run_range_timed(pop, start, count, sink, &mut timer, &mut scratch);
+        self.run_range_timed(
+            pop,
+            start,
+            &[count],
+            std::slice::from_mut(sink),
+            &mut timer,
+            &mut scratch,
+        );
     }
 
-    /// Simulates one grid shard into `sink` in the worker's `scratch`. With
-    /// `timed`, also returns the shard's wall time and its
-    /// rng/simulate/power/accumulate split.
-    pub(crate) fn run_shard<S: TraceSink>(
+    /// Simulates the shards of `unit` (see [`work_units`]) in the worker's
+    /// `scratch`, each into a fresh sink from `factory`, and returns each
+    /// shard's grid index and sink in grid order. With `timed`, each also
+    /// gets its share of the unit's wall time and rng/simulate/power/
+    /// accumulate split, in proportion to its trace count.
+    ///
+    /// The shards of a unit are one contiguous trace range of their
+    /// population, so the engine runs them as one range whose blocks may
+    /// reach into both; every sink still receives exactly the batches of
+    /// its own traces, and so ends in the state a run of its shard alone
+    /// leaves.
+    pub(crate) fn run_unit<S: TraceSink>(
         &self,
-        shard: ShardSpec,
-        sink: &mut S,
+        grid: &[ShardSpec],
+        unit: WorkUnit,
+        factory: &dyn Fn() -> S,
         timed: bool,
         scratch: &mut BlockScratch,
-    ) -> Option<ShardTiming> {
+    ) -> Vec<(usize, S, Option<ShardTiming>)> {
+        let shards: Vec<ShardSpec> = unit.grid_indices().map(|i| grid[i]).collect();
+        let counts: Vec<usize> = shards.iter().map(ShardSpec::count).collect();
+        let contiguous = shards
+            .windows(2)
+            .all(|p| p[1].pop == p[0].pop && p[1].start == p[0].start + p[0].count);
+        assert!(contiguous, "a unit's shards are adjacent: {shards:?}");
+        let mut sinks: Vec<S> = shards.iter().map(|_| factory()).collect();
         let mut timer = PhaseTimer::new(timed);
         let t0 = timer.begin();
         self.run_range_timed(
-            shard.pop,
-            shard.start,
-            shard.count,
-            sink,
+            shards[0].pop,
+            shards[0].start,
+            &counts,
+            &mut sinks,
             &mut timer,
             scratch,
         );
-        t0.map(|t0| ShardTiming {
-            wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            rng_ns: timer.nanos(Phase::Rng),
-            sim_ns: timer.nanos(Phase::Simulate),
-            power_ns: timer.nanos(Phase::Power),
-            acc_ns: timer.nanos(Phase::Accumulate),
-        })
+        let timings = t0.map(|t0| {
+            ShardTiming {
+                wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                rng_ns: timer.nanos(Phase::Rng),
+                sim_ns: timer.nanos(Phase::Simulate),
+                power_ns: timer.nanos(Phase::Power),
+                acc_ns: timer.nanos(Phase::Accumulate),
+            }
+            .split(&counts)
+        });
+        let mut timings = timings.map(Vec::into_iter);
+        unit.grid_indices()
+            .zip(sinks)
+            .map(|(i, sink)| (i, sink, timings.as_mut().and_then(Iterator::next)))
+            .collect()
     }
 
-    /// [`Engine::run_range`] with per-phase timing: rng/simulate/power/accumulate
+    /// Simulates the contiguous trace range of one population that starts
+    /// at `start` and whose consecutive parts of `counts` traces go to the
+    /// matching `sinks`, with per-phase timing: rng/simulate/power/accumulate
     /// nanoseconds accumulate into `timer` (free when the timer is
     /// disabled). Timing is strictly observational — no RNG draw, batch
     /// boundary, or sink call depends on it, so traced and untraced runs
@@ -756,16 +955,16 @@ impl<'a> Engine<'a> {
         &self,
         pop: Population,
         start: usize,
-        count: usize,
-        sink: &mut S,
+        counts: &[usize],
+        sinks: &mut [S],
         timer: &mut PhaseTimer,
         scratch: &mut BlockScratch,
     ) {
         match self.lane_words {
-            1 => self.run_range_w::<S, 1>(pop, start, count, sink, timer, scratch),
-            2 => self.run_range_w::<S, 2>(pop, start, count, sink, timer, scratch),
-            4 => self.run_range_w::<S, 4>(pop, start, count, sink, timer, scratch),
-            8 => self.run_range_w::<S, 8>(pop, start, count, sink, timer, scratch),
+            1 => self.run_range_w::<S, 1>(pop, start, counts, sinks, timer, scratch),
+            2 => self.run_range_w::<S, 2>(pop, start, counts, sinks, timer, scratch),
+            4 => self.run_range_w::<S, 4>(pop, start, counts, sinks, timer, scratch),
+            8 => self.run_range_w::<S, 8>(pop, start, counts, sinks, timer, scratch),
             w => unreachable!("lane width {w} rejected at construction"),
         }
     }
@@ -774,42 +973,52 @@ impl<'a> Engine<'a> {
         &self,
         pop: Population,
         start: usize,
-        count: usize,
-        sink: &mut S,
+        counts: &[usize],
+        sinks: &mut [S],
         timer: &mut PhaseTimer,
         scratch: &mut BlockScratch,
     ) {
         // Sink bits depend on this: see the `TraceSink::record_batch` contract.
         assert_eq!(start % WORD_LANES, 0, "shards must be word-aligned");
+        assert_eq!(counts.len(), sinks.len(), "one sink per part of the range");
+        assert!(
+            counts.iter().rev().skip(1).all(|c| c % WORD_LANES == 0),
+            "sinks meet on word boundaries: {counts:?}"
+        );
         scratch.fit::<W>(self);
         let mut st = self
             .sim
             .zero_block_in::<W>(std::mem::take(&mut scratch.state));
+        let total: usize = counts.iter().sum();
         let mut done = 0usize;
-        while done < count {
-            let lanes = (count - done).min(W * WORD_LANES);
+        while done < total {
+            let lanes = (total - done).min(W * WORD_LANES);
+            let (pieces, len) = block_pieces(counts, done, lanes);
             let block = start + done..start + done + lanes;
-            self.run_block::<S, W>(pop, block, &mut st, scratch, sink, timer);
+            self.run_block::<S, W>(pop, block, &pieces[..len], &mut st, scratch, sinks, timer);
             done += lanes;
         }
         scratch.state = st.into_buffers();
     }
 
     /// Simulates one `W`-word block: the traces `block` of `pop`, at most
-    /// `W × 64` of them.
+    /// `W × 64` of them, whose `pieces` go to their `sinks`.
     ///
     /// Cross-width identity: every random stream is keyed by the 64-lane
-    /// *word* it feeds (`block_start + w × 64`), and energies are emitted in
-    /// `(gate-major, lane-minor)` order — so a block is exactly the
-    /// concatenation of the `W` single-word batches a `W = 1` engine would
-    /// produce, and sinks fold to byte-identical state at every width.
+    /// *word* it feeds (`block_start + w × 64`), every lane is simulated on
+    /// its own, and each gate's energies reach its sink in trace order — so
+    /// a block is exactly the concatenation of the `W` single-word batches
+    /// a `W = 1` engine would produce, and sinks fold to byte-identical
+    /// state at every width and whichever shards share a block.
+    #[allow(clippy::too_many_arguments)]
     fn run_block<S: TraceSink, const W: usize>(
         &self,
         pop: Population,
         block: std::ops::Range<usize>,
+        pieces: &[Piece],
         st: &mut BlockState<W>,
         scratch: &mut BlockScratch,
-        sink: &mut S,
+        sinks: &mut [S],
         timer: &mut PhaseTimer,
     ) {
         let (block_start, lanes) = (block.start as u64, block.len());
@@ -834,9 +1043,8 @@ impl<'a> Engine<'a> {
 
         let mut mask_rngs: [StdRng; W] =
             std::array::from_fn(|w| batch_stream_rng(seed, pop, word_start(w), STREAM_MASK));
-        let noise_rngs: [StdRng; W] =
+        let mut noise_rngs: [StdRng; W] =
             std::array::from_fn(|w| batch_stream_rng(seed, pop, word_start(w), STREAM_NOISE));
-
         let t_rng = timer.begin();
         let data = &mut scratch.data;
         match (pop, &self.second_fixed_words) {
@@ -936,40 +1144,49 @@ impl<'a> Engine<'a> {
             timer.end(Phase::Simulate, t_sim);
         }
 
-        let t_power = timer.begin();
-        self.emit_block(lanes, single_cycle, st.values(), &noise_rngs, scratch);
-        timer.end(Phase::Power, t_power);
-        let t_acc = timer.begin();
-        let energies = &scratch.energies[..self.gates * lanes];
-        let batch = EnergyBatch::new(energies, self.gates, lanes)
-            .expect("engine emits well-formed batches");
-        sink.record_batch(pop, batch);
-        timer.end(Phase::Accumulate, t_acc);
+        // Each chunk of gates is filled, then recorded while it is hot;
+        // the noise streams carry on from chunk to chunk, so each stream
+        // still draws for the gates in ascending order.
+        for first in (0..self.gates).step_by(GATE_CHUNK) {
+            let rows = ChunkRows::new(first..(first + GATE_CHUNK).min(self.gates), lanes, pieces);
+            let t_power = timer.begin();
+            self.emit_chunk(&rows, single_cycle, st.values(), &mut noise_rngs, scratch);
+            timer.end(Phase::Power, t_power);
+            let t_acc = timer.begin();
+            for &piece in pieces {
+                let energies = &scratch.energies[rows.piece(piece)];
+                let batch = EnergyBatch::new(energies, rows.gates.len(), piece.lanes)
+                    .expect("engine emits well-formed batches")
+                    .in_design(first, self.gates);
+                sinks[piece.sink].record_batch(pop, batch);
+            }
+            timer.end(Phase::Accumulate, t_acc);
+        }
     }
 
-    /// The power pass of one block of `lanes` traces: every gate's energies
-    /// into its row of `scratch.energies`, `(gate-major, lane-minor)`.
-    /// Full words precede the partial trailing word, so lane `w * 64 + l`
-    /// of the batch is sample `w * 64 + l` of the gate's row — contiguous
-    /// at any width. Each word's noise comes from its own stream in `noise`
-    /// (one per word of the block's width), fused with the gate's toggles
-    /// (bits of `values ^ prev` when `single_cycle`, else the counters)
-    /// straight into the row. Where the host's noise kernel runs lockstep
-    /// fills faster ([`lockstep_words`]), runs of full words are drawn in
-    /// lockstep, all `W` of a full block at the default width; the other
-    /// words, a partial trailing word among them, run one at a time.
+    /// The power pass of one chunk of gates of a block: every gate's
+    /// energies into its rows of `scratch.energies`, laid out as `rows`
+    /// says, so each piece's rows are one gate-major matrix. Each word's
+    /// noise comes from its own stream in `noise` (one per word of the
+    /// block's width), fused with the gate's toggles (bits of
+    /// `values ^ prev` when `single_cycle`, else the counters) straight
+    /// into the row. Where the host's noise kernel runs lockstep fills
+    /// faster ([`lockstep_words`]), runs of full words are drawn in
+    /// lockstep: all 8 of a block of two full shards at the default width,
+    /// though their rows belong to two sinks. The other words, a partial
+    /// trailing word among them, run one at a time.
     ///
     /// Generic over neither the sink nor the width, so the noise kernels
     /// are compiled once, here, not once per crate that runs a campaign.
-    fn emit_block(
+    fn emit_chunk(
         &self,
-        lanes: usize,
+        rows: &ChunkRows,
         single_cycle: bool,
         values: &[u64],
-        noise: &[StdRng],
+        noise: &mut [StdRng],
         scratch: &mut BlockScratch,
     ) {
-        let (full, words) = (lanes / WORD_LANES, lanes.div_ceil(WORD_LANES));
+        let (full, words) = (rows.lanes / WORD_LANES, rows.lanes.div_ceil(WORD_LANES));
         let mut w = 0;
         while w < words {
             let run = lockstep_words()
@@ -978,40 +1195,42 @@ impl<'a> Engine<'a> {
                 .find(|&n| w + n <= full)
                 .unwrap_or(1);
             match run {
-                8 => self.emit_words::<8>(w, lanes, single_cycle, values, noise, scratch),
-                4 => self.emit_words::<4>(w, lanes, single_cycle, values, noise, scratch),
-                1 => self.emit_words::<1>(w, lanes, single_cycle, values, noise, scratch),
+                8 => self.emit_words::<8>(w, rows, single_cycle, values, noise, scratch),
+                4 => self.emit_words::<4>(w, rows, single_cycle, values, noise, scratch),
+                1 => self.emit_words::<1>(w, rows, single_cycle, values, noise, scratch),
                 n => unreachable!("no lockstep fill of {n} words"),
             }
             w += run;
         }
     }
 
-    /// [`Engine::emit_block`] for words `w0..w0 + N`, whose `N` noise
-    /// streams are drawn in lockstep. The words are all full, or `N = 1`.
+    /// [`Engine::emit_chunk`] for words `w0..w0 + N`, whose `N` noise
+    /// streams are drawn in lockstep and put back where the fill left them.
+    /// The words are all full, or `N = 1`.
     fn emit_words<const N: usize>(
         &self,
         w0: usize,
-        lanes: usize,
+        rows: &ChunkRows,
         single_cycle: bool,
         values: &[u64],
-        noise: &[StdRng],
+        noise: &mut [StdRng],
         scratch: &mut BlockScratch,
     ) {
         let lane_words = noise.len();
         let mut rngs = Lockstep::<N>::from_streams(std::array::from_fn(|k| noise[w0 + k].clone()));
-        let cols = w0 * WORD_LANES..lanes.min((w0 + N) * WORD_LANES);
+        let lanes = (rows.lanes - w0 * WORD_LANES).min(WORD_LANES);
         let sigma = self.sigma;
-        let energies = &mut scratch.energies[..self.gates * lanes];
-        for (g, row) in energies.chunks_exact_mut(lanes).enumerate() {
-            let (cap, at, out) = (self.caps[g], g * lane_words + w0, &mut row[cols.clone()]);
+        let energies = &mut scratch.energies[..rows.gates.len() * rows.lanes];
+        for (i, g) in rows.gates.clone().enumerate() {
+            let (cap, at) = (self.caps[g], g * lane_words + w0);
+            let out = std::array::from_fn(|k| rows.at[w0 + k] + i * rows.stride[w0 + k]);
             if single_cycle {
                 let synths: [BitEnergy; N] = std::array::from_fn(|k| BitEnergy {
                     cap,
                     sigma,
                     diff: values[at + k] ^ scratch.prev[at + k],
                 });
-                fill_words(&mut rngs, &synths, out);
+                fill_words_at(&mut rngs, &synths, energies, out, lanes);
             } else {
                 let synths: [CountEnergy<'_>; N] = std::array::from_fn(|k| {
                     let counts = &scratch.toggles[(at + k) * WORD_LANES..][..WORD_LANES];
@@ -1021,8 +1240,11 @@ impl<'a> Engine<'a> {
                         counts: counts.try_into().expect("a word holds 64 lane counters"),
                     }
                 });
-                fill_words(&mut rngs, &synths, out);
+                fill_words_at(&mut rngs, &synths, energies, out, lanes);
             }
+        }
+        for (k, stream) in rngs.into_streams().into_iter().enumerate() {
+            noise[w0 + k] = stream;
         }
     }
 }
@@ -1101,6 +1323,70 @@ pub fn shard_grid(config: &CampaignConfig) -> Vec<ShardSpec> {
         }
     }
     shards
+}
+
+/// One worker's job of work: a grid shard alone, or with its *partner*,
+/// the next shard of its population in trace order — grid entries `4q`
+/// and `4q + 2`, or `4q + 1` and `4q + 3`, while both classes have shards,
+/// and neighbours among one class's trailing extras. The engine simulates
+/// and noise-fills the two as one 8-word block (see
+/// [`Engine::run_unit`]); each keeps its own sink, streams and words.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct WorkUnit {
+    first: usize,
+    partner: Option<usize>,
+}
+
+impl WorkUnit {
+    /// The unit's grid indices, ascending.
+    pub(crate) fn grid_indices(self) -> impl Iterator<Item = usize> {
+        std::iter::once(self.first).chain(self.partner)
+    }
+
+    /// The unit's highest grid index.
+    pub(crate) fn last(self) -> usize {
+        self.partner.unwrap_or(self.first)
+    }
+
+    /// Number of shards in the unit (1 or 2).
+    pub(crate) fn len(self) -> usize {
+        1 + usize::from(self.partner.is_some())
+    }
+}
+
+/// The work units of the grid entries `range`, ordered by first index, for
+/// `threads` workers at `lane_words`: each shard is paired with its partner
+/// when one block of `lane_words` words reaches into the partner, and only
+/// while the range holds at least two shards per worker, so short
+/// adaptive rounds keep every worker busy. Otherwise every unit is one
+/// shard. The units tile `range` whatever the pairing, so the fold order
+/// and every shard state stay the same.
+pub(crate) fn work_units(
+    grid: &[ShardSpec],
+    range: std::ops::Range<usize>,
+    lane_words: usize,
+    threads: usize,
+) -> Vec<WorkUnit> {
+    let pair = lane_words * WORD_LANES > TRACES_PER_SHARD && range.len() >= 2 * threads;
+    let mut taken = vec![false; range.len()];
+    let mut units = Vec::with_capacity(range.len());
+    for i in range.clone() {
+        if taken[i - range.start] {
+            continue;
+        }
+        // The population's next shard is one or two entries on.
+        let partner = if pair {
+            (i + 1..range.end.min(i + 3)).find(|&j| grid[j].pop == grid[i].pop)
+        } else {
+            None
+        };
+        if let Some(j) = partner {
+            debug_assert_eq!(grid[j].start, grid[i].start + grid[i].count);
+            taken[j - range.start] = true;
+        }
+        units.push(WorkUnit { first: i, partner });
+    }
+    units
 }
 
 /// Partitions `n_shards` grid entries into `parts` contiguous ranges — the
@@ -1317,7 +1603,8 @@ where
 ///
 /// `shards_per_round` also bounds per-round worker concurrency — the rule
 /// must observe the folded round before the next one is scheduled, so at
-/// most `min(threads, shards_per_round)` shards run at once. A thread
+/// most `shards_per_round` shards run at once, and a round pairs shards
+/// into one block only when it holds at least two per worker. A thread
 /// budget above `shards_per_round` buys nothing; raise the round size
 /// instead (a configuration change, so the determinism contract is
 /// unaffected — the stop round never depends on the thread count).
@@ -1743,6 +2030,9 @@ mod tests {
 
     impl TraceSink for WelchProbe {
         fn record_batch(&mut self, pop: Population, batch: EnergyBatch<'_>) {
+            if batch.first_gate() > 0 {
+                return;
+            }
             match pop {
                 Population::Fixed => self.fixed += batch.lanes(),
                 Population::Random => self.random += batch.lanes(),
@@ -1773,7 +2063,7 @@ mod tests {
         assert!(empty.is_empty());
     }
 
-    /// Sink that records the lane count of every batch it receives.
+    /// Sink that records the lane count of every block it receives.
     #[derive(Default)]
     struct LaneRecorder {
         batches: Vec<(Population, usize)>,
@@ -1782,7 +2072,9 @@ mod tests {
     impl TraceSink for LaneRecorder {
         fn record_batch(&mut self, pop: Population, batch: EnergyBatch<'_>) {
             assert_eq!(batch.energies().len(), batch.gates() * batch.lanes());
-            self.batches.push((pop, batch.lanes()));
+            if batch.first_gate() == 0 {
+                self.batches.push((pop, batch.lanes()));
+            }
         }
     }
 
@@ -1969,9 +2261,15 @@ mod tests {
             for lane_words in [DEFAULT_LANE_WORDS, 8, 1] {
                 for netlist in [&c432, &c17, &c432] {
                     let engine = Engine::new(netlist, &model, &cfg, lane_words).unwrap();
-                    for &shard in grid.iter().rev() {
-                        let mut reused = GateSamples::default();
-                        engine.run_shard(shard, &mut reused, false, &mut scratch);
+                    for (i, &shard) in grid.iter().enumerate().rev() {
+                        let unit = WorkUnit {
+                            first: i,
+                            partner: None,
+                        };
+                        let (_, reused, _) = engine
+                            .run_unit(&grid, unit, &GateSamples::default, false, &mut scratch)
+                            .pop()
+                            .expect("one shard");
                         let mut fresh = GateSamples::default();
                         engine.run_range(shard.pop, shard.start, shard.count, &mut fresh);
                         assert!(
@@ -1984,6 +2282,86 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A unit's times go to its shards in proportion to their trace counts,
+    /// and every phase's shares add up to the unit's time.
+    #[test]
+    fn unit_timing_splits_by_trace_count() {
+        let unit = ShardTiming {
+            wall_ns: 3560,
+            rng_ns: 7,
+            sim_ns: 356,
+            power_ns: 1001,
+            acc_ns: 0,
+        };
+        let shards = unit.split(&[256, 100]);
+        let phases = |t: &ShardTiming| [t.wall_ns, t.rng_ns, t.sim_ns, t.power_ns, t.acc_ns];
+        assert_eq!(phases(&shards[0]), [2560, 5, 256, 719, 0]);
+        assert_eq!(phases(&shards[1]), [1000, 2, 100, 282, 0]);
+        let [alone] = &unit.split(&[37])[..] else {
+            panic!("one shard, one share");
+        };
+        assert_eq!(phases(alone), phases(&unit));
+    }
+
+    /// The energy buffer holds one chunk of gates, not the whole
+    /// gates × lanes matrix: on a design of more than 1000 gates, whatever
+    /// the width and whether blocks pair shards, it never takes more than
+    /// one chunk at the widest block.
+    #[test]
+    fn energy_buffer_never_outgrows_one_chunk() {
+        let big = generators::iscas_like("c1908", 3, 7).unwrap();
+        assert!(big.gate_count() > 1000, "{} gates", big.gate_count());
+        let cfg = CampaignConfig::new(3 * TRACES_PER_SHARD + 40, 2 * TRACES_PER_SHARD, 5);
+        let grid = shard_grid(&cfg);
+        let mut scratch = BlockScratch::default();
+        for lane_words in [1, 8, 2, 4, 8] {
+            let engine = Engine::new(&big, &PowerModel::default(), &cfg, lane_words).unwrap();
+            for unit in work_units(&grid, 0..grid.len(), lane_words, 1) {
+                engine.run_unit(&grid, unit, &GateSamples::default, false, &mut scratch);
+                let capacity = scratch.energies.capacity();
+                assert!(
+                    capacity <= GATE_CHUNK * MAX_LANE_WORDS * WORD_LANES,
+                    "{capacity} energies at W = {lane_words}"
+                );
+            }
+        }
+    }
+
+    /// Every word's noise stream carries its position from one gate chunk
+    /// to the next: after a block, stream `w` has drawn two values per lane
+    /// of its word for every gate, as one pass over all gates leaves it.
+    /// The block is cut between two sinks and has a partial last word.
+    #[test]
+    fn noise_streams_carry_across_chunks() {
+        let c432 = generators::iscas_like("c432", 1, 5).unwrap();
+        let gates = c432.gate_count();
+        assert!(gates > 2 * GATE_CHUNK, "{gates} gates");
+        let cfg = CampaignConfig::new(0, 0, 3);
+        let engine = Engine::new(&c432, &PowerModel::default(), &cfg, 8).unwrap();
+        let mut scratch = BlockScratch::default();
+        scratch.fit::<8>(&engine);
+        let values = vec![0u64; gates * 8];
+        let lanes = TRACES_PER_SHARD + 100;
+        let (pieces, len) = block_pieces(&[TRACES_PER_SHARD, 100], 0, lanes);
+        let mut noise: [StdRng; 8] = std::array::from_fn(|w| StdRng::seed_from_u64(w as u64));
+        for first in (0..gates).step_by(GATE_CHUNK) {
+            let rows = ChunkRows::new(
+                first..(first + GATE_CHUNK).min(gates),
+                lanes,
+                &pieces[..len],
+            );
+            engine.emit_chunk(&rows, true, &values, &mut noise, &mut scratch);
+        }
+        for (w, stream) in noise.iter().enumerate() {
+            let mut want = StdRng::seed_from_u64(w as u64);
+            let word = lanes.saturating_sub(w * WORD_LANES).min(WORD_LANES);
+            for _ in 0..2 * word * gates {
+                want.gen::<u64>();
+            }
+            assert_eq!(*stream, want, "word {w}");
         }
     }
 

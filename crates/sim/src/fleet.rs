@@ -33,9 +33,15 @@
 //! * only the current round of a job is ever handed out (the rule must see
 //!   the folded round before more of that job's grid is scheduled), so no
 //!   shard past a stop boundary is simulated;
-//! * a fleet hands out a job's shards at most one pool's worth ahead of its
-//!   folded prefix, so a job holds at most `threads` private sinks besides
-//!   its accumulator, whatever the length of its rounds.
+//! * a fleet hands out a job's shards at most a fixed window ahead of its
+//!   folded prefix — one shard per pool thread, or two and two more where
+//!   blocks pair shards — so a job holds at most that many private sinks
+//!   besides its accumulator, whatever the length of its rounds.
+//!
+//! Every driver hands its workers *work units* of one shard, or of two
+//! shards of one population next to each other in trace order, which the
+//! engine simulates as one 8-word block; each shard keeps its own sink,
+//! its own fold slot and its own [`Payload::ShardSpan`].
 //!
 //! Every job's [`CampaignOutcome`] is therefore **byte-identical** to its
 //! standalone run — at any worker count and in any job mix.
@@ -48,8 +54,9 @@ use polaris_netlist::{Netlist, NetlistError};
 use polaris_obs::{Payload, Recorder};
 
 use crate::campaign::{
-    run_sharded_with, shard_grid, BlockScratch, CampaignConfig, CampaignOutcome, Engine,
-    MergeableSink, NeverStop, Parallelism, ShardSpec, StoppingRule,
+    run_sharded_with, shard_grid, work_units, BlockScratch, CampaignConfig, CampaignOutcome,
+    Engine, MergeableSink, NeverStop, Parallelism, ShardSpec, StoppingRule, WorkUnit,
+    TRACES_PER_SHARD, WORD_LANES,
 };
 use crate::power::PowerModel;
 use crate::round::{Ingest, RoundFolder};
@@ -167,22 +174,31 @@ impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
             "shard range {shards:?} outside the {}-shard grid",
             grid.len()
         );
-        let (tracing, factory) = (recorder.enabled(), &self.factory);
+        let tracing = recorder.enabled();
+        let units = work_units(
+            &grid,
+            shards,
+            parallelism.lane_words(),
+            parallelism.threads(),
+        );
         let mut scratch = worker_scratch(parallelism);
-        Ok(run_sharded_with(
-            shards.len(),
-            parallelism,
-            &mut scratch,
-            |scratch, i| {
-                let grid_index = shards.start + i;
-                let mut sink = factory();
-                let shard = grid[grid_index];
-                if let Some(timing) = engine.run_shard(shard, &mut sink, tracing, scratch) {
-                    recorder.record(timing.span(0, grid_index, shard));
-                }
-                sink
-            },
-        ))
+        let mut states: Vec<(usize, S)> =
+            run_sharded_with(units.len(), parallelism, &mut scratch, |scratch, u| {
+                let ran = engine.run_unit(&grid, units[u], &*self.factory, tracing, scratch);
+                ran.into_iter()
+                    .map(|(grid_index, sink, timing)| {
+                        if let Some(timing) = timing {
+                            recorder.record(timing.span(0, grid_index, grid[grid_index]));
+                        }
+                        (grid_index, sink)
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        states.sort_by_key(|&(grid_index, _)| grid_index);
+        Ok(states.into_iter().map(|(_, sink)| sink).collect())
     }
 
     /// Runs the job alone across `parallelism` worker threads, each owning
@@ -191,9 +207,10 @@ impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
     /// Workers fold every finished shard into the job's [`RoundFolder`] as
     /// it arrives, so only the out-of-order window is alive at once rather
     /// than one sink per shard; the round ends at a barrier before the next
-    /// is scheduled. At most `min(threads, shards_per_round)` shards run at
-    /// once, and a sequential budget (or a one-shard round) runs inline on
-    /// the calling thread.
+    /// is scheduled. Each worker takes one work unit at a time: two shards
+    /// of the round in one block while the round holds at least two shards
+    /// per worker, else one. A sequential budget (or a one-shard round)
+    /// runs inline on the calling thread.
     ///
     /// An enabled `recorder` gets the campaign start/end markers, one
     /// [`Payload::ShardSpan`] per shard with the rng/simulate/power/accumulate
@@ -249,14 +266,20 @@ impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
             if range.is_empty() {
                 break;
             }
-            run_sharded_with(range.len(), parallelism, &mut scratch, |scratch, i| {
-                let grid_index = range.start + i;
-                let mut sink = (self.factory)();
-                let shard = grid[grid_index];
-                if let Some(timing) = engine.run_shard(shard, &mut sink, tracing, scratch) {
-                    recorder.record(timing.span(round, grid_index, shard));
+            let units = work_units(
+                &grid,
+                range.clone(),
+                parallelism.lane_words(),
+                parallelism.threads(),
+            );
+            run_sharded_with(units.len(), parallelism, &mut scratch, |scratch, u| {
+                let ran = engine.run_unit(&grid, units[u], &*self.factory, tracing, scratch);
+                for (grid_index, sink, timing) in ran {
+                    if let Some(timing) = timing {
+                        recorder.record(timing.span(round, grid_index, grid[grid_index]));
+                    }
+                    locked().ingest(grid_index, sink, recorder);
                 }
-                locked().ingest(grid_index, sink, recorder);
             });
             if tracing {
                 recorder.record(Payload::FoldSpan {
@@ -291,13 +314,13 @@ fn worker_scratch(parallelism: Parallelism) -> Vec<BlockScratch> {
         .collect()
 }
 
-/// Scheduler state of one job (behind the queue lock): which of its grid
-/// indices may be handed out next.
+/// Scheduler state of one job (behind the queue lock): which of its work
+/// units may be handed out next.
 struct Cursor {
-    /// Next grid index to hand out.
+    /// The work units of the round in flight, in hand-out order.
+    units: Vec<WorkUnit>,
+    /// Index into `units` of the next unit to hand out.
     next: usize,
-    /// One past the last grid index of the round in flight.
-    end: usize,
     /// The job's folded prefix, as last reported by its folder.
     folded: usize,
 }
@@ -308,24 +331,32 @@ struct FleetQueue {
     /// Set when a worker panicked outside the lock — wakes waiters so the
     /// scope can propagate the panic instead of deadlocking on the condvar.
     poisoned: bool,
+    /// The pool's lane width and thread count, which decide how each new
+    /// round is cut into work units.
+    lane_words: usize,
+    threads: usize,
 }
 
 impl FleetQueue {
-    /// Hands out the next shard of the first job that has one within
-    /// `window` of its folded prefix.
-    fn pop(&mut self, window: usize) -> Option<(usize, usize)> {
-        let (job, cursor) = self
-            .cursors
-            .iter_mut()
-            .enumerate()
-            .find(|(_, c)| c.next < c.end && c.next < c.folded + window)?;
+    /// Hands out the next work unit of the first job whose next unit lies
+    /// wholly within `window` of its folded prefix.
+    fn pop(&mut self, window: usize) -> Option<(usize, WorkUnit)> {
+        let (job, cursor) = self.cursors.iter_mut().enumerate().find(|(_, c)| {
+            c.units
+                .get(c.next)
+                .is_some_and(|u| u.last() < c.folded + window)
+        })?;
         cursor.next += 1;
-        Some((job, cursor.next - 1))
+        Some((job, cursor.units[cursor.next - 1]))
     }
 
     /// Shards of in-flight rounds not yet handed out.
     fn depth(&self) -> usize {
-        self.cursors.iter().map(|c| c.end - c.next).sum()
+        self.cursors
+            .iter()
+            .flat_map(|c| &c.units[c.next..])
+            .map(|u| u.len())
+            .sum()
     }
 
     /// Books what an ingest did to `job`'s `folder`: the new folded prefix
@@ -346,8 +377,13 @@ impl FleetQueue {
             Ingest::Waiting => false,
             Ingest::Folded(_) => true,
             Ingest::RoundDone { done: false, .. } => {
-                let round = folder.round_range();
-                (cursor.next, cursor.end) = (round.start, round.end);
+                cursor.units = work_units(
+                    folder.grid(),
+                    folder.round_range(),
+                    self.lane_words,
+                    self.threads,
+                );
+                cursor.next = 0;
                 true
             }
             Ingest::RoundDone { done: true, .. } => {
@@ -368,9 +404,23 @@ struct FleetShared<'a, S> {
     engines: Vec<Engine<'a>>,
     grids: Vec<Vec<ShardSpec>>,
     factories: Vec<SinkFactory<'a, S>>,
-    /// How far past a job's folded prefix shards may be handed out: the
-    /// pool size, so each job holds at most that many private sinks.
+    /// How far past a job's folded prefix shards may be handed out (see
+    /// [`window`]), so each job holds at most that many private sinks.
     window: usize,
+}
+
+/// How far past a job's folded prefix a pool of `threads` workers at
+/// `lane_words` hands out shards. One shard per worker when every unit is
+/// one shard. When blocks pair shards, two per worker and two more: the
+/// partner of a unit lies two entries past its first, and the previous
+/// unit's partner may still wait for the fold, so a worker that finishes
+/// the lowest unit can always take the next.
+fn window(lane_words: usize, threads: usize) -> usize {
+    if lane_words * WORD_LANES > TRACES_PER_SHARD {
+        2 * threads + 2
+    } else {
+        threads
+    }
 }
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -415,15 +465,15 @@ fn worker_loop<S: MergeableSink>(shared: &FleetShared<'_, S>, recorder: &dyn Rec
     let mut busy_ns = 0u64;
     let mut scratch = BlockScratch::default();
     'worker: loop {
-        let (job, grid_idx, queue_obs) = {
+        let (job, unit, queue_obs) = {
             let mut queue = lock(&shared.queue);
             loop {
                 if queue.poisoned || queue.remaining_jobs == 0 {
                     break 'worker;
                 }
-                if let Some((job, grid_idx)) = queue.pop(shared.window) {
+                if let Some((job, unit)) = queue.pop(shared.window) {
                     let obs = tracing.then(|| (queue.depth() as u64, queue.remaining_jobs as u64));
-                    break (job, grid_idx, obs);
+                    break (job, unit, obs);
                 }
                 queue = shared
                     .work_ready
@@ -432,10 +482,13 @@ fn worker_loop<S: MergeableSink>(shared: &FleetShared<'_, S>, recorder: &dyn Rec
             }
         };
         if let Some((depth, jobs_remaining)) = queue_obs {
-            recorder.record(Payload::QueueDepth {
-                depth,
-                jobs_remaining,
-            });
+            // One observation per shard, as if they were handed out in turn.
+            for later in (0..unit.len() as u64).rev() {
+                recorder.record(Payload::QueueDepth {
+                    depth: depth + later,
+                    jobs_remaining,
+                });
+            }
         }
 
         let mut sentry = PanicSentry {
@@ -443,30 +496,31 @@ fn worker_loop<S: MergeableSink>(shared: &FleetShared<'_, S>, recorder: &dyn Rec
             work_ready: &shared.work_ready,
             armed: true,
         };
-        let shard = shared.grids[job][grid_idx];
-        let mut sink = (shared.factories[job])();
-        if let Some(timing) = shared.engines[job].run_shard(shard, &mut sink, tracing, &mut scratch)
-        {
-            items += 1;
-            busy_ns += timing.wall_ns;
-            recorder.record(Payload::WorkItem {
-                job: job as u64,
-                grid_index: grid_idx as u64,
-                count: shard.count() as u64,
-                wall_ns: timing.wall_ns,
-                rng_ns: timing.rng_ns,
-                sim_ns: timing.sim_ns,
-                power_ns: timing.power_ns,
-                acc_ns: timing.acc_ns,
-            });
-        }
+        let grid = &shared.grids[job];
+        let factory = &*shared.factories[job];
+        let ran = shared.engines[job].run_unit(grid, unit, factory, tracing, &mut scratch);
         let t_fold = tracing.then(Instant::now);
-        let mut folder = lock(&shared.folders[job]);
-        let ingest = folder.ingest(grid_idx, sink, recorder);
-        if lock(&shared.queue).book(job, ingest, &folder) {
-            shared.work_ready.notify_all();
+        for (grid_idx, sink, timing) in ran {
+            if let Some(timing) = timing {
+                items += 1;
+                busy_ns += timing.wall_ns;
+                recorder.record(Payload::WorkItem {
+                    job: job as u64,
+                    grid_index: grid_idx as u64,
+                    count: grid[grid_idx].count() as u64,
+                    wall_ns: timing.wall_ns,
+                    rng_ns: timing.rng_ns,
+                    sim_ns: timing.sim_ns,
+                    power_ns: timing.power_ns,
+                    acc_ns: timing.acc_ns,
+                });
+            }
+            let mut folder = lock(&shared.folders[job]);
+            let ingest = folder.ingest(grid_idx, sink, recorder);
+            if lock(&shared.queue).book(job, ingest, &folder) {
+                shared.work_ready.notify_all();
+            }
         }
-        drop(folder);
         if let Some(t0) = t_fold {
             busy_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         }
@@ -533,11 +587,6 @@ where
     let mut engines = Vec::with_capacity(configs.len());
     let mut factories = Vec::with_capacity(configs.len());
     let mut folders = Vec::with_capacity(configs.len());
-    let mut cursors = Vec::with_capacity(configs.len());
-    // Pool size: per job at most one round — `shards_per_round` shards — is
-    // ever runnable, so no thread beyond the fleet's peak runnable-shard
-    // count can find work.
-    let mut concurrency = 0usize;
     for ((netlist, power, factory, rule, shards_per_round), config) in
         parts.into_iter().zip(&configs)
     {
@@ -547,31 +596,38 @@ where
             config,
             parallelism.lane_words(),
         )?);
-        let folder = RoundFolder::new(config, shards_per_round, rule);
-        let round = folder.round_range();
-        concurrency += round.len();
-        cursors.push(Cursor {
-            next: round.start,
-            end: round.end,
-            folded: 0,
-        });
         factories.push(factory);
-        folders.push(Mutex::new(folder));
+        folders.push(RoundFolder::new(config, shards_per_round, rule));
     }
-    let remaining_jobs = cursors.iter().filter(|c| c.next < c.end).count();
+    // Pool size: per job at most one round — `shards_per_round` shards — is
+    // ever runnable, so no thread beyond the fleet's peak runnable-shard
+    // count can find work.
+    let concurrency: usize = folders.iter().map(|f| f.round_range().len()).sum();
     let threads = parallelism.threads().min(concurrency.max(1));
+    let lane_words = parallelism.lane_words();
+    let cursors: Vec<Cursor> = folders
+        .iter()
+        .map(|f| Cursor {
+            units: work_units(f.grid(), f.round_range(), lane_words, threads),
+            next: 0,
+            folded: 0,
+        })
+        .collect();
+    let remaining_jobs = cursors.iter().filter(|c| !c.units.is_empty()).count();
     let shared = FleetShared {
         queue: Mutex::new(FleetQueue {
             cursors,
             remaining_jobs,
             poisoned: false,
+            lane_words,
+            threads,
         }),
         work_ready: Condvar::new(),
-        folders,
+        folders: folders.into_iter().map(Mutex::new).collect(),
         engines,
         grids: configs.iter().map(shard_grid).collect(),
         factories,
-        window: threads,
+        window: window(lane_words, threads),
     };
     if remaining_jobs > 0 {
         if threads <= 1 {
@@ -662,23 +718,41 @@ mod tests {
         assert_eq!(job_rounds(3, 0).len(), 3);
     }
 
+    /// The first grid index of the unit `queue` hands out next, if any.
+    fn pop_first(queue: &mut FleetQueue, window: usize) -> Option<(usize, usize)> {
+        queue
+            .pop(window)
+            .map(|(job, unit)| (job, unit.grid_indices().next().expect("a unit has a shard")))
+    }
+
+    /// One job of one round, `round`, run by `threads` workers at `lane_words`.
+    fn one_job_queue(
+        folder: &RoundFolder<'_, CountProbe>,
+        lane_words: usize,
+        threads: usize,
+    ) -> FleetQueue {
+        FleetQueue {
+            cursors: vec![Cursor {
+                units: work_units(folder.grid(), folder.round_range(), lane_words, threads),
+                next: 0,
+                folded: 0,
+            }],
+            remaining_jobs: 1,
+            poisoned: false,
+            lane_words,
+            threads,
+        }
+    }
+
     #[test]
     fn a_late_booking_never_moves_a_folded_prefix_back() {
         // One job, one six-shard round, a pool window of three.
         let config = CampaignConfig::new(3 * TRACES_PER_SHARD, 3 * TRACES_PER_SHARD, 1);
         let mut folder = RoundFolder::new(&config, usize::MAX, Box::new(NeverStop));
         assert_eq!(folder.round_range(), 0..6);
-        let mut queue = FleetQueue {
-            cursors: vec![Cursor {
-                next: 0,
-                end: 6,
-                folded: 0,
-            }],
-            remaining_jobs: 1,
-            poisoned: false,
-        };
+        let mut queue = one_job_queue(&folder, 1, 3);
         for want in 0..3 {
-            assert_eq!(queue.pop(3), Some((0, want)));
+            assert_eq!(pop_first(&mut queue, 3), Some((0, want)));
         }
         assert_eq!(queue.pop(3), None, "the window is full");
         // Shard 1 arrives first and parks; its booking comes last of all.
@@ -686,15 +760,15 @@ mod tests {
         assert_eq!(late, Ingest::Waiting);
         let ingest = folder.ingest(0, CountProbe::default(), &NullRecorder);
         queue.book(0, ingest, &folder);
-        assert_eq!(queue.pop(3), Some((0, 3)));
-        assert_eq!(queue.pop(3), Some((0, 4)));
+        assert_eq!(pop_first(&mut queue, 3), Some((0, 3)));
+        assert_eq!(pop_first(&mut queue, 3), Some((0, 4)));
         for i in 2..5 {
             let ingest = folder.ingest(i, CountProbe::default(), &NullRecorder);
             queue.book(0, ingest, &folder);
         }
         queue.book(0, late, &folder);
         assert_eq!(
-            queue.pop(3),
+            pop_first(&mut queue, 3),
             Some((0, 5)),
             "the job's last shard is handed out"
         );
@@ -836,6 +910,9 @@ mod tests {
 
     impl TraceSink for CountProbe {
         fn record_batch(&mut self, pop: Population, batch: crate::campaign::EnergyBatch<'_>) {
+            if batch.first_gate() > 0 {
+                return;
+            }
             match pop {
                 Population::Fixed => self.fixed += batch.lanes(),
                 Population::Random => self.random += batch.lanes(),
@@ -932,17 +1009,24 @@ mod tests {
         let model = PowerModel::default();
         // 80 shards, all in the job's single round.
         let cfg = CampaignConfig::new(40 * TRACES_PER_SHARD, 40 * TRACES_PER_SHARD, 5);
-        for threads in [1usize, 3] {
-            PEAK.store(LIVE.load(Ordering::SeqCst), Ordering::SeqCst);
-            let jobs = vec![FleetJob::<LiveProbe>::new(&c17, &model, cfg.clone())];
-            let outcomes = run_fleet(jobs, Parallelism::new(threads), &NullRecorder).unwrap();
-            assert_eq!(outcomes[0].stats.rounds, 1);
-            drop(outcomes);
-            let peak = PEAK.load(Ordering::SeqCst);
-            assert!(
-                peak <= threads + 1,
-                "{peak} sinks alive at once with {threads} threads"
-            );
+        for lane_words in [4, 8] {
+            for threads in [1usize, 3] {
+                // The window's sinks plus the accumulator: `threads + 1`
+                // at one shard per unit, `2 × threads + 3` with pairs.
+                let bound = window(lane_words, threads) + 1;
+                assert!(bound <= 2 * threads + 3);
+                PEAK.store(LIVE.load(Ordering::SeqCst), Ordering::SeqCst);
+                let jobs = vec![FleetJob::<LiveProbe>::new(&c17, &model, cfg.clone())];
+                let par = Parallelism::new(threads).with_lane_words(lane_words);
+                let outcomes = run_fleet(jobs, par, &NullRecorder).unwrap();
+                assert_eq!(outcomes[0].stats.rounds, 1);
+                drop(outcomes);
+                let peak = PEAK.load(Ordering::SeqCst);
+                assert!(
+                    peak <= bound,
+                    "{peak} sinks alive at once with {threads} threads at {lane_words} words"
+                );
+            }
         }
     }
 }

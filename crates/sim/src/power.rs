@@ -274,25 +274,26 @@ fn transform<S: Synth>(d1: &Draws, d2: &Draws, synth: &S, out: &mut [f64]) {
     }
 }
 
-/// The lockstep noise pass over `N` words of `out.len() / N` lanes each.
+/// The lockstep noise pass over `N` words of `lanes` lanes each (1 to 64),
+/// word `k` written to `out[at[k]..at[k] + lanes]`.
 ///
 /// The `N` streams are stepped together, two draws per lane, and each step
 /// is stored whole, so the draws land lane-major: `raw[2l + j][k]` is draw
 /// `j` of lane `l` of word `k`. A transpose then gathers each word's draws
 /// into its own `d1`/`d2` arrays, and [`transform`] turns word `k` into
-/// `synths[k]`'s output in `out`'s `k`-th chunk. Stream `k` is consumed
-/// exactly as a one-word fill of its word alone would consume it.
+/// `synths[k]`'s output at `at[k]`. Stream `k` is consumed exactly as a
+/// one-word fill of its word alone would consume it.
 #[inline(always)]
 fn lockstep_fill<S: Synth, const N: usize>(
     rngs: &mut Lockstep<N>,
     synths: &[S; N],
     out: &mut [f64],
+    at: [usize; N],
+    lanes: usize,
 ) {
-    let lanes = out.len() / N;
     assert!(
-        lanes * N == out.len() && (1..=WORD_LANES).contains(&lanes),
-        "{N} words of 1 to {WORD_LANES} equal lanes, got {}",
-        out.len()
+        (1..=WORD_LANES).contains(&lanes),
+        "words of 1 to {WORD_LANES} lanes, got {lanes}"
     );
     // The state is stepped in a local so it stays in registers: through
     // `rngs`, reached via the pass's fields, every step would go to memory.
@@ -304,8 +305,8 @@ fn lockstep_fill<S: Synth, const N: usize>(
     *rngs = gen;
     let d1: [Draws; N] = std::array::from_fn(|k| std::array::from_fn(|l| raw[2 * l][k]));
     let d2: [Draws; N] = std::array::from_fn(|k| std::array::from_fn(|l| raw[2 * l + 1][k]));
-    for (k, word) in out.chunks_exact_mut(lanes).enumerate() {
-        transform(&d1[k], &d2[k], &synths[k], word);
+    for k in 0..N {
+        transform(&d1[k], &d2[k], &synths[k], &mut out[at[k]..at[k] + lanes]);
     }
 }
 
@@ -364,7 +365,7 @@ mod kernel {
         fn run(self);
     }
 
-    /// [`lockstep_fill`] as a [`Pass`].
+    /// [`lockstep_fill`] into `N` adjacent words of `out.len() / N` lanes.
     pub(super) struct Fill<'a, S, const N: usize> {
         pub(super) rngs: &'a mut Lockstep<N>,
         pub(super) synths: &'a [S; N],
@@ -374,7 +375,26 @@ mod kernel {
     impl<S: Synth, const N: usize> Pass for Fill<'_, S, N> {
         #[inline(always)]
         fn run(self) {
-            lockstep_fill(self.rngs, self.synths, self.out);
+            let lanes = self.out.len() / N;
+            assert_eq!(lanes * N, self.out.len(), "{N} words of equal lanes");
+            let at = std::array::from_fn(|k| k * lanes);
+            lockstep_fill(self.rngs, self.synths, self.out, at, lanes);
+        }
+    }
+
+    /// [`lockstep_fill`] as a [`Pass`].
+    pub(super) struct FillAt<'a, S, const N: usize> {
+        pub(super) rngs: &'a mut Lockstep<N>,
+        pub(super) synths: &'a [S; N],
+        pub(super) out: &'a mut [f64],
+        pub(super) at: [usize; N],
+        pub(super) lanes: usize,
+    }
+
+    impl<S: Synth, const N: usize> Pass for FillAt<'_, S, N> {
+        #[inline(always)]
+        fn run(self) {
+            lockstep_fill(self.rngs, self.synths, self.out, self.at, self.lanes);
         }
     }
 
@@ -499,7 +519,7 @@ mod kernel {
     }
 }
 
-use kernel::{Fill, Kernel};
+use kernel::{Fill, FillAt, Kernel};
 
 /// The word counts the host's build fills faster in lockstep than one word
 /// at a time, widest first (possibly none).
@@ -516,13 +536,7 @@ pub(crate) fn lockstep_words() -> &'static [usize] {
 /// lane of its word, in lane order, so stream `k` ends exactly where a
 /// one-word fill of word `k` from that stream alone would leave it, and
 /// the output bits are the same. Draw, transpose and transform run as one
-/// pass in the host's build (see [`fill_standard_normal`]). For a gate's
-/// energies that pass writes the energy row directly, with no noise buffer
-/// in between, and builds `cap · t + σ · z` with the same two roundings as
-/// a fill followed by a separate synthesis. Where [`lockstep_words`] allows,
-/// the campaign engine fills a full block's `W` words of one gate per call;
-/// other words, a partial trailing word, and [`fill_standard_normal`] are
-/// the `N = 1` case.
+/// pass in the host's build (see [`fill_standard_normal`]).
 ///
 /// # Panics
 ///
@@ -534,6 +548,37 @@ pub(crate) fn fill_words<S: Synth, const N: usize>(
     out: &mut [f64],
 ) {
     Kernel::detected().dispatch(Fill { rngs, synths, out });
+}
+
+/// [`fill_words`] with each word at its own place: word `k` (`lanes`
+/// lanes, 1 to 64) goes to `out[at[k]..at[k] + lanes]`. This is the
+/// campaign engine's fill. For a gate's energies it writes the gate's rows
+/// directly, with no noise buffer in between, and builds `cap · t + σ · z`
+/// with the same two roundings as a fill followed by a separate synthesis.
+/// The words of one call may land in the rows of different shards, so a
+/// block of two shards still fills all its words in one lockstep call.
+/// Where [`lockstep_words`] allows, the engine fills a full block's `W`
+/// words of one gate per call; other words and a partial trailing word are
+/// the `N = 1` case.
+///
+/// # Panics
+///
+/// Panics unless `lanes` is 1 to 64 and every word lies inside `out`.
+#[inline]
+pub(crate) fn fill_words_at<S: Synth, const N: usize>(
+    rngs: &mut Lockstep<N>,
+    synths: &[S; N],
+    out: &mut [f64],
+    at: [usize; N],
+    lanes: usize,
+) {
+    Kernel::detected().dispatch(FillAt {
+        rngs,
+        synths,
+        out,
+        at,
+        lanes,
+    });
 }
 
 /// Fills `out` with standard-normal samples via a batched, branchless

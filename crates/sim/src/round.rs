@@ -233,6 +233,11 @@ impl<'a, S: MergeableSink> RoundFolder<'a, S> {
         self.next >= self.stop_bound
     }
 
+    /// The campaign's shard grid (see [`shard_grid`]).
+    pub fn grid(&self) -> &[ShardSpec] {
+        &self.grid
+    }
+
     /// Shards per round (at least 1).
     pub fn shards_per_round(&self) -> usize {
         self.shards_per_round

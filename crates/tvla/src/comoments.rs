@@ -650,6 +650,20 @@ where
     sets: Vec<[u32; K]>,
     fixed: Vec<CoMoments<K>>,
     random: Vec<CoMoments<K>>,
+    /// The distinct gates of `sets`, ascending.
+    tracked: Vec<u32>,
+    /// The lane rows of `tracked`'s gates, in its order, for the block
+    /// being recorded when one of its gate sets spans batches; held until
+    /// the block's last tracked gate arrives, empty between blocks.
+    stash: Vec<f64>,
+}
+
+/// The distinct gates of `sets`, ascending.
+fn tracked_gates<const K: usize>(sets: &[[u32; K]]) -> Vec<u32> {
+    let mut gates: Vec<u32> = sets.iter().flatten().copied().collect();
+    gates.sort_unstable();
+    gates.dedup();
+    gates
 }
 
 impl<const K: usize> CoMomentAccumulator<K>
@@ -672,6 +686,8 @@ where
         CoMomentAccumulator {
             fixed: empty.clone(),
             random: empty,
+            tracked: tracked_gates(&sets),
+            stash: Vec::new(),
             sets,
         }
     }
@@ -690,6 +706,8 @@ where
         assert_eq!(sets.len(), fixed.len(), "fixed moments shape mismatch");
         assert_eq!(sets.len(), random.len(), "random moments shape mismatch");
         CoMomentAccumulator {
+            tracked: tracked_gates(&sets),
+            stash: Vec::new(),
             sets,
             fixed,
             random,
@@ -738,18 +756,67 @@ where
     /// rows stream through [`CoMoments::extend_batch`], so the hot path is K
     /// contiguous reads per set with the accumulator state in a local.
     ///
+    /// A batch that holds every tracked gate streams straight from its
+    /// rows. Otherwise the engine is emitting a block in gate chunks (see
+    /// the [`TraceSink`] contract), and one set's gates may lie in
+    /// different chunks: the tracked rows are copied aside until the
+    /// chunk holding the last of them arrives, and the block's sets are
+    /// folded then. Either way every set sees the block's rows whole, so
+    /// the state does not depend on the chunking.
+    ///
     /// # Panics
     ///
-    /// Panics if a tracked set references a gate outside the batch —
+    /// Panics when a block starts before the previous one brought every
+    /// tracked gate, which a set naming a gate outside the design causes —
     /// callers validate indices against the design before running a
     /// campaign (see [`assess_gate_sets`]).
     fn record_batch(&mut self, pop: Population, batch: EnergyBatch<'_>) {
-        let store = match pop {
-            Population::Fixed => &mut self.fixed,
-            Population::Random => &mut self.random,
+        let CoMomentAccumulator {
+            sets,
+            fixed,
+            random,
+            tracked,
+            stash,
+        } = self;
+        let (Some(&lo), Some(&hi)) = (tracked.first(), tracked.last()) else {
+            return;
         };
-        for (m, set) in store.iter_mut().zip(&self.sets) {
-            m.extend_batch(set.map(|g| batch.gate_lanes(g as usize)));
+        let (first, lanes) = (batch.first_gate(), batch.lanes());
+        let end = first + batch.gates();
+        assert!(
+            first > 0 || stash.is_empty(),
+            "a tracked gate set names a gate outside the design"
+        );
+        let store = match pop {
+            Population::Fixed => fixed,
+            Population::Random => random,
+        };
+        let (lo, hi) = (lo as usize, hi as usize);
+        if first <= lo && hi < end {
+            for (m, set) in store.iter_mut().zip(sets.iter()) {
+                m.extend_batch(set.map(|g| batch.gate_lanes(g as usize - first)));
+            }
+            return;
+        }
+        if first > hi || end <= lo {
+            return;
+        }
+        stash.resize(tracked.len() * lanes, 0.0);
+        let held = tracked.partition_point(|&g| (g as usize) < first)
+            ..tracked.partition_point(|&g| (g as usize) < end);
+        for i in held {
+            stash[i * lanes..(i + 1) * lanes]
+                .copy_from_slice(batch.gate_lanes(tracked[i] as usize - first));
+        }
+        if hi < end {
+            let row = |g: u32| {
+                let i = tracked.binary_search(&g).expect("a set's gate is tracked");
+                &stash[i * lanes..(i + 1) * lanes]
+            };
+            for (m, set) in store.iter_mut().zip(sets.iter()) {
+                m.extend_batch(set.map(row));
+            }
+            stash.clear();
         }
     }
 }

@@ -123,18 +123,20 @@ impl TraceSink for WelchAccumulator {
     /// block per 64-trace word. Batches start on word boundaries (the
     /// [`TraceSink`] contract), so every width cuts the stream into the same
     /// words and the accumulator state is independent of the engine's lane
-    /// width.
+    /// width and of how the engine cuts its gates into batches.
     fn record_batch(&mut self, pop: Population, batch: EnergyBatch<'_>) {
-        let gates = batch.gates();
-        if self.fixed.is_empty() {
-            self.fixed.resize(gates, StreamingMoments::new());
-            self.random.resize(gates, StreamingMoments::new());
+        let gates = batch.first_gate()..batch.first_gate() + batch.gates();
+        if self.fixed.len() < batch.design_gates() {
+            self.fixed
+                .resize(batch.design_gates(), StreamingMoments::new());
+            self.random
+                .resize(batch.design_gates(), StreamingMoments::new());
         }
         let store = match pop {
             Population::Fixed => &mut self.fixed,
             Population::Random => &mut self.random,
         };
-        for (g, acc) in store.iter_mut().enumerate().take(gates) {
+        for (g, acc) in store[gates].iter_mut().enumerate() {
             acc.extend_batch(batch.gate_lanes(g));
         }
     }

@@ -38,6 +38,14 @@ impl<const N: usize> Lockstep<N> {
         }
     }
 
+    /// Splits the lockstep back into its `N` streams, each at its current
+    /// position: the inverse of [`Lockstep::from_streams`].
+    pub fn into_streams(self) -> [StdRng; N] {
+        std::array::from_fn(|k| Lockstep {
+            s: std::array::from_fn(|i| [self.s[i][k]]),
+        })
+    }
+
     /// The next draw of every stream: element `k` is stream `k`'s
     /// `next_u64`. `#[inline(always)]` so a caller compiled for a wider
     /// instruction set steps the streams with its own vector ops.
@@ -125,7 +133,12 @@ mod tests {
                 let want: [u64; N] = std::array::from_fn(|k| solo[k].next_u64());
                 assert_eq!(lock.next_u64s(), want, "N = {N}, step {step}");
             }
-            assert_eq!(lock, Lockstep::from_streams(solo), "N = {N}: positions");
+            assert_eq!(
+                lock,
+                Lockstep::from_streams(solo.clone()),
+                "N = {N}: positions"
+            );
+            assert_eq!(lock.into_streams(), solo, "N = {N}: split back");
         }
         check::<1>();
         check::<2>();
