@@ -309,6 +309,12 @@ fn main() {
         .map(|(_, _, tps)| *tps)
         .unwrap_or(f64::NAN);
     let speedup_4t = tps_4 / tps_1;
+    // `--threads` runs one thread count, which leaves no speedup to report.
+    let speedup_json = if speedup_4t.is_finite() {
+        format!("{speedup_4t:.3}")
+    } else {
+        "null".to_string()
+    };
 
     // `host_cores` / `available_parallelism` contextualize the speedup: on
     // a 1-core host every thread count degenerates to the same wall-clock,
@@ -319,7 +325,7 @@ fn main() {
          \"gates\": {},\n  \"traces_per_class\": {},\n  \"seed\": {},\n  \"lane_words\": {},\n  \
          \"quick\": {},\n  \
          \"host_cores\": {},\n  \"available_parallelism\": {},\n  \"peak_rss_kb\": {},\n  \
-         \"runs\": [\n{}\n  ],\n  \"speedup_4t\": {:.3},\n  \"bit_identical\": {}{}\n}}\n",
+         \"runs\": [\n{}\n  ],\n  \"speedup_4t\": {},\n  \"bit_identical\": {}{}\n}}\n",
         args.design,
         args.scale,
         netlist.gate_count(),
@@ -331,7 +337,7 @@ fn main() {
         available_parallelism,
         polaris_bench::json_u64(polaris_bench::peak_rss_kb()),
         fmt_runs(&runs),
-        speedup_4t,
+        speedup_json,
         identical,
         adaptive_json
     );

@@ -67,7 +67,7 @@ use rand::{Rng, SeedableRng};
 use crate::fleet::FleetJob;
 use crate::logic::{BlockBuffers, BlockState, Simulator};
 use crate::power::{
-    fill_words_at, lockstep_words, sample_standard_normal, BitEnergy, CountEnergy, PowerModel,
+    fill_words, lockstep_words, sample_standard_normal, BitEnergy, CountEnergy, PowerModel,
 };
 pub use crate::round::{CampaignOutcome, CampaignStats, Checkpoint, NeverStop, StoppingRule};
 
@@ -1230,7 +1230,7 @@ impl<'a> Engine<'a> {
                     sigma,
                     diff: values[at + k] ^ scratch.prev[at + k],
                 });
-                fill_words_at(&mut rngs, &synths, energies, out, lanes);
+                fill_words(&mut rngs, &synths, energies, out, lanes);
             } else {
                 let synths: [CountEnergy<'_>; N] = std::array::from_fn(|k| {
                     let counts = &scratch.toggles[(at + k) * WORD_LANES..][..WORD_LANES];
@@ -1240,7 +1240,7 @@ impl<'a> Engine<'a> {
                         counts: counts.try_into().expect("a word holds 64 lane counters"),
                     }
                 });
-                fill_words_at(&mut rngs, &synths, energies, out, lanes);
+                fill_words(&mut rngs, &synths, energies, out, lanes);
             }
         }
         for (k, stream) in rngs.into_streams().into_iter().enumerate() {
@@ -1381,7 +1381,6 @@ pub(crate) fn work_units(
             None
         };
         if let Some(j) = partner {
-            debug_assert_eq!(grid[j].start, grid[i].start + grid[i].count);
             taken[j - range.start] = true;
         }
         units.push(WorkUnit { first: i, partner });

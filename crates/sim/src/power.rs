@@ -365,25 +365,8 @@ mod kernel {
         fn run(self);
     }
 
-    /// [`lockstep_fill`] into `N` adjacent words of `out.len() / N` lanes.
-    pub(super) struct Fill<'a, S, const N: usize> {
-        pub(super) rngs: &'a mut Lockstep<N>,
-        pub(super) synths: &'a [S; N],
-        pub(super) out: &'a mut [f64],
-    }
-
-    impl<S: Synth, const N: usize> Pass for Fill<'_, S, N> {
-        #[inline(always)]
-        fn run(self) {
-            let lanes = self.out.len() / N;
-            assert_eq!(lanes * N, self.out.len(), "{N} words of equal lanes");
-            let at = std::array::from_fn(|k| k * lanes);
-            lockstep_fill(self.rngs, self.synths, self.out, at, lanes);
-        }
-    }
-
     /// [`lockstep_fill`] as a [`Pass`].
-    pub(super) struct FillAt<'a, S, const N: usize> {
+    pub(super) struct Fill<'a, S, const N: usize> {
         pub(super) rngs: &'a mut Lockstep<N>,
         pub(super) synths: &'a [S; N],
         pub(super) out: &'a mut [f64],
@@ -391,7 +374,7 @@ mod kernel {
         pub(super) lanes: usize,
     }
 
-    impl<S: Synth, const N: usize> Pass for FillAt<'_, S, N> {
+    impl<S: Synth, const N: usize> Pass for Fill<'_, S, N> {
         #[inline(always)]
         fn run(self) {
             lockstep_fill(self.rngs, self.synths, self.out, self.at, self.lanes);
@@ -519,7 +502,7 @@ mod kernel {
     }
 }
 
-use kernel::{Fill, FillAt, Kernel};
+use kernel::{Fill, Kernel};
 
 /// The word counts the host's build fills faster in lockstep than one word
 /// at a time, widest first (possibly none).
@@ -527,52 +510,36 @@ pub(crate) fn lockstep_words() -> &'static [usize] {
     Kernel::detected().lockstep_words()
 }
 
-/// Draws one lockstep fill of noise: `N` words of `out.len() / N` lanes
-/// each (at most 64), word `k` from stream `k` of `rngs`, and writes
-/// `synths[k]`'s output for each of word `k`'s lanes into `out`'s `k`-th
-/// chunk.
+/// Draws one lockstep fill of noise: `N` words of `lanes` lanes each (1
+/// to 64), word `k` from stream `k` of `rngs`, and writes `synths[k]`'s
+/// output for each of word `k`'s lanes to `out[at[k]..at[k] + lanes]`.
 ///
 /// The `N` streams are stepped side by side and each draws two `u64`s per
 /// lane of its word, in lane order, so stream `k` ends exactly where a
 /// one-word fill of word `k` from that stream alone would leave it, and
 /// the output bits are the same. Draw, transpose and transform run as one
-/// pass in the host's build (see [`fill_standard_normal`]).
-///
-/// # Panics
-///
-/// Panics unless `out` holds `N` equal words of 1 to 64 lanes.
-#[inline]
-pub(crate) fn fill_words<S: Synth, const N: usize>(
-    rngs: &mut Lockstep<N>,
-    synths: &[S; N],
-    out: &mut [f64],
-) {
-    Kernel::detected().dispatch(Fill { rngs, synths, out });
-}
-
-/// [`fill_words`] with each word at its own place: word `k` (`lanes`
-/// lanes, 1 to 64) goes to `out[at[k]..at[k] + lanes]`. This is the
-/// campaign engine's fill. For a gate's energies it writes the gate's rows
-/// directly, with no noise buffer in between, and builds `cap · t + σ · z`
-/// with the same two roundings as a fill followed by a separate synthesis.
-/// The words of one call may land in the rows of different shards, so a
-/// block of two shards still fills all its words in one lockstep call.
-/// Where [`lockstep_words`] allows, the engine fills a full block's `W`
-/// words of one gate per call; other words and a partial trailing word are
-/// the `N = 1` case.
+/// pass in the host's build (see [`fill_standard_normal`]). For a gate's
+/// energies that pass writes the gate's rows directly, with no noise buffer
+/// in between, and builds `cap · t + σ · z` with the same two roundings as
+/// a fill followed by a separate synthesis. The words of one call may land
+/// in the rows of different shards, so a campaign block of two shards
+/// still fills all its words in one lockstep call. Where
+/// [`lockstep_words`] allows, the engine fills a full block's `W` words of
+/// one gate per call; other words, a partial trailing word, and
+/// [`fill_standard_normal`] are the `N = 1` case.
 ///
 /// # Panics
 ///
 /// Panics unless `lanes` is 1 to 64 and every word lies inside `out`.
 #[inline]
-pub(crate) fn fill_words_at<S: Synth, const N: usize>(
+pub(crate) fn fill_words<S: Synth, const N: usize>(
     rngs: &mut Lockstep<N>,
     synths: &[S; N],
     out: &mut [f64],
     at: [usize; N],
     lanes: usize,
 ) {
-    Kernel::detected().dispatch(FillAt {
+    Kernel::detected().dispatch(Fill {
         rngs,
         synths,
         out,
@@ -615,7 +582,7 @@ pub(crate) fn fill_words_at<S: Synth, const N: usize>(
 /// instruction sets still produce byte-identical campaign parts.
 pub fn fill_standard_normal(rng: &mut StdRng, out: &mut [f64]) {
     for chunk in out.chunks_mut(WORD_LANES) {
-        fill_words(rng, &[Deviates], chunk);
+        fill_words(rng, &[Deviates], chunk, [0], chunk.len());
     }
 }
 
@@ -881,7 +848,9 @@ mod tests {
                 fill_words(
                     &mut b,
                     &[BitEnergy { cap, sigma, diff }],
-                    &mut from_bits[..n],
+                    &mut from_bits,
+                    [0],
+                    n,
                 );
                 assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "stream position");
                 let mut c = StdRng::seed_from_u64(seed);
@@ -890,7 +859,7 @@ mod tests {
                     sigma,
                     counts: &counts,
                 };
-                fill_words(&mut c, &[counted], &mut from_counts[..n]);
+                fill_words(&mut c, &[counted], &mut from_counts, [0], n);
                 for l in 0..n {
                     let t = f64::from(u8::from((diff >> l) & 1 == 1));
                     assert_eq!(from_bits[l].to_bits(), (cap * t + sigma * z[l]).to_bits());
@@ -918,7 +887,8 @@ mod tests {
     /// word-by-word fills, each from its own stream, and leaves every
     /// stream where those fills leave it — for the deviates and both toggle
     /// sources, on full words and on partial ones, over several fills in a
-    /// row as the engine runs them gate after gate.
+    /// row as the engine runs them gate after gate. Word `k` goes where
+    /// `at[k]` says: here in reverse order.
     #[test]
     fn lockstep_fill_is_word_by_word_fill() {
         fn check<const N: usize>(kernel: Kernel) {
@@ -930,6 +900,7 @@ mod tests {
                 let mut solo = seeds.map(StdRng::seed_from_u64);
                 let mut got = vec![0.0f64; N * lanes];
                 let mut want = vec![0.0f64; N * lanes];
+                let at: [usize; N] = std::array::from_fn(|k| (N - 1 - k) * lanes);
                 let compare = |got: &[f64], want: &[f64], what: &str| {
                     for (i, (g, w)) in got.iter().zip(want).enumerate() {
                         assert_eq!(
@@ -946,8 +917,10 @@ mod tests {
                         rngs: &mut lock,
                         synths: &std::array::from_fn(|_| Deviates),
                         out: &mut got,
+                        at,
+                        lanes,
                     });
-                    for (rng, word) in solo.iter_mut().zip(want.chunks_exact_mut(lanes)) {
+                    for (rng, word) in solo.iter_mut().zip(want.chunks_exact_mut(lanes).rev()) {
                         word_by_word(rng, &Deviates, word);
                     }
                     compare(&got, &want, "deviates");
@@ -961,9 +934,13 @@ mod tests {
                         rngs: &mut lock,
                         synths: &bits,
                         out: &mut got,
+                        at,
+                        lanes,
                     });
-                    for ((rng, synth), word) in
-                        solo.iter_mut().zip(&bits).zip(want.chunks_exact_mut(lanes))
+                    for ((rng, synth), word) in solo
+                        .iter_mut()
+                        .zip(&bits)
+                        .zip(want.chunks_exact_mut(lanes).rev())
                     {
                         word_by_word(rng, synth, word);
                     }
@@ -978,11 +955,13 @@ mod tests {
                         rngs: &mut lock,
                         synths: &counted,
                         out: &mut got,
+                        at,
+                        lanes,
                     });
                     for ((rng, synth), word) in solo
                         .iter_mut()
                         .zip(&counted)
-                        .zip(want.chunks_exact_mut(lanes))
+                        .zip(want.chunks_exact_mut(lanes).rev())
                     {
                         word_by_word(rng, synth, word);
                     }
