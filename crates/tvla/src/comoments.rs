@@ -766,8 +766,7 @@ where
     ///
     /// # Panics
     ///
-    /// Panics when a block starts before the previous one brought every
-    /// tracked gate, which a set naming a gate outside the design causes —
+    /// Panics if a tracked set names a gate outside the batch's design —
     /// callers validate indices against the design before running a
     /// campaign (see [`assess_gate_sets`]).
     fn record_batch(&mut self, pop: Population, batch: EnergyBatch<'_>) {
@@ -781,17 +780,18 @@ where
         let (Some(&lo), Some(&hi)) = (tracked.first(), tracked.last()) else {
             return;
         };
+        let (lo, hi) = (lo as usize, hi as usize);
+        assert!(
+            hi < batch.design_gates(),
+            "a gate set names gate {hi} of a {}-gate design",
+            batch.design_gates()
+        );
         let (first, lanes) = (batch.first_gate(), batch.lanes());
         let end = first + batch.gates();
-        assert!(
-            first > 0 || stash.is_empty(),
-            "a tracked gate set names a gate outside the design"
-        );
         let store = match pop {
             Population::Fixed => fixed,
             Population::Random => random,
         };
-        let (lo, hi) = (lo as usize, hi as usize);
         if first <= lo && hi < end {
             for (m, set) in store.iter_mut().zip(sets.iter()) {
                 m.extend_batch(set.map(|g| batch.gate_lanes(g as usize - first)));
