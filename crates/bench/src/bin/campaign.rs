@@ -11,7 +11,8 @@
 //! --scale N      generator scale factor               (default 1)
 //! --traces N     traces per TVLA class                (default 20000)
 //! --seed N       campaign master seed                 (default 7)
-//! --lane-words W simulator words per gate visit, 1/2/4/8 (default 8)
+//! --lane-words W simulator words per gate visit, 1/2/4/8 (default 8 on
+//!                AVX-512, else 4)
 //! --threads N    run only this thread count           (default 1, 2, 4 and,
 //!                above four cores, every core)
 //! --adaptive     also run the sequential-stopping engine and fail if its
@@ -51,7 +52,7 @@ fn parse_args() -> Args {
         scale: 1,
         traces: 20_000,
         seed: 7,
-        lane_words: polaris_sim::DEFAULT_LANE_WORDS,
+        lane_words: polaris_sim::default_lane_words(),
         threads: None,
         adaptive: false,
         confidence: 0.95,

@@ -60,7 +60,7 @@ pub(crate) fn campaign_from(flags: &Flags, seed_default: u64) -> Result<Campaign
 /// knobs — campaign results are bit-identical at any thread count and any
 /// lane width.
 pub(crate) fn parallelism_from(flags: &Flags) -> Result<Parallelism, String> {
-    let lane_words: usize = flags.get_parsed("lane-words", polaris_sim::DEFAULT_LANE_WORDS)?;
+    let lane_words: usize = flags.get_parsed("lane-words", polaris_sim::default_lane_words())?;
     if !matches!(lane_words, 1 | 2 | 4 | 8) {
         return Err(format!(
             "--lane-words must be 1, 2, 4 or 8, got {lane_words}"

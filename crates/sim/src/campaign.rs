@@ -77,12 +77,27 @@ pub const WORD_LANES: usize = 64;
 /// Largest supported lane width `W` in words per simulation block.
 pub const MAX_LANE_WORDS: usize = 8;
 
-/// Default lane width of the engine, in words (see
-/// [`Parallelism::with_lane_words`]). One 8-word block covers 512 traces:
-/// two [`TRACES_PER_SHARD`]-trace shards of one population, next to each
-/// other in its trace order, which the engine simulates and noise-fills
-/// together while each keeps its own sink.
+/// Default lane width of the engine, in words, on a host whose noise
+/// kernel fills that many words in lockstep (see [`default_lane_words`]
+/// and [`Parallelism::with_lane_words`]). One 8-word block covers 512
+/// traces: two [`TRACES_PER_SHARD`]-trace shards of one population, next
+/// to each other in its trace order, which the engine simulates and
+/// noise-fills together while each keeps its own sink.
 pub const DEFAULT_LANE_WORDS: usize = 8;
+
+/// The lane width [`Parallelism::new`] and the command line start from on
+/// this host: [`DEFAULT_LANE_WORDS`] where the noise kernel fills that many
+/// words in lockstep (the AVX-512 build), else one shard per block,
+/// `TRACES_PER_SHARD / WORD_LANES` = 4 words. Pairing shards only pays
+/// through the lockstep fill; without it the wider block brings no gain.
+/// Either width gives the same bits.
+pub fn default_lane_words() -> usize {
+    if lockstep_words().contains(&DEFAULT_LANE_WORDS) {
+        DEFAULT_LANE_WORDS
+    } else {
+        TRACES_PER_SHARD / WORD_LANES
+    }
+}
 
 /// Maximum lanes per [`TraceSink::record_batch`] call:
 /// `MAX_LANE_WORDS × WORD_LANES`. Every batch carries between 1 and this
@@ -154,11 +169,11 @@ pub struct Parallelism {
 
 impl Parallelism {
     /// An explicit thread count; `0` means "all available cores". Lane width
-    /// defaults to [`DEFAULT_LANE_WORDS`].
+    /// defaults to [`default_lane_words`].
     pub fn new(threads: usize) -> Self {
         Parallelism {
             threads,
-            lane_words: DEFAULT_LANE_WORDS,
+            lane_words: default_lane_words(),
         }
     }
 
@@ -893,9 +908,9 @@ impl<'a> Engine<'a> {
 
     /// Simulates the shards of `unit` (see [`work_units`]) in the worker's
     /// `scratch`, each into a fresh sink from `factory`, and returns each
-    /// shard's grid index and sink in grid order. With `timed`, each also
-    /// gets its share of the unit's wall time and rng/simulate/power/
-    /// accumulate split, in proportion to its trace count.
+    /// shard's sink in the order of [`WorkUnit::shards`]. With `timed`,
+    /// each also gets its share of the unit's wall time and rng/simulate/
+    /// power/accumulate split, in proportion to its trace count.
     ///
     /// The shards of a unit are one contiguous trace range of their
     /// population, so the engine runs them as one range whose blocks may
@@ -904,13 +919,12 @@ impl<'a> Engine<'a> {
     /// leaves.
     pub(crate) fn run_unit<S: TraceSink>(
         &self,
-        grid: &[ShardSpec],
         unit: WorkUnit,
         factory: &dyn Fn() -> S,
         timed: bool,
         scratch: &mut BlockScratch,
-    ) -> Vec<(usize, S, Option<ShardTiming>)> {
-        let shards: Vec<ShardSpec> = unit.grid_indices().map(|i| grid[i]).collect();
+    ) -> Vec<(S, Option<ShardTiming>)> {
+        let shards: Vec<ShardSpec> = unit.shards().map(|(_, shard)| shard).collect();
         let counts: Vec<usize> = shards.iter().map(ShardSpec::count).collect();
         let contiguous = shards
             .windows(2)
@@ -938,9 +952,9 @@ impl<'a> Engine<'a> {
             .split(&counts)
         });
         let mut timings = timings.map(Vec::into_iter);
-        unit.grid_indices()
-            .zip(sinks)
-            .map(|(i, sink)| (i, sink, timings.as_mut().and_then(Iterator::next)))
+        sinks
+            .into_iter()
+            .map(|sink| (sink, timings.as_mut().and_then(Iterator::next)))
             .collect()
     }
 
@@ -1331,21 +1345,22 @@ pub fn shard_grid(config: &CampaignConfig) -> Vec<ShardSpec> {
 /// and neighbours among one class's trailing extras. The engine simulates
 /// and noise-fills the two as one 8-word block (see
 /// [`Engine::run_unit`]); each keeps its own sink, streams and words.
+/// A unit carries its shards, so running it needs no grid.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct WorkUnit {
-    first: usize,
-    partner: Option<usize>,
+    first: (usize, ShardSpec),
+    partner: Option<(usize, ShardSpec)>,
 }
 
 impl WorkUnit {
-    /// The unit's grid indices, ascending.
-    pub(crate) fn grid_indices(self) -> impl Iterator<Item = usize> {
+    /// The unit's shards with their grid indices, ascending.
+    pub(crate) fn shards(self) -> impl Iterator<Item = (usize, ShardSpec)> {
         std::iter::once(self.first).chain(self.partner)
     }
 
     /// The unit's highest grid index.
     pub(crate) fn last(self) -> usize {
-        self.partner.unwrap_or(self.first)
+        self.partner.unwrap_or(self.first).0
     }
 
     /// Number of shards in the unit (1 or 2).
@@ -1383,7 +1398,10 @@ pub(crate) fn work_units(
         if let Some(j) = partner {
             taken[j - range.start] = true;
         }
-        units.push(WorkUnit { first: i, partner });
+        units.push(WorkUnit {
+            first: (i, grid[i]),
+            partner: partner.map(|j| (j, grid[j])),
+        });
     }
     units
 }
@@ -1559,7 +1577,7 @@ pub fn run_campaign<S: TraceSink>(
     config: &CampaignConfig,
     sink: &mut S,
 ) -> Result<(), NetlistError> {
-    let engine = Engine::new(netlist, model, config, DEFAULT_LANE_WORDS)?;
+    let engine = Engine::new(netlist, model, config, default_lane_words())?;
     engine.run_range(Population::Fixed, 0, config.n_fixed, sink);
     engine.run_range(Population::Random, 0, config.n_random, sink);
     Ok(())
@@ -2257,16 +2275,16 @@ mod tests {
             let grid = shard_grid(&cfg);
             assert!(grid.iter().any(|s| s.count() < TRACES_PER_SHARD));
             let mut scratch = BlockScratch::default();
-            for lane_words in [DEFAULT_LANE_WORDS, 8, 1] {
+            for lane_words in [4, 8, 1] {
                 for netlist in [&c432, &c17, &c432] {
                     let engine = Engine::new(netlist, &model, &cfg, lane_words).unwrap();
                     for (i, &shard) in grid.iter().enumerate().rev() {
                         let unit = WorkUnit {
-                            first: i,
+                            first: (i, shard),
                             partner: None,
                         };
-                        let (_, reused, _) = engine
-                            .run_unit(&grid, unit, &GateSamples::default, false, &mut scratch)
+                        let (reused, _) = engine
+                            .run_unit(unit, &GateSamples::default, false, &mut scratch)
                             .pop()
                             .expect("one shard");
                         let mut fresh = GateSamples::default();
@@ -2319,7 +2337,7 @@ mod tests {
         for lane_words in [1, 8, 2, 4, 8] {
             let engine = Engine::new(&big, &PowerModel::default(), &cfg, lane_words).unwrap();
             for unit in work_units(&grid, 0..grid.len(), lane_words, 1) {
-                engine.run_unit(&grid, unit, &GateSamples::default, false, &mut scratch);
+                engine.run_unit(unit, &GateSamples::default, false, &mut scratch);
                 let capacity = scratch.energies.capacity();
                 assert!(
                     capacity <= GATE_CHUNK * MAX_LANE_WORDS * WORD_LANES,

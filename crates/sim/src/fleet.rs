@@ -34,9 +34,10 @@
 //!   the folded round before more of that job's grid is scheduled), so no
 //!   shard past a stop boundary is simulated;
 //! * a fleet hands out a job's shards at most a fixed window ahead of its
-//!   folded prefix — one shard per pool thread, or two and two more where
-//!   blocks pair shards — so a job holds at most that many private sinks
-//!   besides its accumulator, whatever the length of its rounds.
+//!   folded prefix — one shard per pool thread, or two and two more in a
+//!   round whose blocks pair shards — so a job holds at most that many
+//!   private sinks besides its accumulator, whatever the length of its
+//!   rounds.
 //!
 //! Every driver hands its workers *work units* of one shard, or of two
 //! shards of one population next to each other in trace order, which the
@@ -55,8 +56,7 @@ use polaris_obs::{Payload, Recorder};
 
 use crate::campaign::{
     run_sharded_with, shard_grid, work_units, BlockScratch, CampaignConfig, CampaignOutcome,
-    Engine, MergeableSink, NeverStop, Parallelism, ShardSpec, StoppingRule, WorkUnit,
-    TRACES_PER_SHARD, WORD_LANES,
+    Engine, MergeableSink, NeverStop, Parallelism, StoppingRule, WorkUnit,
 };
 use crate::power::PowerModel;
 use crate::round::{Ingest, RoundFolder};
@@ -184,11 +184,13 @@ impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
         let mut scratch = worker_scratch(parallelism);
         let mut states: Vec<(usize, S)> =
             run_sharded_with(units.len(), parallelism, &mut scratch, |scratch, u| {
-                let ran = engine.run_unit(&grid, units[u], &*self.factory, tracing, scratch);
-                ran.into_iter()
-                    .map(|(grid_index, sink, timing)| {
+                let ran = engine.run_unit(units[u], &*self.factory, tracing, scratch);
+                units[u]
+                    .shards()
+                    .zip(ran)
+                    .map(|((grid_index, shard), (sink, timing))| {
                         if let Some(timing) = timing {
-                            recorder.record(timing.span(0, grid_index, grid[grid_index]));
+                            recorder.record(timing.span(0, grid_index, shard));
                         }
                         (grid_index, sink)
                     })
@@ -239,7 +241,6 @@ impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
             &self.config,
             parallelism.lane_words(),
         )?;
-        let grid = shard_grid(&self.config);
         let mut folder = RoundFolder::new(&self.config, self.shards_per_round, self.rule);
         let tracing = recorder.enabled();
         let campaign_start = tracing.then(Instant::now);
@@ -251,7 +252,7 @@ impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
                 planned_random: self.config.n_random as u64,
                 threads: parallelism.threads() as u64,
                 lane_words: parallelism.lane_words() as u64,
-                shards: grid.len() as u64,
+                shards: folder.grid().len() as u64,
                 planned_rounds: folder.stats().planned_rounds as u64,
             });
         }
@@ -259,24 +260,24 @@ impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
         let locked = || folder.lock().expect("no worker panicked while folding");
         let mut scratch = worker_scratch(parallelism);
         loop {
-            let (range, round) = {
+            let (range, round, units) = {
                 let f = locked();
-                (f.round_range(), f.stats().rounds + 1)
+                let units = work_units(
+                    f.grid(),
+                    f.round_range(),
+                    parallelism.lane_words(),
+                    parallelism.threads(),
+                );
+                (f.round_range(), f.stats().rounds + 1, units)
             };
             if range.is_empty() {
                 break;
             }
-            let units = work_units(
-                &grid,
-                range.clone(),
-                parallelism.lane_words(),
-                parallelism.threads(),
-            );
             run_sharded_with(units.len(), parallelism, &mut scratch, |scratch, u| {
-                let ran = engine.run_unit(&grid, units[u], &*self.factory, tracing, scratch);
-                for (grid_index, sink, timing) in ran {
+                let ran = engine.run_unit(units[u], &*self.factory, tracing, scratch);
+                for ((grid_index, shard), (sink, timing)) in units[u].shards().zip(ran) {
                     if let Some(timing) = timing {
-                        recorder.record(timing.span(round, grid_index, grid[grid_index]));
+                        recorder.record(timing.span(round, grid_index, shard));
                     }
                     locked().ingest(grid_index, sink, recorder);
                 }
@@ -321,8 +322,35 @@ struct Cursor {
     units: Vec<WorkUnit>,
     /// Index into `units` of the next unit to hand out.
     next: usize,
+    /// How far past the folded prefix a unit may reach to be handed out,
+    /// so the job holds at most that many private sinks.
+    window: usize,
     /// The job's folded prefix, as last reported by its folder.
     folded: usize,
+}
+
+impl Cursor {
+    /// `folder`'s round in flight, cut into work units for a pool of
+    /// `threads` workers at `lane_words`. The window is one shard per
+    /// worker when every unit is one shard. When units pair shards, it is
+    /// two per worker and two more: a unit's partner lies two entries past
+    /// its first, and the previous unit's partner may still wait for the
+    /// fold, so a worker that finishes the lowest unit can always take the
+    /// next.
+    fn round<S: MergeableSink>(
+        folder: &RoundFolder<'_, S>,
+        lane_words: usize,
+        threads: usize,
+    ) -> Cursor {
+        let units = work_units(folder.grid(), folder.round_range(), lane_words, threads);
+        let paired = units.iter().any(|u| u.len() > 1);
+        Cursor {
+            units,
+            next: 0,
+            window: if paired { 2 * threads + 2 } else { threads },
+            folded: folder.folded(),
+        }
+    }
 }
 
 struct FleetQueue {
@@ -339,12 +367,12 @@ struct FleetQueue {
 
 impl FleetQueue {
     /// Hands out the next work unit of the first job whose next unit lies
-    /// wholly within `window` of its folded prefix.
-    fn pop(&mut self, window: usize) -> Option<(usize, WorkUnit)> {
+    /// wholly within its window of its folded prefix.
+    fn pop(&mut self) -> Option<(usize, WorkUnit)> {
         let (job, cursor) = self.cursors.iter_mut().enumerate().find(|(_, c)| {
             c.units
                 .get(c.next)
-                .is_some_and(|u| u.last() < c.folded + window)
+                .is_some_and(|u| u.last() < c.folded + c.window)
         })?;
         cursor.next += 1;
         Some((job, cursor.units[cursor.next - 1]))
@@ -377,13 +405,7 @@ impl FleetQueue {
             Ingest::Waiting => false,
             Ingest::Folded(_) => true,
             Ingest::RoundDone { done: false, .. } => {
-                cursor.units = work_units(
-                    folder.grid(),
-                    folder.round_range(),
-                    self.lane_words,
-                    self.threads,
-                );
-                cursor.next = 0;
+                *cursor = Cursor::round(folder, self.lane_words, self.threads);
                 true
             }
             Ingest::RoundDone { done: true, .. } => {
@@ -402,25 +424,7 @@ struct FleetShared<'a, S> {
     /// takes a folder lock while holding the queue lock.
     folders: Vec<Mutex<RoundFolder<'a, S>>>,
     engines: Vec<Engine<'a>>,
-    grids: Vec<Vec<ShardSpec>>,
     factories: Vec<SinkFactory<'a, S>>,
-    /// How far past a job's folded prefix shards may be handed out (see
-    /// [`window`]), so each job holds at most that many private sinks.
-    window: usize,
-}
-
-/// How far past a job's folded prefix a pool of `threads` workers at
-/// `lane_words` hands out shards. One shard per worker when every unit is
-/// one shard. When blocks pair shards, two per worker and two more: the
-/// partner of a unit lies two entries past its first, and the previous
-/// unit's partner may still wait for the fold, so a worker that finishes
-/// the lowest unit can always take the next.
-fn window(lane_words: usize, threads: usize) -> usize {
-    if lane_words * WORD_LANES > TRACES_PER_SHARD {
-        2 * threads + 2
-    } else {
-        threads
-    }
 }
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -471,7 +475,7 @@ fn worker_loop<S: MergeableSink>(shared: &FleetShared<'_, S>, recorder: &dyn Rec
                 if queue.poisoned || queue.remaining_jobs == 0 {
                     break 'worker;
                 }
-                if let Some((job, unit)) = queue.pop(shared.window) {
+                if let Some((job, unit)) = queue.pop() {
                     let obs = tracing.then(|| (queue.depth() as u64, queue.remaining_jobs as u64));
                     break (job, unit, obs);
                 }
@@ -496,18 +500,17 @@ fn worker_loop<S: MergeableSink>(shared: &FleetShared<'_, S>, recorder: &dyn Rec
             work_ready: &shared.work_ready,
             armed: true,
         };
-        let grid = &shared.grids[job];
         let factory = &*shared.factories[job];
-        let ran = shared.engines[job].run_unit(grid, unit, factory, tracing, &mut scratch);
+        let ran = shared.engines[job].run_unit(unit, factory, tracing, &mut scratch);
         let t_fold = tracing.then(Instant::now);
-        for (grid_idx, sink, timing) in ran {
+        for ((grid_idx, shard), (sink, timing)) in unit.shards().zip(ran) {
             if let Some(timing) = timing {
                 items += 1;
                 busy_ns += timing.wall_ns;
                 recorder.record(Payload::WorkItem {
                     job: job as u64,
                     grid_index: grid_idx as u64,
-                    count: grid[grid_idx].count() as u64,
+                    count: shard.count() as u64,
                     wall_ns: timing.wall_ns,
                     rng_ns: timing.rng_ns,
                     sim_ns: timing.sim_ns,
@@ -607,11 +610,7 @@ where
     let lane_words = parallelism.lane_words();
     let cursors: Vec<Cursor> = folders
         .iter()
-        .map(|f| Cursor {
-            units: work_units(f.grid(), f.round_range(), lane_words, threads),
-            next: 0,
-            folded: 0,
-        })
+        .map(|f| Cursor::round(f, lane_words, threads))
         .collect();
     let remaining_jobs = cursors.iter().filter(|c| !c.units.is_empty()).count();
     let shared = FleetShared {
@@ -625,9 +624,7 @@ where
         work_ready: Condvar::new(),
         folders: folders.into_iter().map(Mutex::new).collect(),
         engines,
-        grids: configs.iter().map(shard_grid).collect(),
         factories,
-        window: window(lane_words, threads),
     };
     if remaining_jobs > 0 {
         if threads <= 1 {
@@ -719,10 +716,10 @@ mod tests {
     }
 
     /// The first grid index of the unit `queue` hands out next, if any.
-    fn pop_first(queue: &mut FleetQueue, window: usize) -> Option<(usize, usize)> {
+    fn pop_first(queue: &mut FleetQueue) -> Option<(usize, usize)> {
         queue
-            .pop(window)
-            .map(|(job, unit)| (job, unit.grid_indices().next().expect("a unit has a shard")))
+            .pop()
+            .map(|(job, unit)| (job, unit.shards().next().expect("a unit has a shard").0))
     }
 
     /// One job of one round, `round`, run by `threads` workers at `lane_words`.
@@ -732,11 +729,7 @@ mod tests {
         threads: usize,
     ) -> FleetQueue {
         FleetQueue {
-            cursors: vec![Cursor {
-                units: work_units(folder.grid(), folder.round_range(), lane_words, threads),
-                next: 0,
-                folded: 0,
-            }],
+            cursors: vec![Cursor::round(folder, lane_words, threads)],
             remaining_jobs: 1,
             poisoned: false,
             lane_words,
@@ -752,23 +745,23 @@ mod tests {
         assert_eq!(folder.round_range(), 0..6);
         let mut queue = one_job_queue(&folder, 1, 3);
         for want in 0..3 {
-            assert_eq!(pop_first(&mut queue, 3), Some((0, want)));
+            assert_eq!(pop_first(&mut queue), Some((0, want)));
         }
-        assert_eq!(queue.pop(3), None, "the window is full");
+        assert_eq!(queue.pop(), None, "the window is full");
         // Shard 1 arrives first and parks; its booking comes last of all.
         let late = folder.ingest(1, CountProbe::default(), &NullRecorder);
         assert_eq!(late, Ingest::Waiting);
         let ingest = folder.ingest(0, CountProbe::default(), &NullRecorder);
         queue.book(0, ingest, &folder);
-        assert_eq!(pop_first(&mut queue, 3), Some((0, 3)));
-        assert_eq!(pop_first(&mut queue, 3), Some((0, 4)));
+        assert_eq!(pop_first(&mut queue), Some((0, 3)));
+        assert_eq!(pop_first(&mut queue), Some((0, 4)));
         for i in 2..5 {
             let ingest = folder.ingest(i, CountProbe::default(), &NullRecorder);
             queue.book(0, ingest, &folder);
         }
         queue.book(0, late, &folder);
         assert_eq!(
-            pop_first(&mut queue, 3),
+            pop_first(&mut queue),
             Some((0, 5)),
             "the job's last shard is handed out"
         );
@@ -1013,7 +1006,9 @@ mod tests {
             for threads in [1usize, 3] {
                 // The window's sinks plus the accumulator: `threads + 1`
                 // at one shard per unit, `2 × threads + 3` with pairs.
-                let bound = window(lane_words, threads) + 1;
+                let folder = RoundFolder::<LiveProbe>::new(&cfg, usize::MAX, Box::new(NeverStop));
+                let bound = Cursor::round(&folder, lane_words, threads).window + 1;
+                drop(folder);
                 assert!(bound <= 2 * threads + 3);
                 PEAK.store(LIVE.load(Ordering::SeqCst), Ordering::SeqCst);
                 let jobs = vec![FleetJob::<LiveProbe>::new(&c17, &model, cfg.clone())];

@@ -67,11 +67,11 @@ pub mod power;
 pub mod round;
 
 pub use campaign::{
-    collect_gate_samples, collect_gate_samples_parallel, fold_shard_states, partition_shards,
-    run_campaign, run_campaign_adaptive, run_campaign_parallel, run_campaign_traced,
-    run_shard_states, shard_grid, BatchShapeError, CampaignConfig, DelayModel, EnergyBatch,
-    GateSamples, MergeableSink, Parallelism, Population, ShardSpec, TraceSink, BATCH_LANES,
-    DEFAULT_LANE_WORDS, MAX_LANE_WORDS, WORD_LANES,
+    collect_gate_samples, collect_gate_samples_parallel, default_lane_words, fold_shard_states,
+    partition_shards, run_campaign, run_campaign_adaptive, run_campaign_parallel,
+    run_campaign_traced, run_shard_states, shard_grid, BatchShapeError, CampaignConfig, DelayModel,
+    EnergyBatch, GateSamples, MergeableSink, Parallelism, Population, ShardSpec, TraceSink,
+    BATCH_LANES, DEFAULT_LANE_WORDS, MAX_LANE_WORDS, WORD_LANES,
 };
 pub use fleet::{run_fleet, FleetJob};
 pub use logic::{BlockState, SimState, Simulator};

@@ -756,13 +756,12 @@ where
     /// rows stream through [`CoMoments::extend_batch`], so the hot path is K
     /// contiguous reads per set with the accumulator state in a local.
     ///
-    /// A batch that holds every tracked gate streams straight from its
-    /// rows. Otherwise the engine is emitting a block in gate chunks (see
-    /// the [`TraceSink`] contract), and one set's gates may lie in
-    /// different chunks: the tracked rows are copied aside until the
-    /// chunk holding the last of them arrives, and the block's sets are
-    /// folded then. Either way every set sees the block's rows whole, so
-    /// the state does not depend on the chunking.
+    /// The engine emits a block in gate chunks (see the [`TraceSink`]
+    /// contract), and one set's gates may lie in different chunks: the
+    /// tracked rows are copied aside until the chunk holding the last of
+    /// them arrives, and the block's sets are folded then. Every set sees
+    /// the block's rows whole, so the state does not depend on the
+    /// chunking.
     ///
     /// # Panics
     ///
@@ -792,12 +791,6 @@ where
             Population::Fixed => fixed,
             Population::Random => random,
         };
-        if first <= lo && hi < end {
-            for (m, set) in store.iter_mut().zip(sets.iter()) {
-                m.extend_batch(set.map(|g| batch.gate_lanes(g as usize - first)));
-            }
-            return;
-        }
         if first > hi || end <= lo {
             return;
         }
