@@ -1035,6 +1035,48 @@ impl<'a> Engine<'a> {
         sinks: &mut [S],
         timer: &mut PhaseTimer,
     ) {
+        let lanes = block.len();
+        let (mut noise_rngs, single_cycle) =
+            self.simulate_block::<W>(pop, block, st, scratch, timer);
+
+        // Each chunk of gates is filled, then recorded while it is hot;
+        // the noise streams carry on from chunk to chunk, so each stream
+        // still draws for the gates in ascending order.
+        for first in (0..self.gates).step_by(GATE_CHUNK) {
+            let rows = ChunkRows::new(first..(first + GATE_CHUNK).min(self.gates), lanes, pieces);
+            let t_power = timer.begin();
+            self.emit_chunk(&rows, single_cycle, st.values(), &mut noise_rngs, scratch);
+            timer.end(Phase::Power, t_power);
+            let t_acc = timer.begin();
+            for &piece in pieces {
+                let energies = &scratch.energies[rows.piece(piece)];
+                let batch = EnergyBatch::new(energies, rows.gates.len(), piece.lanes)
+                    .expect("engine emits well-formed batches")
+                    .in_design(first, self.gates);
+                sinks[piece.sink].record_batch(pop, batch);
+            }
+            timer.end(Phase::Accumulate, t_acc);
+        }
+    }
+
+    /// The sink-independent part of [`Engine::run_block`]: draws the
+    /// block's data and masks, simulates it, and leaves its toggles for the
+    /// power pass — the bits of `st.values() ^ scratch.prev` when the
+    /// returned flag is set, else the counters in `scratch.toggles`.
+    /// Returns the block's noise streams, one per word.
+    ///
+    /// Kept out of line and generic over the width alone, so it is compiled
+    /// once per width rather than once per width and sink type: the
+    /// binary, and the text pages a process maps, stay smaller.
+    #[inline(never)]
+    fn simulate_block<const W: usize>(
+        &self,
+        pop: Population,
+        block: std::ops::Range<usize>,
+        st: &mut BlockState<W>,
+        scratch: &mut BlockScratch,
+        timer: &mut PhaseTimer,
+    ) -> ([StdRng; W], bool) {
         let (block_start, lanes) = (block.start as u64, block.len());
         debug_assert!(lanes >= 1 && lanes <= W * WORD_LANES, "lanes = {lanes}");
         let words = lanes.div_ceil(WORD_LANES);
@@ -1057,7 +1099,7 @@ impl<'a> Engine<'a> {
 
         let mut mask_rngs: [StdRng; W] =
             std::array::from_fn(|w| batch_stream_rng(seed, pop, word_start(w), STREAM_MASK));
-        let mut noise_rngs: [StdRng; W] =
+        let noise_rngs: [StdRng; W] =
             std::array::from_fn(|w| batch_stream_rng(seed, pop, word_start(w), STREAM_NOISE));
         let t_rng = timer.begin();
         let data = &mut scratch.data;
@@ -1157,25 +1199,7 @@ impl<'a> Engine<'a> {
             }
             timer.end(Phase::Simulate, t_sim);
         }
-
-        // Each chunk of gates is filled, then recorded while it is hot;
-        // the noise streams carry on from chunk to chunk, so each stream
-        // still draws for the gates in ascending order.
-        for first in (0..self.gates).step_by(GATE_CHUNK) {
-            let rows = ChunkRows::new(first..(first + GATE_CHUNK).min(self.gates), lanes, pieces);
-            let t_power = timer.begin();
-            self.emit_chunk(&rows, single_cycle, st.values(), &mut noise_rngs, scratch);
-            timer.end(Phase::Power, t_power);
-            let t_acc = timer.begin();
-            for &piece in pieces {
-                let energies = &scratch.energies[rows.piece(piece)];
-                let batch = EnergyBatch::new(energies, rows.gates.len(), piece.lanes)
-                    .expect("engine emits well-formed batches")
-                    .in_design(first, self.gates);
-                sinks[piece.sink].record_batch(pop, batch);
-            }
-            timer.end(Phase::Accumulate, t_acc);
-        }
+        (noise_rngs, single_cycle)
     }
 
     /// The power pass of one chunk of gates of a block: every gate's
