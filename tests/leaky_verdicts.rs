@@ -4,15 +4,18 @@
 //! `designs/shares3.v`, and the higher-order verdicts: the leaky pairs of
 //! the c432 `assess --pairs 8` sweep and the leaky triples of the shares3
 //! share gates. Beside the verdicts, two c432 campaigns pin the exact bits
-//! of every gate's t-statistic and degrees of freedom.
+//! of every gate's t-statistic and degrees of freedom, and of every gate's
+//! raw moment state in both classes.
 //!
 //! A kernel rewrite may change the low bits of every t-statistic, but the
 //! verdicts `polaris-cli assess` reports on these designs must not move. A
 //! change that moves one is a change of results, not of speed.
 
 use polaris_netlist::{parse_bench, parse_netlist, GateId, Netlist};
-use polaris_sim::{CampaignConfig, Parallelism, PowerModel};
-use polaris_tvla::{all_pairs, all_triples, assess, assess_pairs, assess_triples, TVLA_THRESHOLD};
+use polaris_sim::{run_campaign_parallel, CampaignConfig, Parallelism, PowerModel};
+use polaris_tvla::{
+    all_pairs, all_triples, assess, assess_pairs, assess_triples, WelchAccumulator, TVLA_THRESHOLD,
+};
 
 fn design(file: &str) -> Netlist {
     let path = format!("{}/designs/{file}", env!("CARGO_MANIFEST_DIR"));
@@ -172,6 +175,29 @@ fn fnv1a_t_dof(netlist: &Netlist, cfg: &CampaignConfig) -> u64 {
     h
 }
 
+/// FNV-1a-64 over the little-endian bytes of every gate's raw moment state
+/// `(n, mean, M2, M3, M4)`, fixed class then random class, in gate order.
+fn fnv1a_raw_parts(netlist: &Netlist, cfg: &CampaignConfig) -> u64 {
+    let acc: WelchAccumulator = run_campaign_parallel(
+        netlist,
+        &PowerModel::default(),
+        cfg,
+        Parallelism::sequential(),
+    )
+    .expect("campaign runs");
+    let (fixed, random) = acc.classes();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for m in fixed.iter().chain(random) {
+        let (n, mean, m2, m3, m4) = m.raw_parts();
+        let words = [n, mean.to_bits(), m2.to_bits(), m3.to_bits(), m4.to_bits()];
+        for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
 /// Pins the absolute bits of two whole campaigns, one per energy-synthesis
 /// path: single-cycle zero-delay (toggle bit read from the value diff) and
 /// unit-delay over two cycles (per-lane toggle counts). A faster noise or
@@ -195,6 +221,31 @@ fn campaign_bits_are_pinned() {
         ),
     ] {
         let got = fnv1a_t_dof(&c432, &cfg);
+        assert_eq!(got, want, "{label}: digest {got:#018x}");
+    }
+}
+
+/// Pins every raw moment part of the same two campaigns. The t-statistic
+/// reads only `mean` and `M2`; `M3` and `M4` feed the second-order map and
+/// the distributed part format, so a sink kernel must reproduce them too.
+#[test]
+fn campaign_raw_moments_are_pinned() {
+    let c432 = design("c432.bench");
+    for (label, cfg, want) in [
+        (
+            "zero-delay, 1 cycle",
+            CampaignConfig::new(1500, 1500, 11),
+            0x8705_ebef_59d2_d1bfu64,
+        ),
+        (
+            "unit-delay, 2 cycles",
+            CampaignConfig::new(1500, 1500, 11)
+                .with_glitches()
+                .with_cycles(2),
+            0x7eae_e63d_adce_0af2,
+        ),
+    ] {
+        let got = fnv1a_raw_parts(&c432, &cfg);
         assert_eq!(got, want, "{label}: digest {got:#018x}");
     }
 }
