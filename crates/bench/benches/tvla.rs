@@ -35,7 +35,7 @@ fn bench_moments(c: &mut Criterion) {
     g.bench_function("one_pass_streaming", |b| {
         b.iter(|| {
             let mut m = StreamingMoments::new();
-            m.extend_from_slice(black_box(&xs));
+            m.extend_batch(black_box(&xs));
             black_box((m.mean(), m.sample_variance(), m.central_moment4()))
         })
     });
@@ -47,11 +47,11 @@ fn bench_moments(c: &mut Criterion) {
     let grown: Vec<f64> = pseudo_random(101_000, 42);
     g.bench_function("incremental_batch_update", |b| {
         let mut base = StreamingMoments::new();
-        base.extend_from_slice(&xs);
+        base.extend_batch(&xs);
         b.iter_batched(
             || base,
             |mut m| {
-                m.extend_from_slice(black_box(&grown[100_000..]));
+                m.extend_batch(black_box(&grown[100_000..]));
                 black_box(m.sample_variance())
             },
             BatchSize::SmallInput,
@@ -67,9 +67,9 @@ fn bench_welch(c: &mut Criterion) {
     let a = pseudo_random(10_000, 1);
     let bpop = pseudo_random(10_000, 2);
     let mut ma = StreamingMoments::new();
-    ma.extend_from_slice(&a);
+    ma.extend_batch(&a);
     let mut mb = StreamingMoments::new();
-    mb.extend_from_slice(&bpop);
+    mb.extend_batch(&bpop);
     c.bench_function("welch_t_from_moments", |b| {
         b.iter(|| black_box(welch_t(black_box(&ma), black_box(&mb))))
     });

@@ -310,22 +310,24 @@ fn lockstep_fill<S: Synth, const N: usize>(
     }
 }
 
-/// Run-time choice among the builds of the noise pass.
+/// Run-time choice among the builds of the noise pass and of any other
+/// [`Pass`] (the Welch sink's word fold runs through it too).
 mod kernel {
     use super::{lockstep_fill, Lockstep, Synth};
     #[cfg(test)]
     use super::{transform, Draws};
     use std::sync::OnceLock;
 
-    /// One build of the noise pass that this host can run.
+    /// One instruction-set build that this host can run: portable, AVX2,
+    /// or AVX-512 (F/DQ/VL).
     ///
     /// The field is private to this module and the only constructor is
     /// [`Kernel::supported`], which returns an instruction-set build only
-    /// after `is_x86_feature_detected!` confirmed every feature it enables
-    /// ([`Isa::detected`]). That is the invariant [`Kernel::dispatch`]'s
-    /// `unsafe` call relies on.
+    /// after `is_x86_feature_detected!` confirmed every feature it enables.
+    /// That is the invariant [`Kernel::dispatch`]'s `unsafe` call relies
+    /// on.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub(super) struct Kernel(Isa);
+    pub struct Kernel(Isa);
 
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     enum Isa {
@@ -358,10 +360,18 @@ mod kernel {
         }
     }
 
-    /// A pass that each build compiles its own copy of. Implementations
-    /// mark `run` `#[inline(always)]`, so it inlines into the
-    /// `#[target_feature]` functions below with everything it calls.
-    pub(super) trait Pass {
+    /// A pass that each build compiles its own copy of: the noise fill
+    /// here, the Welch sink's word fold in `polaris-tvla`. Implementations
+    /// mark `run` `#[inline(always)]`, and everything it calls too, so the
+    /// whole pass inlines into each `#[target_feature]` build; a call left
+    /// out of line runs the baseline code.
+    ///
+    /// A pass must produce the same bits in every build. The builds only
+    /// widen vectors; none contracts `a * b + c` into a fused multiply-add
+    /// or reassociates a sum, so a pass made of plain IEEE-754 arithmetic in
+    /// a fixed order keeps its bits.
+    pub trait Pass {
+        /// Runs the pass.
         fn run(self);
     }
 
@@ -401,7 +411,7 @@ mod kernel {
     impl Kernel {
         /// Every build the host supports, in ascending preference; the
         /// portable build is always first.
-        pub(super) fn supported() -> Vec<Kernel> {
+        pub fn supported() -> Vec<Kernel> {
             [
                 Isa::Portable,
                 #[cfg(target_arch = "x86_64")]
@@ -415,8 +425,9 @@ mod kernel {
             .collect()
         }
 
-        /// The host's preferred build, detected once per process.
-        pub(super) fn detected() -> Kernel {
+        /// The host's preferred build, detected once per process; there is
+        /// no flag or environment variable for it.
+        pub fn detected() -> Kernel {
             static BEST: OnceLock<Kernel> = OnceLock::new();
             *BEST.get_or_init(|| {
                 *Kernel::supported()
@@ -444,7 +455,13 @@ mod kernel {
             }
         }
 
-        /// Runs this build of `pass`.
+        /// Runs this build of `pass`: the one entry point into the
+        /// instruction-set builds. Two passes go through it: the fused
+        /// noise and energy fill of this module, and `polaris-tvla`'s
+        /// Welch word fold, which folds the words of four gates side by
+        /// side in each `WelchAccumulator::record_batch` call. Each build
+        /// gives a pass the same bits (see [`Pass`]); only the speed
+        /// differs.
         #[cfg_attr(
             target_arch = "x86_64",
             expect(
@@ -454,7 +471,7 @@ mod kernel {
             )
         )]
         #[inline]
-        pub(super) fn dispatch<P: Pass>(self, pass: P) {
+        pub fn dispatch<P: Pass>(self, pass: P) {
             match self.0 {
                 Isa::Portable => run_portable(pass),
                 // SAFETY: a `Kernel(Isa::Avx2)` exists only after
@@ -502,7 +519,8 @@ mod kernel {
     }
 }
 
-use kernel::{Fill, Kernel};
+use kernel::Fill;
+pub use kernel::{Kernel, Pass};
 
 /// The word counts the host's build fills faster in lockstep than one word
 /// at a time, widest first (possibly none).

@@ -120,10 +120,14 @@ fn welch_from_summary(a: StreamingMomentsSummary, b: StreamingMomentsSummary) ->
 impl TraceSink for WelchAccumulator {
     /// Consumes the batch as one structure-of-arrays pass: each gate's lane
     /// row feeds a blocked [`StreamingMoments::extend_batch`] update, one
-    /// block per 64-trace word. Batches start on word boundaries (the
-    /// [`TraceSink`] contract), so every width cuts the stream into the same
-    /// words and the accumulator state is independent of the engine's lane
-    /// width and of how the engine cuts its gates into batches.
+    /// block per 64-trace word. Four gates' words fold side by side, so the
+    /// CPU overlaps their add and divide chains, in the build of the noise
+    /// kernel's dispatch ([`polaris_sim::power::Kernel`]) the host runs;
+    /// each gate's bits are those of its own `extend_batch` call. Batches
+    /// start on word boundaries (the [`TraceSink`] contract), so every
+    /// width cuts the stream into the same words and the accumulator state
+    /// is independent of the engine's lane width and of how the engine cuts
+    /// its gates into batches.
     fn record_batch(&mut self, pop: Population, batch: EnergyBatch<'_>) {
         let gates = batch.first_gate()..batch.first_gate() + batch.gates();
         if self.fixed.len() < batch.design_gates() {
@@ -136,9 +140,7 @@ impl TraceSink for WelchAccumulator {
             Population::Fixed => &mut self.fixed,
             Population::Random => &mut self.random,
         };
-        for (g, acc) in store[gates].iter_mut().enumerate() {
-            acc.extend_batch(batch.gate_lanes(g));
-        }
+        StreamingMoments::extend_rows(&mut store[gates], batch.energies(), batch.lanes());
     }
 }
 

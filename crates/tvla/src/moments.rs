@@ -8,32 +8,15 @@
 //! merged, enabling batched or distributed acquisition.
 
 use polaris_sim::campaign::WORD_LANES;
+use polaris_sim::power::{Kernel, Pass};
 
 /// Interleaved partial sums per word: independent add chains that map onto
 /// vector registers.
 const SUM_LANES: usize = 4;
 
-/// `Σ f(x)` over `xs`, component-wise. Element `i` adds into lane
-/// `i % SUM_LANES` and the lanes reduce in a fixed pairwise order, so the
-/// result depends only on the samples and their positions.
-#[inline(always)]
-fn lane_sums<const K: usize>(xs: &[f64], f: impl Fn(f64) -> [f64; K]) -> [f64; K] {
-    let mut acc = [[0.0; SUM_LANES]; K];
-    let mut rows = xs.chunks_exact(SUM_LANES);
-    for row in &mut rows {
-        for (l, &x) in row.iter().enumerate() {
-            for (a, v) in acc.iter_mut().zip(f(x)) {
-                a[l] += v;
-            }
-        }
-    }
-    for (l, &x) in rows.remainder().iter().enumerate() {
-        for (a, v) in acc.iter_mut().zip(f(x)) {
-            a[l] += v;
-        }
-    }
-    acc.map(|[a0, a1, a2, a3]| (a0 + a1) + (a2 + a3))
-}
+/// Gates whose words [`StreamingMoments::extend_rows`] folds together, on
+/// every build.
+const GROUP: usize = 4;
 
 /// Streaming accumulator for mean and 2nd–4th central moments.
 ///
@@ -79,12 +62,6 @@ impl StreamingMoments {
         self.m2 += term1;
     }
 
-    /// Adds every sample of a slice; delegates to
-    /// [`StreamingMoments::extend_batch`].
-    pub fn extend_from_slice(&mut self, xs: &[f64]) {
-        self.extend_batch(xs);
-    }
-
     /// Blocked batch update — the SoA hot path of the batch sinks.
     ///
     /// Cuts `xs` into [`WORD_LANES`]-sample words counted from the slice
@@ -92,6 +69,10 @@ impl StreamingMoments {
     /// taken relative to the running mean, then one pairwise combination
     /// (see [`StreamingMoments::merge`]). That is one division chain per
     /// word instead of one per sample, and loops the compiler can vectorize.
+    /// This is the one-gate case of the word fold; the per-gate Welch sink
+    /// folds four gates' words side by side through the same code, each
+    /// with this exact sequence of operations, so its bits are the bits of
+    /// one call per gate.
     ///
     /// Every sum runs in a fixed order, so the result depends only on the
     /// samples and on where the words start: splitting a stream at any
@@ -101,35 +82,25 @@ impl StreamingMoments {
     /// accurate on ill-conditioned (large-offset) streams.
     pub fn extend_batch(&mut self, xs: &[f64]) {
         for word in xs.chunks(WORD_LANES) {
-            self.fold_word(word);
+            fold_words(std::array::from_mut(self), [word]);
         }
     }
 
-    /// Folds one word (`1..=WORD_LANES` samples). The samples are shifted
-    /// by the running mean (the first sample when empty), so the word's mean
-    /// offset keeps full precision however large the stream's DC level; the
-    /// second pass takes the central sums about that offset.
-    fn fold_word(&mut self, xs: &[f64]) {
-        let shift = if self.n == 0 { xs[0] } else { self.mean };
-        let [sum] = lane_sums(xs, |x| [x - shift]);
-        let offset = sum / xs.len() as f64;
-        let [m2, m3, m4] = lane_sums(xs, |x| {
-            let d = (x - shift) - offset;
-            let d2 = d * d;
-            [d2, d2 * d, d2 * d2]
-        });
-        let word = StreamingMoments {
-            n: xs.len() as u64,
-            mean: shift + offset,
-            m2,
-            m3,
-            m4,
-        };
-        if self.n == 0 {
-            *self = word;
-        } else {
-            self.combine(&word, offset);
-        }
+    /// Extends `accs[g]` by row `g` of the gate-major matrix `rows`, rows
+    /// of `lanes` samples each, in the host's build of the noise kernel's
+    /// dispatch ([`Kernel::dispatch`]).
+    ///
+    /// Groups of [`GROUP`] gates fold their full words together, word by
+    /// word; each gate then folds its partial trailing word, and gates
+    /// past the last full group fold alone. Every gate's operations are
+    /// exactly those of [`StreamingMoments::extend_batch`] on its row, so
+    /// the result is bit-identical to one such call per gate.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lanes >= 1` and `rows.len() == accs.len() * lanes`.
+    pub(crate) fn extend_rows(accs: &mut [StreamingMoments], rows: &[f64], lanes: usize) {
+        Kernel::detected().dispatch(ExtendRows { accs, rows, lanes });
     }
 
     /// Merges another accumulator into this one (parallel combination).
@@ -147,6 +118,7 @@ impl StreamingMoments {
     /// Pairwise combination of Chan et al. / Pébay with the mean difference
     /// `delta = other.mean − self.mean` supplied by the caller; both sides
     /// non-empty.
+    #[inline(always)]
     fn combine(&mut self, other: &StreamingMoments, delta: f64) {
         let na = self.n as f64;
         let nb = other.n as f64;
@@ -261,6 +233,129 @@ impl StreamingMoments {
     }
 }
 
+/// Folds one word of each of `K` accumulators: `xs[k]` (`1..=WORD_LANES`
+/// samples, all `K` words equally long) into `accs[k]`.
+///
+/// Each word is shifted by its accumulator's running mean (its first
+/// sample when empty), so the word's mean offset keeps full precision
+/// however large the stream's DC level; the second pass takes the central
+/// sums about that offset, and the summary joins the accumulator with one
+/// pairwise combination at the accumulator's own count.
+///
+/// Sample `i` of a word adds into lane `i % SUM_LANES` of that word's sums,
+/// and the lanes reduce in a fixed pairwise order, so the result depends
+/// only on the word's samples and their positions. The `K` words share
+/// loops, not values: word `k` sees exactly the operations of a fold of it
+/// alone, while the CPU overlaps the `K` independent add and divide chains.
+/// Each loop runs gate by gate within a row of `SUM_LANES` samples, with
+/// one array per sum; the compiler then keeps each gate's lanes in one
+/// vector (two gates to a register on AVX-512), where other arrangements
+/// measured up to twice as slow.
+#[inline(always)]
+fn fold_words<const K: usize>(accs: &mut [StreamingMoments; K], xs: [&[f64]; K]) {
+    let len = xs[0].len();
+    let full = len - len % SUM_LANES;
+    let mut shift = [0.0; K];
+    for k in 0..K {
+        shift[k] = if accs[k].n == 0 {
+            xs[k][0]
+        } else {
+            accs[k].mean
+        };
+    }
+    let mut s1 = [[0.0; SUM_LANES]; K];
+    for at in (0..full).step_by(SUM_LANES) {
+        for k in 0..K {
+            for l in 0..SUM_LANES {
+                s1[k][l] += xs[k][at + l] - shift[k];
+            }
+        }
+    }
+    for k in 0..K {
+        for l in 0..len - full {
+            s1[k][l] += xs[k][full + l] - shift[k];
+        }
+    }
+    let reduce = |[a0, a1, a2, a3]: [f64; SUM_LANES]| (a0 + a1) + (a2 + a3);
+    let mut offset = [0.0; K];
+    for k in 0..K {
+        offset[k] = reduce(s1[k]) / len as f64;
+    }
+    let mut s2 = [[0.0; SUM_LANES]; K];
+    let mut s3 = [[0.0; SUM_LANES]; K];
+    let mut s4 = [[0.0; SUM_LANES]; K];
+    for at in (0..full).step_by(SUM_LANES) {
+        for k in 0..K {
+            for l in 0..SUM_LANES {
+                let d = (xs[k][at + l] - shift[k]) - offset[k];
+                let d2 = d * d;
+                s2[k][l] += d2;
+                s3[k][l] += d2 * d;
+                s4[k][l] += d2 * d2;
+            }
+        }
+    }
+    for k in 0..K {
+        for l in 0..len - full {
+            let d = (xs[k][full + l] - shift[k]) - offset[k];
+            let d2 = d * d;
+            s2[k][l] += d2;
+            s3[k][l] += d2 * d;
+            s4[k][l] += d2 * d2;
+        }
+    }
+    for (k, acc) in accs.iter_mut().enumerate() {
+        let word = StreamingMoments {
+            n: len as u64,
+            mean: shift[k] + offset[k],
+            m2: reduce(s2[k]),
+            m3: reduce(s3[k]),
+            m4: reduce(s4[k]),
+        };
+        if acc.n == 0 {
+            *acc = word;
+        } else {
+            acc.combine(&word, offset[k]);
+        }
+    }
+}
+
+/// [`StreamingMoments::extend_rows`] as a [`Pass`], so that each build of
+/// the dispatch compiles its own copy of the fold.
+struct ExtendRows<'a> {
+    accs: &'a mut [StreamingMoments],
+    rows: &'a [f64],
+    lanes: usize,
+}
+
+impl Pass for ExtendRows<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let ExtendRows { accs, rows, lanes } = self;
+        assert_eq!(rows.len(), accs.len() * lanes, "one row per accumulator");
+        let full = lanes - lanes % WORD_LANES;
+        let mut groups = accs.chunks_exact_mut(GROUP);
+        let mut blocks = rows.chunks_exact(GROUP * lanes);
+        for (group, block) in (&mut groups).zip(&mut blocks) {
+            let group: &mut [StreamingMoments; GROUP] =
+                group.try_into().expect("chunks_exact yields full groups");
+            let row = |k: usize| &block[k * lanes..(k + 1) * lanes];
+            for at in (0..full).step_by(WORD_LANES) {
+                fold_words(group, std::array::from_fn(|k| &row(k)[at..at + WORD_LANES]));
+            }
+            if full < lanes {
+                for (k, acc) in group.iter_mut().enumerate() {
+                    fold_words(std::array::from_mut(acc), [&row(k)[full..]]);
+                }
+            }
+        }
+        let rest = blocks.remainder().chunks_exact(lanes);
+        for (acc, row) in groups.into_remainder().iter_mut().zip(rest) {
+            acc.extend_batch(row);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,7 +387,7 @@ mod tests {
         // variance 5/3, CM3 = 0 (symmetric), CM4 = (2·1.5⁴ + 2·0.5⁴)/4 =
         // 2.5625, excess kurtosis = 2.5625/1.25² − 3 = −1.36.
         let mut m = StreamingMoments::new();
-        m.extend_from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        m.extend_batch(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(m.count(), 4);
         assert!((m.mean() - 2.5).abs() < 1e-15);
         assert!((m.population_variance() - 1.25).abs() < 1e-15);
@@ -308,7 +403,7 @@ mod tests {
         // xs = [1,1,1,5]: mean 2, CM2 = 3, CM3 = 6, skewness = 6/3^1.5 =
         // 2/√3.
         let mut m = StreamingMoments::new();
-        m.extend_from_slice(&[1.0, 1.0, 1.0, 5.0]);
+        m.extend_batch(&[1.0, 1.0, 1.0, 5.0]);
         assert!((m.mean() - 2.0).abs() < 1e-15);
         assert!((m.population_variance() - 3.0).abs() < 1e-15);
         assert!((m.central_moment3() - 6.0).abs() < 1e-12);
@@ -318,7 +413,7 @@ mod tests {
     #[test]
     fn constant_stream_is_degenerate() {
         let mut m = StreamingMoments::new();
-        m.extend_from_slice(&[2.0; 5]);
+        m.extend_batch(&[2.0; 5]);
         assert!((m.mean() - 2.0).abs() < 1e-15);
         assert_eq!(m.population_variance(), 0.0);
         assert_eq!(m.skewness(), 0.0);
@@ -343,7 +438,7 @@ mod tests {
     fn streaming_matches_two_pass() {
         let xs = pseudo_random(5000, 42);
         let mut m = StreamingMoments::new();
-        m.extend_from_slice(&xs);
+        m.extend_batch(&xs);
         let (mean, cm2, cm3, cm4) = naive(&xs);
         assert!((m.mean() - mean).abs() < 1e-9);
         assert!((m.population_variance() - cm2).abs() < 1e-9);
@@ -356,13 +451,13 @@ mod tests {
         let xs = pseudo_random(3000, 7);
         let (a, b) = xs.split_at(1234);
         let mut ma = StreamingMoments::new();
-        ma.extend_from_slice(a);
+        ma.extend_batch(a);
         let mut mb = StreamingMoments::new();
-        mb.extend_from_slice(b);
+        mb.extend_batch(b);
         ma.merge(&mb);
 
         let mut all = StreamingMoments::new();
-        all.extend_from_slice(&xs);
+        all.extend_batch(&xs);
 
         assert_eq!(ma.count(), all.count());
         assert!((ma.mean() - all.mean()).abs() < 1e-10);
@@ -374,7 +469,7 @@ mod tests {
     fn merge_with_empty_is_identity() {
         let xs = pseudo_random(100, 3);
         let mut m = StreamingMoments::new();
-        m.extend_from_slice(&xs);
+        m.extend_batch(&xs);
         let snapshot = m;
         m.merge(&StreamingMoments::new());
         assert_eq!(m, snapshot);
@@ -398,7 +493,7 @@ mod tests {
     #[test]
     fn sample_variance_uses_n_minus_one() {
         let mut m = StreamingMoments::new();
-        m.extend_from_slice(&[1.0, 3.0]);
+        m.extend_batch(&[1.0, 3.0]);
         assert!((m.sample_variance() - 2.0).abs() < 1e-12);
         assert!((m.population_variance() - 1.0).abs() < 1e-12);
     }
@@ -488,13 +583,65 @@ mod tests {
         }
     }
 
+    /// The grouped fold of a gate-major matrix writes, for every gate, the
+    /// bits of one `extend_batch` call on that gate's row: in every build
+    /// the host supports, for every gate count up to two full groups and a
+    /// partial one, for rows of one sample, of a partial word, of whole
+    /// words and of whole words and a partial one, into empty accumulators
+    /// and into accumulators restored with unequal counts, on a stream at
+    /// zero and at a 1e9 DC level.
+    #[test]
+    fn grouped_fold_is_per_gate_fold() {
+        let kernels = Kernel::supported();
+        assert_eq!(kernels.last(), Some(&Kernel::detected()));
+        for kernel in kernels {
+            for gates in 1..=2 * GROUP + 1 {
+                for lanes in [1, 63, 64, 65, 256, 300] {
+                    for dc in [0.0, 1e9] {
+                        let rows: Vec<f64> = pseudo_random(gates * lanes, (gates * lanes) as u64)
+                            .iter()
+                            .map(|x| dc + x)
+                            .collect();
+                        let restored: Vec<StreamingMoments> = (0..gates)
+                            .map(|g| {
+                                let mut m = StreamingMoments::new();
+                                m.extend_batch(&pseudo_random(1 + 37 * g, g as u64));
+                                let (n, mean, m2, m3, m4) = m.raw_parts();
+                                StreamingMoments::from_raw_parts(n, dc + mean, m2, m3, m4)
+                            })
+                            .collect();
+                        for start in [vec![StreamingMoments::new(); gates], restored] {
+                            let mut want = start.clone();
+                            for (acc, row) in want.iter_mut().zip(rows.chunks_exact(lanes)) {
+                                acc.extend_batch(row);
+                            }
+                            let mut got = start;
+                            kernel.dispatch(ExtendRows {
+                                accs: &mut got,
+                                rows: &rows,
+                                lanes,
+                            });
+                            for (g, (got, want)) in got.iter().zip(&want).enumerate() {
+                                assert_eq!(
+                                    bits(got),
+                                    bits(want),
+                                    "{kernel:?}: gate {g} of {gates}, {lanes} lanes, DC {dc}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn gaussianish_kurtosis_near_zero() {
         // Sum of 12 uniforms ≈ normal; excess kurtosis ≈ -0.1 (Irwin–Hall 12).
         let base = pseudo_random(120_000, 11);
         let xs: Vec<f64> = base.chunks(12).map(|c| c.iter().sum::<f64>()).collect();
         let mut m = StreamingMoments::new();
-        m.extend_from_slice(&xs);
+        m.extend_batch(&xs);
         assert!(
             m.kurtosis_excess().abs() < 0.2,
             "kurt {}",

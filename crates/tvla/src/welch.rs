@@ -80,9 +80,9 @@ pub fn welch_t(q0: &StreamingMoments, q1: &StreamingMoments) -> WelchResult {
 /// small analyses; the streaming path is [`welch_t`]).
 pub fn welch_t_slices(q0: &[f64], q1: &[f64]) -> WelchResult {
     let mut m0 = StreamingMoments::new();
-    m0.extend_from_slice(q0);
+    m0.extend_batch(q0);
     let mut m1 = StreamingMoments::new();
-    m1.extend_from_slice(q1);
+    m1.extend_batch(q1);
     welch_t(&m0, &m1)
 }
 

@@ -349,13 +349,13 @@ proptest! {
         let xs = lcg_stream(len, seed);
         let cut = cut % (len + 1);
         let mut left = StreamingMoments::new();
-        left.extend_from_slice(&xs[..cut]);
+        left.extend_batch(&xs[..cut]);
         let mut right = StreamingMoments::new();
-        right.extend_from_slice(&xs[cut..]);
+        right.extend_batch(&xs[cut..]);
         left.merge(&right);
 
         let mut whole = StreamingMoments::new();
-        whole.extend_from_slice(&xs);
+        whole.extend_batch(&xs);
 
         prop_assert_eq!(left.count(), whole.count());
         prop_assert!((left.mean() - whole.mean()).abs() < 1e-9);

@@ -99,13 +99,13 @@ proptest! {
     ) {
         let cut = 1 + split.index(xs.len() - 1);
         let mut left = StreamingMoments::new();
-        left.extend_from_slice(&xs[..cut]);
+        left.extend_batch(&xs[..cut]);
         let mut right = StreamingMoments::new();
-        right.extend_from_slice(&xs[cut..]);
+        right.extend_batch(&xs[cut..]);
         left.merge(&right);
 
         let mut all = StreamingMoments::new();
-        all.extend_from_slice(&xs);
+        all.extend_batch(&xs);
 
         prop_assert_eq!(left.count(), all.count());
         prop_assert!((left.mean() - all.mean()).abs() < 1e-6);
@@ -123,9 +123,9 @@ proptest! {
         b in prop::collection::vec(-50f64..50.0, 3..80),
     ) {
         let mut ma = StreamingMoments::new();
-        ma.extend_from_slice(&a);
+        ma.extend_batch(&a);
         let mut mb = StreamingMoments::new();
-        mb.extend_from_slice(&b);
+        mb.extend_batch(&b);
         let fwd = welch_t(&ma, &mb);
         let rev = welch_t(&mb, &ma);
         prop_assert!((fwd.t + rev.t).abs() < 1e-9);
