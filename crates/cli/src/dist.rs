@@ -237,9 +237,6 @@ fn work(args: &[String]) -> Result<(), CliError> {
             parts,
             recorder,
         ),
-        SinkKind::Cpa => Err(DistError::PlanMismatch(
-            "CPA shard states are snapshot via the library API, not `dist work`".into(),
-        )),
     }
     .map_err(dist_err)?;
     // Atomic tmp-then-rename: a worker killed mid-write must never leave a
@@ -339,11 +336,6 @@ fn merge(args: &[String]) -> Result<(), CliError> {
         }
         SinkKind::Pairs => merge_co_moments::<2>(&flags, &netlist, &plan, &part_files, recorder)?,
         SinkKind::Triples => merge_co_moments::<3>(&flags, &netlist, &plan, &part_files, recorder)?,
-        SinkKind::Cpa => {
-            return Err(CliError::from(
-                "CPA shard states merge via the library API, not `dist merge`".to_string(),
-            ))
-        }
     }
     trace_out.flush()?;
     Ok(())

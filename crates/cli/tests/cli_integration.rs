@@ -438,6 +438,72 @@ fn dist_bad_inputs_map_to_distinct_exit_codes() {
     assert!(msg.contains("fingerprint"), "{msg}");
 }
 
+/// The retired sink kind (wire tag 3, manifest name `cpa`) gets typed exit
+/// codes, never a panic: a part file carrying the tag is a kind mismatch
+/// (7), and a manifest naming the sink is malformed (4) for both `work` and
+/// `merge`.
+#[test]
+fn dist_retired_sink_kind_is_a_typed_error() {
+    let design = tmp("dist_retired_c17.bench");
+    std::fs::write(&design, C17_BENCH).expect("write design");
+    let design = design.to_str().expect("utf8").to_string();
+    let plan = tmp("dist_retired_plan.txt");
+    let plan = plan.to_str().expect("utf8").to_string();
+    let shard = tmp("dist_retired_part0.shard");
+    let shard = shard.to_str().expect("utf8").to_string();
+
+    let run = |args: &[&str]| cli().args(args).output().expect("runs");
+    let failure = |args: &[&str]| {
+        let out = run(args);
+        assert!(!out.status.success());
+        (
+            out.status.code().expect("exit code"),
+            String::from_utf8_lossy(&out.stderr).to_string(),
+        )
+    };
+    assert!(run(&[
+        "dist", "plan", &design, "--traces", "600", "--seed", "3", "--parts", "1", "--out", &plan,
+    ])
+    .status
+    .success());
+    assert!(
+        run(&["dist", "work", &design, "--plan", &plan, "--part", "0", "--out", &shard,])
+            .status
+            .success()
+    );
+
+    // Sink-kind byte 3 with a recomputed checksum → 7.
+    let mut bytes = std::fs::read(&shard).expect("shard written");
+    bytes[10] = 3;
+    let end = bytes.len() - 8;
+    let checksum = polaris_dist::wire::fnv1a64(&bytes[8..end]);
+    bytes[end..].copy_from_slice(&checksum.to_le_bytes());
+    let retagged = tmp("dist_retired_tag3.shard");
+    std::fs::write(&retagged, &bytes).expect("write");
+    let retagged = retagged.to_str().expect("utf8");
+    let (code, msg) = failure(&["dist", "merge", &design, "--plan", &plan, retagged]);
+    assert_eq!(code, 7, "{msg}");
+    assert!(msg.contains("sink kind mismatch"), "{msg}");
+
+    // A manifest naming the retired `cpa` sink → 4 from work and merge.
+    let manifest = std::fs::read_to_string(&plan).expect("plan written");
+    let retired = manifest.replace("sink welch", "sink cpa");
+    assert_ne!(retired, manifest, "the manifest names its sink");
+    let retired_plan = tmp("dist_retired_cpa_plan.txt");
+    std::fs::write(&retired_plan, retired).expect("write");
+    let retired_plan = retired_plan.to_str().expect("utf8");
+    let unwritten = tmp("dist_retired_cpa.shard");
+    let unwritten = unwritten.to_str().expect("utf8");
+    let work = ["--part", "0", "--out", unwritten];
+    for (sub, tail) in [("work", &work[..]), ("merge", &[shard.as_str()][..])] {
+        let mut args = vec!["dist", sub, &design, "--plan", retired_plan];
+        args.extend_from_slice(tail);
+        let (code, msg) = failure(&args);
+        assert_eq!(code, 4, "dist {sub}: {msg}");
+        assert!(msg.contains("unknown sink kind `cpa`"), "dist {sub}: {msg}");
+    }
+}
+
 #[test]
 fn fleet_csvs_are_byte_identical_to_solo_assess() {
     // Two designs assessed as one fleet must emit exactly the CSVs the solo

@@ -1,7 +1,7 @@
 //! Body encodings of the snapshotable accumulators — one [`ShardState`]
-//! impl per [`polaris_sim::MergeableSink`] the campaign and CPA engines
-//! fold (Welch moments, dense gate samples, CPA correlation sums, and the
-//! co-moment sinks of every multivariate order).
+//! impl per [`MergeableSink`] the campaign engine folds (Welch moments,
+//! dense gate samples, and the co-moment sinks of every multivariate
+//! order).
 //!
 //! Bodies carry raw accumulator state, with every `f64` transported as its
 //! bit pattern: `decode(encode(x))` reproduces `x` exactly, and
@@ -11,8 +11,7 @@
 use polaris_sim::campaign::MergeableSink;
 use polaris_sim::GateSamples;
 use polaris_tvla::{
-    CoMomentAccumulator, CoMoments, CorrelationAccumulator, CpaAccumulator, Order,
-    StreamingMoments, SupportedOrder, WelchAccumulator,
+    CoMomentAccumulator, CoMoments, Order, StreamingMoments, SupportedOrder, WelchAccumulator,
 };
 
 use crate::wire::{put_f64, put_u32, put_u64, Reader};
@@ -25,8 +24,6 @@ pub enum SinkKind {
     Welch,
     /// Dense per-gate sample buffers ([`GateSamples`]).
     GateSamples,
-    /// Per-key-guess correlation sums ([`CpaAccumulator`]).
-    Cpa,
     /// Per-gate-pair bivariate co-moments ([`CoMomentAccumulator<2>`]).
     Pairs,
     /// Per-gate-triple trivariate co-moments ([`CoMomentAccumulator<3>`]).
@@ -52,26 +49,14 @@ impl SinkKind {
         }
     }
 
-    /// The wire tag (see the format table in the crate docs).
+    /// The wire tag (see the format table in the crate docs; tag 3 is
+    /// retired and never reused).
     pub fn tag(self) -> u8 {
         match self {
             SinkKind::Welch => 1,
             SinkKind::GateSamples => 2,
-            SinkKind::Cpa => 3,
             SinkKind::Pairs => 4,
             SinkKind::Triples => 5,
-        }
-    }
-
-    /// Resolves a wire tag; `None` for unknown tags.
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            1 => Some(SinkKind::Welch),
-            2 => Some(SinkKind::GateSamples),
-            3 => Some(SinkKind::Cpa),
-            4 => Some(SinkKind::Pairs),
-            5 => Some(SinkKind::Triples),
-            _ => None,
         }
     }
 
@@ -80,7 +65,6 @@ impl SinkKind {
         match self {
             SinkKind::Welch => "welch",
             SinkKind::GateSamples => "samples",
-            SinkKind::Cpa => "cpa",
             SinkKind::Pairs => "pairs",
             SinkKind::Triples => "triples",
         }
@@ -91,7 +75,6 @@ impl SinkKind {
         match name {
             "welch" => Some(SinkKind::Welch),
             "samples" => Some(SinkKind::GateSamples),
-            "cpa" => Some(SinkKind::Cpa),
             "pairs" => Some(SinkKind::Pairs),
             "triples" => Some(SinkKind::Triples),
             _ => None,
@@ -99,13 +82,11 @@ impl SinkKind {
     }
 }
 
-/// An accumulator whose state can cross a process boundary: encode to the
-/// shard-state body format, decode back, and fold in canonical order.
-///
-/// `fold` must behave exactly like the in-process merge of the same
-/// accumulator (it *is* that merge for every impl here), so a central fold
-/// over restored states is bit-identical to the single-process fold.
-pub trait ShardState: Sized {
+/// A [`MergeableSink`] whose state can cross a process boundary: encode to
+/// the shard-state body format and decode back bit-exactly, so a central
+/// [`MergeableSink::merge`] fold over restored states is bit-identical to
+/// the single-process fold.
+pub trait ShardState: MergeableSink + Sized {
     /// The wire tag this state is framed under.
     const KIND: SinkKind;
 
@@ -121,16 +102,13 @@ pub trait ShardState: Sized {
     /// structurally invalid input.
     fn decode_body(r: &mut Reader<'_>) -> Result<Self, DistError>;
 
-    /// Folds `other` (the state of the *following* shard range) into
-    /// `self`.
-    fn fold(&mut self, other: Self);
-
     /// The cross-shard dimension this state is committed to (gate count for
-    /// the campaign sinks, guess count for CPA), or `None` when the state
-    /// is empty and imposes no constraint. [`crate::merge_parts`] refuses
-    /// to fold states that disagree — the accumulator merges themselves
-    /// only debug-assert the dimension, so without this check a release
-    /// build would silently truncate mismatched parts.
+    /// the per-gate sinks, gate-set count for the co-moment sinks), or
+    /// `None` when the state is empty and imposes no constraint.
+    /// [`crate::merge_parts`] refuses to fold states that disagree — the
+    /// accumulator merges themselves only debug-assert the dimension, so
+    /// without this check a release build would silently truncate
+    /// mismatched parts.
     fn dimension(&self) -> Option<usize>;
 }
 
@@ -185,10 +163,6 @@ impl ShardState for WelchAccumulator {
         Ok(WelchAccumulator::from_classes(fixed, random))
     }
 
-    fn fold(&mut self, other: Self) {
-        MergeableSink::merge(self, other);
-    }
-
     fn dimension(&self) -> Option<usize> {
         let (fixed, _) = self.classes();
         (!fixed.is_empty()).then_some(fixed.len())
@@ -241,66 +215,12 @@ impl ShardState for GateSamples {
         Ok(GateSamples::from_classes(fixed, random))
     }
 
-    fn fold(&mut self, other: Self) {
-        MergeableSink::merge(self, other);
-    }
-
     fn dimension(&self) -> Option<usize> {
         // A one-population shard leaves the unseen class empty, so the
         // committed dimension is whichever class has gates.
         let (fixed, random) = self.classes();
         let gates = fixed.len().max(random.len());
         (gates > 0).then_some(gates)
-    }
-}
-
-impl ShardState for CpaAccumulator {
-    const KIND: SinkKind = SinkKind::Cpa;
-
-    /// `guesses (u32)`, then one record per key guess:
-    /// `n (u64), mean_x, mean_y, M2x, M2y, Cxy`.
-    fn encode_body(&self, out: &mut Vec<u8>) {
-        let per_guess = self.guess_accumulators();
-        put_u32(
-            out,
-            u32::try_from(per_guess.len()).expect("guess count fits u32"),
-        );
-        for acc in per_guess {
-            let (n, mean_x, mean_y, m2x, m2y, cxy) = acc.raw_parts();
-            put_u64(out, n);
-            put_f64(out, mean_x);
-            put_f64(out, mean_y);
-            put_f64(out, m2x);
-            put_f64(out, m2y);
-            put_f64(out, cxy);
-        }
-    }
-
-    fn decode_body(r: &mut Reader<'_>) -> Result<Self, DistError> {
-        let guesses = r.u32("cpa guess count")? as usize;
-        r.expect_elements(guesses, 8 + 5 * 8, "cpa correlation records")?;
-        let mut per_guess = Vec::with_capacity(guesses);
-        for _ in 0..guesses {
-            let n = r.u64("cpa correlation record")?;
-            let mean_x = r.f64("cpa correlation record")?;
-            let mean_y = r.f64("cpa correlation record")?;
-            let m2x = r.f64("cpa correlation record")?;
-            let m2y = r.f64("cpa correlation record")?;
-            let cxy = r.f64("cpa correlation record")?;
-            per_guess.push(CorrelationAccumulator::from_raw_parts(
-                n, mean_x, mean_y, m2x, m2y, cxy,
-            ));
-        }
-        Ok(CpaAccumulator::from_guess_accumulators(per_guess))
-    }
-
-    fn fold(&mut self, other: Self) {
-        self.merge(&other);
-    }
-
-    fn dimension(&self) -> Option<usize> {
-        let guesses = self.guess_accumulators().len();
-        (guesses > 0).then_some(guesses)
     }
 }
 
@@ -366,10 +286,6 @@ where
         Ok(CoMomentAccumulator::from_parts(sets, fixed, random))
     }
 
-    fn fold(&mut self, other: Self) {
-        MergeableSink::merge(self, other);
-    }
-
     fn dimension(&self) -> Option<usize> {
         let sets = self.gate_sets().len();
         (sets > 0).then_some(sets)
@@ -417,7 +333,6 @@ mod tests {
     fn empty_states_round_trip() {
         round_trip(&WelchAccumulator::new());
         round_trip(&GateSamples::default());
-        round_trip(&CpaAccumulator::new(0));
         round_trip(&PairAccumulator::default());
         round_trip(&TripleAccumulator::default());
         round_trip(&TripleAccumulator::for_triples(vec![(0, 1, 2)]));
@@ -470,28 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn cpa_round_trips_extreme_values() {
-        let per_guess = vec![
-            CorrelationAccumulator::from_raw_parts(
-                u64::MAX,
-                f64::MIN_POSITIVE,
-                -0.0,
-                1e308,
-                f64::INFINITY,
-                f64::NAN,
-            ),
-            CorrelationAccumulator::new(),
-        ];
-        let acc = CpaAccumulator::from_guess_accumulators(per_guess);
-        let back = round_trip(&acc);
-        assert_eq!(back.guess_accumulators().len(), 2);
-        let (n, _, _, _, m2y, cxy) = back.guess_accumulators()[0].raw_parts();
-        assert_eq!(n, u64::MAX);
-        assert_eq!(m2y, f64::INFINITY);
-        assert!(cxy.is_nan());
-    }
-
-    #[test]
     fn triples_round_trip_bit_exactly() {
         use polaris_sim::campaign::{EnergyBatch, Population, TraceSink};
         let mut acc = TripleAccumulator::for_triples(vec![(0, 2, 3), (1, 2, 3)]);
@@ -541,11 +434,6 @@ mod tests {
         let mut r = Reader::new(&bytes);
         assert!(matches!(
             WelchAccumulator::decode_body(&mut r),
-            Err(DistError::Truncated { .. })
-        ));
-        let mut r = Reader::new(&bytes);
-        assert!(matches!(
-            CpaAccumulator::decode_body(&mut r),
             Err(DistError::Truncated { .. })
         ));
         let mut r = Reader::new(&bytes);

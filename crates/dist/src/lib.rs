@@ -35,7 +35,8 @@
 //! offset size field
 //! 0      8    magic "PLRSHARD" (never changes across versions)
 //! 8      2    format version (u16) — readers accept an exact match only
-//! 10     1    sink kind: 1 Welch moments, 2 dense gate samples, 3 CPA,
+//! 10     1    sink kind: 1 Welch moments, 2 dense gate samples,
+//!             3 retired (was CPA), never reused,
 //!             4 bivariate pair co-moments, 5 trivariate triple co-moments
 //! 11     1    reserved (0)
 //! 12     8    campaign fingerprint (u64; netlist + campaign digest)
@@ -62,8 +63,9 @@
 //!   the checksum/fingerprint recipe bumps [`FORMAT_VERSION`]. So does a
 //!   change to a sink's accumulation arithmetic: the bytes still decode, but
 //!   a fold of parts from two builds would give bits that match neither
-//!   build. Adding a new sink kind does **not** bump it (unknown kinds
-//!   already fail decoding cleanly).
+//!   build. Adding or retiring a sink kind does **not** bump it (unknown
+//!   and retired kinds already fail decoding cleanly); a retired tag is
+//!   never reused.
 //! * Shard-state files are transport artifacts, not archives: a merge is
 //!   expected to run the same build as its workers. The version word exists
 //!   to turn a mixed-build deployment into a clear error instead of a

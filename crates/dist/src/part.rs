@@ -8,8 +8,7 @@ use std::time::Instant;
 use polaris_netlist::Netlist;
 use polaris_obs::{NullRecorder, Payload, Recorder};
 use polaris_sim::campaign::{
-    partition_shards, shard_grid, CampaignConfig, CampaignOutcome, CampaignStats, MergeableSink,
-    Parallelism,
+    partition_shards, shard_grid, CampaignConfig, CampaignOutcome, CampaignStats, Parallelism,
 };
 use polaris_sim::{FleetJob, PowerModel};
 
@@ -244,7 +243,7 @@ pub fn execute_part<S>(
     part_count: usize,
 ) -> Result<Vec<u8>, DistError>
 where
-    S: ShardState + MergeableSink + Default,
+    S: ShardState + Default,
 {
     let job = FleetJob::<S>::new(netlist, model, config.clone());
     execute_job_part(&job, parallelism, part_index, part_count, &NullRecorder)
@@ -273,7 +272,7 @@ pub fn execute_job_part<S>(
     recorder: &dyn Recorder,
 ) -> Result<Vec<u8>, DistError>
 where
-    S: ShardState + MergeableSink + Default,
+    S: ShardState + Default,
 {
     let config = job.config();
     let n_shards = shard_grid(config).len();
@@ -431,7 +430,7 @@ where
         )));
     }
 
-    // Shards must agree on the accumulator dimension (gate / guess count)
+    // Shards must agree on the accumulator dimension (gate / gate-set count)
     // before anything folds: mismatched dimensions mean the parts came from
     // different designs, and the accumulator merges themselves only
     // debug-assert it (a release build would silently truncate).
@@ -465,7 +464,7 @@ where
         for s in states {
             match &mut acc {
                 None => acc = Some(s),
-                Some(a) => a.fold(s),
+                Some(a) => a.merge(s),
             }
         }
         if let Some(t0) = part_start {

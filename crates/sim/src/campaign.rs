@@ -66,9 +66,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::fleet::FleetJob;
 use crate::logic::{BlockBuffers, BlockState, Simulator};
-use crate::power::{
-    fill_words, lockstep_words, sample_standard_normal, BitEnergy, CountEnergy, PowerModel,
-};
+use crate::power::{fill_words, lockstep_words, BitEnergy, CountEnergy, PowerModel};
 pub use crate::round::{CampaignOutcome, CampaignStats, Checkpoint, NeverStop, StoppingRule};
 
 /// Trace lanes per simulator word (one `u64` of lane bits).
@@ -510,8 +508,7 @@ const STREAM_MASK: u64 = 0x4D41_534B; // "MASK"
 const STREAM_NOISE: u64 = 0x4E4F_4953; // "NOIS"
 
 /// One SplitMix64 output step — the workspace's shared counter-based stream
-/// mixer (the `rand` shim seeds xoshiro state the same way, and the CPA
-/// engine derives its per-trace streams from it).
+/// mixer (the `rand` shim seeds xoshiro state the same way).
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -1499,30 +1496,18 @@ where
 
 /// Runs `n_shards` independent work items across `parallelism` worker
 /// threads and returns their results **in shard order** — the shared
-/// deterministic scheduler of the campaign and CPA engines.
+/// deterministic scheduler of the campaign and fleet engines.
 ///
 /// Workers pull shard indices from an atomic queue, so which thread runs a
 /// shard is arbitrary, but the returned `Vec` is always ordered by shard
 /// index: callers fold it left-to-right to get thread-count-invariant
 /// results.
 ///
-/// # Panics
-///
-/// Propagates worker panics.
-pub fn run_sharded<T, F>(n_shards: usize, parallelism: Parallelism, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut workers = vec![(); parallelism.threads()];
-    run_sharded_with(n_shards, parallelism, &mut workers, |(), i| work(i))
-}
-
-/// [`run_sharded`] with worker-local state: each worker thread takes one
-/// element of `locals` for its whole run, and `work` gets it with every
-/// shard index. At most `locals.len()` workers run, and the inline path
-/// uses `locals[0]`. Passing the same `locals` to several calls carries
-/// the state across them (the campaign engine's block buffers).
+/// Each worker thread takes one element of `locals` for its whole run, and
+/// `work` gets it with every shard index. At most `locals.len()` workers
+/// run, and the inline path uses `locals[0]`. Passing the same `locals` to
+/// several calls carries the state across them (the campaign engine's
+/// block buffers).
 ///
 /// # Panics
 ///
@@ -1740,70 +1725,6 @@ pub fn collect_gate_samples_parallel(
     parallelism: Parallelism,
 ) -> Result<GateSamples, NetlistError> {
     run_campaign_parallel(netlist, model, config, parallelism)
-}
-
-/// Per-trace total-power waveforms: `waves[trace][cycle]` is the summed
-/// energy of every gate during that cycle (plus noise). Used by the
-/// waveform-style figures and benches.
-///
-/// # Errors
-///
-/// Propagates simulator compilation errors.
-pub fn collect_waveforms(
-    netlist: &Netlist,
-    model: &PowerModel,
-    config: &CampaignConfig,
-    pop: Population,
-) -> Result<Vec<Vec<f64>>, NetlistError> {
-    let sim = Simulator::new(netlist)?;
-    let n_data = netlist.data_inputs().len();
-    let n_mask = netlist.mask_inputs().len();
-    let gates = netlist.gate_count();
-
-    let mut seed_rng = StdRng::seed_from_u64(config.seed);
-    let fixed_vec: Vec<bool> = match &config.fixed_vector {
-        Some(v) => v.clone(),
-        None => (0..n_data).map(|_| seed_rng.gen::<bool>()).collect(),
-    };
-    let mut data_rng = StdRng::seed_from_u64(config.seed ^ 0xDA7A_5EED);
-    let mut mask_rng = StdRng::seed_from_u64(config.seed ^ 0x3A5C_0DE5);
-    let mut noise_rng = StdRng::seed_from_u64(config.seed ^ 0x0153_B0B5);
-    let caps: Vec<f64> = netlist.iter().map(|(_, g)| model.cap(g.kind())).collect();
-
-    let n_traces = match pop {
-        Population::Fixed => config.n_fixed,
-        Population::Random => config.n_random,
-    };
-    let mut waves = Vec::with_capacity(n_traces);
-    for _ in 0..n_traces {
-        let data: Vec<u64> = match pop {
-            Population::Fixed => fixed_vec.iter().map(|&b| if b { 1 } else { 0 }).collect(),
-            Population::Random => (0..n_data).map(|_| data_rng.gen::<u64>() & 1).collect(),
-        };
-        let mut st = sim.zero_state();
-        let base_mask: Vec<u64> = (0..n_mask).map(|_| mask_rng.gen::<u64>() & 1).collect();
-        sim.eval(&mut st, &vec![0u64; n_data], &base_mask);
-        let mut prev = st.values().to_vec();
-        let mut wave = Vec::with_capacity(config.cycles);
-        for cycle in 0..config.cycles {
-            let masks: Vec<u64> = (0..n_mask).map(|_| mask_rng.gen::<u64>() & 1).collect();
-            sim.eval(&mut st, &data, &masks);
-            let mut total = 0.0;
-            for g in 0..gates {
-                if (prev[g] ^ st.values()[g]) & 1 == 1 {
-                    total += caps[g];
-                }
-            }
-            total += model.noise_sigma() * sample_standard_normal(&mut noise_rng);
-            wave.push(total);
-            prev.copy_from_slice(st.values());
-            if cycle + 1 < config.cycles {
-                sim.clock(&mut st);
-            }
-        }
-        waves.push(wave);
-    }
-    Ok(waves)
 }
 
 #[cfg(test)]
@@ -2094,13 +2015,17 @@ mod tests {
         // plan may spawn a scoped worker — the inline fold path must run the
         // work on the calling thread.
         let caller = std::thread::current().id();
-        let ids = run_sharded(6, Parallelism::sequential(), |_| {
+        let ids = run_sharded_with(6, Parallelism::sequential(), &mut [(); 8], |_, _| {
             std::thread::current().id()
         });
         assert!(ids.iter().all(|&id| id == caller), "sequential run spawned");
-        let ids = run_sharded(1, Parallelism::new(8), |_| std::thread::current().id());
+        let ids = run_sharded_with(1, Parallelism::new(8), &mut [(); 8], |_, _| {
+            std::thread::current().id()
+        });
         assert_eq!(ids, vec![caller], "single-shard run spawned");
-        let empty = run_sharded(0, Parallelism::new(8), |_| std::thread::current().id());
+        let empty = run_sharded_with(0, Parallelism::new(8), &mut [(); 8], |_, _| {
+            std::thread::current().id()
+        });
         assert!(empty.is_empty());
     }
 
@@ -2498,15 +2423,6 @@ endmodule";
         let tot1: f64 = m.ids().map(|id| mean(s1.random(id))).sum();
         let tot4: f64 = m.ids().map(|id| mean(s4.random(id))).sum();
         assert!(tot4 > tot1, "more cycles, more switching: {tot4} vs {tot1}");
-    }
-
-    #[test]
-    fn waveforms_have_requested_shape() {
-        let n = generators::iscas_c17();
-        let cfg = CampaignConfig::new(10, 10, 2).with_cycles(3);
-        let w = collect_waveforms(&n, &PowerModel::default(), &cfg, Population::Random).unwrap();
-        assert_eq!(w.len(), 10);
-        assert!(w.iter().all(|t| t.len() == 3));
     }
 
     #[test]

@@ -95,7 +95,9 @@ impl Default for PowerModel {
 /// Draws one standard-normal sample via the Box–Muller transform.
 ///
 /// `rand` offers only uniform sources offline, so the Gaussian is derived
-/// here; two uniforms in `(0, 1]` map to one normal deviate.
+/// here; two uniforms in `(0, 1]` map to one normal deviate. No campaign
+/// path calls it: it is the scalar reference whose RNG stream consumption
+/// the noise-kernel tests check [`fill_standard_normal`] against.
 pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Avoid ln(0) by shifting the uniform into (0, 1].
     let u1: f64 = 1.0 - rng.gen::<f64>();

@@ -39,13 +39,11 @@
 
 pub mod bivariate;
 pub mod comoments;
-pub mod cpa;
 pub mod gate_leakage;
 pub mod moments;
 pub mod sequential;
 pub mod special;
 pub mod trivariate;
-pub mod waveform;
 pub mod welch;
 
 pub use bivariate::{all_pairs, assess_pairs, PairAccumulator, PairMoments};
@@ -53,7 +51,6 @@ pub use comoments::{
     all_gate_sets, assess_gate_sets, co_moment_welch_t, parse_gate_sets, set_noun,
     validate_gate_sets, CoMomentAccumulator, CoMoments, MultivariateError, Order, SupportedOrder,
 };
-pub use cpa::{run_cpa, run_cpa_parallel, CorrelationAccumulator, CpaAccumulator};
 pub use gate_leakage::{
     assess, assess_order2, assess_order2_parallel, assess_parallel, ConvergenceSummary,
     GateLeakage, LeakageSummary, WelchAccumulator,

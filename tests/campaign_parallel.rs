@@ -16,7 +16,6 @@ use polaris_sim::campaign::{
     run_campaign_parallel, CampaignOutcome, Checkpoint, StoppingRule, TRACES_PER_SHARD,
 };
 use polaris_sim::{CampaignConfig, GateSamples, Parallelism, PowerModel};
-use polaris_tvla::cpa::{run_cpa_parallel, CorrelationAccumulator, CpaConfig};
 use polaris_tvla::{
     assess_adaptive, assess_parallel, SequentialConfig, StreamingMoments, WelchAccumulator,
 };
@@ -83,32 +82,6 @@ fn dense_collection_bit_identical_at_any_worker_count() {
                 parallel.random(id),
                 "{threads} threads"
             );
-        }
-    }
-}
-
-/// CPA outcomes (per-guess correlations) are byte-identical at 1/2/4/8
-/// worker threads.
-#[test]
-fn cpa_correlations_byte_identical_across_workers() {
-    let design = generators::iscas_c17();
-    let model = PowerModel::default().with_noise(0.2);
-    let cfg = CpaConfig {
-        traces: 1200,
-        seed: 31,
-        plaintext_bits: vec![0, 1, 2],
-        key_bits: vec![3, 4],
-        key_value: 2,
-    };
-    let predict = |pt: u32, guess: u32| f64::from((pt ^ guess).count_ones());
-    let reference =
-        run_cpa_parallel(&design, &model, &cfg, &predict, Parallelism::new(1)).expect("cpa");
-    for threads in [2, 4, 8] {
-        let outcome = run_cpa_parallel(&design, &model, &cfg, &predict, Parallelism::new(threads))
-            .expect("cpa");
-        assert_eq!(outcome.best_guess, reference.best_guess);
-        for (a, b) in reference.correlations.iter().zip(&outcome.correlations) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{threads} threads");
         }
     }
 }
@@ -361,29 +334,6 @@ proptest! {
         prop_assert!((left.mean() - whole.mean()).abs() < 1e-9);
         prop_assert!((left.population_variance() - whole.population_variance()).abs() < 1e-8);
         prop_assert!((left.central_moment4() - whole.central_moment4()).abs() < 1e-5);
-    }
-
-    /// Merging correlation accumulators over an arbitrary split equals the
-    /// single-pass accumulation (the CPA worker contract).
-    #[test]
-    fn merged_correlations_equal_single_pass(seed in any::<u64>(), len in 8usize..800, cut in 0usize..800) {
-        let xs = lcg_stream(len, seed);
-        let ys = lcg_stream(len, seed ^ 0xDEAD_BEEF);
-        let cut = cut % (len + 1);
-        let mut left = CorrelationAccumulator::new();
-        let mut right = CorrelationAccumulator::new();
-        let mut whole = CorrelationAccumulator::new();
-        for i in 0..len {
-            whole.push(xs[i], ys[i]);
-            if i < cut {
-                left.push(xs[i], ys[i]);
-            } else {
-                right.push(xs[i], ys[i]);
-            }
-        }
-        left.merge(&right);
-        prop_assert_eq!(left.count(), whole.count());
-        prop_assert!((left.pearson() - whole.pearson()).abs() < 1e-9);
     }
 
     /// Small random campaigns assessed at 1/2/4/8 worker threads are

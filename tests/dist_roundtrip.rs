@@ -13,8 +13,8 @@ use polaris_dist::{decode_part, encode_part, PartHeader, ShardState};
 
 use polaris_sim::GateSamples;
 use polaris_tvla::{
-    CoMomentAccumulator, CoMoments, CorrelationAccumulator, CpaAccumulator, Order, PairAccumulator,
-    StreamingMoments, SupportedOrder, TripleAccumulator, WelchAccumulator,
+    CoMomentAccumulator, CoMoments, Order, PairAccumulator, StreamingMoments, SupportedOrder,
+    TripleAccumulator, WelchAccumulator,
 };
 
 /// Encode → decode → encode; asserts the two encodings are byte-identical
@@ -128,29 +128,6 @@ proptest! {
     }
 
     #[test]
-    fn cpa_bodies_round_trip(
-        guesses in prop::collection::vec(
-            (any::<u64>(), prop::collection::vec(arb_f64(), 5)),
-            0..16,
-        ),
-    ) {
-        let per_guess: Vec<CorrelationAccumulator> = guesses
-            .iter()
-            .map(|(n, f)| CorrelationAccumulator::from_raw_parts(*n, f[0], f[1], f[2], f[3], f[4]))
-            .collect();
-        let acc = CpaAccumulator::from_guess_accumulators(per_guess);
-        let back = round_trip(&acc);
-        prop_assert_eq!(back.guess_accumulators().len(), guesses.len());
-        for (a, (n, f)) in back.guess_accumulators().iter().zip(&guesses) {
-            let (n1, mx, my, m2x, m2y, cxy) = a.raw_parts();
-            prop_assert_eq!(n1, *n);
-            for (got, want) in [mx, my, m2x, m2y, cxy].iter().zip(f) {
-                prop_assert_eq!(got.to_bits(), want.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn pair_bodies_round_trip(
         entries in prop::collection::vec(
             ((any::<u32>(), any::<u32>()), arb_co_moments::<2>(), arb_co_moments::<2>()),
@@ -219,9 +196,6 @@ proptest! {
 fn empty_shard_states_round_trip() {
     round_trip(&WelchAccumulator::new());
     round_trip(&GateSamples::default());
-    round_trip(&CpaAccumulator::new(0));
-    let back = round_trip(&CpaAccumulator::new(3));
-    assert_eq!(back.guess_accumulators().len(), 3);
     round_trip(&PairAccumulator::default());
     let back = round_trip(&PairAccumulator::new(&[[0u32, 1], [1, 2]]));
     assert_eq!(back.gate_sets().len(), 2);
