@@ -34,8 +34,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use polaris_dist::{
-    Coordinator, DesignFormat, JobResult, JobStatus, Message, ProtoError, ResultOrigin, Submission,
-    SubmitOutcome, TaskSpec, DEFAULT_HEARTBEAT_MS, PROTO_VERSION,
+    decode_part, Coordinator, DesignFormat, JobResult, JobStatus, Message, ProtoError,
+    ResultOrigin, Submission, SubmitOutcome, TaskSpec, DEFAULT_HEARTBEAT_MS, PROTO_VERSION,
 };
 use polaris_sim::Parallelism;
 
@@ -375,10 +375,13 @@ fn serve_worker(
             }
             Ok(Some(Message::Ping)) => {}
             Ok(Some(Message::Done { task, blob })) => {
+                // Decode before locking: a blob of up to 64 MiB must not
+                // hold up every other handler.
+                let part = decode_part(&blob);
                 let outcome = shared
                     .coordinator()
                     .map_err(|p| p.answer(writer))?
-                    .complete_task(task, &blob);
+                    .complete_task(task, part);
                 if let Err(err) = outcome {
                     eprintln!("worker {name}: part for lease {task} rejected: {err}");
                 }

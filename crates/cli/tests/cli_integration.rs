@@ -476,7 +476,7 @@ fn dist_retired_sink_kind_is_a_typed_error() {
     let mut bytes = std::fs::read(&shard).expect("shard written");
     bytes[10] = 3;
     let end = bytes.len() - 8;
-    let checksum = polaris_dist::wire::fnv1a64(&bytes[8..end]);
+    let checksum = polaris_dist::wire::xxh64(&bytes[8..end]);
     bytes[end..].copy_from_slice(&checksum.to_le_bytes());
     let retagged = tmp("dist_retired_tag3.shard");
     std::fs::write(&retagged, &bytes).expect("write");

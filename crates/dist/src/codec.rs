@@ -4,7 +4,9 @@
 //! order).
 //!
 //! Bodies carry raw accumulator state, with every `f64` transported as its
-//! bit pattern: `decode(encode(x))` reproduces `x` exactly, and
+//! bit pattern; the moment bodies frame each class behind a presence byte,
+//! so a one-population shard carries one class. `decode(encode(x))`
+//! reproduces `x` exactly, and
 //! `encode(decode(encode(x))) == encode(x)` byte for byte (the identity the
 //! workspace property suite pins).
 
@@ -112,54 +114,164 @@ pub trait ShardState: MergeableSink + Sized {
     fn dimension(&self) -> Option<usize>;
 }
 
-const MOMENTS_WIRE_BYTES: usize = 8 + 4 * 8;
+/// A fixed-width moment record: one gate's (or gate set's) accumulator
+/// state in one class, transported as its raw parts.
+trait MomentRecord: Clone + Default {
+    /// Encoded bytes per record.
+    const WIRE_BYTES: usize;
 
-fn put_moments(out: &mut Vec<u8>, m: &StreamingMoments) {
-    let (n, mean, m2, m3, m4) = m.raw_parts();
-    put_u64(out, n);
-    put_f64(out, mean);
-    put_f64(out, m2);
-    put_f64(out, m3);
-    put_f64(out, m4);
+    /// Appends the record: `n (u64)`, then its raw `f64` words.
+    fn put(&self, out: &mut Vec<u8>);
+
+    /// Reads one record written by [`MomentRecord::put`].
+    fn read(r: &mut Reader<'_>, context: &str) -> Result<Self, DistError>;
+
+    /// Whether every raw word is 0, bit for bit — the type's empty state
+    /// (so a `-0.0` field is not empty).
+    fn is_empty_state(&self) -> bool;
 }
 
-fn read_moments(r: &mut Reader<'_>, context: &str) -> Result<StreamingMoments, DistError> {
-    let n = r.u64(context)?;
-    let mean = r.f64(context)?;
-    let m2 = r.f64(context)?;
-    let m3 = r.f64(context)?;
-    let m4 = r.f64(context)?;
-    Ok(StreamingMoments::from_raw_parts(n, mean, m2, m3, m4))
+impl MomentRecord for StreamingMoments {
+    const WIRE_BYTES: usize = 8 + 4 * 8;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        let (n, mean, m2, m3, m4) = self.raw_parts();
+        put_u64(out, n);
+        for w in [mean, m2, m3, m4] {
+            put_f64(out, w);
+        }
+    }
+
+    fn read(r: &mut Reader<'_>, context: &str) -> Result<Self, DistError> {
+        // One bounds check per record, not per word.
+        let b = r.take(Self::WIRE_BYTES, context)?;
+        let w: [u64; 5] = std::array::from_fn(|i| {
+            u64::from_le_bytes(b[8 * i..8 * i + 8].try_into().expect("an 8-byte word"))
+        });
+        let [mean, m2, m3, m4] = [w[1], w[2], w[3], w[4]].map(f64::from_bits);
+        Ok(StreamingMoments::from_raw_parts(w[0], mean, m2, m3, m4))
+    }
+
+    fn is_empty_state(&self) -> bool {
+        let (n, mean, m2, m3, m4) = self.raw_parts();
+        n == 0 && [mean, m2, m3, m4].iter().all(|w| w.to_bits() == 0)
+    }
+}
+
+impl<const K: usize> MomentRecord for CoMoments<K>
+where
+    Order<K>: SupportedOrder,
+{
+    const WIRE_BYTES: usize = 8 + 8 * Self::RAW_LEN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        let (n, words) = self.raw_parts();
+        put_u64(out, n);
+        for w in words {
+            put_f64(out, w);
+        }
+    }
+
+    fn read(r: &mut Reader<'_>, context: &str) -> Result<Self, DistError> {
+        let n = r.u64(context)?;
+        let words = (0..Self::RAW_LEN)
+            .map(|_| r.f64(context))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(CoMoments::from_raw_parts(n, &words))
+    }
+
+    fn is_empty_state(&self) -> bool {
+        let (n, words) = self.raw_parts();
+        n == 0 && words.iter().all(|w| w.to_bits() == 0)
+    }
+}
+
+/// Appends the class frames of a moment body whose count (`fixed.len()`)
+/// is already written: per class (fixed, then random) a presence byte,
+/// then that class's records if it is 1. A class whose records are all in
+/// the empty state is omitted (byte 0); a shard holds one population, so
+/// this halves its body. At most one class is omitted — if both are empty,
+/// the fixed class is written. A zero count writes nothing.
+fn put_classes<R: MomentRecord>(out: &mut Vec<u8>, fixed: &[R], random: &[R]) {
+    if fixed.is_empty() {
+        return;
+    }
+    let random_present = !random.iter().all(R::is_empty_state);
+    let fixed_present = !random_present || !fixed.iter().all(R::is_empty_state);
+    for (present, class) in [(fixed_present, fixed), (random_present, random)] {
+        out.push(u8::from(present));
+        if present {
+            for m in class {
+                m.put(out);
+            }
+        }
+    }
+}
+
+/// Reads the class frames [`put_classes`] wrote for `count` records per
+/// class; `contexts` name the fixed and random class in errors. The
+/// omitted class is rebuilt as `count` empty states, an allocation the
+/// present class's bytes bound.
+fn read_classes<R: MomentRecord>(
+    r: &mut Reader<'_>,
+    count: usize,
+    contexts: [&str; 2],
+) -> Result<(Vec<R>, Vec<R>), DistError> {
+    if count == 0 {
+        return Ok((Vec::new(), Vec::new()));
+    }
+    let mut read_class = |class: &str| -> Result<Option<Vec<R>>, DistError> {
+        match r.u8(class)? {
+            0 => Ok(None),
+            1 => {
+                r.expect_elements(count, R::WIRE_BYTES, class)?;
+                let mut v = Vec::with_capacity(count);
+                for _ in 0..count {
+                    v.push(R::read(r, class)?);
+                }
+                Ok(Some(v))
+            }
+            flag => Err(DistError::Malformed(format!(
+                "{class}: presence byte {flag}, expected 0 or 1"
+            ))),
+        }
+    };
+    let fixed = read_class(contexts[0])?;
+    let random = read_class(contexts[1])?;
+    match (fixed, random) {
+        (Some(fixed), Some(random)) => Ok((fixed, random)),
+        (Some(fixed), None) => Ok((fixed, vec![R::default(); count])),
+        (None, Some(random)) => Ok((vec![R::default(); count], random)),
+        (None, None) => Err(DistError::Malformed(format!(
+            "{} and {} are both omitted",
+            contexts[0], contexts[1]
+        ))),
+    }
 }
 
 impl ShardState for WelchAccumulator {
     const KIND: SinkKind = SinkKind::Welch;
 
-    /// `gates (u32)`, then `gates` fixed-class moment records followed by
-    /// `gates` random-class records, each `n (u64), mean, M2, M3, M4`.
+    /// `gates (u32)`, then per class (fixed, then random) a presence byte
+    /// and, if it is 1, `gates` moment records of `n (u64), mean, M2, M3,
+    /// M4`. Byte 0 stands for `gates` empty states; at most one class is
+    /// omitted, and zero gates leave the body as the count alone.
     fn encode_body(&self, out: &mut Vec<u8>) {
         let (fixed, random) = self.classes();
         put_u32(
             out,
             u32::try_from(fixed.len()).expect("gate count fits u32"),
         );
-        for m in fixed.iter().chain(random) {
-            put_moments(out, m);
-        }
+        put_classes(out, fixed, random);
     }
 
     fn decode_body(r: &mut Reader<'_>) -> Result<Self, DistError> {
         let gates = r.u32("welch gate count")? as usize;
-        r.expect_elements(gates, 2 * MOMENTS_WIRE_BYTES, "welch moment records")?;
-        let mut read_class = |class: &str| -> Result<Vec<StreamingMoments>, DistError> {
-            let mut v = Vec::with_capacity(gates);
-            for _ in 0..gates {
-                v.push(read_moments(r, class)?);
-            }
-            Ok(v)
-        };
-        let fixed = read_class("welch fixed-class moments")?;
-        let random = read_class("welch random-class moments")?;
+        let (fixed, random) = read_classes(
+            r,
+            gates,
+            ["welch fixed-class moments", "welch random-class moments"],
+        )?;
         Ok(WelchAccumulator::from_classes(fixed, random))
     }
 
@@ -233,11 +345,13 @@ where
         None => panic!("co-moment order without a shard-state kind"),
     };
 
-    /// `sets (u32)`, then `sets` gate-index records of K × `u32`, then
-    /// `sets` fixed-class co-moment records followed by `sets` random-class
-    /// records, each `n (u64)` + [`CoMoments::RAW_LEN`] × f64 (the K means,
-    /// then the tracked co-moments in lexicographic order — the
-    /// [`CoMoments::raw_parts`] layout).
+    /// `sets (u32)`, then `sets` gate-index records of K × `u32`, then the
+    /// class frames of the Welch body: per class (fixed, then random) a
+    /// presence byte and, if it is 1, `sets` co-moment records, each
+    /// `n (u64)` + [`CoMoments::RAW_LEN`] × f64 (the K means, then the
+    /// tracked co-moments in lexicographic order — the
+    /// [`CoMoments::raw_parts`] layout). At most one class is omitted, and
+    /// zero sets leave the body as the count alone.
     fn encode_body(&self, out: &mut Vec<u8>) {
         let sets = self.gate_sets();
         put_u32(
@@ -248,19 +362,12 @@ where
             put_u32(out, g);
         }
         let (fixed, random) = self.class_moments();
-        for m in fixed.iter().chain(random) {
-            let (n, words) = m.raw_parts();
-            put_u64(out, n);
-            for w in words {
-                put_f64(out, w);
-            }
-        }
+        put_classes(out, fixed, random);
     }
 
     fn decode_body(r: &mut Reader<'_>) -> Result<Self, DistError> {
         let count = r.u32("gate-set count")? as usize;
-        let record = 8 + 8 * CoMoments::<K>::RAW_LEN;
-        r.expect_elements(count, 4 * K + 2 * record, "gate-set records")?;
+        r.expect_elements(count, 4 * K, "gate-set records")?;
         let mut sets = Vec::with_capacity(count);
         for _ in 0..count {
             let mut set = [0u32; K];
@@ -269,20 +376,11 @@ where
             }
             sets.push(set);
         }
-        let mut read_class = |class: &str| -> Result<Vec<CoMoments<K>>, DistError> {
-            let mut v = Vec::with_capacity(count);
-            let mut words = vec![0.0; CoMoments::<K>::RAW_LEN];
-            for _ in 0..count {
-                let n = r.u64(class)?;
-                for w in &mut words {
-                    *w = r.f64(class)?;
-                }
-                v.push(CoMoments::from_raw_parts(n, &words));
-            }
-            Ok(v)
-        };
-        let fixed = read_class("fixed-class co-moments")?;
-        let random = read_class("random-class co-moments")?;
+        let (fixed, random) = read_classes(
+            r,
+            count,
+            ["fixed-class co-moments", "random-class co-moments"],
+        )?;
         Ok(CoMomentAccumulator::from_parts(sets, fixed, random))
     }
 
@@ -424,6 +522,124 @@ mod tests {
         assert!(got[5].is_nan());
         assert_eq!(got[1].to_bits(), (-0.0f64).to_bits());
         assert_eq!(got[25], -1e-308);
+    }
+
+    fn body<S: ShardState>(state: &S) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        state.encode_body(&mut bytes);
+        bytes
+    }
+
+    fn raw_bits(m: &StreamingMoments) -> [u64; 5] {
+        let (n, mean, m2, m3, m4) = m.raw_parts();
+        [n, mean.to_bits(), m2.to_bits(), m3.to_bits(), m4.to_bits()]
+    }
+
+    #[test]
+    fn one_population_shards_omit_the_empty_class() {
+        use polaris_sim::campaign::{EnergyBatch, Population, TraceSink};
+        let e: Vec<f64> = (0..10).map(|i| (i as f64).cos() * 1e-2).collect();
+        for population in [Population::Fixed, Population::Random] {
+            let mut welch = WelchAccumulator::new();
+            welch.record_batch(population, EnergyBatch::new(&e, 5, 2).expect("well-formed"));
+            assert_eq!(body(&welch).len(), 4 + 2 + 40 * 5);
+            round_trip(&welch);
+
+            let mut pairs = PairAccumulator::new(&[[0u32, 2], [1, 4], [3, 4]]);
+            pairs.record_batch(population, EnergyBatch::new(&e, 5, 2).expect("well-formed"));
+            let record = 8 + 8 * PairMoments::RAW_LEN;
+            assert_eq!(body(&pairs).len(), 4 + 8 * 3 + 2 + record * 3);
+            assert_eq!(round_trip(&pairs), pairs);
+        }
+    }
+
+    #[test]
+    fn one_class_frames_round_trip_bit_exactly() {
+        let full = StreamingMoments::from_raw_parts(3, 1.5, 0.25, -0.125, 2.0);
+        let negative_zero = StreamingMoments::from_raw_parts(0, -0.0, 0.0, 0.0, 0.0);
+        let empty = StreamingMoments::new();
+        let cases = [
+            // An all-zero class with one -0.0 mean is not empty: written out.
+            (
+                vec![empty, negative_zero],
+                vec![full, full],
+                4 + 2 + 2 * 2 * 40,
+            ),
+            (vec![full, empty], vec![empty, empty], 4 + 2 + 2 * 40),
+            (vec![empty, empty], vec![empty, full], 4 + 2 + 2 * 40),
+            // Both classes empty: the fixed class is written.
+            (vec![empty; 3], vec![empty; 3], 4 + 2 + 3 * 40),
+        ];
+        for (fixed, random, len) in cases {
+            let acc = WelchAccumulator::from_classes(fixed, random);
+            assert_eq!(body(&acc).len(), len);
+            let back = round_trip(&acc);
+            let bits = |w: &WelchAccumulator| {
+                let (f, r) = w.classes();
+                f.iter().chain(r).map(raw_bits).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&back), bits(&acc));
+        }
+
+        let mut words = vec![0.0; PairMoments::RAW_LEN];
+        words[0] = -0.0;
+        let acc = PairAccumulator::from_parts(
+            vec![[0, 1], [1, 2]],
+            vec![
+                PairMoments::default(),
+                PairMoments::from_raw_parts(0, &words),
+            ],
+            vec![PairMoments::default(); 2],
+        );
+        let record = 8 + 8 * PairMoments::RAW_LEN;
+        assert_eq!(body(&acc).len(), 4 + 2 * 8 + 2 + 2 * record);
+        let back = round_trip(&acc);
+        let (fixed, _) = back.class_moments();
+        assert_eq!(fixed[1].raw_parts().1[0].to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn bad_presence_bytes_are_malformed() {
+        // A forged count with both classes omitted fails before the
+        // omitted classes are built.
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, u32::MAX);
+        bytes.extend_from_slice(&[0, 0]);
+        let mut r = Reader::new(&bytes);
+        assert!(matches!(
+            WelchAccumulator::decode_body(&mut r),
+            Err(DistError::Malformed(_))
+        ));
+
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, 1);
+        for g in [0u32, 1] {
+            put_u32(&mut bytes, g);
+        }
+        bytes.extend_from_slice(&[0, 0]);
+        let mut r = Reader::new(&bytes);
+        assert!(matches!(
+            PairAccumulator::decode_body(&mut r),
+            Err(DistError::Malformed(_))
+        ));
+
+        // A presence byte other than 0 or 1.
+        for flags in [[2u8, 0], [1, 2]] {
+            let mut acc = body(&WelchAccumulator::from_classes(
+                vec![StreamingMoments::from_raw_parts(1, 1.0, 0.0, 0.0, 0.0)],
+                vec![StreamingMoments::from_raw_parts(1, 2.0, 0.0, 0.0, 0.0)],
+            ));
+            acc[4] = flags[0];
+            acc[4 + 1 + 40] = flags[1];
+            let mut r = Reader::new(&acc);
+            assert!(
+                matches!(
+                    WelchAccumulator::decode_body(&mut r),
+                    Err(DistError::Malformed(m)) if m.contains("presence byte 2")
+                ),
+                "{flags:?}"
+            );
+        }
     }
 
     #[test]

@@ -22,8 +22,11 @@
 //! frame one snapshot **per shard** — the engine's merge quantum — so the
 //! central fold can replay the exact strictly-ascending one-shard-at-a-time
 //! fold of the in-process engine, regardless of how the grid was cut.
-//! Per-shard statistical state is tiny (a few dozen floats per gate), so the
-//! wire cost is negligible next to the traces it replaces.
+//! Per-shard statistical state is small (40 bytes per gate and class for
+//! Welch moments), and a shard holds one population, so its moment frames
+//! carry only that class. A 40-shard c432 Welch part is 210 KB; on a
+//! 2-core Xeon VM it encodes in 0.06–0.08 ms and decodes in about the
+//! same, together about 1 % of a 12 ms `serve` round trip.
 //!
 //! # Wire format (shard-state files)
 //!
@@ -47,11 +50,15 @@
 //! 36     4    total shards in the campaign grid (u32)
 //! 40     8    payload length in bytes (u64)
 //! 48     …    payload: one frame per shard, ascending grid index
-//! end-8  8    FNV-1a-64 checksum over bytes [8, 48 + payload length)
+//! end-8  8    XXH64 (seed 0) checksum over bytes [8, 48 + payload length)
 //! ```
 //!
 //! Each payload frame is `grid index (u32), body length (u32), body`; body
-//! encodings are defined by the [`ShardState`] impls in [`codec`].
+//! encodings are defined by the [`ShardState`] impls in [`codec`]. Moment
+//! bodies (Welch and co-moments) frame each class behind a presence byte:
+//! `1` and the class's records, or `0` for a class whose records are all
+//! the empty state. At most one class is omitted, and a zero-count body is
+//! the count alone.
 //!
 //! # Version policy
 //!
@@ -66,6 +73,10 @@
 //!   build. Adding or retiring a sink kind does **not** bump it (unknown
 //!   and retired kinds already fail decoding cleanly); a retired tag is
 //!   never reused.
+//! * History: version 4 replaced the FNV-1a-64 checksum and fingerprint
+//!   digest with XXH64 and added the class presence bytes; version 3
+//!   changed the pair co-moment arithmetic and record layout; version 2
+//!   changed the Welch moment arithmetic.
 //! * Shard-state files are transport artifacts, not archives: a merge is
 //!   expected to run the same build as its workers. The version word exists
 //!   to turn a mixed-build deployment into a clear error instead of a

@@ -14,7 +14,7 @@ use polaris_sim::{FleetJob, PowerModel};
 
 use crate::codec::ShardState;
 use crate::plan::campaign_fingerprint;
-use crate::wire::{fnv1a64, put_u16, put_u32, put_u64, Reader};
+use crate::wire::{put_u16, put_u32, put_u64, xxh64, Reader};
 use crate::DistError;
 
 /// File magic of shard-state files. Permanent across format versions.
@@ -22,7 +22,7 @@ pub const MAGIC: [u8; 8] = *b"PLRSHARD";
 
 /// Current wire-format version. Readers accept an exact match only; see the
 /// crate docs for the version policy.
-pub const FORMAT_VERSION: u16 = 3;
+pub const FORMAT_VERSION: u16 = 4;
 
 /// Fixed-size header fields of a part file (everything between the version
 /// word and the payload).
@@ -59,20 +59,7 @@ pub fn encode_part<S: ShardState>(header: &PartHeader, states: &[S]) -> Vec<u8> 
         (header.shard_hi - header.shard_lo) as usize,
         "one snapshot per shard in the range"
     );
-    let mut payload = Vec::new();
-    let mut body = Vec::new();
-    for (i, s) in states.iter().enumerate() {
-        body.clear();
-        s.encode_body(&mut body);
-        put_u32(&mut payload, header.shard_lo + i as u32);
-        put_u32(
-            &mut payload,
-            u32::try_from(body.len()).expect("body fits u32"),
-        );
-        payload.extend_from_slice(&body);
-    }
-
-    let mut out = Vec::with_capacity(HEADER_BYTES + payload.len() + CHECKSUM_BYTES);
+    let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
     put_u16(&mut out, FORMAT_VERSION);
     out.push(S::KIND.tag());
@@ -83,9 +70,20 @@ pub fn encode_part<S: ShardState>(header: &PartHeader, states: &[S]) -> Vec<u8> 
     put_u32(&mut out, header.shard_lo);
     put_u32(&mut out, header.shard_hi);
     put_u32(&mut out, header.n_shards_total);
-    put_u64(&mut out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-    let checksum = fnv1a64(&out[MAGIC.len()..]);
+    // The payload length and each frame's body length are written as 0 and
+    // patched once the bytes they count are out.
+    put_u64(&mut out, 0);
+    for (i, s) in states.iter().enumerate() {
+        put_u32(&mut out, header.shard_lo + i as u32);
+        let len_at = out.len();
+        put_u32(&mut out, 0);
+        s.encode_body(&mut out);
+        let body_len = u32::try_from(out.len() - len_at - 4).expect("body fits u32");
+        out[len_at..len_at + 4].copy_from_slice(&body_len.to_le_bytes());
+    }
+    let payload_len = (out.len() - HEADER_BYTES) as u64;
+    out[HEADER_BYTES - 8..HEADER_BYTES].copy_from_slice(&payload_len.to_le_bytes());
+    let checksum = xxh64(&out[MAGIC.len()..]);
     put_u64(&mut out, checksum);
     out
 }
@@ -141,7 +139,7 @@ pub fn decode_part<S: ShardState>(bytes: &[u8]) -> Result<(PartHeader, Vec<S>), 
             bytes.len() - expected_len
         )));
     }
-    let computed = fnv1a64(&bytes[MAGIC.len()..HEADER_BYTES + payload_len]);
+    let computed = xxh64(&bytes[MAGIC.len()..HEADER_BYTES + payload_len]);
     let stored = u64::from_le_bytes(
         bytes[HEADER_BYTES + payload_len..]
             .try_into()
@@ -594,6 +592,23 @@ mod tests {
     }
 
     #[test]
+    fn every_single_bit_flip_is_a_typed_error() {
+        let (_, _, files) = c17_parts(1);
+        let clean = &files[0];
+        for bit in 8 * 8..8 * clean.len() {
+            let mut bytes = clean.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            let err = decode_part::<WelchAccumulator>(&bytes).unwrap_err();
+            if bit / 8 >= HEADER_BYTES {
+                assert!(
+                    matches!(err, DistError::ChecksumMismatch { .. }),
+                    "bit {bit}: {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn version_bump_is_a_version_error() {
         let (_, _, files) = c17_parts(1);
         let mut bytes = files[0].clone();
@@ -760,7 +775,7 @@ mod tests {
         // empty-accumulator body), 8-byte checksum.
         assert_eq!(bytes.len(), 48 + 12 + 8);
         bytes[52..56].copy_from_slice(&12u32.to_le_bytes()); // body_len 4 → 12
-        let checksum = fnv1a64(&bytes[8..60]);
+        let checksum = xxh64(&bytes[8..60]);
         let end = bytes.len();
         bytes[end - 8..].copy_from_slice(&checksum.to_le_bytes());
         let err = decode_part::<WelchAccumulator>(&bytes).unwrap_err();

@@ -10,7 +10,7 @@ use polaris_sim::campaign::{partition_shards, shard_grid, splitmix64, CampaignCo
 use polaris_sim::PowerModel;
 
 use crate::codec::SinkKind;
-use crate::wire::fnv1a64;
+use crate::wire::xxh64;
 use crate::DistError;
 
 /// Digest of everything that determines a campaign's sample stream: the
@@ -36,7 +36,7 @@ pub fn campaign_fingerprint(netlist: &Netlist, model: &PowerModel, config: &Camp
 
     // Netlist structure: name, interface widths, then every gate's kind and
     // fanin. Gate ids are dense indices, so this pins the exact graph.
-    mix(&mut h, fnv1a64(netlist.name().as_bytes()));
+    mix(&mut h, xxh64(netlist.name().as_bytes()));
     mix(&mut h, netlist.gate_count() as u64);
     mix(&mut h, netlist.data_inputs().len() as u64);
     mix(&mut h, netlist.mask_inputs().len() as u64);

@@ -55,7 +55,7 @@ use polaris_sim::campaign::{
 use polaris_sim::{FleetJob, PowerModel, RoundFolder};
 use polaris_tvla::{SequentialConfig, SequentialStopping, WelchAccumulator};
 
-use crate::part::{decode_part, encode_part, PartHeader};
+use crate::part::{encode_part, PartHeader};
 use crate::plan::campaign_fingerprint;
 use crate::DistError;
 
@@ -825,17 +825,24 @@ impl Coordinator {
         issued
     }
 
-    /// Ingests the part a lease returned: validate, dedup, fold ascending,
-    /// fire round checkpoints, and settle the job when its fold completes.
-    /// Unknown lease ids (a lost worker finishing late, a duplicate replay)
-    /// are ignored — the fold is idempotent.
+    /// Ingests the part a lease returned, as [`crate::decode_part`] gave it (the
+    /// caller decodes before it takes the coordinator lock): validate
+    /// against the lease, dedup, fold ascending, fire round checkpoints,
+    /// and settle the job when its fold completes. Unknown lease ids (a
+    /// lost worker finishing late, a duplicate replay) are ignored — the
+    /// fold is idempotent.
     ///
     /// # Errors
     ///
-    /// The part's [`DistError`] when it fails validation; the lease range is
-    /// returned to the queue, so the job still converges (until the job's
-    /// failure budget runs out and it settles as failed).
-    pub fn complete_task(&mut self, lease: u64, part: &[u8]) -> Result<(), DistError> {
+    /// The decode error, or the part's [`DistError`] when it does not match
+    /// its lease; the lease range is returned to the queue, so the job still
+    /// converges (until the job's failure budget runs out and it settles as
+    /// failed).
+    pub fn complete_task(
+        &mut self,
+        lease: u64,
+        part: Result<(PartHeader, Vec<WelchAccumulator>), DistError>,
+    ) -> Result<(), DistError> {
         let Some(lease_info) = self.leases.remove(&lease) else {
             return Ok(());
         };
@@ -845,7 +852,7 @@ impl Coordinator {
         let Some(job) = self.jobs.get_mut(&lease_info.job) else {
             return Ok(());
         };
-        let validated = decode_part::<WelchAccumulator>(part).and_then(|(header, states)| {
+        let validated = part.and_then(|(header, states)| {
             if header.fingerprint != job.fingerprint {
                 return Err(DistError::FingerprintMismatch {
                     expected: job.fingerprint,
@@ -1162,6 +1169,7 @@ impl<'a> Manifest<'a> {
 mod tests {
     use super::*;
     use crate::codec::ShardState;
+    use crate::part::decode_part;
     use polaris_netlist::{generators, write_bench};
     use polaris_sim::run_campaign_parallel;
     use polaris_tvla::campaign_outcome_adaptive;
@@ -1195,7 +1203,9 @@ mod tests {
             for &w in workers {
                 if let Some((lease, spec)) = coordinator.next_task(w) {
                     let part = spec.execute(Parallelism::sequential()).expect("executes");
-                    coordinator.complete_task(lease, &part).expect("ingests");
+                    coordinator
+                        .complete_task(lease, decode_part(&part))
+                        .expect("ingests");
                     progressed = true;
                 }
             }
@@ -1315,11 +1325,15 @@ mod tests {
         }
         assert!(leases.len() >= 2, "c17 at 600/class splits across leases");
         for (lease, part) in leases.iter().rev() {
-            coordinator.complete_task(*lease, part).unwrap();
+            coordinator
+                .complete_task(*lease, decode_part(part))
+                .unwrap();
         }
         // Replaying an already-folded part changes nothing (unknown lease).
         let (lease0, part0) = &leases[0];
-        coordinator.complete_task(*lease0, part0).unwrap();
+        coordinator
+            .complete_task(*lease0, decode_part(part0))
+            .unwrap();
 
         let result = match coordinator.job_status(job) {
             JobStatus::Done(result) => result,
@@ -1459,7 +1473,7 @@ mod tests {
         let mid = part.len() / 2;
         part[mid] ^= 0x40;
         assert!(matches!(
-            coordinator.complete_task(lease, &part),
+            coordinator.complete_task(lease, decode_part(&part)),
             Err(DistError::ChecksumMismatch { .. })
         ));
         drain(&mut coordinator, &[w]);

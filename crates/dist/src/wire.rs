@@ -1,19 +1,88 @@
 //! Byte-level primitives of the shard-state wire format: little-endian
-//! fixed-width integers, bit-exact `f64` transport, and the FNV-1a-64
+//! fixed-width integers, bit-exact `f64` transport, and the XXH64
 //! checksum. Everything here treats its input as untrusted — reads are
 //! bounds-checked and report [`DistError::Truncated`] instead of panicking.
 
 use crate::DistError;
 
-/// FNV-1a-64 over a byte slice — the file checksum. FNV is not
-/// cryptographic; it guards against truncation and bit rot, not tampering.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
+const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const PRIME64_3: u64 = 0x1656_67B1_9E37_79F9;
+const PRIME64_4: u64 = 0x85EB_CA77_C2B2_AE63;
+const PRIME64_5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn le64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b.try_into().expect("an 8-byte lane"))
+}
+
+/// One accumulator round of XXH64: folds an 8-byte lane into `acc`.
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(PRIME64_2))
+        .rotate_left(31)
+        .wrapping_mul(PRIME64_1)
+}
+
+/// Merges one of the four stripe accumulators into the hash.
+fn xxh_merge(acc: u64, lane: u64) -> u64 {
+    (acc ^ xxh_round(0, lane))
+        .wrapping_mul(PRIME64_1)
+        .wrapping_add(PRIME64_4)
+}
+
+/// XXH64 with seed 0 over a byte slice — the file checksum and the digest
+/// of the campaign fingerprint. XXH64 is not cryptographic; it guards
+/// against truncation and bit rot, not tampering.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let stripes = bytes.chunks_exact(32);
+    let tail = stripes.remainder();
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [
+            PRIME64_1.wrapping_add(PRIME64_2),
+            PRIME64_2,
+            0,
+            PRIME64_1.wrapping_neg(),
+        ];
+        for stripe in stripes {
+            for (acc, lane) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+                *acc = xxh_round(*acc, le64(lane));
+            }
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.iter().fold(h, |h, &acc| xxh_merge(h, acc))
+    } else {
+        PRIME64_5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let words = tail.chunks_exact(8);
+    let rest = words.remainder();
+    for word in words {
+        h = (h ^ xxh_round(0, le64(word)))
+            .rotate_left(27)
+            .wrapping_mul(PRIME64_1)
+            .wrapping_add(PRIME64_4);
     }
-    h
+    // `rest` holds 0–7 bytes: a 4-byte step if it can, then 1-byte steps.
+    let (word4, rest) = rest.split_at(rest.len() & 4);
+    if let Ok(word4) = <[u8; 4]>::try_from(word4) {
+        h = (h ^ u64::from(u32::from_le_bytes(word4)).wrapping_mul(PRIME64_1))
+            .rotate_left(23)
+            .wrapping_mul(PRIME64_2)
+            .wrapping_add(PRIME64_3);
+    }
+    for &b in rest {
+        h = (h ^ u64::from(b).wrapping_mul(PRIME64_5))
+            .rotate_left(11)
+            .wrapping_mul(PRIME64_1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(PRIME64_2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(PRIME64_3);
+    h ^ (h >> 32)
 }
 
 /// Appends a `u16` in little-endian order.
@@ -129,11 +198,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fnv_reference_vectors() {
-        // Published FNV-1a-64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    fn xxh64_reference_vectors() {
+        // Published XXH64 (seed 0) answers; the short inputs take only the
+        // tail steps, the 43-byte one a stripe, an 8-byte and 1-byte steps.
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(
+            xxh64(b"The quick brown fox jumps over the lazy dog"),
+            0x0B24_2D36_1FDA_71BC
+        );
+        // 39 bytes: a stripe, then the 4-byte step and three 1-byte steps.
+        // The low 32 bits match the content checksum `zstd --check` writes.
+        assert_eq!(
+            xxh64(b"The quick brown fox jumps over the lazy"),
+            0xE015_09EC_7BDD_4B5E
+        );
     }
 
     #[test]
