@@ -82,7 +82,7 @@ pub(crate) fn confidence_from(flags: &Flags) -> Result<f64, String> {
 pub(crate) fn train(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, &["glitch", "adaptive", "help"])?;
     if flags.has("help") {
-        println!(
+        outln!(
             "train --out model.polaris [--scale N --traces N --seed N --threads N \
              --model adaboost|xgboost|random-forest --glitch --adaptive --confidence P]"
         );
@@ -140,20 +140,20 @@ pub(crate) fn train(args: &[String]) -> Result<(), String> {
 pub(crate) fn stats(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, &["help"])?;
     if flags.has("help") {
-        println!("stats <netlist.v>");
+        outln!("stats <netlist.v>");
         return Ok(());
     }
     let netlist = load_netlist(flags.positional(0, "netlist path")?)?;
     let s = netlist.stats();
-    println!("design:       {}", netlist.name());
-    println!("gates total:  {}", s.total);
-    println!("logic cells:  {}", s.cells);
-    println!("data inputs:  {}", s.data_inputs);
-    println!("mask inputs:  {}", s.mask_inputs);
-    println!("outputs:      {}", s.outputs);
-    println!("flip-flops:   {}", s.flops);
+    outln!("design:       {}", netlist.name());
+    outln!("gates total:  {}", s.total);
+    outln!("logic cells:  {}", s.cells);
+    outln!("data inputs:  {}", s.data_inputs);
+    outln!("mask inputs:  {}", s.mask_inputs);
+    outln!("outputs:      {}", s.outputs);
+    outln!("flip-flops:   {}", s.flops);
     let levels = netlist.levels().map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "logic depth:  {}",
         levels.iter().max().copied().unwrap_or(0)
     );
@@ -164,12 +164,12 @@ pub(crate) fn stats(args: &[String]) -> Result<(), String> {
             t.push_row(vec![kind.mnemonic().to_string(), c.to_string()]);
         }
     }
-    println!("\n{}", t.render());
+    outln!("\n{}", t.render());
     let lib = CellLibrary::default();
     let overhead = analyze_overhead(&netlist, &lib, 64, 1).map_err(|e| e.to_string())?;
-    println!("area:  {:.1} um2", overhead.area_um2);
-    println!("power: {:.3} mW (simulated activity)", overhead.power_mw);
-    println!("delay: {:.3} ns (critical path)", overhead.delay_ns);
+    outln!("area:  {:.1} um2", overhead.area_um2);
+    outln!("power: {:.3} mW (simulated activity)", overhead.power_mw);
+    outln!("delay: {:.3} ns (critical path)", overhead.delay_ns);
     Ok(())
 }
 
@@ -183,7 +183,7 @@ pub(crate) fn stats(args: &[String]) -> Result<(), String> {
 pub(crate) fn assess(args: &[String]) -> Result<(), CliError> {
     let flags = Flags::parse(args, &["glitch", "adaptive", "help"])?;
     if flags.has("help") {
-        println!(
+        outln!(
             "assess <netlist.v> [--traces N --seed N --cycles N --threads N \
              --lane-words 1|2|4|8 --glitch] \
              [--adaptive --confidence P] [--csv out.csv]\n       \
@@ -241,7 +241,7 @@ pub(crate) fn assess(args: &[String]) -> Result<(), CliError> {
             trace_out.dyn_recorder(),
         )
         .map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "traces used:  {} fixed + {} random of {} budgeted ({:.1}% saved, \
              {} of {} rounds{})",
             a.stats.fixed_traces,
@@ -271,11 +271,11 @@ pub(crate) fn assess(args: &[String]) -> Result<(), CliError> {
     // does not instrument — the trace covers the first-order campaign.
     trace_out.flush()?;
     let s = leakage.summarize(&netlist);
-    println!("cells:        {}", s.cells);
-    println!("mean |t|:     {:.3}", s.mean_abs_t);
-    println!("max |t|:      {:.3}", s.max_abs_t);
-    println!("leaky cells:  {} (|t| > {TVLA_THRESHOLD})", s.leaky_cells);
-    println!(
+    outln!("cells:        {}", s.cells);
+    outln!("mean |t|:     {:.3}", s.mean_abs_t);
+    outln!("max |t|:      {:.3}", s.max_abs_t);
+    outln!("leaky cells:  {} (|t| > {TVLA_THRESHOLD})", s.leaky_cells);
+    outln!(
         "verdict:      {}",
         if s.max_abs_t > TVLA_THRESHOLD {
             "LEAKY — first-order TVLA failure"
@@ -329,7 +329,7 @@ where
     );
     let sweep = assess_gate_sets::<K, _>(netlist, &PowerModel::default(), campaign, par, &sets)
         .map_err(multivariate_err)?;
-    println!("\nworst {ordinal}-order ({test}) {noun}s:");
+    outln!("\nworst {ordinal}-order ({test}) {noun}s:");
     print_worst(netlist, &sweep);
     if let Some(csv) = flags.get(&format!("{noun}s-csv")) {
         write_file(csv, &co_moment_csv(netlist, &sweep))?;
@@ -363,7 +363,7 @@ pub(crate) fn print_worst<const K: usize>(netlist: &Netlist, sweep: &[([GateId; 
                 }
             })
             .collect();
-        println!(
+        outln!(
             "  {} |t{K}| = {:.2}{}",
             names.join(" x "),
             r.t.abs(),
@@ -473,7 +473,7 @@ pub(crate) fn leakage_csv(netlist: &Netlist, leakage: &GateLeakage) -> String {
 pub(crate) fn mask(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, &["report", "adaptive", "no-adaptive", "help"])?;
     if flags.has("help") {
-        println!(
+        outln!(
             "mask <netlist.v> --model model.polaris --out masked.v \
              [--budget leaky:0.5|cells:0.5|count:N] [--traces N] [--threads N] \
              [--adaptive|--no-adaptive --confidence P] [--report] \
@@ -515,24 +515,26 @@ pub(crate) fn mask(args: &[String]) -> Result<(), String> {
     write_file(out, &render_netlist(out, &report.masked.netlist))?;
     eprintln!("protected netlist written to {out}");
 
-    println!("gates masked:     {}", report.masked_gates.len());
-    println!("fresh mask bits:  {}", report.masked.added_mask_bits);
-    println!(
+    outln!("gates masked:     {}", report.masked_gates.len());
+    outln!("fresh mask bits:  {}", report.masked.added_mask_bits);
+    outln!(
         "mean |t|:         {:.2} -> {:.2}  ({:.1}% total reduction)",
         report.before.mean_abs_t,
         report.after.mean_abs_t,
         report.reduction_pct()
     );
-    println!(
+    outln!(
         "leaky cells:      {} -> {}",
-        report.before.leaky_cells, report.after.leaky_cells
+        report.before.leaky_cells,
+        report.after.leaky_cells
     );
-    println!(
+    outln!(
         "mitigation path:  {:.3}s (TVLA-free); reporting TVLA {:.3}s",
-        report.mitigation_time_s, report.assessment_time_s
+        report.mitigation_time_s,
+        report.assessment_time_s
     );
     if trained.config().adaptive {
-        println!(
+        outln!(
             "reporting traces: {} fixed + {} random per campaign \
              (budget {}/class{})",
             report.campaign_fixed_traces,
@@ -576,7 +578,7 @@ pub(crate) fn mask(args: &[String]) -> Result<(), String> {
             fmt_f(cost.delay_ns, 3),
             fmt_f(r.delay_ns, 2),
         ]);
-        println!("\n{}", t.render());
+        outln!("\n{}", t.render());
     }
     Ok(())
 }
@@ -609,7 +611,7 @@ fn parse_budget(spec: &str) -> Result<MaskBudget, String> {
 pub(crate) fn gen(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, &["help"])?;
     if flags.has("help") {
-        println!(
+        outln!(
             "gen <design-name> --out file.bench|file.v [--scale N --seed N]\n\n\
              Writes one of the generated benchmark designs to disk (the output\n\
              extension picks the format). Known names: the ISCAS-85-like training\n\
@@ -638,16 +640,16 @@ pub(crate) fn gen(args: &[String]) -> Result<(), String> {
 pub(crate) fn rules(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, &["help"])?;
     if flags.has("help") {
-        println!("rules --model model.polaris");
+        outln!("rules --model model.polaris");
         return Ok(());
     }
     let trained = load_model(&flags)?;
     if trained.rules().is_empty() {
-        println!("(no rules were mined at training time)");
+        outln!("(no rules were mined at training time)");
         return Ok(());
     }
     for (i, rule) in trained.rules().rules().iter().enumerate() {
-        println!(
+        outln!(
             "Rule {}: {}",
             (b'A' + (i % 26) as u8) as char,
             rule.render()
@@ -660,7 +662,7 @@ pub(crate) fn rules(args: &[String]) -> Result<(), String> {
 pub(crate) fn explain(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, &["help"])?;
     if flags.has("help") {
-        println!("explain <netlist.v> --model model.polaris --gate <instance-name>");
+        outln!("explain <netlist.v> --model model.polaris --gate <instance-name>");
         return Ok(());
     }
     let netlist = load_netlist(flags.positional(0, "netlist path")?)?;
@@ -684,14 +686,14 @@ pub(crate) fn explain(args: &[String]) -> Result<(), String> {
     let levels = norm.levels().map_err(|e| e.to_string())?;
     let x = trained.extractor().extract(&norm, &view, &levels, id);
     let proba = polaris_ml::Classifier::predict_proba(trained.model(), &x);
-    println!(
+    outln!(
         "gate `{gate_name}` ({}): P(good masking candidate) = {proba:.3}\n",
         norm.gate(id).kind()
     );
     let w = trained.explainer().waterfall(trained.model(), &x);
-    println!("{}", w.render(10, 28));
+    outln!("{}", w.render(10, 28));
     if let Some(action) = trained.rules().decide(&x) {
-        println!("matching mined rule says: {action}");
+        outln!("matching mined rule says: {action}");
     }
     Ok(())
 }

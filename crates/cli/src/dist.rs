@@ -85,7 +85,7 @@ pub(crate) fn dist(args: &[String]) -> Result<(), CliError> {
         "work" => work(rest),
         "merge" => merge(rest),
         "--help" | "-h" | "help" => {
-            println!("{DIST_USAGE}\n\n{EXIT_CODES}");
+            outln!("{DIST_USAGE}\n\n{EXIT_CODES}");
             Ok(())
         }
         other => Err(CliError::from(format!(
@@ -113,7 +113,7 @@ fn load_plan(
 fn plan(args: &[String]) -> Result<(), CliError> {
     let flags = Flags::parse(args, &["glitch", "help"])?;
     if flags.has("help") {
-        println!("{DIST_USAGE}\n\n{EXIT_CODES}");
+        outln!("{DIST_USAGE}\n\n{EXIT_CODES}");
         return Ok(());
     }
     let netlist = load_netlist(flags.positional(0, "netlist path")?)?;
@@ -181,7 +181,7 @@ fn plan(args: &[String]) -> Result<(), CliError> {
 fn work(args: &[String]) -> Result<(), CliError> {
     let flags = Flags::parse(args, &["help"])?;
     if flags.has("help") {
-        println!("{DIST_USAGE}\n\n{EXIT_CODES}");
+        outln!("{DIST_USAGE}\n\n{EXIT_CODES}");
         return Ok(());
     }
     let netlist = load_netlist(flags.positional(0, "netlist path")?)?;
@@ -251,7 +251,7 @@ fn work(args: &[String]) -> Result<(), CliError> {
 fn merge(args: &[String]) -> Result<(), CliError> {
     let flags = Flags::parse(args, &["help"])?;
     if flags.has("help") {
-        println!("{DIST_USAGE}\n\n{EXIT_CODES}");
+        outln!("{DIST_USAGE}\n\n{EXIT_CODES}");
         return Ok(());
     }
     let netlist = load_netlist(flags.positional(0, "netlist path")?)?;
@@ -292,11 +292,11 @@ fn merge(args: &[String]) -> Result<(), CliError> {
                  to a single-process run",
                 plan.n_shards
             );
-            println!("cells:        {}", s.cells);
-            println!("mean |t|:     {:.3}", s.mean_abs_t);
-            println!("max |t|:      {:.3}", s.max_abs_t);
-            println!("leaky cells:  {} (|t| > {TVLA_THRESHOLD})", s.leaky_cells);
-            println!(
+            outln!("cells:        {}", s.cells);
+            outln!("mean |t|:     {:.3}", s.mean_abs_t);
+            outln!("max |t|:      {:.3}", s.max_abs_t);
+            outln!("leaky cells:  {} (|t| > {TVLA_THRESHOLD})", s.leaky_cells);
+            outln!(
                 "verdict:      {}",
                 if s.max_abs_t > TVLA_THRESHOLD {
                     "LEAKY — first-order TVLA failure"
@@ -324,7 +324,7 @@ fn merge(args: &[String]) -> Result<(), CliError> {
             let parts = merged.parts;
             let samples = merged.state;
             let (fixed, random) = samples.classes();
-            println!(
+            outln!(
                 "merged dense samples: {} gates, {} fixed + {} random traces \
                  ({parts} part(s), {} shards)",
                 samples.gate_count(),
@@ -332,7 +332,7 @@ fn merge(args: &[String]) -> Result<(), CliError> {
                 random.first().map_or(0, Vec::len),
                 plan.n_shards
             );
-            println!("(for distributed bivariate sweeps, plan with --sink pairs)");
+            outln!("(for distributed bivariate sweeps, plan with --sink pairs)");
         }
         SinkKind::Pairs => merge_co_moments::<2>(&flags, &netlist, &plan, &part_files, recorder)?,
         SinkKind::Triples => merge_co_moments::<3>(&flags, &netlist, &plan, &part_files, recorder)?,
@@ -377,12 +377,12 @@ where
         .filter(|(_, r)| r.is_leaky(TVLA_THRESHOLD))
         .count();
     let width = (noun.len() + 9).max(14);
-    println!("{:<width$}{}", format!("gate {noun}s:"), sweep.len());
-    println!(
+    outln!("{:<width$}{}", format!("gate {noun}s:"), sweep.len());
+    outln!(
         "{:<width$}{leaky} (|t| > {TVLA_THRESHOLD})",
         format!("leaky {noun}s:")
     );
-    println!("worst {ordinal}-order ({test}) {noun}s:");
+    outln!("worst {ordinal}-order ({test}) {noun}s:");
     print_worst(netlist, &sweep);
     if let Some(csv) = flags.get("csv") {
         write_file(csv, &co_moment_csv(netlist, &sweep))?;

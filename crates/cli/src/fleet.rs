@@ -27,7 +27,7 @@ use crate::{read_file, write_file, Flags};
 pub(crate) fn fleet(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, &["glitch", "adaptive", "help"])?;
     if flags.has("help") {
-        println!(
+        outln!(
             "fleet <manifest.txt> [--traces N --seed N --cycles N --threads N --glitch] \
              [--adaptive --confidence P] [--csv-dir DIR] [--trace-out trace.jsonl]\n\n\
              manifest: one netlist path per line (# comments, blank lines ok).\n\
@@ -153,7 +153,7 @@ pub(crate) fn fleet(args: &[String]) -> Result<(), String> {
             eprintln!("per-gate results written to {out}");
         }
     }
-    println!("{}", table.render());
+    outln!("{}", table.render());
     Ok(())
 }
 

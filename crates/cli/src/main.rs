@@ -31,7 +31,17 @@
 //! [`polaris_netlist::parser`].
 
 use std::fs;
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// `println!` for command output: every line the CLI prints to stdout goes
+/// through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 mod commands;
 mod dist;
@@ -79,7 +89,7 @@ fn main() -> ExitCode {
         "submit" => serve::submit(rest),
         "trace" => trace::trace(rest),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         other => Err(CliError::from(format!(
@@ -114,6 +124,31 @@ commands:
   trace    summarize a JSONL trace written with --trace-out
 
 run `polaris-cli <command> --help` for flags";
+
+/// Set once stdout's reader has gone away; later output is dropped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes command output to stdout, the one writer behind [`outln!`].
+///
+/// A reader that closes the pipe early (`polaris-cli assess … | head -1`)
+/// is not an error: on the first `BrokenPipe` the rest of the output is
+/// dropped, and the command runs to its end and exits with its own status,
+/// so files it was asked to write (`--csv`, `--trace-out`) are still
+/// written. `println!` would panic there instead. Any other write error
+/// prints a message and exits 1.
+pub(crate) fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match std::io::stdout().lock().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => STDOUT_CLOSED.store(true, Ordering::Relaxed),
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 /// Reads a file with a friendly error.
 pub(crate) fn read_file(path: &str) -> Result<String, String> {

@@ -175,7 +175,7 @@ impl Shared {
 pub(crate) fn serve(args: &[String]) -> Result<(), CliError> {
     let flags = Flags::parse(args, &["help"]).map_err(CliError::from)?;
     if flags.has("help") {
-        println!("{SERVE_USAGE}");
+        outln!("{SERVE_USAGE}");
         return Ok(());
     }
     let listen = flags.get("listen").unwrap_or("127.0.0.1:0");
@@ -193,7 +193,7 @@ pub(crate) fn serve(args: &[String]) -> Result<(), CliError> {
     let addr = listener
         .local_addr()
         .map_err(|e| CliError::from(e.to_string()))?;
-    println!("serving on {addr}");
+    outln!("serving on {addr}");
     std::io::stdout().flush().ok();
     if let Some(path) = flags.get("port-file") {
         write_file(path, &format!("{addr}\n")).map_err(CliError::from)?;
@@ -530,7 +530,7 @@ fn connect_to(addr: &str) -> Result<(BufReader<TcpStream>, TcpStream), CliError>
 pub(crate) fn worker(args: &[String]) -> Result<(), CliError> {
     let flags = Flags::parse(args, &["help"]).map_err(CliError::from)?;
     if flags.has("help") {
-        println!("{WORKER_USAGE}");
+        outln!("{WORKER_USAGE}");
         return Ok(());
     }
     let connect = flags
@@ -625,7 +625,7 @@ pub(crate) fn submit(args: &[String]) -> Result<(), CliError> {
     let flags =
         Flags::parse(args, &["glitch", "adaptive", "shutdown", "help"]).map_err(CliError::from)?;
     if flags.has("help") {
-        println!("{SUBMIT_USAGE}");
+        outln!("{SUBMIT_USAGE}");
         return Ok(());
     }
     let connect = flags

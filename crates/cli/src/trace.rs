@@ -18,7 +18,7 @@ use std::sync::Arc;
 use polaris::report::{fmt_f, TextTable};
 use polaris_obs::{JsonlRecorder, NullRecorder, Recorder, TraceError, TraceSummary};
 
-use crate::{read_file, write_file, CliError, Flags};
+use crate::{read_file, write_file, write_stdout, CliError, Flags};
 
 /// Exit code of `trace summarize` on a trace the parser rejects —
 /// distinct from the generic 1 so CI smoke jobs can gate on it.
@@ -96,7 +96,7 @@ pub(crate) fn trace(args: &[String]) -> Result<(), CliError> {
     match sub.as_str() {
         "summarize" => summarize(rest),
         "--help" | "-h" | "help" => {
-            println!("{TRACE_USAGE}");
+            outln!("{TRACE_USAGE}");
             Ok(())
         }
         other => Err(CliError::from(format!(
@@ -117,14 +117,14 @@ fn trace_err(e: TraceError) -> CliError {
 fn summarize(args: &[String]) -> Result<(), CliError> {
     let flags = Flags::parse(args, &["help"])?;
     if flags.has("help") {
-        println!("{TRACE_USAGE}");
+        outln!("{TRACE_USAGE}");
         return Ok(());
     }
     let path = flags.positional(0, "trace file")?;
     let text = read_file(path)?;
     let events = polaris_obs::parse_trace(&text).map_err(trace_err)?;
     let summary = TraceSummary::build(&events);
-    print!("{}", render_summary(&summary));
+    write_stdout(format_args!("{}", render_summary(&summary)));
     Ok(())
 }
 

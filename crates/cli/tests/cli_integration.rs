@@ -130,6 +130,39 @@ fn assess_flags_leaky_design_and_writes_csv() {
     assert!(csv_text.lines().count() > 5);
 }
 
+/// A reader that closes stdout before the result prints (`assess … | head
+/// -1`) is no failure: no panic, exit status 0, and the CSV the command was
+/// asked for is still written.
+#[test]
+fn closed_stdout_is_a_quiet_success() {
+    let design = tmp("demo_closed_stdout.v");
+    std::fs::write(&design, DEMO).expect("write design");
+    let csv = tmp("closed_stdout.csv");
+    // The read end is closed before the child starts, so its first line of
+    // output meets a pipe without a reader whatever the timing.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = cli()
+        .args([
+            "assess",
+            design.to_str().expect("utf8"),
+            "--traces",
+            "600",
+            "--threads",
+            "1",
+            "--csv",
+            csv.to_str().expect("utf8"),
+        ])
+        .stdout(writer)
+        .output()
+        .expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    let csv_text = std::fs::read_to_string(&csv).expect("csv written");
+    assert!(csv_text.starts_with("gate,name,kind,t,leaky"));
+}
+
 #[test]
 fn assess_adaptive_reports_trace_consumption_and_same_verdict() {
     let design = tmp("demo_adaptive.v");

@@ -6,6 +6,24 @@
 //! assigns each [`GateKind`] a relative capacitance weight and adds zero-mean
 //! Gaussian measurement noise, the standard gate-level leakage-simulation
 //! setup used by TVLA-based EDA flows (CASCADE, Karna, VALIANT).
+//!
+//! The noise is a Box–Muller pass, `√(−2 ln u₁) · cos(2π u₂)` per sample,
+//! made of IEEE-754 ops alone so that every build gives the same bits. Its
+//! per-sample math (`transform`) is an exact rewrite of that plain form
+//! with about a third fewer float ops, each step exact for one reason:
+//!
+//! - `u₁ = (2 − m) − lo`: every multiple of `2⁻⁵³` in `(0, 1]` is a double.
+//! - `ln`'s reduction on integer bits: a carry past √2's mantissa halves `m`
+//!   and adds one to the exponent, and integers below `2⁵³` subtract exactly.
+//! - `−2 ln` as `e · (−2 ln 2) + (−4t) · p`: scaling by a power of two
+//!   commutes with rounding.
+//! - `cos`'s quadrant and remainder from the draw's integer bits: `(4u + ½)
+//!   · 2⁵¹` is the integer `(x >> 11) + 2⁵⁰`.
+//! - one Horner chain picks cosine or sine coefficients per lane: a sine
+//!   chain starts at its own leading term and ends times `θ`, a cosine
+//!   chain's times 1.0.
+//! - `cap · t` as a select of `cap` or `cap · 0.0`: the two products it can
+//!   take, a `−0.0` weight's sign included.
 
 use polaris_netlist::GateKind;
 use rand::rngs::{Lockstep, StdRng};
@@ -105,104 +123,112 @@ pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// `2^52`: adding it to a float in `[0, 2^52)` rounds to an integer held in
-/// the low mantissa bits, and a `u64 < 2^52` OR-ed into its mantissa reads
-/// back exactly as `2^52 + u64`. Both tricks replace int↔float conversions
-/// with float ops the compiler can vectorize, and both are exact.
+/// `2^52`: a `u64 < 2^52` OR-ed into its mantissa reads back exactly as
+/// `2^52 + u64`, which replaces an int→float conversion with a float
+/// subtraction the compiler can vectorize (AVX2 has no 64-bit integer
+/// conversion).
 const TWO_52: f64 = 4_503_599_627_370_496.0;
 
 /// `2⁻⁵³`: the spacing of the uniforms `rng.gen::<f64>()` returns.
 const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
 
-/// The uniform in `[0, 1)` that `rng.gen::<f64>()` makes of the draw `x`,
-/// `(x >> 11) as f64 · 2⁻⁵³`, without an int→float conversion.
+/// The significand field of an `f64`.
+const MANTISSA: u64 = 0x000f_ffff_ffff_ffff;
+
+/// `u₁ = 1 − (x >> 11) · 2⁻⁵³`: one minus the uniform in `[0, 1)` that
+/// `rng.gen::<f64>()` makes of the draw `x`, so a value in `(0, 1]`.
 ///
 /// The top 52 bits OR-ed into the mantissa of 1.0 read back as
-/// `1 + (x >> 12) · 2⁻⁵²`; subtracting 1.0 is exact. Bit 11 then adds
-/// `2⁻⁵³` or `+0.0`, also exactly, since every multiple of `2⁻⁵³` below 1
-/// is a double. So the result is the conversion's value bit for bit, built
-/// from shifts, masks and exact float adds that every vector ISA has; AVX2
-/// has no 64-bit integer conversion.
+/// `m = 1 + (x >> 12) · 2⁻⁵²`, and bit 11 is `lo`, `2⁻⁵³` or `+0.0`. Then
+/// `u₁ = (2 − m) − lo`: both steps are exact because every multiple of
+/// `2⁻⁵³` in `(0, 1]` is a double, so this is `1 − rng.gen::<f64>()` bit
+/// for bit from two float ops instead of three.
 #[inline(always)]
-fn unit(x: u64) -> f64 {
-    let hi = f64::from_bits(1.0f64.to_bits() | (x >> 12)) - 1.0;
+fn one_minus_unit(x: u64) -> f64 {
+    let m = f64::from_bits(1.0f64.to_bits() | (x >> 12));
     let lo = f64::from_bits(((x >> 11) & 1).wrapping_neg() & UNIT.to_bits());
-    hi + lo
+    (2.0 - m) - lo
 }
 
-/// Natural log for `x ∈ (0, 1]` as a branchless polynomial.
+/// `−2 ln x` for `x ∈ (0, 1]` as a branchless polynomial.
 ///
-/// Exponent/mantissa split, mantissa reduced into `[√2/2, √2)`, then the
+/// Exponent/mantissa split, mantissa reduced into `(√2/2, √2]`, then the
 /// atanh series `ln m = 2t(1 + t²/3 + t⁴/5 + …)` on `t = (m−1)/(m+1)`
-/// (7 terms, |t| < 0.1716 so the truncation error is below 4 × 10⁻¹⁴
+/// (8 terms, |t| < 0.1716 so the truncation error is below 4 × 10⁻¹⁴
 /// relative). Every operation is an IEEE-754-exact add/mul/div or a bit
 /// manipulation, so the result is bit-identical on every platform — the
 /// property the campaign engine's cross-host determinism rests on, which
 /// `libm`'s `ln` (allowed to differ by a ulp between implementations) does
-/// not give.
+/// not give. Each step is exact against the plain form
+/// `−2 · (e · ln 2 + 2t · p(t²))`:
+///
+/// - adding `CARRY` to the bits carries into the exponent field exactly when
+///   the mantissa exceeds √2's, which halves `m` and adds one to `e`;
+/// - `e` is the exponent field read as `2⁵² + field` minus `2⁵² + 1023`, an
+///   exact difference of integers;
+/// - `u = (m − 1)/(−m/4 − ¼)` is `−4t`, signed zero included, and
+///   `u² = 16t²`: the series runs in `u²` with each coefficient of `t²ᵏ`
+///   divided by `16ᵏ`, and scaling by a power of two commutes with rounding;
+/// - so the `−2 ·` is folded into `e · (−2 ln 2) + u · p`.
 #[inline(always)]
-fn ln_unit(x: f64) -> f64 {
-    const LN2: f64 = std::f64::consts::LN_2;
-    const SQRT2: f64 = std::f64::consts::SQRT_2;
-    let bits = x.to_bits();
-    // Biased exponent field as an exact float (`x > 0`: the sign bit is 0).
-    let biased = f64::from_bits(TWO_52.to_bits() | (bits >> 52)) - TWO_52;
-    let m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | 0x3ff0_0000_0000_0000);
-    let big = m > SQRT2;
-    let m = if big { 0.5 * m } else { m };
-    let e = (biased - 1023.0) + if big { 1.0 } else { 0.0 };
-    let t = (m - 1.0) / (m + 1.0);
-    let s = t * t;
-    let p = 1.0 / 13.0 + s * (1.0 / 15.0);
-    let p = 1.0 / 11.0 + s * p;
-    let p = 1.0 / 9.0 + s * p;
-    let p = 1.0 / 7.0 + s * p;
-    let p = 1.0 / 5.0 + s * p;
-    let p = 1.0 / 3.0 + s * p;
+fn neg_two_ln(x: f64) -> f64 {
+    const NEG_TWO_LN2: f64 = -2.0 * std::f64::consts::LN_2;
+    const CARRY: u64 = MANTISSA - (std::f64::consts::SQRT_2.to_bits() & MANTISSA);
+    // `x > 0`: the sign bit is 0, and the carry stops in the exponent field.
+    let ix = x.to_bits() + CARRY;
+    let m = f64::from_bits((ix & MANTISSA) + (1.0f64.to_bits() - CARRY));
+    let neg_quarter_m = f64::from_bits((ix & MANTISSA) + ((-0.25f64).to_bits() - CARRY));
+    let e = f64::from_bits(TWO_52.to_bits() | (ix >> 52)) - (TWO_52 + 1023.0);
+    let u = (m - 1.0) / (neg_quarter_m - 0.25);
+    let s = u * u;
+    let p = (1.0 / 13.0) / 16_777_216.0 + s * ((1.0 / 15.0) / 268_435_456.0);
+    let p = (1.0 / 11.0) / 1_048_576.0 + s * p;
+    let p = (1.0 / 9.0) / 65_536.0 + s * p;
+    let p = (1.0 / 7.0) / 4_096.0 + s * p;
+    let p = (1.0 / 5.0) / 256.0 + s * p;
+    let p = (1.0 / 3.0) / 16.0 + s * p;
     let p = 1.0 + s * p;
-    e * LN2 + 2.0 * t * p
+    e * NEG_TWO_LN2 + u * p
 }
 
-/// `cos(2πu)` for `u ∈ [0, 1)` as a branchless polynomial.
+/// `cos(2πu)` for the uniform `u = (x >> 11) · 2⁻⁵³` of the draw `x`, as a
+/// branchless polynomial.
 ///
 /// Quadrant reduction `k = ⌊4u + ½⌋` maps the argument onto
-/// `[−π/4, π/4]`, where a degree-12 cosine / degree-11 sine Taylor
-/// expansion is accurate to 7 × 10⁻¹² absolute; the quadrant selects
-/// between the two and fixes the sign. IEEE-exact ops only (see
-/// [`ln_unit`]), so bit-stable across platforms.
+/// `r ∈ [−½, ½)` quarter turns, where a degree-12 cosine / degree-11 sine
+/// Taylor expansion in `θ = r · π/2` is accurate to 7 × 10⁻¹² absolute; the
+/// quadrant's parity selects between the two and `k` fixes the sign.
+/// IEEE-exact ops only (see [`neg_two_ln`]), so bit-stable across
+/// platforms. Each step is exact against reducing `u` in float:
+///
+/// - `(4u + ½) · 2⁵¹` is the integer `(x >> 11) + 2⁵⁰`, so `k` is its bits
+///   from 51 up and `r + ½` its low 51 bits `j` times `2⁻⁵¹`;
+/// - `r = (1 + j · 2⁻⁵¹) − 1.5` is one exact subtraction;
+/// - both series run in one Horner chain whose coefficients each lane picks
+///   by `k`'s parity; a sine lane's chain starts one step late, at its own
+///   leading coefficient, and ends times `θ` where a cosine lane's ends
+///   times 1.0, which is exact.
 #[inline(always)]
-fn cos_tau(u: f64) -> f64 {
+fn cos_tau(x: u64) -> f64 {
     const FRAC_PI_2: f64 = std::f64::consts::FRAC_PI_2;
-    let x = 4.0 * u;
-    // ⌊x + ½⌋ in float: round to nearest through 2^52, then step down
-    // where that rounded up.
-    let y = x + 0.5;
-    let nearest = (y + TWO_52) - TWO_52;
-    let k = if nearest > y { nearest - 1.0 } else { nearest };
-    let r = x - k;
+    let y = (x >> 11) + (1 << 50);
+    let k = y >> 51;
+    let j = y & ((1 << 51) - 1);
+    let r = f64::from_bits(1.0f64.to_bits() | (j << 1)) - 1.5;
     let th = r * FRAC_PI_2;
     let z = th * th;
-    let c = {
-        let p = 1.0 / 479_001_600.0;
-        let p = -(1.0 / 3_628_800.0) + z * p;
-        let p = 1.0 / 40_320.0 + z * p;
-        let p = -(1.0 / 720.0) + z * p;
-        let p = 1.0 / 24.0 + z * p;
-        let p = -0.5 + z * p;
-        1.0 + z * p
-    };
-    let s = {
-        let p = -(1.0 / 39_916_800.0);
-        let p = 1.0 / 362_880.0 + z * p;
-        let p = -(1.0 / 5_040.0) + z * p;
-        let p = 1.0 / 120.0 + z * p;
-        let p = -(1.0 / 6.0) + z * p;
-        th * (1.0 + z * p)
-    };
-    // The quadrant's integer bits, read from the mantissa of `k + 2^52`.
-    let q = (k + TWO_52).to_bits();
-    let v = if q & 1 != 0 { s } else { c };
-    f64::from_bits(v.to_bits() ^ ((((q + 1) >> 1) & 1) << 63))
+    let sine = k & 1 != 0;
+    let pick = |c: f64, s: f64| if sine { s } else { c };
+    let p = pick(
+        -(1.0 / 3_628_800.0) + z * (1.0 / 479_001_600.0),
+        -(1.0 / 39_916_800.0),
+    );
+    let p = pick(1.0 / 40_320.0, 1.0 / 362_880.0) + z * p;
+    let p = pick(-(1.0 / 720.0), -(1.0 / 5_040.0)) + z * p;
+    let p = pick(1.0 / 24.0, 1.0 / 120.0) + z * p;
+    let p = pick(-0.5, -(1.0 / 6.0)) + z * p;
+    let v = (1.0 + z * p) * pick(1.0, th);
+    f64::from_bits(v.to_bits() ^ ((((k + 1) >> 1) & 1) << 63))
 }
 
 /// What one word of standard-normal deviates `z` becomes: the deviates
@@ -233,10 +259,11 @@ pub(crate) struct BitEnergy {
 impl Synth for BitEnergy {
     #[inline(always)]
     fn emit(&self, l: usize, z: f64) -> f64 {
-        // The toggle bit as the float 0.0 or 1.0, by masking 1.0's bits.
-        let bit = (self.diff >> l) & 1;
-        let t = f64::from_bits(bit.wrapping_neg() & 1.0f64.to_bits());
-        self.cap * t + self.sigma * z
+        // `cap · t` for the toggle `t` of 1.0 or 0.0, as a select: `cap · 1.0`
+        // is `cap`, and `cap · 0.0` keeps the sign of a `−0.0` weight.
+        let toggled = (self.diff >> l) & 1 != 0;
+        let e = if toggled { self.cap } else { self.cap * 0.0 };
+        e + self.sigma * z
     }
 }
 
@@ -265,14 +292,137 @@ type Draws = [u64; WORD_LANES];
 /// `√(−2 ln u₁) · cos(2π u₂)` to `synth`. Only the first `out.len()` (at
 /// most 64) lanes are written. `#[inline(always)]` so each `#[target_feature]`
 /// build in [`kernel`] compiles its own copy of the whole pass.
+///
+/// The per-lane math is the plain form `√(−2 ln(1 − u₁)) · cos(2π u₂)`
+/// rewritten exactly (see the module docs), so it keeps every bit: in the
+/// AVX-512 build it takes 50 packed-double ops per eight lanes, selects
+/// included, where the plain form took 71.
+///
+/// - [`one_minus_unit`]: `u₁ = 1 − u` from two exact subtractions, not three.
+/// - [`neg_two_ln`]: reduction on integer bits, `−2` folded into exact
+///   power-of-two scalings of the series.
+/// - [`cos_tau`]: reduction on the draw's integer bits, and one Horner chain
+///   whose coefficients each lane picks, not a cosine and a sine.
+/// - [`BitEnergy`]: a select of `cap` or `cap · 0.0`, the products `cap · t`
+///   can take, instead of the multiply.
 #[inline(always)]
 fn transform<S: Synth>(d1: &Draws, d2: &Draws, synth: &S, out: &mut [f64]) {
     let n = out.len().min(WORD_LANES);
     for l in 0..n {
-        let u1 = 1.0 - unit(d1[l]);
-        let u2 = unit(d2[l]);
-        let z = (-2.0 * ln_unit(u1)).sqrt() * cos_tau(u2);
+        let z = neg_two_ln(one_minus_unit(d1[l])).sqrt() * cos_tau(d2[l]);
         out[l] = synth.emit(l, z);
+    }
+}
+
+/// The noise math as it was before the exact rewrites in [`transform`]:
+/// the oracles `power::tests::diet_matches_the_reference_bits` checks the
+/// shipped math against, bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::{Draws, Synth, TWO_52, UNIT, WORD_LANES};
+
+    /// The uniform in `[0, 1)` that `rng.gen::<f64>()` makes of the draw `x`,
+    /// `(x >> 11) as f64 · 2⁻⁵³`, without an int→float conversion.
+    ///
+    /// The top 52 bits OR-ed into the mantissa of 1.0 read back as
+    /// `1 + (x >> 12) · 2⁻⁵²`; subtracting 1.0 is exact. Bit 11 then adds
+    /// `2⁻⁵³` or `+0.0`, also exactly, since every multiple of `2⁻⁵³` below 1
+    /// is a double. So the result is the conversion's value bit for bit, built
+    /// from shifts, masks and exact float adds that every vector ISA has; AVX2
+    /// has no 64-bit integer conversion.
+    #[inline(always)]
+    pub(super) fn unit(x: u64) -> f64 {
+        let hi = f64::from_bits(1.0f64.to_bits() | (x >> 12)) - 1.0;
+        let lo = f64::from_bits(((x >> 11) & 1).wrapping_neg() & UNIT.to_bits());
+        hi + lo
+    }
+
+    /// Natural log for `x ∈ (0, 1]` as a branchless polynomial.
+    ///
+    /// Exponent/mantissa split, mantissa reduced into `[√2/2, √2)`, then the
+    /// atanh series `ln m = 2t(1 + t²/3 + t⁴/5 + …)` on `t = (m−1)/(m+1)`
+    /// (7 terms, |t| < 0.1716 so the truncation error is below 4 × 10⁻¹⁴
+    /// relative). Every operation is an IEEE-754-exact add/mul/div or a bit
+    /// manipulation, so the result is bit-identical on every platform — the
+    /// property the campaign engine's cross-host determinism rests on, which
+    /// `libm`'s `ln` (allowed to differ by a ulp between implementations) does
+    /// not give.
+    #[inline(always)]
+    pub(super) fn ln_unit(x: f64) -> f64 {
+        const LN2: f64 = std::f64::consts::LN_2;
+        const SQRT2: f64 = std::f64::consts::SQRT_2;
+        let bits = x.to_bits();
+        // Biased exponent field as an exact float (`x > 0`: the sign bit is 0).
+        let biased = f64::from_bits(TWO_52.to_bits() | (bits >> 52)) - TWO_52;
+        let m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | 0x3ff0_0000_0000_0000);
+        let big = m > SQRT2;
+        let m = if big { 0.5 * m } else { m };
+        let e = (biased - 1023.0) + if big { 1.0 } else { 0.0 };
+        let t = (m - 1.0) / (m + 1.0);
+        let s = t * t;
+        let p = 1.0 / 13.0 + s * (1.0 / 15.0);
+        let p = 1.0 / 11.0 + s * p;
+        let p = 1.0 / 9.0 + s * p;
+        let p = 1.0 / 7.0 + s * p;
+        let p = 1.0 / 5.0 + s * p;
+        let p = 1.0 / 3.0 + s * p;
+        let p = 1.0 + s * p;
+        e * LN2 + 2.0 * t * p
+    }
+
+    /// `cos(2πu)` for `u ∈ [0, 1)` as a branchless polynomial.
+    ///
+    /// Quadrant reduction `k = ⌊4u + ½⌋` maps the argument onto
+    /// `[−π/4, π/4]`, where a degree-12 cosine / degree-11 sine Taylor
+    /// expansion is accurate to 7 × 10⁻¹² absolute; the quadrant selects
+    /// between the two and fixes the sign. IEEE-exact ops only (see
+    /// [`ln_unit`]), so bit-stable across platforms.
+    #[inline(always)]
+    pub(super) fn cos_tau(u: f64) -> f64 {
+        const FRAC_PI_2: f64 = std::f64::consts::FRAC_PI_2;
+        let x = 4.0 * u;
+        // ⌊x + ½⌋ in float: round to nearest through 2^52, then step down
+        // where that rounded up.
+        let y = x + 0.5;
+        let nearest = (y + TWO_52) - TWO_52;
+        let k = if nearest > y { nearest - 1.0 } else { nearest };
+        let r = x - k;
+        let th = r * FRAC_PI_2;
+        let z = th * th;
+        let c = {
+            let p = 1.0 / 479_001_600.0;
+            let p = -(1.0 / 3_628_800.0) + z * p;
+            let p = 1.0 / 40_320.0 + z * p;
+            let p = -(1.0 / 720.0) + z * p;
+            let p = 1.0 / 24.0 + z * p;
+            let p = -0.5 + z * p;
+            1.0 + z * p
+        };
+        let s = {
+            let p = -(1.0 / 39_916_800.0);
+            let p = 1.0 / 362_880.0 + z * p;
+            let p = -(1.0 / 5_040.0) + z * p;
+            let p = 1.0 / 120.0 + z * p;
+            let p = -(1.0 / 6.0) + z * p;
+            th * (1.0 + z * p)
+        };
+        // The quadrant's integer bits, read from the mantissa of `k + 2^52`.
+        let q = (k + TWO_52).to_bits();
+        let v = if q & 1 != 0 { s } else { c };
+        f64::from_bits(v.to_bits() ^ ((((q + 1) >> 1) & 1) << 63))
+    }
+
+    /// The Box–Muller transform of one word in the plain form
+    /// `√(−2 ln(1 − unit(d₁))) · cos_tau(unit(d₂))`.
+    #[inline(always)]
+    pub(super) fn transform<S: Synth>(d1: &Draws, d2: &Draws, synth: &S, out: &mut [f64]) {
+        let n = out.len().min(WORD_LANES);
+        for l in 0..n {
+            let u1 = 1.0 - unit(d1[l]);
+            let u2 = unit(d2[l]);
+            let z = (-2.0 * ln_unit(u1)).sqrt() * cos_tau(u2);
+            out[l] = synth.emit(l, z);
+        }
     }
 }
 
@@ -653,6 +803,11 @@ mod tests {
         }
     }
 
+    /// `ln` as the shipped `−2 ln` gives it: halving is exact.
+    fn ln_unit(x: f64) -> f64 {
+        -0.5 * neg_two_ln(x)
+    }
+
     #[test]
     fn ln_unit_tracks_libm() {
         let mut rng = StdRng::seed_from_u64(11);
@@ -670,19 +825,21 @@ mod tests {
         assert_eq!(ln_unit(1.0), 0.0);
     }
 
+    /// The shipped `cos_tau` takes the raw draw whose uniform is `u`.
     #[test]
     fn cos_tau_tracks_libm() {
         let mut rng = StdRng::seed_from_u64(13);
         for _ in 0..200_000 {
-            let u = rng.gen::<f64>();
-            let err = (cos_tau(u) - (std::f64::consts::TAU * u).cos()).abs();
+            let x = rng.next_u64();
+            let u = (x >> 11) as f64 * UNIT;
+            let err = (cos_tau(x) - (std::f64::consts::TAU * u).cos()).abs();
             assert!(err < 1e-10, "cos(2pi*{u}) abs err {err}");
         }
-        assert_eq!(cos_tau(0.0), 1.0);
-        // Quadrant boundaries.
-        assert!((cos_tau(0.25)).abs() < 1e-12);
-        assert!((cos_tau(0.5) + 1.0).abs() < 1e-12);
-        assert!((cos_tau(0.75)).abs() < 1e-12);
+        assert_eq!(cos_tau(0), 1.0);
+        // Quadrant boundaries: u = 0.25, 0.5, 0.75.
+        assert!((cos_tau(1 << 62)).abs() < 1e-12);
+        assert!((cos_tau(1 << 63) + 1.0).abs() < 1e-12);
+        assert!((cos_tau(3 << 62)).abs() < 1e-12);
     }
 
     /// The batched fill consumes the RNG stream exactly like repeated
@@ -790,7 +947,8 @@ mod tests {
         std::array::from_fn(|l| (l as u32 * 7) % 5)
     }
 
-    /// `unit` is `rng.gen::<f64>()`'s conversion, bit for bit, on the edge
+    /// The reference `unit` is `rng.gen::<f64>()`'s conversion, and the
+    /// shipped `one_minus_unit` is one minus it, bit for bit, on the edge
     /// draws and on random ones.
     #[test]
     fn unit_is_the_gen_conversion() {
@@ -798,7 +956,104 @@ mod tests {
         let random = (0..100_000).map(|_| rng.next_u64());
         for x in EDGE_DRAWS.into_iter().chain(random) {
             let want = (x >> 11) as f64 * UNIT;
-            assert_eq!(unit(x).to_bits(), want.to_bits(), "draw {x:#018x}");
+            assert_eq!(
+                reference::unit(x).to_bits(),
+                want.to_bits(),
+                "draw {x:#018x}"
+            );
+            let want = 1.0 - want;
+            assert_eq!(
+                one_minus_unit(x).to_bits(),
+                want.to_bits(),
+                "draw {x:#018x}"
+            );
+        }
+    }
+
+    /// Draw pairs gathered into words, each word checked once it is full:
+    /// every build's shipped transform against the reference transform.
+    struct DietCheck {
+        kernels: Vec<Kernel>,
+        d1: Draws,
+        d2: Draws,
+        lanes: usize,
+        checked: usize,
+    }
+
+    impl DietCheck {
+        fn push(&mut self, a: u64, b: u64) {
+            self.d1[self.lanes] = a;
+            self.d2[self.lanes] = b;
+            self.lanes += 1;
+            if self.lanes < WORD_LANES {
+                return;
+            }
+            let mut want = [0.0f64; WORD_LANES];
+            reference::transform(&self.d1, &self.d2, &Deviates, &mut want);
+            for k in &self.kernels {
+                let mut got = [0.0f64; WORD_LANES];
+                k.run(&self.d1, &self.d2, &Deviates, &mut got);
+                for l in 0..WORD_LANES {
+                    assert_eq!(
+                        got[l].to_bits(),
+                        want[l].to_bits(),
+                        "{k:?}: draws {:#018x}, {:#018x}",
+                        self.d1[l],
+                        self.d2[l]
+                    );
+                }
+            }
+            self.checked += WORD_LANES;
+            self.lanes = 0;
+        }
+    }
+
+    /// The shipped transform writes the reference transform's bits in every
+    /// build the host supports: on every pair of edge draws, on ±5 000 ulps
+    /// of `u₂` around each quadrant edge `(2i+1) << 61` and around 0, on
+    /// `u₁` whose mantissas lie next to √2's at every exponent, and on 10⁷
+    /// seeded random draws.
+    #[test]
+    fn diet_matches_the_reference_bits() {
+        let mut check = DietCheck {
+            kernels: Kernel::supported(),
+            d1: [0; WORD_LANES],
+            d2: [0; WORD_LANES],
+            lanes: 0,
+            checked: 0,
+        };
+        let mut rng = StdRng::seed_from_u64(31);
+        for a in EDGE_DRAWS.into_iter().chain([0, u64::MAX]) {
+            for b in EDGE_DRAWS.into_iter().chain([0, u64::MAX]) {
+                check.push(a, b);
+            }
+        }
+        // One ulp of `u₂` is `1 << 11` in the draw; the low bits are noise.
+        for edge in [0u64, 1 << 61, 3 << 61, 5 << 61, 7 << 61] {
+            for ulps in -5_000i64..=5_000 {
+                let b = edge.wrapping_add_signed(ulps << 11) | (rng.next_u64() & 0x7ff);
+                check.push(rng.next_u64(), b);
+            }
+        }
+        // `u₁ = 2⁻ᵉ · (1 + f · 2⁻⁵²)` is reachable when its `e − 1` lowest
+        // mantissa bits are clear, from the draw `(2⁵³ − u₁ · 2⁵³) << 11`.
+        let sqrt2 = std::f64::consts::SQRT_2.to_bits() & MANTISSA;
+        for e in 1..=52u64 {
+            for steps in -64i64..=64 {
+                let f = (sqrt2 >> (e - 1)).wrapping_add_signed(steps) << (e - 1);
+                if f > MANTISSA {
+                    continue;
+                }
+                let a = ((1u64 << 53) - (((1 << 52) | f) >> (e - 1))) << 11;
+                let a = a | (rng.next_u64() & 0x7ff);
+                let u1 = f64::from_bits(((1023 - e) << 52) | f);
+                assert_eq!((1.0 - reference::unit(a)).to_bits(), u1.to_bits());
+                check.push(a, rng.next_u64());
+            }
+        }
+        let listed = check.checked + check.lanes;
+        while check.checked < listed + 10_000_000 {
+            check.push(rng.next_u64(), rng.next_u64());
         }
     }
 
@@ -825,7 +1080,13 @@ mod tests {
                     transform(&d1, &d2, &Deviates, &mut want[..n]);
                     k.run(&d1, &d2, &Deviates, &mut got[..n]);
                     check(&want[..n], &got[..n], "deviates", *k);
-                    for (cap, sigma) in [(2.1, 0.35), (0.0, 1.0), (3.6, 0.0)] {
+                    for (cap, sigma) in [
+                        (2.1, 0.35),
+                        (0.0, 1.0),
+                        (3.6, 0.0),
+                        (-0.0, 0.35),
+                        (-0.0, 0.0),
+                    ] {
                         let bits = BitEnergy {
                             cap,
                             sigma,
@@ -854,10 +1115,10 @@ mod tests {
     /// same position.
     #[test]
     fn fused_energy_is_fill_then_synthesize() {
-        let (cap, sigma) = (2.2, 0.35);
         let diff = 0x8000_0000_f0f0_1235u64;
         let counts = toggle_counts();
-        for n in [WORD_LANES, 37] {
+        let cases = [(2.2, 0.35), (-0.0, 0.35), (2.2, 0.0), (-0.0, 0.0)];
+        for ((cap, sigma), n) in cases.into_iter().flat_map(|c| [(c, WORD_LANES), (c, 37)]) {
             for seed in 0..8u64 {
                 let mut a = StdRng::seed_from_u64(seed);
                 let mut b = a.clone();
