@@ -176,8 +176,9 @@ fn neg_two_ln(x: f64) -> f64 {
     const CARRY: u64 = MANTISSA - (std::f64::consts::SQRT_2.to_bits() & MANTISSA);
     // `x > 0`: the sign bit is 0, and the carry stops in the exponent field.
     let ix = x.to_bits() + CARRY;
-    let m = f64::from_bits((ix & MANTISSA) + (1.0f64.to_bits() - CARRY));
-    let neg_quarter_m = f64::from_bits((ix & MANTISSA) + ((-0.25f64).to_bits() - CARRY));
+    let f = ix & MANTISSA;
+    let m = f64::from_bits(f + (1.0f64.to_bits() - CARRY));
+    let neg_quarter_m = f64::from_bits(f + ((-0.25f64).to_bits() - CARRY));
     let e = f64::from_bits(TWO_52.to_bits() | (ix >> 52)) - (TWO_52 + 1023.0);
     let u = (m - 1.0) / (neg_quarter_m - 0.25);
     let s = u * u;
