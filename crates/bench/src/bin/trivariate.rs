@@ -28,7 +28,7 @@
 
 use std::time::Instant;
 
-use polaris_bench::{co_moment_parity, json_u64, peak_rss_kb, rss_mb};
+use polaris_bench::{co_moment_parity, json_u64, parse_cli, peak_rss_kb, rss_mb, SweepArgs};
 use polaris_masking::isw::{masked_and_order2, IswMasks};
 use polaris_netlist::{generators, Netlist};
 use polaris_obs::NullRecorder;
@@ -38,19 +38,8 @@ use polaris_tvla::{
     TVLA_THRESHOLD,
 };
 
-struct Args {
-    quick: bool,
-    design: String,
-    traces: usize,
-    parity_traces: usize,
-    gates: usize,
-    seed: u64,
-    threads: usize,
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut a = Args {
+fn parse_args() -> SweepArgs {
+    let defaults = SweepArgs {
         quick: false,
         design: "c880".to_string(),
         traces: 100_000,
@@ -60,75 +49,9 @@ fn parse_args() -> Args {
         threads: 0,
         out: "BENCH_trivariate.json".to_string(),
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let mut traces_set = false;
-    let mut gates_set = false;
-    while i < argv.len() {
-        let need = |i: usize| -> &str {
-            argv.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-                eprintln!("missing value after {}", argv[i]);
-                std::process::exit(2);
-            })
-        };
-        match argv[i].as_str() {
-            "--quick" => {
-                a.quick = true;
-                i += 1;
-            }
-            "--design" => {
-                a.design = need(i).to_string();
-                i += 2;
-            }
-            "--traces" => {
-                a.traces = need(i).parse().expect("--traces takes an integer");
-                traces_set = true;
-                i += 2;
-            }
-            "--parity-traces" => {
-                a.parity_traces = need(i).parse().expect("--parity-traces takes an integer");
-                i += 2;
-            }
-            "--gates" => {
-                a.gates = need(i).parse().expect("--gates takes an integer");
-                gates_set = true;
-                i += 2;
-            }
-            "--seed" => {
-                a.seed = need(i).parse().expect("--seed takes an integer");
-                i += 2;
-            }
-            "--threads" => {
-                a.threads = need(i).parse().expect("--threads takes an integer");
-                i += 2;
-            }
-            "--out" => {
-                a.out = need(i).to_string();
-                i += 2;
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "flags: --quick  --design NAME  --traces N  --parity-traces N  \
-                     --gates K  --seed N  --threads N  --out PATH"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other}; see --help");
-                std::process::exit(2);
-            }
-        }
-    }
-    if a.quick {
-        if !traces_set {
-            a.traces = 2_000;
-        }
-        if !gates_set {
-            a.gates = 8;
-        }
-    }
-    a.parity_traces = a.parity_traces.min(a.traces);
-    a
+    parse_cli(SweepArgs::USAGE, |args| {
+        SweepArgs::parse(args, defaults, (2_000, 8))
+    })
 }
 
 fn main() {

@@ -54,60 +54,47 @@ impl Default for HarnessConfig {
 }
 
 impl HarnessConfig {
-    /// Parses `std::env::args()`; unknown flags abort with usage help.
+    /// Parses `std::env::args()`: `--help` prints the flags and exits 0, and
+    /// a bad command line prints what is wrong and exits 2.
     pub fn from_args() -> Self {
+        parse_cli(
+            "--scale N  --traces N  --seed N  --threads N  --designs a,b,c  --paper",
+            Self::parse,
+        )
+    }
+
+    /// Parses harness flags (without the program name) over the defaults.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the flag on an unknown flag, a missing
+    /// value, or a value that is not a non-negative integer.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut cfg = HarnessConfig::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         while i < args.len() {
-            let need_value = |i: usize| -> &str {
-                args.get(i + 1).map(|s| s.as_str()).unwrap_or_else(|| {
-                    eprintln!("missing value after {}", args[i]);
-                    std::process::exit(2);
-                })
-            };
             match args[i].as_str() {
-                "--scale" => {
-                    cfg.scale = need_value(i).parse().expect("--scale takes an integer");
-                    i += 2;
-                }
-                "--traces" => {
-                    cfg.traces = need_value(i).parse().expect("--traces takes an integer");
-                    i += 2;
-                }
-                "--seed" => {
-                    cfg.seed = need_value(i).parse().expect("--seed takes an integer");
-                    i += 2;
-                }
-                "--threads" => {
-                    cfg.threads = need_value(i).parse().expect("--threads takes an integer");
-                    i += 2;
-                }
+                "--scale" => cfg.scale = number(args, i)?,
+                "--traces" => cfg.traces = number(args, i)?,
+                "--seed" => cfg.seed = number(args, i)?,
+                "--threads" => cfg.threads = number(args, i)?,
                 "--designs" => {
-                    cfg.designs = need_value(i)
+                    cfg.designs = value(args, i)?
                         .split(',')
                         .map(|s| s.trim().to_string())
                         .collect();
-                    i += 2;
                 }
                 "--paper" => {
                     cfg.scale = 3;
                     cfg.traces = 10_000;
                     i += 1;
+                    continue;
                 }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "flags: --scale N  --traces N  --seed N  --threads N  --designs a,b,c  --paper"
-                    );
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown flag {other}; see --help");
-                    std::process::exit(2);
-                }
+                other => return Err(format!("unknown flag {other}")),
             }
+            i += 2;
         }
-        cfg
+        Ok(cfg)
     }
 
     /// POLARIS configuration matched to the harness size.
@@ -180,10 +167,118 @@ impl HarnessConfig {
     }
 }
 
+/// Runs `parse` over `std::env::args()` for a binary whose flags `usage`
+/// lists: `--help` or `-h` prints `usage` and exits 0, and a parse error is
+/// printed and exits 2, so a bad flag value never surfaces as a panic.
+pub fn parse_cli<T>(usage: &str, parse: impl FnOnce(&[String]) -> Result<T, String>) -> T {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        eprintln!("flags: {usage}");
+        std::process::exit(0);
+    }
+    parse(&args).unwrap_or_else(|e| {
+        eprintln!("{e}; see --help");
+        std::process::exit(2);
+    })
+}
+
+/// The value after the flag at `args[i]`.
+fn value(args: &[String], i: usize) -> Result<&str, String> {
+    args.get(i + 1)
+        .map(String::as_str)
+        .ok_or_else(|| format!("missing value after {}", args[i]))
+}
+
+/// The integer value after the flag at `args[i]`.
+fn number<T: std::str::FromStr>(args: &[String], i: usize) -> Result<T, String> {
+    let v = value(args, i)?;
+    v.parse()
+        .map_err(|_| format!("{} takes a non-negative integer, got `{v}`", args[i]))
+}
+
+/// Flags of the `bivariate` and `trivariate` sweep benches.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SweepArgs {
+    /// CI smoke profile: fewer traces and gates unless those flags are given.
+    pub quick: bool,
+    /// ISCAS-like design to simulate.
+    pub design: String,
+    /// Traces per TVLA class for the streaming arm.
+    pub traces: usize,
+    /// Traces per TVLA class for the parity arm (capped at `traces`).
+    pub parity_traces: usize,
+    /// Sweep every set of the first `gates` cells; 0 = every cell.
+    pub gates: usize,
+    /// Campaign master seed.
+    pub seed: u64,
+    /// Campaign worker threads (0 = all available cores).
+    pub threads: usize,
+    /// Output path of the `BENCH_*.json` artifact.
+    pub out: String,
+}
+
+impl SweepArgs {
+    /// The flags [`SweepArgs::parse`] accepts, for `--help`.
+    pub const USAGE: &'static str = "--quick  --design NAME  --traces N  --parity-traces N  \
+         --gates K  --seed N  --threads N  --out PATH";
+
+    /// Parses sweep-bench flags (without the program name) over `defaults`;
+    /// under `--quick`, `quick` supplies `(traces, gates)` for whichever of
+    /// the two flags was not given.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the flag on an unknown flag, a missing
+    /// value, or a value that is not a non-negative integer.
+    pub fn parse(
+        args: &[String],
+        defaults: SweepArgs,
+        quick: (usize, usize),
+    ) -> Result<Self, String> {
+        let mut a = defaults;
+        let (mut traces_set, mut gates_set) = (false, false);
+        let mut i = 0;
+        while i < args.len() {
+            match args[i].as_str() {
+                "--quick" => {
+                    a.quick = true;
+                    i += 1;
+                    continue;
+                }
+                "--design" => a.design = value(args, i)?.to_string(),
+                "--traces" => {
+                    a.traces = number(args, i)?;
+                    traces_set = true;
+                }
+                "--parity-traces" => a.parity_traces = number(args, i)?,
+                "--gates" => {
+                    a.gates = number(args, i)?;
+                    gates_set = true;
+                }
+                "--seed" => a.seed = number(args, i)?,
+                "--threads" => a.threads = number(args, i)?,
+                "--out" => a.out = value(args, i)?.to_string(),
+                other => return Err(format!("unknown flag {other}")),
+            }
+            i += 2;
+        }
+        if a.quick {
+            if !traces_set {
+                a.traces = quick.0;
+            }
+            if !gates_set {
+                a.gates = quick.1;
+            }
+        }
+        a.parity_traces = a.parity_traces.min(a.traces);
+        Ok(a)
+    }
+}
+
 /// Writes a `BENCH_*.json` artifact the way every bench binary does: the
 /// file itself, the full JSON on stdout (so CI logs carry the numbers), and
 /// a one-line stderr note tagged with the bench's label. Shared by the
-/// `campaign`, `dist`, and `fleet` binaries so the emission protocol cannot
+/// `bivariate` and `trivariate` binaries so the emission protocol cannot
 /// drift between them.
 ///
 /// # Errors
@@ -241,8 +336,8 @@ pub fn rss_mb(kb: Option<u64>) -> String {
 }
 
 /// The host's available parallelism (0 when it cannot be determined) —
-/// recorded in every BENCH json so a committed artifact with speedup ≈ 1.0
-/// on a 1-core CI container is self-explaining.
+/// recorded in every BENCH json so a committed throughput figure names the
+/// core count it was measured on.
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -359,6 +454,62 @@ mod tests {
         assert_eq!(pc.max_traces, 123);
         assert_eq!(pc.seed, 9);
         assert_eq!(pc.model, ModelKind::Xgboost);
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn harness_parse_reads_flags_and_the_paper_profile() {
+        let cfg = HarnessConfig::parse(&argv(&["--seed", "9", "--designs", "c17, c432"])).unwrap();
+        assert_eq!(cfg.seed, 9);
+        assert_eq!(cfg.designs, ["c17", "c432"]);
+        let paper = HarnessConfig::parse(&argv(&["--paper"])).unwrap();
+        assert_eq!((paper.scale, paper.traces), (3, 10_000));
+        // A later flag overrides the profile.
+        let paper = HarnessConfig::parse(&argv(&["--paper", "--traces", "50"])).unwrap();
+        assert_eq!((paper.scale, paper.traces), (3, 50));
+    }
+
+    #[test]
+    fn harness_parse_names_the_flag_of_a_bad_command_line() {
+        let err = HarnessConfig::parse(&argv(&["--traces", "abc"])).unwrap_err();
+        assert!(err.contains("--traces") && err.contains("abc"), "{err}");
+        let err = HarnessConfig::parse(&argv(&["--threads", "-1"])).unwrap_err();
+        assert!(err.contains("--threads"), "{err}");
+        let err = HarnessConfig::parse(&argv(&["--bogus"])).unwrap_err();
+        assert!(err.contains("unknown flag --bogus"), "{err}");
+        let err = HarnessConfig::parse(&argv(&["--seed"])).unwrap_err();
+        assert!(err.contains("missing value after --seed"), "{err}");
+    }
+
+    #[test]
+    fn sweep_parse_applies_quick_only_to_unset_flags() {
+        let defaults = SweepArgs {
+            quick: false,
+            design: "c880".to_string(),
+            traces: 1_000,
+            parity_traces: 500,
+            gates: 32,
+            seed: 7,
+            threads: 0,
+            out: "out.json".to_string(),
+        };
+        let a = SweepArgs::parse(&argv(&["--quick"]), defaults.clone(), (40, 4)).unwrap();
+        assert_eq!((a.traces, a.gates, a.parity_traces), (40, 4, 40));
+        let a = SweepArgs::parse(
+            &argv(&["--quick", "--gates", "6"]),
+            defaults.clone(),
+            (40, 4),
+        )
+        .unwrap();
+        assert_eq!((a.traces, a.gates), (40, 6));
+        let err =
+            SweepArgs::parse(&argv(&["--traces", "abc"]), defaults.clone(), (40, 4)).unwrap_err();
+        assert!(err.contains("--traces") && err.contains("abc"), "{err}");
+        let err = SweepArgs::parse(&argv(&["--paper"]), defaults, (40, 4)).unwrap_err();
+        assert!(err.contains("unknown flag --paper"), "{err}");
     }
 
     #[test]

@@ -7,10 +7,8 @@
 //! * [`mod@tree_shap`] — **exact interventional TreeSHAP**: per-leaf closed-form
 //!   Shapley contributions against a background dataset, `O(leaves × depth)`
 //!   per background sample, summed over the ensemble in margin space.
-//! * [`kernel_shap`] — model-agnostic KernelSHAP (coalition-sampling +
-//!   constrained weighted least squares), usable on any black-box scorer.
-//! * [`exact`] — the `O(2^M)` brute-force Shapley oracle used to validate
-//!   both implementations in tests.
+//! * [`exact`] — the `O(2^M)` brute-force Shapley oracle that validates
+//!   TreeSHAP in tests.
 //! * [`waterfall`] — text waterfall plots of one prediction's φ values.
 //! * [`rules`] — SHAP-guided mining of conjunction rules ("as long as …
 //!   → Select & Replace with masking gate").
@@ -39,8 +37,6 @@
 //! ```
 
 pub mod exact;
-pub mod kernel_shap;
-pub mod linalg;
 pub mod rules;
 pub mod tree_shap;
 pub mod waterfall;

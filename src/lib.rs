@@ -14,8 +14,7 @@
 //!   technology-library overhead model.
 //! * [`polaris_ml`] — decision trees, random forests, AdaBoost, gradient
 //!   boosting, and SMOTE.
-//! * [`polaris_xai`] — TreeSHAP, KernelSHAP, waterfall rendering, and rule
-//!   mining.
+//! * [`polaris_xai`] — TreeSHAP, waterfall rendering, and rule mining.
 //! * [`polaris_valiant`] — the TVLA-driven VALIANT baseline flow.
 //! * [`polaris`] — the POLARIS framework itself (Algorithms 1 and 2).
 

@@ -18,6 +18,7 @@ use polaris_sim::campaign::{
 use polaris_sim::{CampaignConfig, GateSamples, Parallelism, PowerModel};
 use polaris_tvla::{
     assess_adaptive, assess_parallel, SequentialConfig, StreamingMoments, WelchAccumulator,
+    TVLA_THRESHOLD,
 };
 
 /// Acceptance criterion: a 10 000-trace fixed-vs-random campaign yields
@@ -109,8 +110,9 @@ fn sharded_assessment_tracks_straight_streaming() {
     }
 }
 
-/// The c17 adaptive configuration proven to stop early (seed 11 resolves
-/// every gate by mid-budget; see the `bench campaign` adaptive smoke).
+/// The c17 fixed-vs-random configuration proven to stop early (seed 11
+/// resolves every gate by mid-budget; see
+/// `adaptive_equals_truncated_prefix_of_full_run`).
 fn adaptive_case() -> (polaris_netlist::Netlist, CampaignConfig, SequentialConfig) {
     (
         generators::iscas_c17(),
@@ -187,6 +189,17 @@ fn adaptive_equals_truncated_prefix_of_full_run() {
     .expect("campaign");
     assert!(stopped.stats.stopped_early);
     assert!(stopped.stats.traces_used() < cfg.n_fixed + cfg.n_random);
+
+    // Verdict-level: stopping early changes no gate's leak verdict against
+    // the full-budget run.
+    let full = assess_parallel(&design, &model, &cfg, Parallelism::new(2)).expect("campaign");
+    for id in design.ids() {
+        assert_eq!(
+            stopped.leakage.abs_t(id) > TVLA_THRESHOLD,
+            full.abs_t(id) > TVLA_THRESHOLD,
+            "gate {id}: early-stopped verdict differs from the full run's"
+        );
+    }
 
     // Statistic-level: a non-adaptive campaign at the consumed counts.
     let prefix_cfg = CampaignConfig::new(
