@@ -5,6 +5,10 @@
 use polaris::report::TextTable;
 
 fn main() {
+    polaris_bench::parse_cli("none (the table is static)", |args| match args.first() {
+        None => Ok(()),
+        Some(arg) => Err(format!("table1 takes no flags, got `{arg}`")),
+    });
     let mut t = TextTable::new(
         [
             "Approach",

@@ -5,8 +5,7 @@
 //! lines and `#` comments are skipped; relative paths resolve against the
 //! working directory). Every design's fixed-vs-random campaign becomes one
 //! [`FleetJob`] of a single [`run_fleet`] pool, so shards of all designs
-//! interleave on the same worker threads instead of each campaign
-//! serializing on its own fold barrier.
+//! interleave on the same worker threads.
 //!
 //! Results are byte-identical to per-design `polaris-cli assess` runs with
 //! the same flags — the CI fleet smoke `cmp`s the emitted CSVs against solo
@@ -31,9 +30,10 @@ pub(crate) fn fleet(args: &[String]) -> Result<(), String> {
             "fleet <manifest.txt> [--traces N --seed N --cycles N --threads N --glitch] \
              [--adaptive --confidence P] [--csv-dir DIR] [--trace-out trace.jsonl]\n\n\
              manifest: one netlist path per line (# comments, blank lines ok).\n\
-             Runs every design's TVLA campaign as a work item on one shared worker\n\
-             pool; per-design results are byte-identical to solo `assess` runs.\n\
-             --trace-out records queue depth, per-item spans and worker summaries\n\
+             Runs every design's TVLA campaign as one job on a shared worker pool;\n\
+             per-design results are byte-identical to solo `assess` runs.\n\
+             --trace-out records each job's campaign start and end, per-shard spans\n\
+             stamped with the job, fold spans, queue depth and worker summaries\n\
              (summarize with `polaris-cli trace summarize FILE`)."
         );
         return Ok(());

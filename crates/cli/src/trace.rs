@@ -150,7 +150,7 @@ fn render_summary(s: &TraceSummary) -> String {
         .join(", ");
     out.push_str(&format!("kinds:  {counts}\n"));
 
-    // Per-phase breakdown over every shard span / fleet work item / fold.
+    // Per-phase breakdown over every shard span and fold.
     let phases_ns = s.phases.phases_ns();
     if phases_ns > 0 {
         let mut t = TextTable::new(
@@ -190,15 +190,12 @@ fn render_summary(s: &TraceSummary) -> String {
                 .to_vec(),
         );
         for w in &s.workers {
-            let jobs = if w.jobs.is_empty() {
-                "-".to_string()
-            } else {
-                w.jobs
-                    .iter()
-                    .map(u64::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
+            let jobs = w
+                .jobs
+                .iter()
+                .map(u64::to_string)
+                .collect::<Vec<_>>()
+                .join(",");
             t.push_row(vec![
                 w.thread.to_string(),
                 w.shards.to_string(),
@@ -324,7 +321,7 @@ mod tests {
     #[test]
     fn shard_span_without_power_phase_maps_to_exit_code_9() {
         let err = summarize_text(concat!(
-            "{\"t\": 0, \"thread\": 0, \"kind\": \"shard_span\", \"round\": 1, ",
+            "{\"t\": 0, \"thread\": 0, \"kind\": \"shard_span\", \"job\": 0, \"round\": 1, ",
             "\"grid_index\": 0, \"pop\": \"fixed\", \"start\": 0, \"count\": 256, ",
             "\"wall_ns\": 1000000, \"rng_ns\": 600000, \"sim_ns\": 250000, ",
             "\"acc_ns\": 100000}\n",
@@ -343,7 +340,7 @@ mod tests {
     #[test]
     fn renders_phases_workers_and_audit_tables() {
         let trace = concat!(
-            "{\"t\": 0, \"thread\": 0, \"kind\": \"shard_span\", \"round\": 1, ",
+            "{\"t\": 0, \"thread\": 0, \"kind\": \"shard_span\", \"job\": 0, \"round\": 1, ",
             "\"grid_index\": 0, \"pop\": \"fixed\", \"start\": 0, \"count\": 256, ",
             "\"wall_ns\": 1000000, \"rng_ns\": 100000, \"sim_ns\": 250000, ",
             "\"power_ns\": 500000, \"acc_ns\": 100000}\n",

@@ -1022,7 +1022,7 @@ fn traced_commands_emit_pinned_event_counts() {
     let assess = census("assess", &[&["assess", c17][..], &budget].concat());
     assert_eq!(
         assess,
-        "campaign_end=1 campaign_start=1 fold_span=1 shard_span=24"
+        "campaign_end=1 campaign_start=1 fold_span=1 queue_depth=24 shard_span=24 worker_summary=1"
     );
     let adaptive = census(
         "assess_adaptive",
@@ -1030,7 +1030,7 @@ fn traced_commands_emit_pinned_event_counts() {
     );
     assert_eq!(
         adaptive,
-        "campaign_end=1 campaign_start=1 fold_span=2 round_checkpoint=2 shard_span=8 stop_audit=12"
+        "campaign_end=1 campaign_start=1 fold_span=2 queue_depth=8 round_checkpoint=2 shard_span=8 stop_audit=12 worker_summary=1"
     );
     let fleet = census(
         "fleet_adaptive",
@@ -1038,7 +1038,7 @@ fn traced_commands_emit_pinned_event_counts() {
     );
     assert_eq!(
         fleet,
-        "queue_depth=16 round_checkpoint=4 stop_audit=18 work_item=16 worker_summary=1"
+        "campaign_end=2 campaign_start=2 fold_span=4 queue_depth=16 round_checkpoint=4 shard_span=16 stop_audit=18 worker_summary=1"
     );
     let masked = tmp("census_masked.v");
     let mask = census(
@@ -1059,7 +1059,7 @@ fn traced_commands_emit_pinned_event_counts() {
     );
     assert_eq!(
         mask,
-        "campaign_end=2 campaign_start=2 fold_span=3 round_checkpoint=2 shard_span=16 stop_audit=12"
+        "campaign_end=2 campaign_start=2 fold_span=3 queue_depth=16 round_checkpoint=2 shard_span=16 stop_audit=12 worker_summary=2"
     );
 
     let plan = tmp("census_plan.txt");

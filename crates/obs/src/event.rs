@@ -77,6 +77,9 @@ pub enum Payload {
     },
     /// One shard of a campaign round finished, with its phase split.
     ShardSpan {
+        /// Index of the shard's job in its fleet (0 for a lone campaign and
+        /// for a bare shard range).
+        job: u64,
         /// 1-based round (0 when the executor has no round structure,
         /// e.g. a distributed part).
         round: u64,
@@ -163,33 +166,14 @@ pub enum Payload {
     },
     /// Fleet queue state observed by a worker right after it took an item.
     QueueDepth {
-        /// Work items left in the shared queue.
+        /// Shards left in the shared queue.
         depth: u64,
         /// Jobs not yet retired.
         jobs_remaining: u64,
     },
-    /// One fleet work item (a shard of some job) finished on a worker.
-    WorkItem {
-        /// Fleet job index.
-        job: u64,
-        /// Grid index within the job's own shard grid.
-        grid_index: u64,
-        /// Traces in the shard.
-        count: u64,
-        /// Wall time of the item.
-        wall_ns: u64,
-        /// Phase split, as in [`Payload::ShardSpan`].
-        rng_ns: u64,
-        /// Time in gate evaluation and toggle counting.
-        sim_ns: u64,
-        /// Time in the fused noise-and-energy pass.
-        power_ns: u64,
-        /// Time in sink recording.
-        acc_ns: u64,
-    },
     /// A fleet worker exited its loop.
     WorkerSummary {
-        /// Work items the worker executed.
+        /// Shards the worker executed.
         items: u64,
         /// Time spent on items and folds.
         busy_ns: u64,
@@ -240,7 +224,6 @@ impl Payload {
             Payload::StopAudit { .. } => "stop_audit",
             Payload::CampaignEnd { .. } => "campaign_end",
             Payload::QueueDepth { .. } => "queue_depth",
-            Payload::WorkItem { .. } => "work_item",
             Payload::WorkerSummary { .. } => "worker_summary",
             Payload::PlanExec { .. } => "plan_exec",
             Payload::MergeFold { .. } => "merge_fold",
@@ -249,7 +232,7 @@ impl Payload {
     }
 
     /// Every kind string the schema defines, in a stable order.
-    pub const KINDS: [&'static str; 12] = [
+    pub const KINDS: [&'static str; 11] = [
         "campaign_start",
         "shard_span",
         "fold_span",
@@ -257,7 +240,6 @@ impl Payload {
         "stop_audit",
         "campaign_end",
         "queue_depth",
-        "work_item",
         "worker_summary",
         "plan_exec",
         "merge_fold",
@@ -302,6 +284,7 @@ impl Event {
                     .u64("planned_rounds", *planned_rounds);
             }
             Payload::ShardSpan {
+                job,
                 round,
                 grid_index,
                 pop,
@@ -313,7 +296,8 @@ impl Event {
                 power_ns,
                 acc_ns,
             } => {
-                w.u64("round", *round)
+                w.u64("job", *job)
+                    .u64("round", *round)
                     .u64("grid_index", *grid_index)
                     .str("pop", pop.as_str())
                     .u64("start", *start)
@@ -391,25 +375,6 @@ impl Event {
                 w.u64("depth", *depth)
                     .u64("jobs_remaining", *jobs_remaining);
             }
-            Payload::WorkItem {
-                job,
-                grid_index,
-                count,
-                wall_ns,
-                rng_ns,
-                sim_ns,
-                power_ns,
-                acc_ns,
-            } => {
-                w.u64("job", *job)
-                    .u64("grid_index", *grid_index)
-                    .u64("count", *count)
-                    .u64("wall_ns", *wall_ns)
-                    .u64("rng_ns", *rng_ns)
-                    .u64("sim_ns", *sim_ns)
-                    .u64("power_ns", *power_ns)
-                    .u64("acc_ns", *acc_ns);
-            }
             Payload::WorkerSummary {
                 items,
                 busy_ns,
@@ -483,6 +448,7 @@ impl Event {
                 planned_rounds: u64_field(n, f, "planned_rounds")?,
             },
             "shard_span" => Payload::ShardSpan {
+                job: u64_field(n, f, "job")?,
                 round: u64_field(n, f, "round")?,
                 grid_index: u64_field(n, f, "grid_index")?,
                 pop: match str_field(n, f, "pop")? {
@@ -540,16 +506,6 @@ impl Event {
             "queue_depth" => Payload::QueueDepth {
                 depth: u64_field(n, f, "depth")?,
                 jobs_remaining: u64_field(n, f, "jobs_remaining")?,
-            },
-            "work_item" => Payload::WorkItem {
-                job: u64_field(n, f, "job")?,
-                grid_index: u64_field(n, f, "grid_index")?,
-                count: u64_field(n, f, "count")?,
-                wall_ns: u64_field(n, f, "wall_ns")?,
-                rng_ns: u64_field(n, f, "rng_ns")?,
-                sim_ns: u64_field(n, f, "sim_ns")?,
-                power_ns: u64_field(n, f, "power_ns")?,
-                acc_ns: u64_field(n, f, "acc_ns")?,
             },
             "worker_summary" => Payload::WorkerSummary {
                 items: u64_field(n, f, "items")?,
@@ -621,6 +577,7 @@ mod tests {
                 planned_rounds: 8,
             }),
             mk(Payload::ShardSpan {
+                job: 0,
                 round: 1,
                 grid_index: 0,
                 pop: PopulationTag::Fixed,
@@ -668,9 +625,12 @@ mod tests {
                 depth: 7,
                 jobs_remaining: 2,
             }),
-            mk(Payload::WorkItem {
+            mk(Payload::ShardSpan {
                 job: 1,
+                round: 2,
                 grid_index: 9,
+                pop: PopulationTag::Random,
+                start: 1024,
                 count: 256,
                 wall_ns: 800_000,
                 rng_ns: 40_000,
@@ -757,16 +717,27 @@ mod tests {
         assert!(Event::decode(1, &ok.replace("\"t\":1", "\"t\":-1")).is_err());
     }
 
-    /// Both phase-split kinds carry `power_ns`: a line without it (the
-    /// layout before the power phase was split out) or with a mistyped
-    /// value is rejected, never read as zero.
+    /// A shard span names its job: a line without `job` (the layout before
+    /// the fleet stamped its shards) is rejected, never read as job 0.
+    #[test]
+    fn decode_requires_the_shard_job() {
+        for ev in sample_events() {
+            if let Payload::ShardSpan { job, .. } = ev.payload {
+                let line = ev.encode();
+                let without = line.replace(&format!("\"job\":{job},"), "");
+                assert_ne!(without, line);
+                assert!(Event::decode(1, &without).is_err(), "{without}");
+            }
+        }
+    }
+
+    /// The phase split carries `power_ns`: a line without it (the layout
+    /// before the power phase was split out) or with a mistyped value is
+    /// rejected, never read as zero.
     #[test]
     fn decode_requires_the_power_phase() {
         for ev in sample_events() {
-            if !matches!(
-                ev.payload,
-                Payload::ShardSpan { .. } | Payload::WorkItem { .. }
-            ) {
+            if !matches!(ev.payload, Payload::ShardSpan { .. }) {
                 continue;
             }
             let line = ev.encode();

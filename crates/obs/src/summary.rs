@@ -7,8 +7,8 @@ use std::collections::BTreeMap;
 
 use crate::event::{Event, Payload, Verdict};
 
-/// Total nanoseconds per engine phase, summed over every shard span and
-/// work item of the trace.
+/// Total nanoseconds per engine phase, summed over every shard span of the
+/// trace.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTotals {
     /// Counter-derived RNG streams (data, masks).
@@ -44,16 +44,17 @@ impl PhaseTotals {
     }
 }
 
-/// Per-worker-thread aggregate over shard spans and fleet work items.
+/// Per-worker-thread aggregate over shard spans.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkerRow {
     /// The recording thread's ordinal.
     pub thread: u64,
-    /// Shards (or work items) the thread executed.
+    /// Shards the thread executed.
     pub shards: u64,
     /// Summed wall time of those spans.
     pub busy_ns: u64,
-    /// Distinct fleet job indices the thread touched (empty outside fleets).
+    /// Distinct fleet job indices the thread touched, in first-seen order
+    /// (`[0]` outside fleets).
     pub jobs: Vec<u64>,
 }
 
@@ -151,14 +152,7 @@ impl TraceSummary {
             *kind_counts.entry(ev.payload.kind()).or_insert(0) += 1;
             match &ev.payload {
                 Payload::ShardSpan {
-                    wall_ns,
-                    rng_ns,
-                    sim_ns,
-                    power_ns,
-                    acc_ns,
-                    ..
-                }
-                | Payload::WorkItem {
+                    job,
                     wall_ns,
                     rng_ns,
                     sim_ns,
@@ -177,10 +171,8 @@ impl TraceSummary {
                     });
                     row.shards += 1;
                     row.busy_ns += wall_ns;
-                    if let Payload::WorkItem { job, .. } = &ev.payload {
-                        if !row.jobs.contains(job) {
-                            row.jobs.push(*job);
-                        }
+                    if !row.jobs.contains(job) {
+                        row.jobs.push(*job);
                     }
                 }
                 Payload::FoldSpan { wall_ns, .. } => {
@@ -305,6 +297,7 @@ mod tests {
             ev(
                 0,
                 Payload::ShardSpan {
+                    job: 0,
                     round: 1,
                     grid_index: 0,
                     pop: PopulationTag::Fixed,
@@ -319,9 +312,12 @@ mod tests {
             ),
             ev(
                 1,
-                Payload::WorkItem {
+                Payload::ShardSpan {
                     job: 2,
+                    round: 1,
                     grid_index: 1,
+                    pop: PopulationTag::Random,
+                    start: 0,
                     count: 256,
                     wall_ns: 50,
                     rng_ns: 10,

@@ -21,9 +21,9 @@
 //!   [`TRACES_PER_SHARD`]-trace shards (the grid depends only on the
 //!   configuration, never on the worker count);
 //! * the grid is walked in **rounds**: the engine interleaves the two
-//!   populations' shards (F₀ R₀ F₁ R₁ …) and executes them
-//!   `shards_per_round` at a time on `std::thread::scope` workers, each of
-//!   which owns a private [`MergeableSink`];
+//!   populations' shards (F₀ R₀ F₁ R₁ …) and hands out at most
+//!   `shards_per_round` at a time to a pool of `std::thread::scope`
+//!   workers, each shard into a private [`MergeableSink`];
 //! * per-shard sinks are folded **in shard order**, as they arrive, by the
 //!   campaign's [`RoundFolder`](crate::round::RoundFolder), so the result is
 //!   bit-identical at any thread count (1, 2, 8, …).
@@ -697,9 +697,16 @@ pub(crate) struct ShardTiming {
 
 impl ShardTiming {
     /// The [`Payload::ShardSpan`] of `shard`, grid entry `grid_index` of
-    /// round `round`.
-    pub(crate) fn span(&self, round: usize, grid_index: usize, shard: ShardSpec) -> Payload {
+    /// round `round` of fleet job `job`.
+    pub(crate) fn span(
+        &self,
+        job: usize,
+        round: usize,
+        grid_index: usize,
+        shard: ShardSpec,
+    ) -> Payload {
         Payload::ShardSpan {
+            job: job as u64,
             round: round as u64,
             grid_index: grid_index as u64,
             pop: shard.pop.tag(),
@@ -1477,9 +1484,10 @@ where
     FleetJob::new(netlist, model, config.clone()).run_shards(parallelism, shards, &NullRecorder)
 }
 
-/// Folds per-shard (or per-part) states **in order** into one accumulator —
-/// the canonical left fold shared by the in-process engine and the
-/// distributed merge. Returns the default sink for an empty iterator.
+/// Folds per-shard states **in order** into one accumulator — the
+/// ascending left fold a [`RoundFolder`](crate::round::RoundFolder) makes,
+/// for callers that hold the states of [`FleetJob::run_shards`] in a `Vec`.
+/// Returns the default sink for an empty iterator.
 pub fn fold_shard_states<S>(states: impl IntoIterator<Item = S>) -> S
 where
     S: MergeableSink + Default,
@@ -1495,8 +1503,8 @@ where
 }
 
 /// Runs `n_shards` independent work items across `parallelism` worker
-/// threads and returns their results **in shard order** — the shared
-/// deterministic scheduler of the campaign and fleet engines.
+/// threads and returns their results **in shard order** — the scheduler of
+/// [`FleetJob::run_shards`].
 ///
 /// Workers pull shard indices from an atomic queue, so which thread runs a
 /// shard is arbitrary, but the returned `Vec` is always ordered by shard
@@ -1505,9 +1513,7 @@ where
 ///
 /// Each worker thread takes one element of `locals` for its whole run, and
 /// `work` gets it with every shard index. At most `locals.len()` workers
-/// run, and the inline path uses `locals[0]`. Passing the same `locals` to
-/// several calls carries the state across them (the campaign engine's
-/// block buffers).
+/// run, and the inline path uses `locals[0]` (the engine's block buffers).
 ///
 /// # Panics
 ///

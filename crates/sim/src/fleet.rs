@@ -1,29 +1,24 @@
-//! Campaign jobs: one value describing a campaign, run alone or as one of
-//! many on a shared worker pool.
+//! Campaign jobs: one value describing a campaign, and the one in-process
+//! scheduler that runs any number of them on a shared worker pool.
 //!
 //! A [`FleetJob`] carries everything a campaign run needs: netlist, power
 //! model, configuration, sink factory, stopping rule and round size.
-//! [`FleetJob::run`] is the single-campaign driver every `run_campaign_*`
-//! entry point reduces to: its workers drain one round of the job's shard
-//! grid at a time, and the round ends at a barrier.
-//! [`FleetJob::run_shards`] runs a bare range of the grid into per-shard
-//! states, the primitive of distributed workers.
+//! [`run_fleet`] compiles one simulation engine per job and lets a single
+//! pool of `std::thread::scope` workers pull **shards of any job**, so
+//! shards of different campaigns — the cognition loop, the table harnesses,
+//! a manifest of designs — interleave on the same threads.
+//! [`FleetJob::run`], which every `run_campaign_*` entry point reduces to,
+//! is `run_fleet` on a fleet of one. [`FleetJob::run_shards`] runs a bare
+//! range of the grid into per-shard states, the primitive of distributed
+//! workers.
 //!
-//! Every driver takes its recorder as the last argument of the run call and
-//! hands it on to the job's [`RoundFolder`], whose checkpoints carry it to
-//! the stopping rule.
-//!
-//! Suites — the cognition loop, the table harnesses, a manifest of designs
-//! — run many campaigns, whose small members would then serialize on their
-//! own barriers while cores idle. [`run_fleet`] inverts the nesting: it
-//! compiles one simulation engine per job and lets a single pool of
-//! `std::thread::scope` workers pull **shards of any job**, so shards of
-//! different campaigns interleave on the same threads and suite throughput
-//! scales with cores instead of with the widest single design.
+//! Both take their recorder as the last argument of the run call; the
+//! fleet hands it on to each job's [`RoundFolder`], whose checkpoints carry
+//! it to the stopping rule.
 //!
 //! # Determinism contract
 //!
-//! Both drivers hand every finished shard to the job's own
+//! Workers hand every finished shard to the job's own
 //! [`RoundFolder`], which folds it **in the job's canonical grid order** and
 //! consults the job's [`StoppingRule`] at the job's own round boundaries,
 //! on checkpoint-folded state only. Scheduling therefore changes nothing
@@ -39,7 +34,7 @@
 //!   private sinks besides its accumulator, whatever the length of its
 //!   rounds.
 //!
-//! Every driver hands its workers *work units* of one shard, or of two
+//! Workers take *work units* of one shard, or of two
 //! shards of one population next to each other in trace order, which the
 //! engine simulates as one 8-word block; each shard keeps its own sink,
 //! its own fold slot and its own [`Payload::ShardSpan`].
@@ -59,7 +54,7 @@ use crate::campaign::{
     Engine, MergeableSink, NeverStop, Parallelism, StoppingRule, WorkUnit,
 };
 use crate::power::PowerModel;
-use crate::round::{Ingest, RoundFolder};
+use crate::round::{CampaignStats, Ingest, RoundFolder};
 
 /// Factory for the private per-shard sinks of one job.
 type SinkFactory<'a, S> = Box<dyn Fn() -> S + Send + Sync + 'a>;
@@ -145,8 +140,8 @@ impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
     /// the grid was partitioned across workers.
     ///
     /// An enabled `recorder` gets one [`Payload::ShardSpan`] per shard with
-    /// `round = 0` and the shard's absolute grid index. The states are
-    /// unchanged by recording.
+    /// `job = 0`, `round = 0` and the shard's absolute grid index. The
+    /// states are unchanged by recording.
     ///
     /// # Errors
     ///
@@ -181,7 +176,9 @@ impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
             parallelism.lane_words(),
             parallelism.threads(),
         );
-        let mut scratch = worker_scratch(parallelism);
+        let mut scratch: Vec<BlockScratch> = std::iter::repeat_with(BlockScratch::default)
+            .take(parallelism.threads())
+            .collect();
         let mut states: Vec<(usize, S)> =
             run_sharded_with(units.len(), parallelism, &mut scratch, |scratch, u| {
                 let ran = engine.run_unit(units[u], &*self.factory, tracing, scratch);
@@ -190,7 +187,7 @@ impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
                     .zip(ran)
                     .map(|((grid_index, shard), (sink, timing))| {
                         if let Some(timing) = timing {
-                            recorder.record(timing.span(0, grid_index, shard));
+                            recorder.record(timing.span(0, 0, grid_index, shard));
                         }
                         (grid_index, sink)
                     })
@@ -203,24 +200,8 @@ impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
         Ok(states.into_iter().map(|(_, sink)| sink).collect())
     }
 
-    /// Runs the job alone across `parallelism` worker threads, each owning
-    /// a private sink per shard, one round at a time.
-    ///
-    /// Workers fold every finished shard into the job's [`RoundFolder`] as
-    /// it arrives, so only the out-of-order window is alive at once rather
-    /// than one sink per shard; the round ends at a barrier before the next
-    /// is scheduled. Each worker takes one work unit at a time: two shards
-    /// of the round in one block while the round holds at least two shards
-    /// per worker, else one. A sequential budget (or a one-shard round)
-    /// runs inline on the calling thread.
-    ///
-    /// An enabled `recorder` gets the campaign start/end markers, one
-    /// [`Payload::ShardSpan`] per shard with the rng/simulate/power/accumulate
-    /// split, and one [`Payload::FoldSpan`] per round; every
-    /// [`Checkpoint`](crate::round::Checkpoint) hands it to the stopping
-    /// rule. Recording sits strictly outside the fold path, so the outcome
-    /// is byte-identical with and without it, at every thread count and lane
-    /// width.
+    /// Runs the job alone: [`run_fleet`] on a fleet of one. Its outcome
+    /// and its trace are those of a one-job fleet.
     ///
     /// # Errors
     ///
@@ -235,84 +216,9 @@ impl<'a, S: MergeableSink + Default + 'a> FleetJob<'a, S> {
         parallelism: Parallelism,
         recorder: &dyn Recorder,
     ) -> Result<CampaignOutcome<S>, NetlistError> {
-        let engine = Engine::new(
-            self.netlist,
-            self.power,
-            &self.config,
-            parallelism.lane_words(),
-        )?;
-        let mut folder = RoundFolder::new(&self.config, self.shards_per_round, self.rule);
-        let tracing = recorder.enabled();
-        let campaign_start = tracing.then(Instant::now);
-        if tracing {
-            folder = folder.timed();
-            recorder.record(Payload::CampaignStart {
-                gates: self.netlist.gate_count() as u64,
-                planned_fixed: self.config.n_fixed as u64,
-                planned_random: self.config.n_random as u64,
-                threads: parallelism.threads() as u64,
-                lane_words: parallelism.lane_words() as u64,
-                shards: folder.grid().len() as u64,
-                planned_rounds: folder.stats().planned_rounds as u64,
-            });
-        }
-        let folder = Mutex::new(folder);
-        let locked = || folder.lock().expect("no worker panicked while folding");
-        let mut scratch = worker_scratch(parallelism);
-        loop {
-            let (range, round, units) = {
-                let f = locked();
-                let units = work_units(
-                    f.grid(),
-                    f.round_range(),
-                    parallelism.lane_words(),
-                    parallelism.threads(),
-                );
-                (f.round_range(), f.stats().rounds + 1, units)
-            };
-            if range.is_empty() {
-                break;
-            }
-            run_sharded_with(units.len(), parallelism, &mut scratch, |scratch, u| {
-                let ran = engine.run_unit(units[u], &*self.factory, tracing, scratch);
-                for ((grid_index, shard), (sink, timing)) in units[u].shards().zip(ran) {
-                    if let Some(timing) = timing {
-                        recorder.record(timing.span(round, grid_index, shard));
-                    }
-                    locked().ingest(grid_index, sink, recorder);
-                }
-            });
-            if tracing {
-                recorder.record(Payload::FoldSpan {
-                    round: round as u64,
-                    shards: range.len() as u64,
-                    wall_ns: locked().take_fold_ns(),
-                });
-            }
-        }
-        let outcome = folder
-            .into_inner()
-            .expect("no worker panicked while folding")
-            .finish(&self.factory);
-        if let Some(t0) = campaign_start {
-            recorder.record(Payload::CampaignEnd {
-                rounds: outcome.stats.rounds as u64,
-                stopped_early: outcome.stats.stopped_early,
-                fixed_traces: outcome.stats.fixed_traces as u64,
-                random_traces: outcome.stats.random_traces as u64,
-                wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            });
-        }
-        Ok(outcome)
+        let mut outcomes = run_fleet(vec![self], parallelism, recorder)?;
+        Ok(outcomes.pop().expect("a fleet of one has one outcome"))
     }
-}
-
-/// One empty [`BlockScratch`] per worker thread `parallelism` may run,
-/// kept across the rounds of a run.
-fn worker_scratch(parallelism: Parallelism) -> Vec<BlockScratch> {
-    (0..parallelism.threads())
-        .map(|_| BlockScratch::default())
-        .collect()
 }
 
 /// Scheduler state of one job (behind the queue lock): which of its work
@@ -327,6 +233,8 @@ struct Cursor {
     window: usize,
     /// The job's folded prefix, as last reported by its folder.
     folded: usize,
+    /// 1-based number of the round in flight.
+    round: usize,
 }
 
 impl Cursor {
@@ -349,7 +257,13 @@ impl Cursor {
             next: 0,
             window: if paired { 2 * threads + 2 } else { threads },
             folded: folder.folded(),
+            round: folder.stats().rounds + 1,
         }
+    }
+
+    /// Shards in the round in flight.
+    fn shards(&self) -> usize {
+        self.units.iter().map(|u| u.len()).sum()
     }
 }
 
@@ -425,6 +339,8 @@ struct FleetShared<'a, S> {
     folders: Vec<Mutex<RoundFolder<'a, S>>>,
     engines: Vec<Engine<'a>>,
     factories: Vec<SinkFactory<'a, S>>,
+    /// When the pool started: every job's campaign wall time runs from here.
+    started: Instant,
 }
 
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -456,12 +372,14 @@ impl Drop for PanicSentry<'_> {
 /// worker's one set of block buffers serves every shard it takes, of any
 /// job, and is freed when it exits.
 ///
-/// With an enabled `recorder` the loop reports, per item, the queue state
-/// it observed ([`Payload::QueueDepth`]) and the item's phase-split timing
-/// ([`Payload::WorkItem`] — its `thread` stamp is the job-interleave
-/// signal), plus one [`Payload::WorkerSummary`] when the worker exits.
-/// Recording never touches scheduling or fold state, so outcomes stay
-/// byte-identical to the untraced fleet.
+/// With an enabled `recorder` the loop reports, per shard, the queue state
+/// it observed ([`Payload::QueueDepth`]) and the shard's phase-split timing
+/// ([`Payload::ShardSpan`], stamped with its job and round); per round, the
+/// job's merge time ([`Payload::FoldSpan`]); per job, its
+/// [`Payload::CampaignEnd`] once its folder finishes; and one
+/// [`Payload::WorkerSummary`] when the worker exits. Recording never
+/// touches scheduling or fold state, so outcomes stay byte-identical to the
+/// untraced fleet.
 fn worker_loop<S: MergeableSink>(shared: &FleetShared<'_, S>, recorder: &dyn Recorder) {
     let tracing = recorder.enabled();
     let t_loop = tracing.then(Instant::now);
@@ -469,7 +387,7 @@ fn worker_loop<S: MergeableSink>(shared: &FleetShared<'_, S>, recorder: &dyn Rec
     let mut busy_ns = 0u64;
     let mut scratch = BlockScratch::default();
     'worker: loop {
-        let (job, unit, queue_obs) = {
+        let (job, unit, round, queue_obs) = {
             let mut queue = lock(&shared.queue);
             loop {
                 if queue.poisoned || queue.remaining_jobs == 0 {
@@ -477,7 +395,7 @@ fn worker_loop<S: MergeableSink>(shared: &FleetShared<'_, S>, recorder: &dyn Rec
                 }
                 if let Some((job, unit)) = queue.pop() {
                     let obs = tracing.then(|| (queue.depth() as u64, queue.remaining_jobs as u64));
-                    break (job, unit, obs);
+                    break (job, unit, queue.cursors[job].round, obs);
                 }
                 queue = shared
                     .work_ready
@@ -507,25 +425,27 @@ fn worker_loop<S: MergeableSink>(shared: &FleetShared<'_, S>, recorder: &dyn Rec
             if let Some(timing) = timing {
                 items += 1;
                 busy_ns += timing.wall_ns;
-                recorder.record(Payload::WorkItem {
-                    job: job as u64,
-                    grid_index: grid_idx as u64,
-                    count: shard.count() as u64,
-                    wall_ns: timing.wall_ns,
-                    rng_ns: timing.rng_ns,
-                    sim_ns: timing.sim_ns,
-                    power_ns: timing.power_ns,
-                    acc_ns: timing.acc_ns,
-                });
+                recorder.record(timing.span(job, round, grid_idx, shard));
             }
             let mut folder = lock(&shared.folders[job]);
             let ingest = folder.ingest(grid_idx, sink, recorder);
-            if lock(&shared.queue).book(job, ingest, &folder) {
+            let mut queue = lock(&shared.queue);
+            if let (true, Ingest::RoundDone { done, .. }) = (tracing, ingest) {
+                recorder.record(Payload::FoldSpan {
+                    round: round as u64,
+                    shards: queue.cursors[job].shards() as u64,
+                    wall_ns: folder.take_fold_ns(),
+                });
+                if done {
+                    recorder.record(campaign_end(folder.stats(), shared.started));
+                }
+            }
+            if queue.book(job, ingest, &folder) {
                 shared.work_ready.notify_all();
             }
         }
         if let Some(t0) = t_fold {
-            busy_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            busy_ns += elapsed_ns(t0);
         }
         sentry.armed = false;
     }
@@ -533,8 +453,25 @@ fn worker_loop<S: MergeableSink>(shared: &FleetShared<'_, S>, recorder: &dyn Rec
         recorder.record(Payload::WorkerSummary {
             items,
             busy_ns,
-            wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            wall_ns: elapsed_ns(t0),
         });
+    }
+}
+
+/// Nanoseconds since `t0`, saturated.
+fn elapsed_ns(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The [`Payload::CampaignEnd`] of a job that finished with `stats`, its
+/// campaign having started at `started`.
+fn campaign_end(stats: CampaignStats, started: Instant) -> Payload {
+    Payload::CampaignEnd {
+        rounds: stats.rounds as u64,
+        stopped_early: stats.stopped_early,
+        fixed_traces: stats.fixed_traces as u64,
+        random_traces: stats.random_traces as u64,
+        wall_ns: elapsed_ns(started),
     }
 }
 
@@ -548,15 +485,18 @@ fn worker_loop<S: MergeableSink>(shared: &FleetShared<'_, S>, recorder: &dyn Rec
 /// A worker merges into a job's folder under that job's own lock; only
 /// handing out shards holds the shared queue lock.
 ///
-/// `parallelism` caps the pool; like the single-campaign engine, a
-/// sequential budget (or a fleet with at most one concurrently runnable
-/// shard) executes inline on the calling thread.
+/// `parallelism` caps the pool; a sequential budget (or a fleet with at
+/// most one concurrently runnable shard) executes inline on the calling
+/// thread.
 ///
-/// An enabled `recorder` gets per-item queue depth, per-item phase-split
-/// timing (whose thread stamps expose the job interleave), one
-/// worker-utilization summary per pool thread, and — through each job's
-/// checkpoints — whatever the jobs' stopping rules report. Recording is
-/// strictly observational: outcomes stay byte-identical with and without it.
+/// An enabled `recorder` gets one [`Payload::CampaignStart`] per job, then
+/// the worker events (see `worker_loop`): per-shard queue depth and
+/// [`Payload::ShardSpan`], one [`Payload::FoldSpan`] per job round, one
+/// [`Payload::CampaignEnd`] per job, and one worker-utilization summary per
+/// pool thread; every [`Checkpoint`](crate::round::Checkpoint) hands it to
+/// the job's stopping rule. Recording sits strictly outside the fold path,
+/// so outcomes are byte-identical with and without it, at every thread
+/// count and lane width.
 ///
 /// # Errors
 ///
@@ -574,6 +514,7 @@ pub fn run_fleet<S>(
 where
     S: MergeableSink + Default,
 {
+    let tracing = recorder.enabled();
     // Engines borrow the configs, so the configs move out of the jobs first.
     let mut configs = Vec::with_capacity(jobs.len());
     let mut parts = Vec::with_capacity(jobs.len());
@@ -590,6 +531,7 @@ where
     let mut engines = Vec::with_capacity(configs.len());
     let mut factories = Vec::with_capacity(configs.len());
     let mut folders = Vec::with_capacity(configs.len());
+    let mut gates = Vec::with_capacity(configs.len());
     for ((netlist, power, factory, rule, shards_per_round), config) in
         parts.into_iter().zip(&configs)
     {
@@ -600,7 +542,9 @@ where
             parallelism.lane_words(),
         )?);
         factories.push(factory);
-        folders.push(RoundFolder::new(config, shards_per_round, rule));
+        let folder = RoundFolder::new(config, shards_per_round, rule);
+        folders.push(if tracing { folder.timed() } else { folder });
+        gates.push(netlist.gate_count());
     }
     // Pool size: per job at most one round — `shards_per_round` shards — is
     // ever runnable, so no thread beyond the fleet's peak runnable-shard
@@ -608,6 +552,24 @@ where
     let concurrency: usize = folders.iter().map(|f| f.round_range().len()).sum();
     let threads = parallelism.threads().min(concurrency.max(1));
     let lane_words = parallelism.lane_words();
+    let started = Instant::now();
+    if tracing {
+        for ((folder, config), gates) in folders.iter().zip(&configs).zip(gates) {
+            recorder.record(Payload::CampaignStart {
+                gates: gates as u64,
+                planned_fixed: config.n_fixed as u64,
+                planned_random: config.n_random as u64,
+                threads: parallelism.threads() as u64,
+                lane_words: lane_words as u64,
+                shards: folder.grid().len() as u64,
+                planned_rounds: folder.stats().planned_rounds as u64,
+            });
+        }
+        // A job with an empty grid is finished before any shard runs.
+        for folder in folders.iter().filter(|f| f.finished()) {
+            recorder.record(campaign_end(folder.stats(), started));
+        }
+    }
     let cursors: Vec<Cursor> = folders
         .iter()
         .map(|f| Cursor::round(f, lane_words, threads))
@@ -625,6 +587,7 @@ where
         folders: folders.into_iter().map(Mutex::new).collect(),
         engines,
         factories,
+        started,
     };
     if remaining_jobs > 0 {
         if threads <= 1 {

@@ -28,12 +28,13 @@
 //! round and terminates the trace stream once the leakage verdict has
 //! converged — an early-stopped run is the exact prefix of the full run.
 //! That fold-and-checkpoint state machine is written once, as
-//! [`RoundFolder`], and every driver — the in-process engine, the fleet
-//! scheduler, the distributed coordinator — feeds it.
-//! A campaign run is one value, a [`FleetJob`]: [`FleetJob::run`] runs it
-//! alone, and whole *suites* of them schedule on one shared pool
-//! ([`fleet::run_fleet`]): shards of different campaigns interleave on the
-//! same workers while every job stays byte-identical to its standalone run.
+//! [`RoundFolder`], and two schedulers feed it: the in-process fleet
+//! and the distributed coordinator.
+//! A campaign run is one value, a [`FleetJob`]. Whole *suites* of them
+//! schedule on one shared pool ([`fleet::run_fleet`]), where shards of
+//! different campaigns interleave on the same workers while every job stays
+//! byte-identical to its standalone run; [`FleetJob::run`] is that pool with
+//! one job.
 //!
 //! # Example
 //!

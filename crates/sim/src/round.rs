@@ -9,11 +9,11 @@
 //! handed to a [`StoppingRule`] as a [`Checkpoint`].
 //!
 //! [`RoundFolder`] is that state machine, written once. The in-process
-//! engine ([`FleetJob::run`](crate::fleet::FleetJob::run)), the fleet
-//! scheduler ([`run_fleet`](crate::fleet::run_fleet)) and the distributed
-//! coordinator (`polaris_dist::Coordinator`) all drive it: they decide who
-//! simulates which shard and when, and hand each finished state to
-//! [`RoundFolder::ingest`] in whatever order it arrives.
+//! fleet scheduler ([`run_fleet`](crate::fleet::run_fleet), which
+//! [`FleetJob::run`](crate::fleet::FleetJob::run) calls with one job) and
+//! the distributed coordinator (`polaris_dist::Coordinator`) drive it: they
+//! decide who simulates which shard and when, and hand each finished state
+//! to [`RoundFolder::ingest`] in whatever order it arrives.
 
 use std::collections::BTreeMap;
 use std::ops::Range;

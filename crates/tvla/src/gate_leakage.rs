@@ -339,8 +339,8 @@ pub fn assess(
     assess_parallel(netlist, model, config, Parallelism::sequential())
 }
 
-/// Runs the campaign across worker threads (each owning a private
-/// [`WelchAccumulator`]) and folds the shards at the barrier. The thread
+/// Runs the campaign across worker threads (each shard into a private
+/// [`WelchAccumulator`]) and folds the shards in grid order. The thread
 /// count is purely a throughput knob — the leakage map is bit-identical at
 /// 1, 2, 8, … threads. A traced run builds the
 /// [`FleetJob`](polaris_sim::FleetJob) itself and passes its recorder to

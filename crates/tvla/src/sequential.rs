@@ -320,7 +320,7 @@ pub fn campaign_outcome_adaptive(
     adaptive_fleet_job(netlist, model, config.clone(), sequential).run(parallelism, recorder)
 }
 
-/// [`campaign_outcome_adaptive`] packaged as a fleet work item: a
+/// [`campaign_outcome_adaptive`] packaged as a fleet job: a
 /// [`FleetJob`] carrying the cells-scoped sequential stopping rule at the
 /// configuration's checkpoint granularity. Scheduled through
 /// [`polaris_sim::fleet::run_fleet`] the job's checkpoints fire per job
