@@ -34,7 +34,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use polaris_dist::{
-    decode_part, Coordinator, DesignFormat, JobResult, JobStatus, Message, ProtoError,
+    decode_part, Coordinator, DesignFormat, DistError, JobResult, JobStatus, Message, ProtoError,
     ResultOrigin, Submission, SubmitOutcome, TaskSpec, DEFAULT_HEARTBEAT_MS, PROTO_VERSION,
 };
 use polaris_sim::Parallelism;
@@ -433,8 +433,10 @@ fn next_reply(shared: &Shared, worker: u64) -> Result<Message, Poisoned> {
     }
 }
 
-/// The daemon side of one client submission: parse, submit, wait for the
-/// job to settle, and build the one reply message.
+/// The daemon side of one client submission: parse the manifest and the
+/// design (before the coordinator lock, which every worker `NEXT` and
+/// `DONE` needs), submit, wait for the job to settle, and build the one
+/// reply message.
 fn client_reply(shared: &Shared, version: u16, blob: &[u8]) -> Message {
     if version != PROTO_VERSION {
         return Message::Error {
@@ -444,27 +446,26 @@ fn client_reply(shared: &Shared, version: u16, blob: &[u8]) -> Message {
             ),
         };
     }
+    let refuse = |e: DistError| Message::Error {
+        code: e.exit_class(),
+        message: e.to_string(),
+    };
     let sub = match Submission::parse(blob) {
         Ok(sub) => sub,
-        Err(e) => {
-            return Message::Error {
-                code: e.exit_class(),
-                message: e.to_string(),
-            }
-        }
+        Err(e) => return refuse(e),
+    };
+    let prepared = match sub.prepare() {
+        Ok(prepared) => prepared,
+        Err(e) => return refuse(e),
     };
     let outcome = match shared.coordinator() {
-        Ok(mut coordinator) => coordinator.submit(&sub),
+        Ok(mut coordinator) => coordinator.submit(prepared),
         Err(poisoned) => return poisoned.reply(),
     };
     shared.changed.notify_all();
     match outcome {
-        Err(e) => Message::Error {
-            code: e.exit_class(),
-            message: e.to_string(),
-        },
-        Ok(SubmitOutcome::Cached(result)) => result_message(&result, ResultOrigin::Cached),
-        Ok(SubmitOutcome::Queued { job, coalesced }) => {
+        SubmitOutcome::Cached(result) => result_message(&result, ResultOrigin::Cached),
+        SubmitOutcome::Queued { job, coalesced } => {
             let origin = if coalesced {
                 ResultOrigin::Coalesced
             } else {

@@ -106,8 +106,8 @@ pub use part::{
 pub use plan::{campaign_fingerprint, DistPlan};
 pub use proto::{Message, ProtoError, ResultOrigin, PROTO_VERSION};
 pub use service::{
-    Coordinator, DesignFormat, JobResult, JobStatus, Submission, SubmitOutcome, TaskSpec,
-    TenantStats, DEFAULT_HEARTBEAT_MS,
+    Coordinator, DesignFormat, JobResult, JobStatus, PreparedSubmission, Submission, SubmitOutcome,
+    TaskSpec, TenantStats, DEFAULT_HEARTBEAT_MS,
 };
 
 use polaris_netlist::NetlistError;

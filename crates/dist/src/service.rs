@@ -159,6 +159,16 @@ pub struct Submission {
     pub source: String,
 }
 
+/// A [`Submission`] whose design is parsed and fingerprinted: the input of
+/// [`Coordinator::submit`], made by [`Submission::prepare`].
+#[derive(Debug)]
+pub struct PreparedSubmission<'a> {
+    sub: &'a Submission,
+    netlist: Netlist,
+    config: CampaignConfig,
+    fingerprint: u64,
+}
+
 impl Submission {
     /// The campaign configuration the submission describes.
     pub fn campaign(&self) -> CampaignConfig {
@@ -168,6 +178,28 @@ impl Submission {
             c = c.with_glitches();
         }
         c
+    }
+
+    /// Validates the submission, then parses and fingerprints its design:
+    /// everything [`Coordinator::submit`] needs that takes time. The daemon
+    /// calls this before it takes the coordinator lock, so a large design
+    /// never holds up the workers' `NEXT` and `DONE`.
+    ///
+    /// # Errors
+    ///
+    /// [`DistError::Malformed`] for out-of-bounds fields or an unparsable
+    /// design source.
+    pub fn prepare(&self) -> Result<PreparedSubmission<'_>, DistError> {
+        self.validate()?;
+        let netlist = self.format.parse(&self.source)?;
+        let config = self.campaign();
+        let fingerprint = campaign_fingerprint(&netlist, &PowerModel::default(), &config);
+        Ok(PreparedSubmission {
+            sub: self,
+            netlist,
+            config,
+            fingerprint,
+        })
     }
 
     /// Bounds-checks every field — the daemon-side guard that a hostile
@@ -680,24 +712,23 @@ impl Coordinator {
         }
     }
 
-    /// Accepts a submission: served from the cache, coalesced onto an
-    /// identical in-flight job, or queued as a new job.
-    ///
-    /// # Errors
-    ///
-    /// [`DistError::Malformed`] for out-of-bounds fields or an unparsable
-    /// design source.
-    pub fn submit(&mut self, sub: &Submission) -> Result<SubmitOutcome, DistError> {
-        sub.validate()?;
-        let netlist = sub.format.parse(&sub.source)?;
-        let config = sub.campaign();
-        let fingerprint = campaign_fingerprint(&netlist, &PowerModel::default(), &config);
+    /// Accepts a prepared submission: served from the cache, coalesced onto
+    /// an identical in-flight job, or queued as a new job. The design was
+    /// parsed and fingerprinted by [`Submission::prepare`], outside any lock
+    /// the caller holds on the coordinator.
+    pub fn submit(&mut self, prepared: PreparedSubmission<'_>) -> SubmitOutcome {
+        let PreparedSubmission {
+            sub,
+            netlist,
+            config,
+            fingerprint,
+        } = prepared;
         let key = (fingerprint, mode_digest(sub));
         let tenant = self.tenants.entry(sub.tenant.clone()).or_default();
         tenant.submissions += 1;
         if let Some(result) = self.cache.get(&key) {
             tenant.cache_hits += 1;
-            return Ok(SubmitOutcome::Cached(Arc::clone(result)));
+            return SubmitOutcome::Cached(Arc::clone(result));
         }
         if let Some(&job_id) = self.in_flight.get(&key) {
             tenant.coalesced += 1;
@@ -705,10 +736,10 @@ impl Coordinator {
             if !job.tenants.contains(&sub.tenant) {
                 job.tenants.push(sub.tenant.clone());
             }
-            return Ok(SubmitOutcome::Queued {
+            return SubmitOutcome::Queued {
                 job: job_id,
                 coalesced: true,
-            });
+            };
         }
 
         let grid = shard_grid(&config);
@@ -749,10 +780,10 @@ impl Coordinator {
             },
         );
         self.in_flight.insert(key, job_id);
-        Ok(SubmitOutcome::Queued {
+        SubmitOutcome::Queued {
             job: job_id,
             coalesced: false,
-        })
+        }
     }
 
     /// Leases the next shard range to `worker`, or `None` when no job has
@@ -1272,7 +1303,7 @@ mod tests {
     fn task_execution_verifies_the_fingerprint() {
         let mut coordinator = Coordinator::default();
         let w = coordinator.register_worker("w1");
-        coordinator.submit(&c17_submission("alice", false)).unwrap();
+        coordinator.submit(c17_submission("alice", false).prepare().unwrap());
         let (_, mut spec) = coordinator.next_task(w).expect("a lease");
         spec.seed += 1; // a worker handed a diverging campaign must refuse
         assert!(matches!(
@@ -1299,7 +1330,7 @@ mod tests {
             coordinator.register_worker("w1"),
             coordinator.register_worker("w2"),
         ];
-        let job = match coordinator.submit(&sub).unwrap() {
+        let job = match coordinator.submit(sub.prepare().unwrap()) {
             SubmitOutcome::Queued { job, coalesced } => {
                 assert!(!coalesced);
                 job
@@ -1372,7 +1403,7 @@ mod tests {
         let mut coordinator = Coordinator::default();
         let doomed = coordinator.register_worker("doomed");
         let survivor = coordinator.register_worker("survivor");
-        let job = match coordinator.submit(&sub).unwrap() {
+        let job = match coordinator.submit(sub.prepare().unwrap()) {
             SubmitOutcome::Queued { job, .. } => job,
             other => panic!("expected a queued job, got {other:?}"),
         };
@@ -1402,7 +1433,7 @@ mod tests {
         let sub = c17_submission("alice", false);
         let mut coordinator = Coordinator::default();
         let w = coordinator.register_worker("w1");
-        let first = match coordinator.submit(&sub).unwrap() {
+        let first = match coordinator.submit(sub.prepare().unwrap()) {
             SubmitOutcome::Queued { job, coalesced } => {
                 assert!(!coalesced);
                 job
@@ -1415,7 +1446,7 @@ mod tests {
             tenant: "bob".to_string(),
             ..sub.clone()
         };
-        match coordinator.submit(&twin).unwrap() {
+        match coordinator.submit(twin.prepare().unwrap()) {
             SubmitOutcome::Queued { job, coalesced } => {
                 assert_eq!(job, first);
                 assert!(coalesced);
@@ -1425,7 +1456,7 @@ mod tests {
         drain(&mut coordinator, &[w]);
 
         // Resubmission after completion: served from the cache.
-        let cached = match coordinator.submit(&sub).unwrap() {
+        let cached = match coordinator.submit(sub.prepare().unwrap()) {
             SubmitOutcome::Cached(result) => result,
             other => panic!("expected a cache hit, got {other:?}"),
         };
@@ -1442,7 +1473,7 @@ mod tests {
             ..sub.clone()
         };
         assert!(matches!(
-            coordinator.submit(&adaptive).unwrap(),
+            coordinator.submit(adaptive.prepare().unwrap()),
             SubmitOutcome::Queued {
                 coalesced: false,
                 ..
@@ -1464,7 +1495,7 @@ mod tests {
         let sub = c17_submission("alice", false);
         let mut coordinator = Coordinator::default();
         let w = coordinator.register_worker("w1");
-        coordinator.submit(&sub).unwrap();
+        coordinator.submit(sub.prepare().unwrap());
 
         // A corrupted part is a typed error and the range is re-issued; the
         // job still converges.
@@ -1484,7 +1515,7 @@ mod tests {
             seed: 999,
             ..sub.clone()
         };
-        let job = match coordinator.submit(&doomed).unwrap() {
+        let job = match coordinator.submit(doomed.prepare().unwrap()) {
             SubmitOutcome::Queued { job, .. } => job,
             other => panic!("expected a queued job, got {other:?}"),
         };

@@ -14,20 +14,20 @@
 //!
 //! Supported functions: `AND OR NAND NOR XOR XNOR NOT BUF BUFF DFF MUX
 //! CONST0 CONST1`, plus the `MASK_INPUT(...)` extension mirroring the
-//! structural-Verilog subset. Round-trips through [`write_bench`].
-
-use std::collections::HashMap;
+//! structural-Verilog subset. Function names are matched after Unicode
+//! upper-casing. Round-trips through [`write_bench`].
+//!
+//! [`parse_bench`] only scans: it slices each line into borrowed names and
+//! hands them to the resolver both text readers share
+//! (`resolve::Design::resolve`), which binds every signal to its driver and
+//! builds each gate once, in id order: inputs, mask inputs, then gates in
+//! file order. Every line is scanned before any name is resolved, so a
+//! syntax error anywhere wins over a resolution error.
 
 use crate::gate::{GateId, GateKind};
 use crate::netlist::Netlist;
 use crate::parser::ParseError;
-
-fn err(line: usize, message: impl Into<String>) -> ParseError {
-    ParseError {
-        line,
-        message: message.into(),
-    }
-}
+use crate::resolve::{err, Design, Dialect, RawGate};
 
 /// Parses `.bench` text into a [`Netlist`].
 ///
@@ -36,18 +36,7 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
 /// Returns a [`ParseError`] naming the offending line for unknown
 /// functions, undriven signals, duplicate drivers or arity violations.
 pub fn parse_bench(src: &str) -> Result<Netlist, ParseError> {
-    struct RawGate {
-        out: String,
-        func: String,
-        ins: Vec<String>,
-        line: usize,
-    }
-    let mut inputs: Vec<(String, usize)> = Vec::new();
-    let mut mask_inputs: Vec<(String, usize)> = Vec::new();
-    let mut outputs: Vec<(String, usize)> = Vec::new();
-    let mut gates: Vec<RawGate> = Vec::new();
-    let mut name = "bench".to_string();
-
+    let mut d = Design::new("bench");
     for (i, raw) in src.lines().enumerate() {
         let ln = i + 1;
         let line = raw.trim();
@@ -56,149 +45,129 @@ pub fn parse_bench(src: &str) -> Result<Netlist, ParseError> {
         }
         if let Some(comment) = line.strip_prefix('#') {
             // First comment conventionally names the circuit.
-            if name == "bench" {
-                let c = comment.trim();
-                if !c.is_empty() {
-                    name = c.split_whitespace().next().unwrap_or("bench").to_string();
+            if d.name == "bench" {
+                if let Some(word) = comment.split_whitespace().next() {
+                    d.name = word;
                 }
             }
             continue;
         }
-        let directive = |prefix: &str, line: &str| -> Option<String> {
-            line.strip_prefix(prefix).and_then(|rest| {
-                let rest = rest.trim_start();
-                rest.strip_prefix('(')
-                    .and_then(|r| r.strip_suffix(')'))
-                    .map(|s| s.trim().to_string())
-            })
-        };
         if let Some(sig) = directive("INPUT", line) {
-            inputs.push((sig, ln));
+            d.inputs.push((sig, ln));
             continue;
         }
         if let Some(sig) = directive("MASK_INPUT", line) {
-            mask_inputs.push((sig, ln));
+            d.mask_inputs.push((sig, ln));
             continue;
         }
         if let Some(sig) = directive("OUTPUT", line) {
-            outputs.push((sig, ln));
+            d.outputs.push((sig, ln));
             continue;
         }
         // `out = FUNC(in, in, ...)`
-        let Some((lhs, rhs)) = line.split_once('=') else {
+        let Some(eq) = find(line, b'=') else {
             return Err(err(ln, format!("unrecognized line `{line}`")));
         };
-        let out = lhs.trim().to_string();
-        let rhs = rhs.trim();
-        let Some(paren) = rhs.find('(') else {
+        let out = trim(&line[..eq]);
+        let rhs = trim(&line[eq + 1..]);
+        let Some(paren) = find(rhs, b'(') else {
             return Err(err(ln, "expected `FUNC(args)` on right-hand side"));
         };
-        let func = rhs[..paren].trim().to_uppercase();
+        let func = trim(&rhs[..paren]);
         let Some(args) = rhs[paren + 1..].strip_suffix(')') else {
             return Err(err(ln, "missing closing parenthesis"));
         };
-        let ins: Vec<String> = args
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect();
-        gates.push(RawGate {
-            out,
+        let first = d.pins.len();
+        for pin in args.split(',').map(trim) {
+            if !pin.is_empty() {
+                d.pins.push(pin);
+            }
+        }
+        d.gates.push(RawGate {
+            kind: function_kind(func),
             func,
-            ins,
+            name: out,
+            out,
+            ins: first..d.pins.len(),
             line: ln,
         });
     }
+    d.resolve(Dialect::Bench)
+}
 
-    let kind_of = |func: &str, line: usize| -> Result<GateKind, ParseError> {
-        Ok(match func {
-            "AND" => GateKind::And,
-            "OR" => GateKind::Or,
-            "NAND" => GateKind::Nand,
-            "NOR" => GateKind::Nor,
-            "XOR" => GateKind::Xor,
-            "XNOR" => GateKind::Xnor,
-            "NOT" | "INV" => GateKind::Not,
-            "BUF" | "BUFF" => GateKind::Buf,
-            "DFF" => GateKind::Dff,
-            "MUX" => GateKind::Mux,
-            "CONST0" => GateKind::Const0,
-            "CONST1" => GateKind::Const1,
-            other => return Err(err(line, format!("unknown function `{other}`"))),
-        })
-    };
+/// Byte offset of the first `byte` (ASCII, so never inside a wider char).
+fn find(s: &str, byte: u8) -> Option<usize> {
+    s.bytes().position(|b| b == byte)
+}
 
-    let mut netlist = Netlist::new(name);
-    let mut driver: HashMap<String, GateId> = HashMap::new();
-    for (sig, ln) in &inputs {
-        let id = netlist.add_input(sig.clone());
-        if driver.insert(sig.clone(), id).is_some() {
-            return Err(err(*ln, format!("signal `{sig}` has two drivers")));
-        }
+/// `str::trim`, returning at once when both ends are ASCII and not blank.
+fn trim(s: &str) -> &str {
+    let solid = |b: &u8| b.is_ascii() && *b != b' ' && !(b'\t'..=b'\r').contains(b);
+    let b = s.as_bytes();
+    if b.first().is_some_and(solid) && b.last().is_some_and(solid) {
+        s
+    } else {
+        s.trim()
     }
-    for (sig, ln) in &mask_inputs {
-        let id = netlist.add_mask_input(sig.clone());
-        if driver.insert(sig.clone(), id).is_some() {
-            return Err(err(*ln, format!("signal `{sig}` has two drivers")));
-        }
+}
+
+/// The signal of a `PREFIX(signal)` line.
+fn directive<'a>(prefix: &str, line: &'a str) -> Option<&'a str> {
+    let rest = line.strip_prefix(prefix)?.trim_start();
+    rest.strip_prefix('(')?.strip_suffix(')').map(str::trim)
+}
+
+/// The kind of a function name, compared as `str::to_uppercase` folds it.
+fn function_kind(func: &str) -> Option<GateKind> {
+    if !func.is_ascii() {
+        return upper_function_kind(&func.to_uppercase());
     }
-    // Reserve ids first so feedback through DFFs resolves.
-    let mut ids = Vec::with_capacity(gates.len());
-    for g in &gates {
-        let kind = kind_of(&g.func, g.line)?;
-        let id = netlist.add_placeholder(kind, g.out.clone());
-        if driver.insert(g.out.clone(), id).is_some() {
-            return Err(err(g.line, format!("signal `{}` has two drivers", g.out)));
-        }
-        ids.push((id, kind));
-    }
-    for (g, (id, kind)) in gates.iter().zip(&ids) {
-        let mut fanin = Vec::with_capacity(g.ins.len());
-        for sig in &g.ins {
-            let Some(&d) = driver.get(sig) else {
-                return Err(err(g.line, format!("signal `{sig}` is never driven")));
-            };
-            fanin.push(d);
-        }
-        netlist
-            .replace_fanin(*id, *kind, &fanin)
-            .map_err(|e| err(g.line, e.to_string()))?;
-    }
-    for (sig, ln) in &outputs {
-        let Some(&d) = driver.get(sig) else {
-            return Err(err(*ln, format!("output `{sig}` is never driven")));
-        };
-        netlist
-            .add_output(sig.clone(), d)
-            .map_err(|e| err(*ln, e.to_string()))?;
-    }
-    netlist
-        .validate()
-        .map_err(|e| err(0, format!("invalid netlist: {e}")))?;
-    Ok(netlist)
+    let mut buf = [0u8; 6];
+    let upper = buf.get_mut(..func.len())?;
+    upper.copy_from_slice(func.as_bytes());
+    upper.make_ascii_uppercase();
+    upper_function_kind(std::str::from_utf8(upper).ok()?)
+}
+
+fn upper_function_kind(func: &str) -> Option<GateKind> {
+    Some(match func {
+        "AND" => GateKind::And,
+        "OR" => GateKind::Or,
+        "NAND" => GateKind::Nand,
+        "NOR" => GateKind::Nor,
+        "XOR" => GateKind::Xor,
+        "XNOR" => GateKind::Xnor,
+        "NOT" | "INV" => GateKind::Not,
+        "BUF" | "BUFF" => GateKind::Buf,
+        "DFF" => GateKind::Dff,
+        "MUX" => GateKind::Mux,
+        "CONST0" => GateKind::Const0,
+        "CONST1" => GateKind::Const1,
+        _ => return None,
+    })
 }
 
 /// Serializes a netlist to `.bench` text, parseable by [`parse_bench`].
 pub fn write_bench(netlist: &Netlist) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "# {}", netlist.name());
-    let sig = |id: GateId| -> String {
-        let g = netlist.gate(id);
-        if g.name().is_empty() {
-            format!("N{}", id.index())
-        } else {
-            g.name().to_string()
+    let mut s = String::with_capacity(16 * netlist.gate_count() + 64);
+    let sig = |s: &mut String, id: GateId| push_signal(s, netlist, id);
+    s.push_str("# ");
+    s.push_str(netlist.name());
+    s.push('\n');
+    for (directive, ids) in [
+        ("INPUT(", netlist.data_inputs()),
+        ("MASK_INPUT(", netlist.mask_inputs()),
+    ] {
+        for &i in ids {
+            s.push_str(directive);
+            sig(&mut s, i);
+            s.push_str(")\n");
         }
-    };
-    for &i in netlist.data_inputs() {
-        let _ = writeln!(s, "INPUT({})", sig(i));
-    }
-    for &i in netlist.mask_inputs() {
-        let _ = writeln!(s, "MASK_INPUT({})", sig(i));
     }
     for (_, d) in netlist.outputs() {
-        let _ = writeln!(s, "OUTPUT({})", sig(*d));
+        s.push_str("OUTPUT(");
+        sig(&mut s, *d);
+        s.push_str(")\n");
     }
     for (id, gate) in netlist.iter() {
         if gate.kind().is_input() {
@@ -219,10 +188,30 @@ pub fn write_bench(netlist: &Netlist) -> String {
             GateKind::Const1 => "CONST1",
             GateKind::Input => unreachable!("inputs skipped"),
         };
-        let args: Vec<String> = gate.fanin().iter().map(|&f| sig(f)).collect();
-        let _ = writeln!(s, "{} = {func}({})", sig(id), args.join(", "));
+        sig(&mut s, id);
+        s.push_str(" = ");
+        s.push_str(func);
+        s.push('(');
+        for (k, &f) in gate.fanin().iter().enumerate() {
+            if k > 0 {
+                s.push_str(", ");
+            }
+            sig(&mut s, f);
+        }
+        s.push_str(")\n");
     }
     s
+}
+
+/// Appends gate `id`'s signal name: its instance name, or `N<id>`.
+fn push_signal(s: &mut String, netlist: &Netlist, id: GateId) {
+    use std::fmt::Write as _;
+    let name = netlist.gate(id).name();
+    if name.is_empty() {
+        let _ = write!(s, "N{}", id.index());
+    } else {
+        s.push_str(name);
+    }
 }
 
 #[cfg(test)]

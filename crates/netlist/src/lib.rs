@@ -37,6 +37,7 @@ pub mod generators;
 pub mod graph;
 pub mod netlist;
 pub mod parser;
+mod resolve;
 pub mod transform;
 
 pub use bench_format::{parse_bench, write_bench};

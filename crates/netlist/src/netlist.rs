@@ -1,6 +1,6 @@
 //! The [`Netlist`] container and its structural invariants.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -281,10 +281,17 @@ impl Netlist {
         Ok(())
     }
 
-    fn push_gate(&mut self, gate: Gate) -> GateId {
+    /// Appends `gate` unchecked: its fanin may name ids not pushed yet. The
+    /// text readers resolve every name before they push, and validate after.
+    pub(crate) fn push_gate(&mut self, gate: Gate) -> GateId {
         let id = GateId::new(self.gates.len());
         self.gates.push(gate);
         id
+    }
+
+    /// Reserves room for `additional` more gates.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.gates.reserve(additional);
     }
 
     /// Number of gates (including input/constant pseudo-gates).
@@ -356,7 +363,7 @@ impl Netlist {
     /// Returns the first violated invariant: dangling fanins/outputs, arity
     /// violations, duplicate instance names, or a combinational cycle.
     pub fn validate(&self) -> Result<(), NetlistError> {
-        let mut names: HashMap<&str, ()> = HashMap::with_capacity(self.gates.len());
+        let mut names: HashSet<&str> = HashSet::with_capacity(self.gates.len());
         for (id, gate) in self.iter() {
             let (lo, hi) = gate.kind().arity();
             let n = gate.fanin().len();
@@ -372,7 +379,7 @@ impl Netlist {
                     return Err(NetlistError::DanglingFanin { gate: id, fanin: f });
                 }
             }
-            if !gate.name().is_empty() && names.insert(gate.name(), ()).is_some() {
+            if !gate.name().is_empty() && !names.insert(gate.name()) {
                 return Err(NetlistError::DuplicateName {
                     name: gate.name().to_string(),
                 });
@@ -400,47 +407,54 @@ impl Netlist {
     pub fn topo_order(&self) -> Result<Vec<GateId>, NetlistError> {
         let n = self.gates.len();
         // Only combinational consumers count: a dff reads its fanin at the
-        // clock edge, so it contributes no combinational edge.
-        let mut indegree = vec![0usize; n];
+        // clock edge, so it contributes no combinational edge. The edges sit
+        // in one flat table, grouped by driver (`sinks[start[i]..start[i + 1]]`
+        // are gate i's readers, in id order).
+        let comb = |g: &Gate| !g.kind().is_sequential();
+        let mut indegree = vec![0u32; n];
+        let mut start = vec![0u32; n + 1];
+        for gate in self.gates.iter().filter(|g| comb(g)) {
+            for &f in gate.fanin() {
+                start[f.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut sinks = vec![GateId::new(0); start[n] as usize];
+        let mut queue: Vec<GateId> = Vec::with_capacity(n);
         for (id, gate) in self.iter() {
-            if gate.kind().is_sequential() {
+            if !comb(gate) || gate.fanin().is_empty() {
+                queue.push(id);
                 continue;
             }
-            indegree[id.index()] = gate.fanin().len();
+            indegree[id.index()] = gate.fanin().len() as u32;
+            for &f in gate.fanin() {
+                sinks[fill[f.index()] as usize] = id;
+                fill[f.index()] += 1;
+            }
         }
-        let fanouts = self.fanouts();
-        let mut queue: Vec<GateId> = self
-            .iter()
-            .filter(|(id, g)| g.kind().is_sequential() || indegree[id.index()] == 0)
-            .map(|(id, _)| id)
-            .collect();
-        let mut order = Vec::with_capacity(n);
         let mut head = 0;
         while head < queue.len() {
             let id = queue[head];
             head += 1;
-            order.push(id);
-            for &sink in &fanouts[id.index()] {
-                let sg = &self.gates[sink.index()];
-                if sg.kind().is_sequential() {
-                    continue;
-                }
+            let readers = start[id.index()] as usize..start[id.index() + 1] as usize;
+            for &sink in &sinks[readers] {
                 indegree[sink.index()] -= 1;
                 if indegree[sink.index()] == 0 {
                     queue.push(sink);
                 }
             }
         }
-        if order.len() != n {
+        if queue.len() != n {
             let stuck = self
                 .ids()
-                .find(|id| {
-                    !self.gates[id.index()].kind().is_sequential() && indegree[id.index()] > 0
-                })
+                .find(|id| comb(&self.gates[id.index()]) && indegree[id.index()] > 0)
                 .expect("some gate must be stuck on a cycle");
             return Err(NetlistError::CombinationalCycle { gate: stuck });
         }
-        Ok(order)
+        Ok(queue)
     }
 
     /// Combinational depth (level) of every gate: inputs/constants/flops are

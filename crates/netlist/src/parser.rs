@@ -41,12 +41,12 @@
 //! # }
 //! ```
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 use crate::gate::{GateId, GateKind};
 use crate::netlist::Netlist;
+use crate::resolve::{err, Design, Dialect, RawGate};
 
 /// Error produced when parsing a textual netlist.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -65,68 +65,73 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
-fn err(line: usize, message: impl Into<String>) -> ParseError {
-    ParseError {
-        line,
-        message: message.into(),
-    }
-}
-
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct Token {
-    text: String,
+/// A token: a slice of the source and its 1-based line.
+#[derive(Clone, Copy)]
+struct Token<'a> {
+    text: &'a str,
     line: usize,
 }
 
-fn tokenize(src: &str) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    for (lineno, raw) in src.lines().enumerate() {
-        let line = lineno + 1;
-        let code = match raw.find("//") {
-            Some(pos) => &raw[..pos],
-            None => raw,
-        };
-        let mut cur = String::new();
-        for ch in code.chars() {
-            if ch.is_alphanumeric() || ch == '_' || ch == '$' || ch == '.' {
-                cur.push(ch);
-            } else {
-                if !cur.is_empty() {
-                    tokens.push(Token {
-                        text: std::mem::take(&mut cur),
-                        line,
-                    });
-                }
-                if !ch.is_whitespace() {
-                    tokens.push(Token {
-                        text: ch.to_string(),
-                        line,
-                    });
-                }
-            }
-        }
-        if !cur.is_empty() {
-            tokens.push(Token { text: cur, line });
-        }
-    }
-    tokens
+/// Identifier characters: alphanumerics (Unicode), `_`, `$` and `.`.
+fn is_word(c: char) -> bool {
+    c.is_alphanumeric() || c == '_' || c == '$' || c == '.'
 }
 
-struct Cursor {
-    tokens: Vec<Token>,
+/// Slices the source into tokens on demand: runs of identifier characters,
+/// and every other character that is not whitespace on its own. `//`
+/// comments run to the end of their line.
+struct Cursor<'a> {
+    src: &'a str,
     pos: usize,
+    line: usize,
 }
 
-impl Cursor {
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
+impl<'a> Cursor<'a> {
+    /// The character at `pos` and its length in bytes.
+    fn peek(&self) -> Option<(char, usize)> {
+        let b = *self.src.as_bytes().get(self.pos)?;
+        if b.is_ascii() {
+            return Some((char::from(b), 1));
         }
-        t
+        let c = self.src[self.pos..].chars().next()?;
+        Some((c, c.len_utf8()))
     }
 
-    fn expect(&mut self, text: &str) -> Result<Token, ParseError> {
+    fn next(&mut self) -> Option<Token<'a>> {
+        let bytes = self.src.as_bytes();
+        loop {
+            let (c, len) = self.peek()?;
+            if c == '\n' {
+                self.line += 1;
+            } else if c == '/' && bytes.get(self.pos + 1) == Some(&b'/') {
+                self.pos = bytes[self.pos..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(bytes.len(), |k| self.pos + k);
+                continue;
+            } else if is_word(c) {
+                let start = self.pos;
+                self.pos += len;
+                while let Some((_, len)) = self.peek().filter(|&(c, _)| is_word(c)) {
+                    self.pos += len;
+                }
+                return Some(Token {
+                    text: &self.src[start..self.pos],
+                    line: self.line,
+                });
+            } else if !c.is_whitespace() {
+                let start = self.pos;
+                self.pos += len;
+                return Some(Token {
+                    text: &self.src[start..self.pos],
+                    line: self.line,
+                });
+            }
+            self.pos += len;
+        }
+    }
+
+    fn expect(&mut self, text: &str) -> Result<Token<'a>, ParseError> {
         match self.next() {
             Some(t) if t.text == text => Ok(t),
             Some(t) => Err(err(
@@ -137,16 +142,9 @@ impl Cursor {
         }
     }
 
-    fn ident(&mut self) -> Result<Token, ParseError> {
+    fn ident(&mut self) -> Result<Token<'a>, ParseError> {
         match self.next() {
-            Some(t)
-                if t.text
-                    .chars()
-                    .next()
-                    .is_some_and(|c| c.is_alphanumeric() || c == '_') =>
-            {
-                Ok(t)
-            }
+            Some(t) if starts_ident(t.text) => Ok(t),
             Some(t) => Err(err(
                 t.line,
                 format!("expected identifier, found `{}`", t.text),
@@ -155,13 +153,17 @@ impl Cursor {
         }
     }
 
-    /// Parses `name [, name]* ;` and returns the names.
-    fn name_list(&mut self) -> Result<Vec<Token>, ParseError> {
-        let mut names = vec![self.ident()?];
+    /// Parses `name [, name]* ;` into `names`.
+    fn name_list(&mut self, names: &mut Vec<(&'a str, usize)>) -> Result<(), ParseError> {
+        let t = self.ident()?;
+        names.push((t.text, t.line));
         loop {
             match self.next() {
-                Some(t) if t.text == "," => names.push(self.ident()?),
-                Some(t) if t.text == ";" => return Ok(names),
+                Some(t) if t.text == "," => {
+                    let t = self.ident()?;
+                    names.push((t.text, t.line));
+                }
+                Some(t) if t.text == ";" => return Ok(()),
                 Some(t) => {
                     return Err(err(
                         t.line,
@@ -174,16 +176,18 @@ impl Cursor {
     }
 }
 
-/// Intermediate instance record before wire resolution.
-struct RawInstance {
-    kind: GateKind,
-    name: String,
-    out: String,
-    ins: Vec<String>,
-    line: usize,
+fn starts_ident(text: &str) -> bool {
+    text.chars()
+        .next()
+        .is_some_and(|c| c.is_alphanumeric() || c == '_')
 }
 
 /// Parses the textual format into a [`Netlist`].
+///
+/// The source is scanned to `endmodule` first, so a syntax error wins over
+/// any naming fault; the names are then resolved by the resolver
+/// `parse_bench` shares (`resolve::Design::resolve`), which builds each gate
+/// once, in id order: inputs, mask inputs, then instances in source order.
 ///
 /// # Errors
 ///
@@ -193,8 +197,9 @@ struct RawInstance {
 /// [`Netlist::validate`][crate::Netlist::validate].
 pub fn parse_netlist(src: &str) -> Result<Netlist, ParseError> {
     let mut cur = Cursor {
-        tokens: tokenize(src),
+        src,
         pos: 0,
+        line: 1,
     };
     cur.expect("module")?;
     let mod_name = cur.ident()?;
@@ -204,33 +209,28 @@ pub fn parse_netlist(src: &str) -> Result<Netlist, ParseError> {
         match cur.next() {
             Some(t) if t.text == ")" => break,
             Some(t) if t.text == "," => continue,
-            Some(t)
-                if t.text
-                    .chars()
-                    .next()
-                    .is_some_and(|c| c.is_alphanumeric() || c == '_') => {}
+            Some(t) if starts_ident(t.text) => {}
             Some(t) => return Err(err(t.line, format!("unexpected `{}` in port list", t.text))),
             None => return Err(err(0, "unterminated port list")),
         }
     }
     cur.expect(";")?;
 
-    let mut inputs: Vec<Token> = Vec::new();
-    let mut mask_inputs: Vec<Token> = Vec::new();
-    let mut outputs: Vec<Token> = Vec::new();
-    let mut instances: Vec<RawInstance> = Vec::new();
-
+    let mut d = Design::new(mod_name.text);
+    let mut wires = Vec::new();
     loop {
         let Some(tok) = cur.next() else {
             return Err(err(0, "missing `endmodule`"));
         };
-        match tok.text.as_str() {
+        match tok.text {
             "endmodule" => break,
-            "input" => inputs.extend(cur.name_list()?),
-            "mask_input" => mask_inputs.extend(cur.name_list()?),
-            "output" => outputs.extend(cur.name_list()?),
+            "input" => cur.name_list(&mut d.inputs)?,
+            "mask_input" => cur.name_list(&mut d.mask_inputs)?,
+            "output" => cur.name_list(&mut d.outputs)?,
             "wire" => {
-                cur.name_list()?; // informational; wires are inferred from use
+                // Informational; wires are inferred from use.
+                wires.clear();
+                cur.name_list(&mut wires)?;
             }
             kw => {
                 let Some(kind) = GateKind::from_keyword(kw) else {
@@ -242,10 +242,10 @@ pub fn parse_netlist(src: &str) -> Result<Netlist, ParseError> {
                 let inst = cur.ident()?;
                 cur.expect("(")?;
                 let out = cur.ident()?;
-                let mut ins = Vec::new();
+                let first = d.pins.len();
                 loop {
                     match cur.next() {
-                        Some(t) if t.text == "," => ins.push(cur.ident()?.text),
+                        Some(t) if t.text == "," => d.pins.push(cur.ident()?.text),
                         Some(t) if t.text == ")" => break,
                         Some(t) => {
                             return Err(err(
@@ -257,78 +257,18 @@ pub fn parse_netlist(src: &str) -> Result<Netlist, ParseError> {
                     }
                 }
                 cur.expect(";")?;
-                instances.push(RawInstance {
-                    kind,
+                d.gates.push(RawGate {
+                    kind: Some(kind),
+                    func: kw,
                     name: inst.text,
                     out: out.text,
-                    ins,
+                    ins: first..d.pins.len(),
                     line: tok.line,
                 });
             }
         }
     }
-
-    // Wire resolution: every wire has exactly one driver (an input port or an
-    // instance output).
-    let mut netlist = Netlist::new(mod_name.text);
-    let mut driver: HashMap<String, GateId> = HashMap::new();
-    for t in &inputs {
-        let id = netlist.add_input(t.text.clone());
-        if driver.insert(t.text.clone(), id).is_some() {
-            return Err(err(t.line, format!("wire `{}` has two drivers", t.text)));
-        }
-    }
-    for t in &mask_inputs {
-        let id = netlist.add_mask_input(t.text.clone());
-        if driver.insert(t.text.clone(), id).is_some() {
-            return Err(err(t.line, format!("wire `{}` has two drivers", t.text)));
-        }
-    }
-
-    // Two passes: first reserve ids for every instance output (so feedback
-    // through dffs resolves), then connect fanins.
-    let mut inst_ids: Vec<GateId> = Vec::with_capacity(instances.len());
-    for inst in &instances {
-        let id = netlist.add_placeholder(inst.kind, inst.name.clone());
-        inst_ids.push(id);
-        if driver.insert(inst.out.clone(), id).is_some() {
-            return Err(err(
-                inst.line,
-                format!("wire `{}` has two drivers", inst.out),
-            ));
-        }
-    }
-    for (inst, &id) in instances.iter().zip(&inst_ids) {
-        if inst.kind.is_const() {
-            if !inst.ins.is_empty() {
-                return Err(err(inst.line, "constants take no inputs"));
-            }
-            continue;
-        }
-        let mut fanin = Vec::with_capacity(inst.ins.len());
-        for w in &inst.ins {
-            let Some(&d) = driver.get(w) else {
-                return Err(err(inst.line, format!("wire `{w}` is never driven")));
-            };
-            fanin.push(d);
-        }
-        netlist
-            .replace_fanin(id, inst.kind, &fanin)
-            .map_err(|e| err(inst.line, e.to_string()))?;
-    }
-    for t in &outputs {
-        let Some(&d) = driver.get(&t.text) else {
-            return Err(err(t.line, format!("output `{}` is never driven", t.text)));
-        };
-        netlist
-            .add_output(t.text.clone(), d)
-            .map_err(|e| err(t.line, e.to_string()))?;
-    }
-
-    netlist
-        .validate()
-        .map_err(|e| err(0, format!("invalid netlist: {e}")))?;
-    Ok(netlist)
+    d.resolve(Dialect::Verilog)
 }
 
 /// Serializes a netlist back to the textual format accepted by
@@ -339,69 +279,84 @@ pub fn parse_netlist(src: &str) -> Result<Netlist, ParseError> {
 pub fn write_netlist(netlist: &Netlist) -> String {
     use std::fmt::Write as _;
 
-    let mut wire_name: Vec<String> = Vec::with_capacity(netlist.gate_count());
-    for (id, gate) in netlist.iter() {
-        if gate.name().is_empty() {
-            wire_name.push(format!("n_{}", id.index()));
+    let wire = |s: &mut String, id: GateId| {
+        let name = netlist.gate(id).name();
+        if name.is_empty() {
+            let _ = write!(s, "n_{}", id.index());
         } else {
-            wire_name.push(gate.name().to_string());
+            s.push_str(name);
+        }
+    };
+    let list = |s: &mut String, ids: &[GateId]| {
+        for (k, &id) in ids.iter().enumerate() {
+            if k > 0 {
+                s.push_str(", ");
+            }
+            wire(s, id);
+        }
+    };
+    let port_list = |s: &mut String| {
+        for (k, (p, _)) in netlist.outputs().iter().enumerate() {
+            if k > 0 {
+                s.push_str(", ");
+            }
+            s.push_str(p);
+            s.push_str("_po");
+        }
+    };
+
+    let mut s = String::with_capacity(24 * netlist.gate_count() + 64);
+    s.push_str("module ");
+    s.push_str(netlist.name());
+    s.push_str(" (");
+    let inputs = netlist.data_inputs().iter().chain(netlist.mask_inputs());
+    for (k, &id) in inputs.enumerate() {
+        if k > 0 {
+            s.push_str(", ");
+        }
+        wire(&mut s, id);
+    }
+    if netlist.data_inputs().len() + netlist.mask_inputs().len() > 0
+        && !netlist.outputs().is_empty()
+    {
+        s.push_str(", ");
+    }
+    port_list(&mut s);
+    s.push_str(");\n");
+    for (decl, ids) in [
+        ("input", netlist.data_inputs()),
+        ("mask_input", netlist.mask_inputs()),
+    ] {
+        if !ids.is_empty() {
+            s.push_str("  ");
+            s.push_str(decl);
+            s.push(' ');
+            list(&mut s, ids);
+            s.push_str(";\n");
         }
     }
-
-    let mut s = String::new();
-    let mut ports: Vec<String> = Vec::new();
-    for &i in netlist.data_inputs() {
-        ports.push(wire_name[i.index()].clone());
-    }
-    for &i in netlist.mask_inputs() {
-        ports.push(wire_name[i.index()].clone());
-    }
-    for (p, _) in netlist.outputs() {
-        ports.push(format!("{p}_po"));
-    }
-    let _ = writeln!(s, "module {} ({});", netlist.name(), ports.join(", "));
-
-    let fmt_list = |ids: &[GateId]| -> String {
-        ids.iter()
-            .map(|i| wire_name[i.index()].clone())
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    if !netlist.data_inputs().is_empty() {
-        let _ = writeln!(s, "  input {};", fmt_list(netlist.data_inputs()));
-    }
-    if !netlist.mask_inputs().is_empty() {
-        let _ = writeln!(s, "  mask_input {};", fmt_list(netlist.mask_inputs()));
-    }
     if !netlist.outputs().is_empty() {
-        let outs: Vec<String> = netlist
-            .outputs()
-            .iter()
-            .map(|(p, _)| format!("{p}_po"))
-            .collect();
-        let _ = writeln!(s, "  output {};", outs.join(", "));
+        s.push_str("  output ");
+        port_list(&mut s);
+        s.push_str(";\n");
     }
     for (id, gate) in netlist.iter() {
         if gate.kind().is_input() {
             continue;
         }
-        let out = &wire_name[id.index()];
-        if gate.fanin().is_empty() {
-            let _ = writeln!(s, "  {} i_{} ({});", gate.kind().keyword(), id.index(), out);
-        } else {
-            let _ = writeln!(
-                s,
-                "  {} i_{} ({}, {});",
-                gate.kind().keyword(),
-                id.index(),
-                out,
-                fmt_list(gate.fanin())
-            );
+        let _ = write!(s, "  {} i_{} (", gate.kind().keyword(), id.index());
+        wire(&mut s, id);
+        if !gate.fanin().is_empty() {
+            s.push_str(", ");
+            list(&mut s, gate.fanin());
         }
+        s.push_str(");\n");
     }
     // Output ports are emitted as buffers so the port wire has a driver.
     for (p, d) in netlist.outputs() {
-        let _ = writeln!(s, "  buf o_{p} ({p}_po, {});", wire_name[d.index()]);
+        let _ = write!(s, "  buf o_{p} ({p}_po, ");
+        wire(&mut s, *d);
+        s.push_str(");\n");
     }
     s.push_str("endmodule\n");
     s

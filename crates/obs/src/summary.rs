@@ -115,8 +115,9 @@ pub struct TraceSummary {
     pub kind_counts: Vec<(&'static str, usize)>,
     /// Per-phase totals.
     pub phases: PhaseTotals,
-    /// Summed wall time of `campaign_end` events (None when the trace holds
-    /// no finished campaign).
+    /// Wall time the campaigns ran for: the union of each `campaign_end`'s
+    /// `[t − wall_ns, t]`, so fleet jobs that overlap count once (None when
+    /// the trace holds no finished campaign).
     pub campaign_wall_ns: Option<u64>,
     /// Per-worker aggregates, ordered by thread ordinal.
     pub workers: Vec<WorkerRow>,
@@ -145,8 +146,9 @@ impl TraceSummary {
         let mut histogram = [0u64; 10];
         let mut have_worker_summaries = false;
         let mut audits: BTreeMap<u64, Vec<AuditRow>> = BTreeMap::new();
-        let mut campaign_wall = 0u64;
-        let mut have_campaign_end = false;
+        // Each campaign ran over `[t − wall_ns, t]`, in signed ns so that a
+        // wall longer than its timestamp still measures its full length.
+        let mut campaign_spans: Vec<(i128, i128)> = Vec::new();
 
         for ev in events {
             *kind_counts.entry(ev.payload.kind()).or_insert(0) += 1;
@@ -219,8 +221,8 @@ impl TraceSummary {
                     });
                 }
                 Payload::CampaignEnd { wall_ns, .. } => {
-                    have_campaign_end = true;
-                    campaign_wall = campaign_wall.saturating_add(*wall_ns);
+                    let end = i128::from(ev.t_ns);
+                    campaign_spans.push((end - i128::from(*wall_ns), end));
                 }
                 Payload::QueueDepth { depth, .. } => {
                     s.max_queue_depth = Some(s.max_queue_depth.unwrap_or(0).max(*depth));
@@ -246,7 +248,7 @@ impl TraceSummary {
             .iter()
             .filter_map(|k| kind_counts.get(k).map(|&c| (*k, c)))
             .collect();
-        s.campaign_wall_ns = have_campaign_end.then_some(campaign_wall);
+        s.campaign_wall_ns = (!campaign_spans.is_empty()).then(|| union_ns(campaign_spans));
         s.workers = workers.into_values().collect();
         s.utilization = have_worker_summaries.then_some(histogram);
         if let Some((_, rows)) = audits.into_iter().next_back() {
@@ -257,10 +259,11 @@ impl TraceSummary {
         s
     }
 
-    /// Fraction of the summed campaign wall time covered by the measured
-    /// phases (shard spans + folds + checkpoint looks). `None` without a
-    /// `campaign_end` event. Meaningful for single-threaded traces, where
-    /// phase time and wall time share one clock.
+    /// Fraction of the campaigns' wall time (the union of their intervals)
+    /// covered by the measured phases (shard spans + folds + checkpoint
+    /// looks). `None` without a `campaign_end` event. Meaningful for
+    /// single-threaded traces, where phase time and wall time share one
+    /// clock.
     pub fn phase_coverage(&self) -> Option<f64> {
         let wall = self.campaign_wall_ns?;
         if wall == 0 {
@@ -276,6 +279,21 @@ impl TraceSummary {
         let has = |k: &str| self.kind_counts.iter().any(|&(kind, c)| kind == k && c > 0);
         has("shard_span") && has("round_checkpoint") && has("stop_audit")
     }
+}
+
+/// Total length covered by the intervals, counting overlaps once.
+fn union_ns(mut spans: Vec<(i128, i128)>) -> u64 {
+    spans.sort_unstable();
+    let mut total = 0i128;
+    let mut reach = i128::MIN;
+    for (start, end) in spans {
+        let start = start.max(reach);
+        if end > start {
+            total += end - start;
+            reach = end;
+        }
+    }
+    u64::try_from(total).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -397,6 +415,44 @@ mod tests {
         assert_eq!(s.final_audit.len(), 1);
         assert_eq!(s.final_audit[0].gate, 0);
         assert!((s.phase_coverage().unwrap() - 0.785).abs() < 1e-12);
+    }
+
+    #[test]
+    fn overlapping_campaigns_count_their_wall_time_once() {
+        let end = |t_ns: u64, wall_ns: u64| Event {
+            t_ns,
+            thread: 0,
+            payload: Payload::CampaignEnd {
+                rounds: 1,
+                stopped_early: false,
+                fixed_traces: 256,
+                random_traces: 256,
+                wall_ns,
+            },
+        };
+        let span = |wall_ns: u64| {
+            ev(
+                0,
+                Payload::FoldSpan {
+                    round: 1,
+                    shards: 1,
+                    wall_ns,
+                },
+            )
+        };
+        // Two fleet jobs that both start at 1000: one ends at 1600, the
+        // other at 2000. They ran for 1000 ns, not 1600.
+        let fleet = [span(900), end(1_600, 600), end(2_000, 1_000)];
+        let s = TraceSummary::build(&fleet);
+        assert_eq!(s.campaign_wall_ns, Some(1_000));
+        assert!((s.phase_coverage().unwrap() - 0.9).abs() < 1e-12);
+        // A third campaign after a gap adds its own wall time.
+        let mut later = fleet.to_vec();
+        later.push(end(3_500, 500));
+        assert_eq!(TraceSummary::build(&later).campaign_wall_ns, Some(1_500));
+        // Nested and touching intervals merge.
+        let nested = [end(2_000, 1_000), end(1_500, 200), end(2_500, 500)];
+        assert_eq!(TraceSummary::build(&nested).campaign_wall_ns, Some(1_500));
     }
 
     #[test]

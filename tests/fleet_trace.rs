@@ -1,10 +1,11 @@
 //! The trace of a fleet accounts for every job: each job's campaign
 //! start and end, and one `shard_span` per shard it simulated, stamped with
 //! the job it belongs to. A lone campaign is a fleet of one, so the same
-//! events describe both.
+//! events describe both. On one thread the phase times cover the fleet's
+//! wall time.
 
 use polaris_netlist::generators;
-use polaris_obs::{parse_trace, JsonlRecorder, Payload};
+use polaris_obs::{parse_trace, JsonlRecorder, Payload, TraceSummary};
 use polaris_sim::{run_fleet, CampaignConfig, FleetJob, Parallelism, PowerModel};
 use polaris_tvla::{adaptive_fleet_job, SequentialConfig, WelchAccumulator};
 
@@ -91,6 +92,14 @@ fn a_fleet_trace_accounts_for_every_job() {
             );
         }
         assert!(outcomes[1].stats.rounds > 1, "the adaptive job runs rounds");
+        if threads == 1 {
+            // One thread, one clock: the phases cover the jobs' wall time,
+            // which overlaps across jobs and so counts once.
+            let coverage = TraceSummary::build(&events)
+                .phase_coverage()
+                .expect("the trace has campaign_end events");
+            assert!(coverage >= 0.90, "phase coverage {coverage:.3} below 0.90");
+        }
         assert_eq!(
             fold_spans,
             outcomes.iter().map(|o| o.stats.rounds).sum::<usize>(),
