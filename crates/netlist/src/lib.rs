@@ -4,8 +4,10 @@
 //!
 //! * [`Netlist`] — an in-memory gate-level IR (gates, primary inputs/outputs,
 //!   dedicated *mask* inputs used by the masking transforms).
-//! * [`parser`] — a structural-Verilog-subset reader and writer so designs
-//!   round-trip as text.
+//! * [`parser`] and [`bench_format`] — structural-Verilog-subset and ISCAS
+//!   `.bench` readers and writers, so designs round-trip as text. Both
+//!   readers only scan, and share one name resolver that builds each gate
+//!   once.
 //! * [`graph`] — adjacency, BFS locality (the `L`-neighborhood used by
 //!   POLARIS structural features), levelization and depth queries.
 //! * [`generators`] — deterministic synthetic benchmark generators standing in

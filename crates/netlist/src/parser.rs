@@ -18,6 +18,13 @@
 //! are inputs. `mux` pin order is `(out, sel, a, b)` computing
 //! `out = sel ? a : b`; `dff` is `(q, d)` with an implicit global clock.
 //!
+//! [`parse_netlist`] only scans: a cursor slices the source into tokens on
+//! demand, with no `String` per token, up to `endmodule`, so a syntax error
+//! anywhere wins over a naming fault. The names then go to the resolver the
+//! `.bench` reader shares (`resolve::Design::resolve`), which binds every
+//! wire to its driver and builds each gate once, in id order: inputs, mask
+//! inputs, then instances in source order.
+//!
 //! # Example
 //!
 //! ```
@@ -183,11 +190,6 @@ fn starts_ident(text: &str) -> bool {
 }
 
 /// Parses the textual format into a [`Netlist`].
-///
-/// The source is scanned to `endmodule` first, so a syntax error wins over
-/// any naming fault; the names are then resolved by the resolver
-/// `parse_bench` shares (`resolve::Design::resolve`), which builds each gate
-/// once, in id order: inputs, mask inputs, then instances in source order.
 ///
 /// # Errors
 ///
