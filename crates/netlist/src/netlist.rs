@@ -411,8 +411,8 @@ impl Netlist {
         // in one flat table, grouped by driver (`sinks[start[i]..start[i + 1]]`
         // are gate i's readers, in id order).
         let comb = |g: &Gate| !g.kind().is_sequential();
-        let mut indegree = vec![0u32; n];
-        let mut start = vec![0u32; n + 1];
+        let mut indegree = vec![0usize; n];
+        let mut start = vec![0usize; n + 1];
         for gate in self.gates.iter().filter(|g| comb(g)) {
             for &f in gate.fanin() {
                 start[f.index() + 1] += 1;
@@ -422,16 +422,16 @@ impl Netlist {
             start[i + 1] += start[i];
         }
         let mut fill = start.clone();
-        let mut sinks = vec![GateId::new(0); start[n] as usize];
+        let mut sinks = vec![GateId::new(0); start[n]];
         let mut queue: Vec<GateId> = Vec::with_capacity(n);
         for (id, gate) in self.iter() {
             if !comb(gate) || gate.fanin().is_empty() {
                 queue.push(id);
                 continue;
             }
-            indegree[id.index()] = gate.fanin().len() as u32;
+            indegree[id.index()] = gate.fanin().len();
             for &f in gate.fanin() {
-                sinks[fill[f.index()] as usize] = id;
+                sinks[fill[f.index()]] = id;
                 fill[f.index()] += 1;
             }
         }
@@ -439,7 +439,7 @@ impl Netlist {
         while head < queue.len() {
             let id = queue[head];
             head += 1;
-            let readers = start[id.index()] as usize..start[id.index() + 1] as usize;
+            let readers = start[id.index()]..start[id.index() + 1];
             for &sink in &sinks[readers] {
                 indegree[sink.index()] -= 1;
                 if indegree[sink.index()] == 0 {
