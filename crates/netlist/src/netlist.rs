@@ -220,8 +220,8 @@ impl Netlist {
     }
 
     /// Reserves an id for a gate of `kind` whose fanin will be provided later
-    /// via [`Netlist::replace_fanin`]. Used by the parser so instance outputs
-    /// can be referenced before their drivers are resolved.
+    /// via [`Netlist::replace_fanin`], so a gate can be referenced before its
+    /// own fanin is known.
     ///
     /// Until connected, the placeholder has an empty fanin and will fail
     /// [`Netlist::validate`] for kinds whose minimum arity is nonzero.

@@ -281,84 +281,69 @@ pub fn parse_netlist(src: &str) -> Result<Netlist, ParseError> {
 pub fn write_netlist(netlist: &Netlist) -> String {
     use std::fmt::Write as _;
 
-    let wire = |s: &mut String, id: GateId| {
-        let name = netlist.gate(id).name();
-        if name.is_empty() {
-            let _ = write!(s, "n_{}", id.index());
+    let mut wire_name: Vec<String> = Vec::with_capacity(netlist.gate_count());
+    for (id, gate) in netlist.iter() {
+        if gate.name().is_empty() {
+            wire_name.push(format!("n_{}", id.index()));
         } else {
-            s.push_str(name);
+            wire_name.push(gate.name().to_string());
         }
-    };
-    let list = |s: &mut String, ids: &[GateId]| {
-        for (k, &id) in ids.iter().enumerate() {
-            if k > 0 {
-                s.push_str(", ");
-            }
-            wire(s, id);
-        }
-    };
-    let port_list = |s: &mut String| {
-        for (k, (p, _)) in netlist.outputs().iter().enumerate() {
-            if k > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(p);
-            s.push_str("_po");
-        }
-    };
+    }
 
-    let mut s = String::with_capacity(24 * netlist.gate_count() + 64);
-    s.push_str("module ");
-    s.push_str(netlist.name());
-    s.push_str(" (");
-    let inputs = netlist.data_inputs().iter().chain(netlist.mask_inputs());
-    for (k, &id) in inputs.enumerate() {
-        if k > 0 {
-            s.push_str(", ");
-        }
-        wire(&mut s, id);
+    let mut s = String::new();
+    let mut ports: Vec<String> = Vec::new();
+    for &i in netlist.data_inputs() {
+        ports.push(wire_name[i.index()].clone());
     }
-    if netlist.data_inputs().len() + netlist.mask_inputs().len() > 0
-        && !netlist.outputs().is_empty()
-    {
-        s.push_str(", ");
+    for &i in netlist.mask_inputs() {
+        ports.push(wire_name[i.index()].clone());
     }
-    port_list(&mut s);
-    s.push_str(");\n");
-    for (decl, ids) in [
-        ("input", netlist.data_inputs()),
-        ("mask_input", netlist.mask_inputs()),
-    ] {
-        if !ids.is_empty() {
-            s.push_str("  ");
-            s.push_str(decl);
-            s.push(' ');
-            list(&mut s, ids);
-            s.push_str(";\n");
-        }
+    for (p, _) in netlist.outputs() {
+        ports.push(format!("{p}_po"));
+    }
+    let _ = writeln!(s, "module {} ({});", netlist.name(), ports.join(", "));
+
+    let fmt_list = |ids: &[GateId]| -> String {
+        ids.iter()
+            .map(|i| wire_name[i.index()].clone())
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    if !netlist.data_inputs().is_empty() {
+        let _ = writeln!(s, "  input {};", fmt_list(netlist.data_inputs()));
+    }
+    if !netlist.mask_inputs().is_empty() {
+        let _ = writeln!(s, "  mask_input {};", fmt_list(netlist.mask_inputs()));
     }
     if !netlist.outputs().is_empty() {
-        s.push_str("  output ");
-        port_list(&mut s);
-        s.push_str(";\n");
+        let outs: Vec<String> = netlist
+            .outputs()
+            .iter()
+            .map(|(p, _)| format!("{p}_po"))
+            .collect();
+        let _ = writeln!(s, "  output {};", outs.join(", "));
     }
     for (id, gate) in netlist.iter() {
         if gate.kind().is_input() {
             continue;
         }
-        let _ = write!(s, "  {} i_{} (", gate.kind().keyword(), id.index());
-        wire(&mut s, id);
-        if !gate.fanin().is_empty() {
-            s.push_str(", ");
-            list(&mut s, gate.fanin());
+        let out = &wire_name[id.index()];
+        if gate.fanin().is_empty() {
+            let _ = writeln!(s, "  {} i_{} ({});", gate.kind().keyword(), id.index(), out);
+        } else {
+            let _ = writeln!(
+                s,
+                "  {} i_{} ({}, {});",
+                gate.kind().keyword(),
+                id.index(),
+                out,
+                fmt_list(gate.fanin())
+            );
         }
-        s.push_str(");\n");
     }
     // Output ports are emitted as buffers so the port wire has a driver.
     for (p, d) in netlist.outputs() {
-        let _ = write!(s, "  buf o_{p} ({p}_po, ");
-        wire(&mut s, *d);
-        s.push_str(");\n");
+        let _ = writeln!(s, "  buf o_{p} ({p}_po, {});", wire_name[d.index()]);
     }
     s.push_str("endmodule\n");
     s

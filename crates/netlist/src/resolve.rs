@@ -155,14 +155,9 @@ impl<'a> Design<'a> {
                 .add_output(sig, d)
                 .map_err(|e| err(line, e.to_string()))?;
         }
-        // What is left to check is a combinational cycle, and for Verilog a
-        // repeated instance name. A `.bench` gate is named by the signal it
-        // drives, so the driver map has already proved its names unique.
-        match dialect {
-            Dialect::Bench => netlist.topo_order().map(drop),
-            Dialect::Verilog => netlist.validate(),
-        }
-        .map_err(|e| err(0, format!("invalid netlist: {e}")))?;
+        netlist
+            .validate()
+            .map_err(|e| err(0, format!("invalid netlist: {e}")))?;
         Ok(netlist)
     }
 }
